@@ -5,7 +5,7 @@ FUZZTIME ?= 10s
 BENCHTIME ?= 1x
 BENCHCOUNT ?= 3
 
-.PHONY: build test race race-stress lint lint-sarif lint-testdata fmt vet fuzz-smoke bench bench-smoke trace-smoke bench-guard cache-golden fastpath-ablation dsl-golden interference-golden ci
+.PHONY: build test race race-stress bench-check lint lint-sarif lint-testdata fmt vet fuzz-smoke bench bench-smoke trace-smoke bench-guard cache-golden fastpath-ablation dsl-golden interference-golden ci
 
 build:
 	$(GO) build ./...
@@ -18,9 +18,20 @@ race:
 
 # race-stress: uncached focused race run over the concurrency-heavy
 # packages — the runpool stress tests (panics mid-pool, workers >
-# items) and the simulator's lock-step scheduler.
+# items) and the simulator's coroutine scheduler — then the sim
+# failure-containment tests (a body panic surfaces at Run's caller;
+# deadlocks and panics stop every parked process) on repeat.
 race-stress:
 	$(GO) test -race -count=1 ./internal/runpool ./internal/sim
+	$(GO) test -race -count=20 -run '^TestFailure' ./internal/sim
+
+# bench-check: bench/ (the end-to-end benchmark behind BENCHMARK.json)
+# is a Go module of its own, so `./...` never builds it. Vet and test it
+# against the current tree, so an internal API change that breaks it
+# fails here rather than at the next benchmark run.
+bench-check:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -182,4 +193,4 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='FuzzSpecDecode$$' -fuzztime=$(FUZZTIME) ./internal/wldsl
 	$(GO) test -run='^$$' -fuzz='FuzzScenarioKey$$' -fuzztime=$(FUZZTIME) ./internal/cascache
 
-ci: build lint lint-testdata race race-stress bench-smoke trace-smoke fastpath-ablation dsl-golden interference-golden cache-golden bench-guard fuzz-smoke
+ci: build lint lint-testdata race race-stress bench-check bench-smoke trace-smoke fastpath-ablation dsl-golden interference-golden cache-golden bench-guard fuzz-smoke

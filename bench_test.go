@@ -346,8 +346,8 @@ func BenchmarkSimulatorThroughputSingle(b *testing.B) {
 }
 
 // BenchmarkFastForward is the end-to-end ablation of the analytic
-// fast path: the flagship GCRM run with the completion calendar and
-// epoch memoization on versus the pure event-path fallback
+// fast path: the flagship GCRM run with the completion calendar on
+// versus the pure event-path fallback
 // (-analytic=off). Both sides produce byte-identical artifacts — the
 // determinism suite pins that — so the ratio here is pure simulator
 // speed, the number the fastpath-ablation make target quotes.

@@ -37,6 +37,10 @@
 // family (cascache.*) as a standard telemetry snapshot — feed it to
 // ensembletop. -cache-verify recomputes every hit and fails on any
 // byte difference.
+//
+// A scenario whose run fails (a simulation panic included) costs only
+// itself: the rest of the grid completes and is written, each failed
+// entry gets one line on stderr, and the exit status is 1.
 package main
 
 import (
@@ -146,6 +150,10 @@ func main() {
 	}
 	fmt.Printf("campaign %s: %d scenario(s), %d unique\n", name, stats.Scenarios, stats.Unique)
 	for i, res := range results {
+		if res.Err != nil {
+			fmt.Printf("  %-28s seed %-4d %-5s failed\n", res.Name, entries[i].Seed, res.Source)
+			continue
+		}
 		agg := 0.0
 		if res.Meta.WallSec > 0 {
 			agg = float64(res.Meta.TotalBytes) / 1e6 / res.Meta.WallSec
@@ -188,6 +196,12 @@ func main() {
 			}
 		}
 		fmt.Printf("artifacts written to %s\n", *outDir)
+	}
+	if n := cliutil.ReportFailed(entries, results); n > 0 {
+		if err := stopProf(); err != nil {
+			log.Print(err)
+		}
+		log.Fatalf("%d of %d scenario(s) failed", n, len(results))
 	}
 }
 

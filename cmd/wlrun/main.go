@@ -28,9 +28,13 @@
 // -cache DIR serves repeated scenarios from the content-addressed run
 // cache (internal/cascache) instead of recomputing them; a hit is
 // byte-identical to a fresh run, and -cache-verify recomputes every
-// hit and proves it. -validate checks the spec and prints its
-// compiled footprint without running. -canonicalize rewrites the spec
-// file in the canonical encoding. A single-value -gen SEED prints the
+// hit and proves it. A run that fails (a simulation panic included)
+// costs only itself: the rest of the batch completes and is written,
+// each failed run gets one line on stderr, and the exit status is 1.
+//
+// -validate checks the spec and prints its compiled footprint without
+// running. -canonicalize rewrites the spec file in the canonical
+// encoding. A single-value -gen SEED prints the
 // seeded generator's spec for that seed to stdout (the corpus
 // families the determinism suite fuzzes).
 package main
@@ -219,12 +223,16 @@ func main() {
 		}
 		for r := 0; r < *runs; r++ {
 			res := results[i]
-			agg := 0.0
-			if res.Meta.WallSec > 0 {
-				agg = float64(res.Meta.TotalBytes) / 1e6 / res.Meta.WallSec
+			if res.Err != nil {
+				fmt.Printf("  seed %-4d failed\n", seeds[i])
+			} else {
+				agg := 0.0
+				if res.Meta.WallSec > 0 {
+					agg = float64(res.Meta.TotalBytes) / 1e6 / res.Meta.WallSec
+				}
+				fmt.Printf("  seed %-4d wall %8.1f s   aggregate %8.0f MB/s\n",
+					seeds[i], res.Meta.WallSec, agg)
 			}
-			fmt.Printf("  seed %-4d wall %8.1f s   aggregate %8.0f MB/s\n",
-				seeds[i], res.Meta.WallSec, agg)
 			i++
 		}
 	}
@@ -243,6 +251,9 @@ func main() {
 		}
 		collide := collidingNames(specs)
 		for i, res := range results {
+			if res.Err != nil {
+				continue
+			}
 			base := artifactBase(res.Name, res.Key, seeds[i], collide[res.Name])
 			if err := writeArtifacts(*outDir, base, res, *format); err != nil {
 				log.Fatal(err)
@@ -250,17 +261,23 @@ func main() {
 		}
 		fmt.Printf("artifacts written to %s\n", *outDir)
 	}
-	if *trace != "" {
+	if *trace != "" && results[0].Err == nil {
 		if err := writeServed(*trace, results[0], traceArtifact(*format)); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("trace written to %s (%s)\n", *trace, *format)
 	}
-	if *telOut != "" {
+	if *telOut != "" && results[0].Err == nil {
 		if err := writeServed(*telOut, results[0], cascache.ArtTelemetry); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("telemetry written to %s\n", *telOut)
+	}
+	if n := cliutil.ReportFailed(entries, results); n > 0 {
+		if err := stopProf(); err != nil {
+			log.Print(err)
+		}
+		log.Fatalf("%d of %d run(s) failed", n, len(results))
 	}
 }
 

@@ -290,7 +290,7 @@ func TestTelemetryDeterministicAcrossWorkerCounts(t *testing.T) {
 // analyticArtifacts serializes one representative run per workload
 // family — faulted, telemetry-enabled IOR; MADbench; a GCRM dump large
 // enough (640 writers > the fabric's exact threshold) to engage the
-// quantized fast path and epoch memoization — with the analytic fast
+// quantized fast path — with the analytic fast
 // path on or off. Telemetry is included deliberately: the fast-forward
 // counters (sim.ff_seconds, sim.ff_jumps) are serialized, so this
 // pins the claim that both paths take identical analytic jumps.
@@ -345,9 +345,9 @@ func analyticArtifacts(t *testing.T, analyticOff bool) []byte {
 }
 
 // TestAnalyticOnOffByteIdentical is the fast path's hard gate: the
-// analytic fabric (calendar wakes, closed-form completions, epoch
-// memoization) and the pure event-path fallback (-analytic=off) must
-// serialize byte-identical artifacts for every workload family. The
+// analytic fabric (calendar wakes, closed-form completions) and the
+// pure event-path fallback (-analytic=off) must serialize
+// byte-identical artifacts for every workload family. The
 // two implementations share one event schedule and one physics; only
 // the computation strategy differs, so any byte diff is a bug in the
 // fast path, never an accepted approximation.
@@ -367,10 +367,10 @@ func TestAnalyticOnOffByteIdentical(t *testing.T) {
 	}
 }
 
-// memoArtifacts runs a seeded ensemble of GCRM collective dumps — the
-// workload whose repeated per-epoch write phases the memo cache
-// replays — through RunMany at the given worker count.
-func memoArtifacts(t *testing.T, workers int, analyticOff bool) []byte {
+// repeatedPhaseArtifacts runs a seeded ensemble of GCRM collective
+// dumps — the workload whose per-epoch write phases repeat identically
+// — through RunMany at the given worker count.
+func repeatedPhaseArtifacts(t *testing.T, workers int, analyticOff bool) []byte {
 	t.Helper()
 	seeds := []int64{3, 5, 9}
 	runs := ensembleio.RunMany(workers, seeds, func(seed int64) *ensembleio.Run {
@@ -390,31 +390,31 @@ func memoArtifacts(t *testing.T, workers int, analyticOff bool) []byte {
 	return buf.Bytes()
 }
 
-// TestMemoizedRunsDeterministicAcrossWorkerCounts pins epoch
-// memoization into the determinism contract twice over: cache-hit
-// replay must be byte-identical to the cold (never-memoized,
-// -analytic=off) run, and the memoized ensemble must serialize
-// identically at -j 1 and -j 4 — each run's cache is fabric-local, so
-// worker scheduling must not be able to leak entries between runs.
-func TestMemoizedRunsDeterministicAcrossWorkerCounts(t *testing.T) {
-	memoized := memoArtifacts(t, 1, false)
-	if len(memoized) == 0 {
-		t.Fatal("memoized runs produced no serialized artifacts; the check is vacuous")
+// TestRepeatedPhaseRunsDeterministicAcrossWorkerCounts pins the
+// repeated-phase GCRM ensemble into the determinism contract twice
+// over: the analytic run must be byte-identical to the event-path
+// (-analytic=off) run, and the ensemble must serialize identically at
+// -j 1 and -j 4 — each run's fabric is run-local, so worker scheduling
+// must not be able to leak state between runs.
+func TestRepeatedPhaseRunsDeterministicAcrossWorkerCounts(t *testing.T) {
+	analytic := repeatedPhaseArtifacts(t, 1, false)
+	if len(analytic) == 0 {
+		t.Fatal("repeated-phase runs produced no serialized artifacts; the check is vacuous")
 	}
-	cold := memoArtifacts(t, 1, true)
-	if !bytes.Equal(memoized, cold) {
-		t.Error("memo cache-hit replay differs from the cold event-path run")
+	event := repeatedPhaseArtifacts(t, 1, true)
+	if !bytes.Equal(analytic, event) {
+		t.Error("analytic repeated-phase run differs from the event-path run")
 	}
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
-	parallel := memoArtifacts(t, 4, false)
-	if !bytes.Equal(memoized, parallel) {
+	parallel := repeatedPhaseArtifacts(t, 4, false)
+	if !bytes.Equal(analytic, parallel) {
 		i := 0
-		for i < len(memoized) && i < len(parallel) && memoized[i] == parallel[i] {
+		for i < len(analytic) && i < len(parallel) && analytic[i] == parallel[i] {
 			i++
 		}
-		t.Errorf("memoized -j 1 vs -j 4: artifacts differ (len %d vs %d, first divergence at byte %d)",
-			len(memoized), len(parallel), i)
+		t.Errorf("repeated-phase -j 1 vs -j 4: artifacts differ (len %d vs %d, first divergence at byte %d)",
+			len(analytic), len(parallel), i)
 	}
 }
 

@@ -461,8 +461,8 @@ func IORWriterSweepJ(prof Platform, counts []int, totalTransfers int, transferBy
 // OS workers (workers <= 0 means all cores) and returns the runs
 // indexed by config — the deterministic fan-out/ordered-reduction
 // primitive behind every multi-seed loop in the CLIs and examples.
-// Each simulation still executes on its own single-goroutine-at-a-time
-// engine, so any given config+seed is bit-reproducible regardless of
+// Each simulation still executes on its own single-threaded engine,
+// so any given config+seed is bit-reproducible regardless of
 // the worker count.
 func RunMany[C any](workers int, cfgs []C, run func(C) *Run) []*Run {
 	return runpool.Map(workers, cfgs, func(_ int, c C) *Run { return run(c) })

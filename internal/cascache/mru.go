@@ -1,8 +1,8 @@
 package cascache
 
 // mruCache is the in-process layer: a fixed-capacity move-to-front
-// slice, scanned linearly — the map-free deterministic cache shape of
-// flownet's memo. Capacity is small (DefaultMRUCap), so a miss costs a
+// slice, scanned linearly — a map-free cache with deterministic
+// eviction. Capacity is small (DefaultMRUCap), so a miss costs a
 // handful of 32-byte key comparisons and a hit is allocation-free.
 // The caller (Store) holds the lock.
 type mruCache struct {

@@ -70,8 +70,7 @@ type Store struct {
 
 // DefaultMRUCap bounds the in-process layer. Campaign grids repeat a
 // handful of hot scenarios; a small cache captures those while keeping
-// a miss's probe cost at a few 32-byte comparisons (the flownet memo
-// shape).
+// a miss's probe cost at a few 32-byte comparisons.
 const DefaultMRUCap = 16
 
 // Open prepares the store rooted at dir, creating the epoch directory

@@ -8,11 +8,14 @@ package cliutil
 import (
 	"flag"
 	"fmt"
+	"log"
 	"os"
 	"runtime"
 	"runtime/debug"
 	"runtime/pprof"
 	"strconv"
+
+	"ensembleio/internal/ensemble/campaign"
 )
 
 // OnOff registers name as an on/off flag and returns a pointer that
@@ -50,6 +53,21 @@ func CacheFlags() (dir *string, verify *bool) {
 	verify = flag.Bool("cache-verify", false,
 		"recompute every cache hit and fail on any byte difference (paranoid; implies the run cost of a miss)")
 	return dir, verify
+}
+
+// ReportFailed logs one line per failed campaign entry (on stderr, with
+// the CLI's log prefix) and returns how many failed. The batch CLIs
+// call it after writing every other output and exit 1 on a non-zero
+// count, so one bad scenario costs only its own line.
+func ReportFailed(entries []campaign.Entry, results []campaign.Result) int {
+	n := 0
+	for i, res := range results {
+		if res.Err != nil {
+			log.Printf("%s seed %d failed: %v", res.Name, entries[i].Seed, res.Err)
+			n++
+		}
+	}
+	return n
 }
 
 // Version renders the build's identity from the binary's embedded

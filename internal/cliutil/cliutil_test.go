@@ -1,11 +1,38 @@
 package cliutil
 
 import (
+	"bytes"
+	"errors"
+	"log"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"ensembleio/internal/ensemble/campaign"
 )
+
+// TestReportFailed: one log line per failed entry, naming its seed and
+// error; completed entries stay silent.
+func TestReportFailed(t *testing.T) {
+	var buf bytes.Buffer
+	log.SetOutput(&buf)
+	defer log.SetOutput(os.Stderr)
+	entries := []campaign.Entry{{Seed: 1}, {Seed: 2}, {Seed: 3}}
+	results := []campaign.Result{
+		{Name: "ok"},
+		{Name: "bad", Err: errors.New("simulation panicked: boom")},
+		{Name: "bad", Err: errors.New("simulation panicked: boom")},
+	}
+	if n := ReportFailed(entries, results); n != 2 {
+		t.Fatalf("ReportFailed = %d, want 2", n)
+	}
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) != 2 || !strings.Contains(lines[0], "bad seed 2 failed: simulation panicked: boom") ||
+		!strings.Contains(lines[1], "bad seed 3 failed") {
+		t.Fatalf("log output %q", buf.String())
+	}
+}
 
 func TestVersionNonEmpty(t *testing.T) {
 	v := Version()

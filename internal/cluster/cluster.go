@@ -162,10 +162,10 @@ type Profile struct {
 	// Quantum is the fluid-rate recomputation interval.
 	Quantum sim.Duration
 
-	// AnalyticOff disables the fabric's analytic fast path (completion
-	// calendar, epoch memoization), falling back to the pure event
-	// path. Results are byte-identical either way; the flag is the
-	// CLIs' -analytic=off escape hatch and the reference side of the
+	// AnalyticOff disables the fabric's analytic fast path (the
+	// completion calendar), falling back to the pure event path.
+	// Results are byte-identical either way; the flag is the CLIs'
+	// -analytic=off escape hatch and the reference side of the
 	// fastpath-ablation suite.
 	AnalyticOff bool
 }

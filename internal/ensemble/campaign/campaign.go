@@ -8,6 +8,11 @@
 // Because every run is a pure function of its scenario key, the three
 // sources are byte-identical by construction; Verify mode recomputes
 // on every hit and diffs to prove it.
+//
+// One bad scenario never takes the campaign down: a run that fails,
+// including one whose simulation panics, becomes that entry's Err (and
+// its duplicates'), is never published to the store, and the rest of
+// the grid completes.
 package campaign
 
 import (
@@ -55,13 +60,15 @@ const (
 	SourceDup   Source = "dup"   // identical to an earlier entry of this campaign
 )
 
-// Result is one entry's outcome, in submission order.
+// Result is one entry's outcome, in submission order. A failed entry
+// carries Err and no artifacts.
 type Result struct {
 	Name      string
 	Key       cascache.Key
 	Meta      cascache.Meta
 	Artifacts []cascache.Artifact
 	Source    Source
+	Err       error
 }
 
 // Stats summarizes a campaign's cache effectiveness.
@@ -69,8 +76,9 @@ type Stats struct {
 	Scenarios     int    // entries submitted
 	Unique        int    // distinct scenario keys
 	Hits          int    // unique keys served by the store
-	Misses        int    // unique keys computed
+	Misses        int    // unique keys computed (or attempted: see Failed)
 	DupHits       int    // entries sharing an earlier entry's key
+	Failed        int    // entries whose run failed (duplicates included)
 	BytesServed   uint64 // artifact bytes delivered without compute (store hits + dups)
 	BytesComputed uint64 // artifact bytes of computed runs
 }
@@ -84,8 +92,14 @@ type computed struct {
 
 // runOne executes one scenario under the capture contract — full
 // trace+profile collection with telemetry on — so the resulting
-// artifact set serves every later request shape.
-func runOne(e Entry) computed {
+// artifact set serves every later request shape. A panic anywhere in
+// the run, rank bodies included, becomes the scenario's error.
+func runOne(e Entry) (c computed) {
+	defer func() {
+		if r := recover(); r != nil {
+			c = computed{err: fmt.Errorf("campaign: %s: simulation panicked: %v", e.Name, r)}
+		}
+	}()
 	prog, err := wldsl.Compile(e.Spec)
 	if err != nil {
 		return computed{err: fmt.Errorf("campaign: %s: %w", e.Name, err)}
@@ -106,6 +120,9 @@ func runOne(e Entry) computed {
 
 // Run executes the campaign. Results are indexed like entries;
 // duplicates share the first occurrence's artifact slices (no copy).
+// The error reports campaign-level failures only (keying, publishing,
+// a verify mismatch); a scenario whose run fails lands in its Result's
+// Err and is counted in Stats.Failed.
 func Run(entries []Entry, opts Options) ([]Result, Stats, error) {
 	results := make([]Result, len(entries))
 	stats := Stats{Scenarios: len(entries)}
@@ -157,19 +174,25 @@ func Run(entries []Entry, opts Options) ([]Result, Stats, error) {
 	})
 	for j, out := range outs {
 		i := toRun[j]
-		if out.err != nil {
-			return nil, stats, out.err
-		}
 		if results[i].Source == SourceCache {
-			// Verify mode: the served bytes must equal the fresh run.
-			if err := cascache.DiffArtifacts(results[i].Artifacts, out.arts); err != nil {
+			// Verify mode: the fresh run must succeed and reproduce the
+			// served bytes.
+			err := out.err
+			if err == nil {
+				err = cascache.DiffArtifacts(results[i].Artifacts, out.arts)
+			}
+			if err != nil {
 				return nil, stats, fmt.Errorf("campaign: %s: cache verify failed: %w", results[i].Name, err)
 			}
 			continue
 		}
+		stats.Misses++
+		if out.err != nil {
+			results[i].Err = out.err
+			continue
+		}
 		results[i].Meta = out.meta
 		results[i].Artifacts = out.arts
-		stats.Misses++
 		for _, a := range out.arts {
 			stats.BytesComputed += uint64(len(a.Data))
 		}
@@ -181,13 +204,14 @@ func Run(entries []Entry, opts Options) ([]Result, Stats, error) {
 	}
 
 	// Resolve duplicates against their first occurrence and settle the
-	// served-bytes accounting.
+	// served-bytes and failure accounting.
 	for i := range results {
 		switch results[i].Source {
 		case SourceDup:
 			first := results[firstOf[results[i].Key]]
 			results[i].Meta = first.Meta
 			results[i].Artifacts = first.Artifacts
+			results[i].Err = first.Err
 			for _, a := range first.Artifacts {
 				stats.BytesServed += uint64(len(a.Data))
 			}
@@ -195,6 +219,9 @@ func Run(entries []Entry, opts Options) ([]Result, Stats, error) {
 			for _, a := range results[i].Artifacts {
 				stats.BytesServed += uint64(len(a.Data))
 			}
+		}
+		if results[i].Err != nil {
+			stats.Failed++
 		}
 	}
 	return results, stats, nil

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"ensembleio/internal/cascache"
@@ -150,10 +151,13 @@ func TestCampaignWithFaults(t *testing.T) {
 }
 
 func TestStatsSnapshot(t *testing.T) {
-	s := Stats{Scenarios: 6, Unique: 3, Hits: 2, Misses: 1, DupHits: 3, BytesServed: 100, BytesComputed: 50}
+	s := Stats{Scenarios: 6, Unique: 3, Hits: 2, Misses: 1, DupHits: 3, Failed: 1, BytesServed: 100, BytesComputed: 50}
 	snap := s.Snapshot()
 	if got := snap.Counter("cascache.hits"); got != 2 {
 		t.Fatalf("cascache.hits = %v", got)
+	}
+	if got := snap.Counter("cascache.failed"); got != 1 {
+		t.Fatalf("cascache.failed = %v", got)
 	}
 	if got := snap.Counter("cascache.bytes_served"); got != 100 {
 		t.Fatalf("cascache.bytes_served = %v", got)
@@ -162,5 +166,72 @@ func TestStatsSnapshot(t *testing.T) {
 		if snap.Counters[i-1].Name >= snap.Counters[i].Name {
 			t.Fatalf("counters not sorted: %q before %q", snap.Counters[i-1].Name, snap.Counters[i].Name)
 		}
+	}
+}
+
+// poisonSpec passes validation but panics inside every rank body: it
+// writes through a descriptor it has already closed.
+const poisonSpec = `{
+  "name": "write-after-close",
+  "tasks": 4,
+  "path": "/scratch/poison.dat",
+  "phases": [
+    {"ops": [{"op": "open"}, {"op": "close"}, {"op": "write", "bytes": 1000000}]}
+  ]
+}`
+
+// TestCampaignContainsPanickingScenario: a poisoned entry fails alone.
+// Its error keeps the panic message, its duplicate inherits it, nothing
+// of it reaches the store, and every other entry still completes.
+func TestCampaignContainsPanickingScenario(t *testing.T) {
+	poison, err := wldsl.Parse(strings.NewReader(poisonSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := testEntries(2, 1)
+	bad := Entry{Name: "poison", Spec: poison, Platform: cluster.Franklin(), Seed: 1}
+	entries := []Entry{good[0], bad, good[1], bad}
+
+	store, err := cascache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, stats, err := Run(entries, Options{Workers: 2, Store: store})
+	if err != nil {
+		t.Fatalf("campaign-level error for a per-scenario failure: %v", err)
+	}
+	want := Stats{Scenarios: 4, Unique: 3, Misses: 3, DupHits: 1, Failed: 2}
+	got := stats
+	got.BytesServed, got.BytesComputed = 0, 0
+	if got != want {
+		t.Fatalf("stats %+v, want %+v", got, want)
+	}
+	for _, i := range []int{1, 3} {
+		if res[i].Err == nil || !strings.Contains(res[i].Err.Error(), "posixio: bad file descriptor") {
+			t.Errorf("entry %d: err %v, want the rank body's panic message", i, res[i].Err)
+		}
+		if len(res[i].Artifacts) != 0 {
+			t.Errorf("entry %d: failed entry carries %d artifacts", i, len(res[i].Artifacts))
+		}
+	}
+	for _, i := range []int{0, 2} {
+		if res[i].Err != nil || len(res[i].Artifacts) == 0 {
+			t.Errorf("entry %d: err %v with %d artifacts, want a completed run", i, res[i].Err, len(res[i].Artifacts))
+		}
+	}
+	if _, ok := store.Get(res[1].Key); ok {
+		t.Error("failed scenario was published to the store")
+	}
+	if st := store.Stats(); st.Puts != 2 {
+		t.Errorf("store puts %d, want 2 (the good entries only)", st.Puts)
+	}
+
+	// A second pass serves the good entries and retries the poison.
+	_, again, err := Run(entries, Options{Workers: 1, Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Hits != 2 || again.Misses != 1 || again.Failed != 2 {
+		t.Fatalf("second pass stats %+v, want 2 hits, 1 miss, 2 failed", again)
 	}
 }

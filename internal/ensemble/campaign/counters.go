@@ -15,6 +15,7 @@ func (s Stats) Snapshot() *telemetry.Snapshot {
 		{Name: CounterPrefix + "bytes_computed", Value: float64(s.BytesComputed)},
 		{Name: CounterPrefix + "bytes_served", Value: float64(s.BytesServed)},
 		{Name: CounterPrefix + "dup_hits", Value: float64(s.DupHits)},
+		{Name: CounterPrefix + "failed", Value: float64(s.Failed)},
 		{Name: CounterPrefix + "hits", Value: float64(s.Hits)},
 		{Name: CounterPrefix + "misses", Value: float64(s.Misses)},
 		{Name: CounterPrefix + "scenarios", Value: float64(s.Scenarios)},

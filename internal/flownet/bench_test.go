@@ -152,10 +152,12 @@ func BenchmarkFastForward(b *testing.B) {
 			}
 		})
 	}
+	// repeated: eight identical uniform phases on one fabric, the
+	// repeated-phase regime of GCRM's writer storms.
 	for _, off := range []bool{false, true} {
-		name := "memoized/analytic"
+		name := "repeated/analytic"
 		if off {
-			name = "memoized/event"
+			name = "repeated/event"
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -166,10 +168,7 @@ func BenchmarkFastForward(b *testing.B) {
 					ports[j] = fab.NewPort(2000)
 				}
 				for phase := 0; phase < 8; phase++ {
-					memoPhase(eng, ports, 8, func(int) float64 { return 0 })
-				}
-				if !off && fab.MemoHits() < 7 {
-					b.Fatalf("memo cache missed repeated phases: %d hits", fab.MemoHits())
+					repeatedPhase(eng, ports, 8)
 				}
 			}
 		})

@@ -37,9 +37,9 @@ type Config struct {
 	// Quantum is the rate-recomputation interval in virtual seconds.
 	// Zero selects a default of 50 ms.
 	Quantum sim.Duration
-	// AnalyticOff disables the analytic fast path (completion calendar
-	// and water-fill memoization) and falls back to the pure event
-	// path, which rescans every stream at each wake-up. The two paths
+	// AnalyticOff disables the analytic fast path (the completion
+	// calendar) and falls back to the pure event path, which rescans
+	// every stream at each wake-up. The two paths
 	// produce byte-identical artifacts — the flag exists as an escape
 	// hatch and as the reference side of the ablation suite.
 	AnalyticOff bool
@@ -75,7 +75,6 @@ type Fabric struct {
 	due        []*Stream // scratch: streams completing at the current instant
 	touched    []*Port   // scratch: ports needing compaction after completions
 	cal        calendar  // analytic: pending completion deadlines, lazily invalidated
-	memo       memoCache // analytic: water-fill memoization over epoch fingerprints
 	pokeFn     func()
 	tickFn     func(uint64)
 
@@ -120,14 +119,6 @@ func (f *Fabric) AggregateMBps() float64 { return f.cap }
 
 // Analytic reports whether the analytic fast path is enabled.
 func (f *Fabric) Analytic() bool { return f.analytic }
-
-// MemoHits reports how many recomputes were served from the epoch
-// memoization cache (always zero with the fast path off).
-func (f *Fabric) MemoHits() uint64 { return f.memo.hits }
-
-// MemoMisses reports how many recomputes probed the cache and ran the
-// full water-fill (always zero with the fast path off).
-func (f *Fabric) MemoMisses() uint64 { return f.memo.misses }
 
 // Instrument attaches a telemetry sink (nil = disabled) and caches the
 // fabric's metric handles.
@@ -506,10 +497,7 @@ func (f *Fabric) setRate(s *Stream, r float64, now sim.Time) {
 // the active ports using iterative freezing (no sorting, no
 // allocation): in each round the tentative fair level is computed and
 // every port whose maximum useful rate falls below its weighted share
-// is frozen there; the remainder is split by weight. On the analytic
-// path the whole allocation is first probed against the epoch
-// memoization cache; a fingerprint hit replays the memoized rates
-// bit-for-bit instead of re-running the fill.
+// is frozen there; the remainder is split by weight.
 func (f *Fabric) recompute(now sim.Time) {
 	f.telRecomputes.Inc()
 	// Compact ports that emptied since the last recompute, preserving
@@ -528,9 +516,6 @@ func (f *Fabric) recompute(now sim.Time) {
 		f.actPorts[i] = nil
 	}
 	f.actPorts = kept
-	if f.analytic && f.memo.apply(f, now) {
-		return
-	}
 	totalW := 0.0
 	for _, p := range f.actPorts {
 		max := p.cap
@@ -578,9 +563,6 @@ func (f *Fabric) recompute(now sim.Time) {
 	}
 	for _, p := range f.actPorts {
 		p.distribute(now)
-	}
-	if f.analytic {
-		f.memo.store(f)
 	}
 }
 

@@ -59,8 +59,7 @@ func Fanout() {
 }
 
 // Memo launders a sync.Map-backed cache into the simulator: memo
-// caches on this side must be map-free (flownet's epoch memoization
-// is the template).
+// caches on this side must be map-free.
 func Memo() int {
 	return helpers.Memoized("epoch", func() int { return 1 }) // want `call to .*helpers\.Memoized launders a scheduler-sensitive value into simulator code`
 }

@@ -14,8 +14,8 @@ import (
 // (sync.Pool hands objects back in an order that depends on which P
 // freed them — pooled state must live on engine-owned free lists, see
 // DESIGN.md §11 — and sync.Map's internals are contention-dependent,
-// so simulator caches such as flownet's epoch memoization must key on
-// plain deterministic structures instead, see DESIGN.md §13).
+// so any simulator cache must key on plain deterministic structures
+// instead, see DESIGN.md §11).
 var SimPurity = &Analyzer{
 	Name: "simpurity",
 	Doc: `forbid wall-clock time, global math/rand, scheduler-sensitive
@@ -23,7 +23,7 @@ runtime calls, sync.Pool, sync.Map, goroutine launches, and
 internal/runpool imports in simulator packages; use the sim.Engine
 virtual clock (sim.Time) and the engine's seeded *sim.RNG, recycle
 objects through engine-owned free lists, key caches on deterministic
-slices (the flownet memo cache is the template), and fan only whole
+slices, and fan only whole
 independent runs in parallel — above the sim layer, via
 internal/runpool`,
 	Match: prefixMatcher(
@@ -124,11 +124,10 @@ func runSimPurity(pass *Pass) {
 				}
 				// sync.Map is likewise scheduler-shaped: its internals
 				// are contention-dependent and Range order is
-				// unspecified. Simulator-internal caches — flownet's
-				// epoch memoization is the template — key on plain
+				// unspecified. Simulator-internal caches key on plain
 				// slices with deterministic eviction instead.
 				if name == "Map" {
-					pass.Reportf(sel.Pos(), "sync.Map in simulator code; its behavior is contention- and scheduler-dependent — key simulator caches on deterministic slices (DESIGN.md §13)")
+					pass.Reportf(sel.Pos(), "sync.Map in simulator code; its behavior is contention- and scheduler-dependent — key simulator caches on deterministic slices (DESIGN.md §11)")
 				}
 			}
 			return true

@@ -30,8 +30,7 @@ func pooled() {
 }
 
 // A sync.Map-keyed memo cache is the other scheduler-shaped cache
-// trap: simulator memoization must key on deterministic slices (the
-// flownet epoch memo cache is the sanctioned shape).
+// trap: simulator memoization must key on deterministic slices.
 func memoCached() {
 	var cache sync.Map // want `sync.Map in simulator code`
 	cache.Store("epoch", 1)
@@ -58,8 +57,9 @@ func allowed() {
 	// Justified escape hatch.
 	//lint:allow simpurity timing instrumentation for a debug build
 	_ = time.Now()
-	// The engine's rendezvous launch is the one sanctioned goroutine.
-	//lint:allow simpurity lock-step rendezvous keeps this deterministic
+	// A launch the author has justified is suppressed like any other
+	// finding (the simulator itself launches none).
+	//lint:allow simpurity debug-only watchdog, never on a simulated path
 	go func() {}()
 	_ = runtime.Version() // scheduler-insensitive runtime call
 	// Other sync primitives are legal; only Pool's scheduler-ordered

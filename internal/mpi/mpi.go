@@ -111,10 +111,9 @@ func (w *World) Rank(i int) *Rank { return w.ranks[i] }
 // drives the engine (eng.Run).
 func (w *World) Launch(body func(r *Rank)) {
 	for _, r := range w.ranks {
-		rr := r
-		w.Eng.Spawn(fmt.Sprintf("rank%d", rr.ID), func(p *sim.Proc) {
-			rr.P = p
-			body(rr)
+		w.Eng.Spawn(fmt.Sprintf("rank%d", r.ID), func(p *sim.Proc) {
+			r.P = p
+			body(r)
 		})
 	}
 }

@@ -3,7 +3,7 @@
 //
 // The paper's methodology is ensemble-over-runs: every figure and
 // sweep averages many *independent* seeded simulations. Each single
-// simulation must stay on one goroutine-rendezvous schedule so that a
+// simulation must stay on its engine's lock-step schedule so that a
 // given seed is bit-reproducible (the internal/sim contract, enforced
 // by ensemblelint's simpurity analyzer) — but nothing couples two
 // runs with different seeds, so the ensemble itself is embarrassingly

@@ -2,11 +2,11 @@
 // with a virtual clock and a lock-step process runtime.
 //
 // The engine executes events in (time, sequence) order on a single
-// goroutine. Simulated processes run as goroutines but are scheduled in
-// strict rendezvous with the engine: at most one process executes at a
-// time, and control returns to the event loop whenever a process blocks
-// on a simulated operation. This makes simulations fully deterministic
-// for a given seed, regardless of GOMAXPROCS.
+// goroutine. Simulated processes are coroutines (iter.Pull) that the
+// event loop resumes directly: at most one process executes at a time,
+// and control returns to the event loop whenever a process blocks on a
+// simulated operation. This makes simulations fully deterministic for a
+// given seed, regardless of GOMAXPROCS.
 //
 // All times are in seconds of virtual time (type Time).
 package sim
@@ -111,9 +111,9 @@ type Engine struct {
 	now     Time
 	events  eventHeap
 	seq     uint64
-	ack     chan struct{}
 	running bool
-	procs   int // live (spawned, not finished) processes
+	procs   int     // live (spawned, not finished) processes
+	spawned []*Proc // processes spawned since the last clean drain, stopped on abnormal exit
 
 	// Scheduling statistics, kept unconditionally: one integer update
 	// per push/pop, cheap enough that there is nothing to disable.
@@ -133,7 +133,7 @@ type Engine struct {
 
 // NewEngine returns an engine with the clock at time zero.
 func NewEngine() *Engine {
-	return &Engine{ack: make(chan struct{})}
+	return &Engine{}
 }
 
 // Now returns the current virtual time.
@@ -176,20 +176,29 @@ func (e *Engine) After(d Duration, fn func()) { e.At(e.now+d, fn) }
 
 // Run executes events until the event queue is empty. It returns the
 // final virtual time. Run panics if any spawned process is still
-// blocked when the queue drains (a deadlock in the simulated system).
+// blocked when the queue drains (a deadlock in the simulated system);
+// a panic inside a process body is re-raised here too.
 func (e *Engine) Run() Time { return e.RunUntil(Infinity) }
 
 // RunUntil executes events with time <= limit and returns the time of
 // the last executed event (or the current time if none ran). Events
-// beyond the limit remain queued.
+// beyond the limit remain queued. If the run panics, every process
+// still parked is stopped first, so a failed run holds no coroutines.
 func (e *Engine) RunUntil(limit Time) Time {
 	if e.running {
 		panic("sim: Run called re-entrantly")
 	}
 	e.running = true
-	defer func() { e.running = false }()
+	ok := false
+	defer func() {
+		e.running = false
+		if !ok {
+			e.stopAll()
+		}
+	}()
 	for e.events.len() > 0 {
 		if e.events.a[0].t > limit {
+			ok = true
 			return e.now
 		}
 		ev := e.events.pop()
@@ -207,7 +216,18 @@ func (e *Engine) RunUntil(limit Time) Time {
 	if e.procs > 0 {
 		panic(fmt.Sprintf("sim: deadlock: %d process(es) blocked with no pending events at t=%v", e.procs, e.now))
 	}
+	e.spawned = nil // every process finished: nothing left to stop
+	ok = true
 	return e.now
+}
+
+// stopAll unwinds every unfinished process. Stopping a finished
+// process, or the one whose panic aborted the run, is a no-op.
+func (e *Engine) stopAll() {
+	for _, p := range e.spawned {
+		p.stop()
+	}
+	e.spawned = nil
 }
 
 // Pending reports the number of queued events.

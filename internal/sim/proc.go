@@ -1,16 +1,22 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
-// Proc is a simulated process: a goroutine that advances only in
-// lock-step with the engine. A Proc may call its blocking methods
-// (Sleep, and the Wait methods of synchronization types built on
-// park/unpark) only from its own goroutine.
+// Proc is a simulated process: a coroutine that advances only when the
+// event loop resumes it and hands control straight back when it
+// blocks. A Proc may call its blocking methods (Sleep, and the Wait
+// methods of synchronization types built on park/unpark) only from its
+// own body.
 type Proc struct {
-	eng  *Engine
-	wake chan struct{}
-	name string
-	done bool
+	eng   *Engine
+	name  string
+	done  bool
+	next  func() (struct{}, bool) // resume: run the body until it parks or returns
+	stop  func()                  // unwind a parked body (abnormal engine exit)
+	yield func(struct{}) bool     // park: hand control back to next's caller
 
 	// wakeFn is the one wake function this process ever hands out (see
 	// Block); wakeArmed guards it so a stray second call still panics
@@ -19,44 +25,54 @@ type Proc struct {
 	wakeArmed bool
 }
 
+// procStopped is the panic value park raises inside a body whose
+// coroutine the engine is stopping; the body's own wrapper recovers it,
+// so it never escapes the process.
+type procStopped struct{}
+
 // Spawn starts fn as a simulated process at the current virtual time.
 // The name is used in diagnostics only.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{eng: e, wake: make(chan struct{}), name: name}
+	p := &Proc{eng: e, name: name}
 	p.wakeFn = p.fireWake
-	e.procs++
-	// This is the one sanctioned goroutine launch in the simulator:
-	// the process advances only in strict rendezvous with the event
-	// loop (wake/ack), so at most one goroutine runs at a time and the
-	// interleaving is fixed by the event queue, not the Go scheduler.
-	//lint:allow(simpurity) lock-step process runtime; rendezvous keeps runs deterministic
-	go func() {
-		<-p.wake // wait for first resume from the event loop
+	// iter.Pull runs the body as a coroutine: next and yield switch
+	// control directly, so exactly one of the event loop and this body
+	// runs at any time and the interleaving is fixed by the event
+	// queue. A panic in the body is re-raised by next at the event
+	// loop, i.e. at Run's caller.
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		defer func() {
+			if r := recover(); r != nil && r != any(procStopped{}) {
+				panic(r)
+			}
+		}()
+		p.yield = yield
 		fn(p)
 		p.done = true
-		p.eng.procs--
-		p.eng.ack <- struct{}{}
-	}()
+		e.procs--
+	})
+	e.procs++
+	e.spawned = append(e.spawned, p)
 	e.atResume(e.now, p)
 	return p
 }
 
-// resume transfers control to the process goroutine and blocks until it
-// parks again or finishes. It must only be called from the event loop
-// (i.e. from inside an event function).
+// resume runs the process until it parks again or finishes. It must
+// only be called from the event loop (i.e. from inside an event
+// function).
 func (p *Proc) resume() {
 	if p.done {
 		panic(fmt.Sprintf("sim: resume of finished process %q", p.name))
 	}
-	p.wake <- struct{}{}
-	<-p.eng.ack
+	p.next()
 }
 
-// park yields control back to the event loop and blocks the process
-// goroutine until the next resume.
+// park yields control back to the event loop until the next resume. If
+// the engine stops the process instead, park unwinds the body.
 func (p *Proc) park() {
-	p.eng.ack <- struct{}{}
-	<-p.wake
+	if !p.yield(struct{}{}) {
+		panic(procStopped{})
+	}
 }
 
 // Engine returns the engine this process runs on.
@@ -105,14 +121,12 @@ func (p *Proc) fireWake() {
 	p.eng.atResume(p.eng.now, p)
 }
 
-// blockNow parks immediately; used with Block:
+// Park parks the process; it resumes when a previously obtained wake
+// function fires. Used with Block:
 //
 //	wake := p.Block()
 //	registerSomewhere(wake)
 //	p.Park()
-//
-// Park parks the process goroutine; it resumes when a previously
-// obtained wake function fires.
 func (p *Proc) Park() { p.park() }
 
 // WaitQueue is a FIFO queue of parked processes. The zero value is
