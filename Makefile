@@ -5,7 +5,7 @@ FUZZTIME ?= 10s
 BENCHTIME ?= 1x
 BENCHCOUNT ?= 3
 
-.PHONY: build test race race-stress bench-check lint lint-sarif lint-testdata fmt vet fuzz-smoke bench bench-smoke trace-smoke bench-guard cache-golden fastpath-ablation dsl-golden interference-golden ci
+.PHONY: build test race race-stress bench-check lint lint-sarif lint-testdata fmt vet fuzz-smoke bench bench-smoke trace-smoke bench-guard cache-golden dsl-golden interference-golden ci
 
 build:
 	$(GO) build ./...
@@ -26,12 +26,13 @@ race-stress:
 	$(GO) test -race -count=20 -run '^TestFailure' ./internal/sim
 
 # bench-check: bench/ (the end-to-end benchmark behind BENCHMARK.json)
-# is a Go module of its own, so `./...` never builds it. Vet and test it
-# against the current tree, so an internal API change that breaks it
-# fails here rather than at the next benchmark run.
+# is a Go module of its own, so `./...` never builds it. Vet, test and
+# lint it against the current tree, so an internal API change that
+# breaks it fails here rather than at the next benchmark run.
 bench-check:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
+	$(GO) -C bench run ensembleio/cmd/ensemblelint ./...
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -89,33 +90,10 @@ trace-smoke:
 		-trace out/smoke.spans.jsonl -traceformat spans
 	$(GO) run ./cmd/ensembletop -top 5 -spans out/smoke.spans.jsonl out/smoke.telemetry.json
 
-# fastpath-ablation: the analytic fast path (completion calendar +
-# epoch memoization) and the pure event path (-analytic=off) must
-# produce byte-identical artifacts. Regenerates a reduced figure suite
-# — the IOR ensemble behind fig 1a and the GCRM optimization ladder
-# behind fig 6, the workload whose repeated phases the memo cache
-# serves — plus a traced, telemetry-enabled gcrmio run, under both
-# settings, and diffs every artifact byte for byte.
-fastpath-ablation:
-	@rm -rf out/ablation && mkdir -p out/ablation/on out/ablation/off
-	$(GO) run ./cmd/paperfig -out out/ablation/on -fig 1a -analytic on
-	$(GO) run ./cmd/paperfig -out out/ablation/on -fig 6 -analytic on
-	$(GO) run ./cmd/paperfig -out out/ablation/off -fig 1a -analytic off
-	$(GO) run ./cmd/paperfig -out out/ablation/off -fig 6 -analytic off
-	$(GO) run ./cmd/gcrmio -tasks 2560 -aggregators 80 -analytic on \
-		-trace out/ablation/on/gcrm.trace -telemetry out/ablation/on/gcrm.telemetry.json \
-		| grep -v 'written to' > out/ablation/on/gcrm.txt
-	$(GO) run ./cmd/gcrmio -tasks 2560 -aggregators 80 -analytic off \
-		-trace out/ablation/off/gcrm.trace -telemetry out/ablation/off/gcrm.telemetry.json \
-		| grep -v 'written to' > out/ablation/off/gcrm.txt
-	diff -r out/ablation/on out/ablation/off
-	@echo "fastpath-ablation: analytic on/off artifacts byte-identical"
-
 # cache-golden: the content-addressed run cache must be invisible in
-# the bytes. A cold wlrun batch (analytic on, -j 4) populates the
-# store; a warm pass over the same grid from the other sim path and
-# worker count (-analytic off, -j 1, -cache-verify recomputing every
-# hit) must emit byte-identical artifacts. Then the checked-in
+# the bytes. A cold wlrun batch (-j 4) populates the store; a warm
+# pass over the same grid at another worker count (-j 1, -cache-verify
+# recomputing every hit) must emit byte-identical artifacts. Then the checked-in
 # campaign grid runs cold and warm through ensemblecampaign — same
 # diff — and ensembletop digests the cache counters into the
 # effectiveness line.
@@ -125,7 +103,7 @@ cache-golden:
 		-faults testdata/scenarios/flaky-ost.json -runs 2 -j 4 \
 		-cache out/cache/store -out out/cache/cold > out/cache/cold.txt
 	$(GO) run ./cmd/wlrun -spec testdata/scenarios/workloads/ior-shared.json -gen 3-4 \
-		-faults testdata/scenarios/flaky-ost.json -runs 2 -j 1 -analytic off \
+		-faults testdata/scenarios/flaky-ost.json -runs 2 -j 1 \
 		-cache out/cache/store -cache-verify -out out/cache/warm > out/cache/warm.txt
 	diff -r out/cache/cold out/cache/warm
 	grep -q 'cache: 0 hit' out/cache/cold.txt
@@ -138,7 +116,7 @@ cache-golden:
 	diff -r out/cache/camp-cold out/cache/camp-warm
 	$(GO) run ./cmd/ensembletop out/cache/camp.telemetry.json > out/cache/top.txt
 	grep -q '^cache: served' out/cache/top.txt
-	@echo "cache-golden: cache-served artifacts byte-identical across sim paths and worker counts"
+	@echo "cache-golden: cache-served artifacts byte-identical across worker counts"
 
 # bench-guard: the telemetry-off hot path must stay within noise of
 # the checked-in baseline. Three repetitions of the focused benchmarks,
@@ -147,7 +125,7 @@ cache-golden:
 # a tight memory slack (allocs/op is nearly deterministic, so eroding
 # allocation wins trip the guard long before they show up as time).
 bench-guard:
-	$(GO) test -run '^$$' -bench 'BenchmarkTelemetry|BenchmarkSimulatorThroughputSingle$$|BenchmarkFastForward$$|BenchmarkCacheHitMRU$$|BenchmarkCacheCampaign' \
+	$(GO) test -run '^$$' -bench 'BenchmarkTelemetry|BenchmarkSimulatorThroughputSingle$$|BenchmarkCacheHitMRU$$|BenchmarkCacheCampaign' \
 		-benchmem -benchtime 1x -count 3 . | \
 		$(GO) run ./cmd/benchjson -check BENCH_ensembleio.json -slack 3.0 -memslack 1.25
 
@@ -155,8 +133,8 @@ bench-guard:
 # spec ports of IOR/MADbench/GCRM serialize byte-identical artifacts
 # to the hand-coded runners, the corpus compiles and stays canonical,
 # the golden digests of every corpus run still match, and the seeded
-# spec generator passes the determinism gates (-j 1 vs -j 4, analytic
-# on vs off). Ends with a wlrun smoke: spec in, artifacts out.
+# spec generator passes the determinism gate (-j 1 vs -j 4). Ends with
+# a wlrun smoke: spec in, artifacts out.
 dsl-golden:
 	$(GO) test -count=1 ./internal/wldsl
 	$(GO) test -count=1 -run 'TestWorkloadDSLGolden|TestGeneratedSpecsDeterministic' .
@@ -168,8 +146,8 @@ dsl-golden:
 
 # interference-golden: the multi-tenant pipeline's proof chain — the
 # tenancy package's victim/aggressor and clean-co-run tests, the
-# two-tenant determinism gates (-j 1 vs -j 4, analytic on vs off, with
-# an adversarial generated tenant in the mix), and the SHA-256 golden
+# two-tenant determinism gate (-j 1 vs -j 4, with an adversarial
+# generated tenant in the mix), and the SHA-256 golden
 # digests of every co-run artifact (per-tenant traces, merged
 # telemetry, spans, interference report). Ends with an ensembleduel
 # smoke: two specs in, report and artifact set out.
@@ -193,4 +171,4 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='FuzzSpecDecode$$' -fuzztime=$(FUZZTIME) ./internal/wldsl
 	$(GO) test -run='^$$' -fuzz='FuzzScenarioKey$$' -fuzztime=$(FUZZTIME) ./internal/cascache
 
-ci: build lint lint-testdata race race-stress bench-check bench-smoke trace-smoke fastpath-ablation dsl-golden interference-golden cache-golden bench-guard fuzz-smoke
+ci: build lint lint-testdata race race-stress bench-check bench-smoke trace-smoke dsl-golden interference-golden cache-golden bench-guard fuzz-smoke

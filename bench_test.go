@@ -345,28 +345,6 @@ func BenchmarkSimulatorThroughputSingle(b *testing.B) {
 	}
 }
 
-// BenchmarkFastForward is the end-to-end ablation of the analytic
-// fast path: the flagship GCRM run with the completion calendar on
-// versus the pure event-path fallback
-// (-analytic=off). Both sides produce byte-identical artifacts — the
-// determinism suite pins that — so the ratio here is pure simulator
-// speed, the number the fastpath-ablation make target quotes.
-func BenchmarkFastForward(b *testing.B) {
-	for _, side := range []struct {
-		name string
-		off  bool
-	}{{"analytic", false}, {"event", true}} {
-		b.Run(side.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				m := Franklin()
-				m.AnalyticOff = side.off
-				run := RunGCRM(GCRMConfig{Machine: m, Seed: int64(i + 1)})
-				b.ReportMetric(float64(run.Wall), "sim_s")
-			}
-		})
-	}
-}
-
 // --- Content-addressed cache (cascache) hot paths ---
 
 // cacheBenchGrid is the headline campaign shape from the cache design:

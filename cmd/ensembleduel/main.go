@@ -8,7 +8,7 @@
 //
 //	ensembleduel -spec a.json -spec b.json [-stagger 0,5]
 //	    [-machine franklin|franklin-patched|jaguar] [-seed N]
-//	    [-faults scenario.json] [-analytic on|off]
+//	    [-faults scenario.json]
 //	    [-cache DIR] [-cache-verify]
 //	    [-telemetry FILE] [-spans FILE] [-report FILE] [-out DIR]
 //	    [-binsec F] [-top N] [-json] [-prof PREFIX] [-version]
@@ -19,7 +19,7 @@
 // single value starts tenant i at i*value. -out writes the full
 // artifact set — per-tenant traces, the merged telemetry snapshot and
 // span stream, and the interference report JSON — every byte of which
-// is identical across -j worker counts and -analytic on/off.
+// is identical across -j worker counts.
 //
 // -cache DIR memoizes the whole session — co-run plus the solo
 // baselines — in the content-addressed run cache (internal/cascache),
@@ -63,7 +63,6 @@ func main() {
 		seed     = flag.Int64("seed", 1, "session seed (tenant i's body draws use seed+i)")
 		stagger  = flag.String("stagger", "", "start offsets: comma list per tenant, or one value meaning i*value")
 		scenario = flag.String("faults", "", "inject the fault scenario from this JSON file (co-run AND solo baselines)")
-		analytic = cliutil.OnOff("analytic", true, "analytic fast path: on or off (results are byte-identical)")
 		binSec   = flag.Float64("binsec", 1, "interference activity-bin width in virtual seconds")
 		top      = flag.Int("top", 10, "rows per report table")
 		jsonOut  = flag.Bool("json", false, "print the interference report as JSON instead of tables")
@@ -101,7 +100,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	prof.AnalyticOff = !*analytic
 	var fs *ensembleio.Scenario
 	if *scenario != "" {
 		if fs, err = ensembleio.LoadScenario(*scenario); err != nil {
@@ -135,49 +133,15 @@ func main() {
 		Faults:    fs,
 		Telemetry: true,
 	}
-	// compute runs the session (co-run plus solo baselines) and
-	// serializes the full artifact set.
-	compute := func() []cascache.Artifact {
-		res, err := ensembleio.RunTenants(cfg, tenants)
-		if err != nil {
-			log.Fatal(err)
-		}
-		rep, err := ensembleio.AnalyzeInterference(cfg, tenants, res, ensembleio.InterferenceConfig{BinSec: *binSec})
-		if err != nil {
-			log.Fatal(err)
-		}
-		arts, err := captureDuel(res, rep)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return arts
-	}
-
-	var arts []cascache.Artifact
 	var store *cascache.Store
 	if *cacheDir != "" {
 		if store, err = cascache.Open(*cacheDir); err != nil {
 			log.Fatal(err)
 		}
-		key, err := duelKey(prof, fs, *seed, *binSec, tenants)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if ent, ok := store.Get(key); ok {
-			arts = ent.Artifacts
-			if *cacheVerify {
-				if err := cascache.DiffArtifacts(arts, compute()); err != nil {
-					log.Fatalf("cache verify: %v", err)
-				}
-			}
-		} else {
-			arts = compute()
-			if err := store.Put(key, duelMeta(*seed, tenants, arts), arts); err != nil {
-				log.Fatal(err)
-			}
-		}
-	} else {
-		arts = compute()
+	}
+	arts, err := session(cfg, tenants, *binSec, store, *cacheVerify)
+	if err != nil {
+		log.Fatal(err)
 	}
 	rep, totals, err := decodeDuel(arts)
 	if err != nil {
@@ -219,6 +183,54 @@ func main() {
 		}
 		fmt.Printf("artifacts written to %s\n", *outDir)
 	}
+}
+
+// session returns the duel's full artifact set: the co-run plus the
+// solo baselines, serialized. With a store it is served from the
+// cache when present (recomputed and diffed under verify) and
+// published after a fresh computation. A failed simulation — a tenant
+// whose rank bodies panic — is returned as the error and never
+// published.
+func session(cfg ensembleio.TenancyConfig, tenants []ensembleio.Tenant, binSec float64,
+	store *cascache.Store, verify bool) ([]cascache.Artifact, error) {
+	compute := func() ([]cascache.Artifact, error) {
+		res, err := ensembleio.RunTenants(cfg, tenants)
+		if err != nil {
+			return nil, err
+		}
+		rep, err := ensembleio.AnalyzeInterference(cfg, tenants, res, ensembleio.InterferenceConfig{BinSec: binSec})
+		if err != nil {
+			return nil, err
+		}
+		return captureDuel(res, rep)
+	}
+	if store == nil {
+		return compute()
+	}
+	key, err := duelKey(cfg.Machine, cfg.Faults, cfg.Seed, binSec, tenants)
+	if err != nil {
+		return nil, err
+	}
+	if ent, ok := store.Get(key); ok {
+		if verify {
+			fresh, err := compute()
+			if err != nil {
+				return nil, fmt.Errorf("cache verify: %w", err)
+			}
+			if err := cascache.DiffArtifacts(ent.Artifacts, fresh); err != nil {
+				return nil, fmt.Errorf("cache verify: %w", err)
+			}
+		}
+		return ent.Artifacts, nil
+	}
+	arts, err := compute()
+	if err != nil {
+		return nil, err
+	}
+	if err := store.Put(key, duelMeta(cfg.Seed, tenants, arts), arts); err != nil {
+		return nil, err
+	}
+	return arts, nil
 }
 
 func platform(name string) (ensembleio.Platform, error) {

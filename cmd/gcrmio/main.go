@@ -8,7 +8,7 @@
 //	gcrmio [-tasks N] [-aggregators N] [-twostage] [-align]
 //	       [-metaagg] [-seed N] [-trace FILE] [-faults scenario.json]
 //	       [-traceformat binary|jsonl|chrome|spans] [-telemetry FILE]
-//	       [-analytic on|off] [-prof PREFIX] [-version]
+//	       [-prof PREFIX] [-version]
 package main
 
 import (
@@ -37,7 +37,6 @@ func main() {
 		format   = flag.String("traceformat", "", "trace encoding: binary, jsonl, chrome, spans (default binary; chrome/spans need telemetry)")
 		telOut   = flag.String("telemetry", "", "write the telemetry metric snapshot (JSON) to this file")
 		profOut  = flag.String("prof", "", "write wall-clock CPU/heap profiles to PREFIX.cpu.pprof / PREFIX.heap.pprof")
-		analytic = cliutil.OnOff("analytic", true, "analytic fast path: on or off (off falls back to the pure event path; results are byte-identical)")
 		version  = flag.Bool("version", false, "print build version and exit")
 	)
 	flag.Parse()
@@ -70,10 +69,8 @@ func main() {
 		}
 	}
 
-	machine := ensembleio.Franklin()
-	machine.AnalyticOff = !*analytic
 	run := ensembleio.RunGCRM(ensembleio.GCRMConfig{
-		Machine:           machine,
+		Machine:           ensembleio.Franklin(),
 		Tasks:             *tasks,
 		Aggregators:       *aggs,
 		TwoStage:          *twoStage,

@@ -9,7 +9,7 @@
 //	         [-block BYTES] [-transfer BYTES] [-reps N] [-seed N]
 //	         [-fpp] [-stripes N] [-faults scenario.json]
 //	         [-trace FILE] [-json] [-traceformat binary|jsonl|chrome|spans]
-//	         [-telemetry FILE] [-analytic on|off] [-prof PREFIX] [-version]
+//	         [-telemetry FILE] [-prof PREFIX] [-version]
 //
 // -traceformat chrome writes Chrome trace-event JSON loadable in
 // Perfetto; spans writes the compact JSONL span format. Both require
@@ -45,7 +45,6 @@ func main() {
 		format   = flag.String("traceformat", "", "trace encoding: binary, jsonl, chrome, spans (default binary; chrome/spans need telemetry)")
 		telOut   = flag.String("telemetry", "", "write the telemetry metric snapshot (JSON) to this file")
 		profOut  = flag.String("prof", "", "write wall-clock CPU/heap profiles to PREFIX.cpu.pprof / PREFIX.heap.pprof")
-		analytic = cliutil.OnOff("analytic", true, "analytic fast path: on or off (off falls back to the pure event path; results are byte-identical)")
 		version  = flag.Bool("version", false, "print build version and exit")
 	)
 	flag.Parse()
@@ -81,7 +80,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	prof.AnalyticOff = !*analytic
 	fs, err := loadScenario(*scenario)
 	if err != nil {
 		log.Fatal(err)

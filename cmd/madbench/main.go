@@ -8,7 +8,7 @@
 //	madbench [-machine franklin|franklin-patched|jaguar] [-tasks N]
 //	         [-matrices N] [-seed N] [-faults scenario.json]
 //	         [-trace FILE] [-json] [-traceformat binary|jsonl|chrome|spans]
-//	         [-telemetry FILE] [-analytic on|off] [-prof PREFIX] [-version]
+//	         [-telemetry FILE] [-prof PREFIX] [-version]
 package main
 
 import (
@@ -36,7 +36,6 @@ func main() {
 		format   = flag.String("traceformat", "", "trace encoding: binary, jsonl, chrome, spans (default binary; chrome/spans need telemetry)")
 		telOut   = flag.String("telemetry", "", "write the telemetry metric snapshot (JSON) to this file")
 		profOut  = flag.String("prof", "", "write wall-clock CPU/heap profiles to PREFIX.cpu.pprof / PREFIX.heap.pprof")
-		analytic = cliutil.OnOff("analytic", true, "analytic fast path: on or off (off falls back to the pure event path; results are byte-identical)")
 		version  = flag.Bool("version", false, "print build version and exit")
 	)
 	flag.Parse()
@@ -77,7 +76,6 @@ func main() {
 	default:
 		log.Fatalf("unknown machine %q", *machine)
 	}
-	prof.AnalyticOff = !*analytic
 
 	var fs *ensembleio.Scenario
 	if *scenario != "" {

@@ -287,97 +287,15 @@ func TestTelemetryDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// analyticArtifacts serializes one representative run per workload
-// family — faulted, telemetry-enabled IOR; MADbench; a GCRM dump large
-// enough (640 writers > the fabric's exact threshold) to engage the
-// quantized fast path — with the analytic fast
-// path on or off. Telemetry is included deliberately: the fast-forward
-// counters (sim.ff_seconds, sim.ff_jumps) are serialized, so this
-// pins the claim that both paths take identical analytic jumps.
-func analyticArtifacts(t *testing.T, analyticOff bool) []byte {
-	t.Helper()
-	const spec = `{
-	  "faults": [
-	    {"type": "flaky-ost", "ost": 1, "start_sec": 1, "period_sec": 4, "stall_sec": 1},
-	    {"type": "background-bursts", "mbps": 8000, "on_sec": 2, "off_sec": 3}
-	  ]
-	}`
-	scenario, err := ensembleio.ParseScenario(strings.NewReader(spec))
-	if err != nil {
-		t.Fatalf("ParseScenario: %v", err)
-	}
-	m := ensembleio.Franklin()
-	m.AnalyticOff = analyticOff
-	mj := ensembleio.Jaguar()
-	mj.AnalyticOff = analyticOff
-
-	var buf bytes.Buffer
-	ior := ensembleio.RunIOR(ensembleio.IORConfig{
-		Machine: m, Tasks: 16, Reps: 2,
-		BlockBytes: 32e6, TransferBytes: 8e6,
-		Faults: scenario, Seed: 7, Telemetry: true,
-	})
-	mad := ensembleio.RunMADbench(ensembleio.MADbenchConfig{
-		Machine: mj, Tasks: 36, Matrices: 2, Seed: 11,
-	})
-	gcrm := ensembleio.RunGCRM(ensembleio.GCRMConfig{
-		Machine: m, Tasks: 640, Seed: 3,
-	})
-	for _, run := range []*ensembleio.Run{ior, mad, gcrm} {
-		fmt.Fprintf(&buf, "%s wall=%v\n", run.Name, run.Wall)
-		if err := ensembleio.SaveTrace(&buf, run); err != nil {
-			t.Fatalf("SaveTrace: %v", err)
-		}
-		if err := ensembleio.SaveTraceJSON(&buf, run); err != nil {
-			t.Fatalf("SaveTraceJSON: %v", err)
-		}
-	}
-	if err := ensembleio.SaveTelemetry(&buf, ior); err != nil {
-		t.Fatalf("SaveTelemetry: %v", err)
-	}
-	if err := ensembleio.SaveSpans(&buf, ior); err != nil {
-		t.Fatalf("SaveSpans: %v", err)
-	}
-	if err := ensembleio.SaveChromeTrace(&buf, ior); err != nil {
-		t.Fatalf("SaveChromeTrace: %v", err)
-	}
-	return buf.Bytes()
-}
-
-// TestAnalyticOnOffByteIdentical is the fast path's hard gate: the
-// analytic fabric (calendar wakes, closed-form completions) and the
-// pure event-path fallback (-analytic=off) must serialize
-// byte-identical artifacts for every workload family. The
-// two implementations share one event schedule and one physics; only
-// the computation strategy differs, so any byte diff is a bug in the
-// fast path, never an accepted approximation.
-func TestAnalyticOnOffByteIdentical(t *testing.T) {
-	on := analyticArtifacts(t, false)
-	if len(on) == 0 {
-		t.Fatal("analytic runs produced no serialized artifacts; the check is vacuous")
-	}
-	off := analyticArtifacts(t, true)
-	if !bytes.Equal(on, off) {
-		i := 0
-		for i < len(on) && i < len(off) && on[i] == off[i] {
-			i++
-		}
-		t.Errorf("analytic on vs off: artifacts differ (len %d vs %d, first divergence at byte %d)",
-			len(on), len(off), i)
-	}
-}
-
 // repeatedPhaseArtifacts runs a seeded ensemble of GCRM collective
 // dumps — the workload whose per-epoch write phases repeat identically
 // — through RunMany at the given worker count.
-func repeatedPhaseArtifacts(t *testing.T, workers int, analyticOff bool) []byte {
+func repeatedPhaseArtifacts(t *testing.T, workers int) []byte {
 	t.Helper()
 	seeds := []int64{3, 5, 9}
 	runs := ensembleio.RunMany(workers, seeds, func(seed int64) *ensembleio.Run {
-		m := ensembleio.Franklin()
-		m.AnalyticOff = analyticOff
 		return ensembleio.RunGCRM(ensembleio.GCRMConfig{
-			Machine: m, Tasks: 640, Aggregators: 80, Seed: seed,
+			Machine: ensembleio.Franklin(), Tasks: 640, Aggregators: 80, Seed: seed,
 		})
 	})
 	var buf bytes.Buffer
@@ -391,30 +309,25 @@ func repeatedPhaseArtifacts(t *testing.T, workers int, analyticOff bool) []byte 
 }
 
 // TestRepeatedPhaseRunsDeterministicAcrossWorkerCounts pins the
-// repeated-phase GCRM ensemble into the determinism contract twice
-// over: the analytic run must be byte-identical to the event-path
-// (-analytic=off) run, and the ensemble must serialize identically at
-// -j 1 and -j 4 — each run's fabric is run-local, so worker scheduling
-// must not be able to leak state between runs.
+// repeated-phase GCRM ensemble into the determinism contract: the
+// ensemble must serialize identically at -j 1 and -j 4 — each run's
+// fabric is run-local, so worker scheduling must not be able to leak
+// state between runs.
 func TestRepeatedPhaseRunsDeterministicAcrossWorkerCounts(t *testing.T) {
-	analytic := repeatedPhaseArtifacts(t, 1, false)
-	if len(analytic) == 0 {
+	sequential := repeatedPhaseArtifacts(t, 1)
+	if len(sequential) == 0 {
 		t.Fatal("repeated-phase runs produced no serialized artifacts; the check is vacuous")
-	}
-	event := repeatedPhaseArtifacts(t, 1, true)
-	if !bytes.Equal(analytic, event) {
-		t.Error("analytic repeated-phase run differs from the event-path run")
 	}
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
-	parallel := repeatedPhaseArtifacts(t, 4, false)
-	if !bytes.Equal(analytic, parallel) {
+	parallel := repeatedPhaseArtifacts(t, 4)
+	if !bytes.Equal(sequential, parallel) {
 		i := 0
-		for i < len(analytic) && i < len(parallel) && analytic[i] == parallel[i] {
+		for i < len(sequential) && i < len(parallel) && sequential[i] == parallel[i] {
 			i++
 		}
 		t.Errorf("repeated-phase -j 1 vs -j 4: artifacts differ (len %d vs %d, first divergence at byte %d)",
-			len(analytic), len(parallel), i)
+			len(sequential), len(parallel), i)
 	}
 }
 
@@ -443,11 +356,11 @@ func TestFaultScenariosDeterministicAcrossWorkerCounts(t *testing.T) {
 
 // generatedSpecArtifacts pushes a batch of seeded generator specs
 // (internal/wldsl.Generate — the fuzz side of the workload DSL)
-// through the spec interpreter via RunMany at the given worker count
-// and fast-path setting, and serializes every artifact each run
+// through the spec interpreter via RunMany at the given worker count,
+// and serializes every artifact each run
 // produces. The programs are compiled once, up front: compilation is
 // pure, so sharing a Program between runs must also be safe.
-func generatedSpecArtifacts(t *testing.T, workers int, analyticOff bool) []byte {
+func generatedSpecArtifacts(t *testing.T, workers int) []byte {
 	t.Helper()
 	seeds := []int64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}
 	progs := make([]*ensembleio.WorkloadProgram, len(seeds))
@@ -460,7 +373,6 @@ func generatedSpecArtifacts(t *testing.T, workers int, analyticOff bool) []byte 
 		progs[i] = prog
 	}
 	m := ensembleio.Franklin()
-	m.AnalyticOff = analyticOff
 	runs := ensembleio.RunMany(workers, seeds, func(seed int64) *ensembleio.Run {
 		return progs[seed].Run(ensembleio.WorkloadRunConfig{
 			Machine: m, Seed: 100 + seed, Telemetry: true,
@@ -488,17 +400,16 @@ func generatedSpecArtifacts(t *testing.T, workers int, analyticOff bool) []byte 
 // TestGeneratedSpecsDeterministic extends the determinism contract to
 // the workload DSL's generated corpus: every spec the seeded generator
 // emits must serialize byte-identically across worker counts (-j 1 vs
-// -j 4) and across the analytic fast path being on or off — the same
-// gates the hand-coded workloads pass, applied to the grammar's
-// random corner cases in bulk.
+// -j 4) — the same gate the hand-coded workloads pass, applied to the
+// grammar's random corner cases in bulk.
 func TestGeneratedSpecsDeterministic(t *testing.T) {
-	sequential := generatedSpecArtifacts(t, 1, false)
+	sequential := generatedSpecArtifacts(t, 1)
 	if len(sequential) == 0 {
 		t.Fatal("generated specs produced no serialized artifacts; the check is vacuous")
 	}
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
-	parallel := generatedSpecArtifacts(t, 4, false)
+	parallel := generatedSpecArtifacts(t, 4)
 	if !bytes.Equal(sequential, parallel) {
 		i := 0
 		for i < len(sequential) && i < len(parallel) && sequential[i] == parallel[i] {
@@ -506,15 +417,6 @@ func TestGeneratedSpecsDeterministic(t *testing.T) {
 		}
 		t.Errorf("generated specs -j 1 vs -j 4: artifacts differ (len %d vs %d, first divergence at byte %d)",
 			len(sequential), len(parallel), i)
-	}
-	eventPath := generatedSpecArtifacts(t, 1, true)
-	if !bytes.Equal(sequential, eventPath) {
-		i := 0
-		for i < len(sequential) && i < len(eventPath) && sequential[i] == eventPath[i] {
-			i++
-		}
-		t.Errorf("generated specs analytic on vs off: artifacts differ (len %d vs %d, first divergence at byte %d)",
-			len(sequential), len(eventPath), i)
 	}
 }
 
@@ -525,11 +427,10 @@ func TestGeneratedSpecsDeterministic(t *testing.T) {
 // serializes every artifact: per-tenant binary traces, the merged
 // telemetry snapshot and span stream, and the interference report
 // JSON.
-func tenancyArtifacts(t *testing.T, workers int, analyticOff bool) []byte {
+func tenancyArtifacts(t *testing.T, workers int) []byte {
 	t.Helper()
 	seeds := []int64{0, 1, 2, 3}
 	m := ensembleio.Franklin()
-	m.AnalyticOff = analyticOff
 	out := make([][]byte, len(seeds))
 	ensembleio.RunMany(workers, []int{0, 1, 2, 3}, func(i int) *ensembleio.Run {
 		seed := seeds[i]
@@ -581,16 +482,15 @@ func tenancyArtifacts(t *testing.T, workers int, analyticOff bool) []byte {
 // multi-tenant co-runs: a shared-platform session with staggered
 // tenants, per-tenant accounting, merged telemetry, and the full
 // interference analysis (solo baselines included) must serialize
-// byte-identically across worker counts (-j 1 vs -j 4) and across the
-// analytic fast path being on or off.
+// byte-identically across worker counts (-j 1 vs -j 4).
 func TestTenancyDeterministic(t *testing.T) {
-	sequential := tenancyArtifacts(t, 1, false)
+	sequential := tenancyArtifacts(t, 1)
 	if len(sequential) == 0 {
 		t.Fatal("tenancy co-runs produced no serialized artifacts; the check is vacuous")
 	}
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
-	parallel := tenancyArtifacts(t, 4, false)
+	parallel := tenancyArtifacts(t, 4)
 	if !bytes.Equal(sequential, parallel) {
 		i := 0
 		for i < len(sequential) && i < len(parallel) && sequential[i] == parallel[i] {
@@ -599,44 +499,26 @@ func TestTenancyDeterministic(t *testing.T) {
 		t.Errorf("tenancy co-runs -j 1 vs -j 4: artifacts differ (len %d vs %d, first divergence at byte %d)",
 			len(sequential), len(parallel), i)
 	}
-	eventPath := tenancyArtifacts(t, 1, true)
-	if !bytes.Equal(sequential, eventPath) {
-		i := 0
-		for i < len(sequential) && i < len(eventPath) && sequential[i] == eventPath[i] {
-			i++
-		}
-		t.Errorf("tenancy co-runs analytic on vs off: artifacts differ (len %d vs %d, first divergence at byte %d)",
-			len(sequential), len(eventPath), i)
-	}
 }
 
 // TestCacheHitByteIdenticalToFreshRun is the determinism-suite entry
 // for the content-addressed run cache: an artifact set served from the
 // cache must be byte-identical to a fresh computation of the same
-// scenario — across worker counts (-j1 vs -j4) and across the analytic
-// fast path being on or off (the platform section of the cache key
-// excludes AnalyticOff, so one cached run serves both sim paths).
+// scenario, across worker counts (-j1 vs -j4).
 func TestCacheHitByteIdenticalToFreshRun(t *testing.T) {
 	specs := []*ensembleio.WorkloadSpec{
 		ensembleio.GenerateWorkload(1),
 		ensembleio.GenerateWorkload(2),
 	}
-	entriesOn := make([]ensembleio.CampaignEntry, 0, len(specs))
-	entriesOff := make([]ensembleio.CampaignEntry, 0, len(specs))
+	entries := make([]ensembleio.CampaignEntry, 0, len(specs))
 	for i, spec := range specs {
-		on := ensembleio.Franklin()
-		off := ensembleio.Franklin()
-		off.AnalyticOff = true
-		entriesOn = append(entriesOn, ensembleio.CampaignEntry{
-			Name: spec.Name, Spec: spec, Platform: on, Seed: int64(i + 1),
-		})
-		entriesOff = append(entriesOff, ensembleio.CampaignEntry{
-			Name: spec.Name, Spec: spec, Platform: off, Seed: int64(i + 1),
+		entries = append(entries, ensembleio.CampaignEntry{
+			Name: spec.Name, Spec: spec, Platform: ensembleio.Franklin(), Seed: int64(i + 1),
 		})
 	}
 
-	// Fresh baseline: no cache, analytic on, one worker.
-	fresh, _, err := ensembleio.RunCampaign(entriesOn, ensembleio.CampaignOptions{Workers: 1})
+	// Fresh baseline: no cache, one worker.
+	fresh, _, err := ensembleio.RunCampaign(entries, ensembleio.CampaignOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -645,17 +527,17 @@ func TestCacheHitByteIdenticalToFreshRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Populate at -j4 with the event path (analytic off).
-	populate, popStats, err := ensembleio.RunCampaign(entriesOff, ensembleio.CampaignOptions{Workers: 4, Store: store})
+	// Populate at -j4.
+	populate, popStats, err := ensembleio.RunCampaign(entries, ensembleio.CampaignOptions{Workers: 4, Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if popStats.Misses != len(specs) {
 		t.Fatalf("populate stats %+v", popStats)
 	}
-	// Serve at -j1 with the analytic path on: every entry must hit, and
-	// -cache-verify style recomputation must agree byte for byte.
-	served, srvStats, err := ensembleio.RunCampaign(entriesOn, ensembleio.CampaignOptions{Workers: 1, Store: store, Verify: true})
+	// Serve at -j1: every entry must hit, and -cache-verify style
+	// recomputation must agree byte for byte.
+	served, srvStats, err := ensembleio.RunCampaign(entries, ensembleio.CampaignOptions{Workers: 1, Store: store, Verify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -664,10 +546,10 @@ func TestCacheHitByteIdenticalToFreshRun(t *testing.T) {
 	}
 	for i := range fresh {
 		if err := ensembleio.DiffCacheArtifacts(fresh[i].Artifacts, populate[i].Artifacts); err != nil {
-			t.Errorf("entry %d: fresh(j1,analytic) vs computed(j4,event): %v", i, err)
+			t.Errorf("entry %d: fresh(j1) vs computed(j4): %v", i, err)
 		}
 		if err := ensembleio.DiffCacheArtifacts(fresh[i].Artifacts, served[i].Artifacts); err != nil {
-			t.Errorf("entry %d: fresh(j1,analytic) vs cache-served(j1,analytic): %v", i, err)
+			t.Errorf("entry %d: fresh(j1) vs cache-served(j1): %v", i, err)
 		}
 	}
 }

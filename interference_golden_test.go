@@ -2,7 +2,7 @@ package ensembleio
 
 // Golden pinning for the multi-tenant interference pipeline. The
 // tenancy determinism test proves co-run artifacts are byte-identical
-// across worker counts and fast-path settings *today*; these goldens
+// across worker counts *today*; these goldens
 // pin the serialized bytes across time, so an engine, accounting, or
 // analysis change that shifts any byte of any encoding — per-tenant
 // traces, the merged telemetry snapshot, the span stream, the

@@ -1,17 +1,17 @@
 // Package cascache is the content-addressed ensemble cache: run once,
 // serve millions. PRs 1-9 made every simulated run a pure function of
 // (workload spec, platform, faults, seed) with byte-identical
-// artifacts at any worker count and on both sim paths — so the run's
-// full artifact set can be memoized under a canonical scenario key and
-// replayed instead of recomputed.
+// artifacts at any worker count — so the run's full artifact set can
+// be memoized under a canonical scenario key and replayed instead of
+// recomputed.
 //
 // The package has three layers:
 //
 //   - the key (this file): SHA-256 over length-framed canonical
 //     sections — the wldsl canonical encoding, the platform profile
-//     with sim-path-irrelevant fields excluded, the fault scenario's
-//     canonical bytes, and the seed — versioned with SchemaEpoch so a
-//     format change invalidates every old entry cleanly;
+//     JSON, the fault scenario's canonical bytes, and the seed —
+//     versioned with SchemaEpoch so a format change invalidates every
+//     old entry cleanly;
 //   - the on-disk store (store.go): one directory per key holding the
 //     artifact files plus a digest manifest, published by
 //     write-tempdir-then-rename so readers never observe a partial
@@ -53,9 +53,7 @@ const SchemaEpoch = 1
 
 // Key is a canonical scenario identity: the SHA-256 of the scenario's
 // framed canonical sections. Two scenarios share a key if and only if
-// they are the same pure-function input to the simulator (modulo the
-// deliberately excluded sim-path-irrelevant fields, which cannot reach
-// the artifacts' bytes).
+// they are the same pure-function input to the simulator.
 type Key [sha256.Size]byte
 
 // Hex returns the key's full lowercase hex form (the on-disk entry
@@ -120,13 +118,9 @@ func (b *Builder) Key() Key {
 }
 
 // CanonicalPlatform returns the platform profile's canonical bytes
-// for key derivation: the profile JSON in struct field order, with the
-// sim-path-irrelevant fields excluded. AnalyticOff is the one such
-// field — the analytic fast path and the pure event path produce
-// byte-identical artifacts (enforced by make fastpath-ablation), so a
-// run cached under either setting serves both.
+// for key derivation: the profile JSON in struct field order. Every
+// profile field is physics, so none is excluded.
 func CanonicalPlatform(prof cluster.Profile) ([]byte, error) {
-	prof.AnalyticOff = false
 	return json.Marshal(prof)
 }
 

@@ -252,23 +252,23 @@ func TestDiffArtifacts(t *testing.T) {
 	}
 }
 
-// The platform section excludes AnalyticOff: a run cached under either
-// sim path serves both. Every other profile field must change the key.
-func TestScenarioKeySimPathIrrelevance(t *testing.T) {
-	spec := wldsl.Generate(1)
+// TestScenarioKeyPinned pins one scenario key to a literal so any
+// change to the key preimage — spec encoding, platform JSON, fault
+// bytes, section framing — shows up as a visible diff here, and any
+// profile field or fault scenario must change the key.
+func TestScenarioKeyPinned(t *testing.T) {
+	const want = "42029fea86574d52db2c6ada30fe3a64de1e4c512e19061bd91b5cc21790ab57"
+	spec, err := wldsl.Load("../../testdata/scenarios/workloads/ior-shared.json")
+	if err != nil {
+		t.Fatal(err)
+	}
 	on := cluster.Franklin()
-	off := cluster.Franklin()
-	off.AnalyticOff = true
 	kOn, err := ScenarioKey(spec, on, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kOff, err := ScenarioKey(spec, off, nil, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kOn != kOff {
-		t.Fatal("AnalyticOff changed the scenario key (sim-path-irrelevant fields must be excluded)")
+	if got := kOn.Hex(); got != want {
+		t.Fatalf("ior-shared/Franklin/no faults/seed 1 key = %s, want %s (the key preimage changed: every cached store goes cold)", got, want)
 	}
 	patched := cluster.Franklin()
 	patched.PatchStridedReadahead = true

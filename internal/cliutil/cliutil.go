@@ -13,34 +13,9 @@ import (
 	"runtime"
 	"runtime/debug"
 	"runtime/pprof"
-	"strconv"
 
 	"ensembleio/internal/ensemble/campaign"
 )
-
-// OnOff registers name as an on/off flag and returns a pointer that
-// tracks it. The canonical spellings are "on" and "off" (the CLIs
-// document -analytic=off); the strconv.ParseBool spellings are
-// accepted as aliases so -name=false keeps working in scripts.
-func OnOff(name string, def bool, usage string) *bool {
-	v := def
-	flag.Func(name, usage, func(s string) error {
-		switch s {
-		case "on":
-			v = true
-		case "off":
-			v = false
-		default:
-			b, err := strconv.ParseBool(s)
-			if err != nil {
-				return fmt.Errorf("want on or off")
-			}
-			v = b
-		}
-		return nil
-	})
-	return &v
-}
 
 // CacheFlags registers the content-addressed run-cache flags the run
 // CLIs share: -cache DIR enables the cascache store (hits serve the

@@ -87,36 +87,6 @@ func TestCampaignDedupAndByteIdentity(t *testing.T) {
 	}
 }
 
-// The analytic fast path and the pure event path share keys and bytes:
-// a run cached under one serves the other (the sim-path-irrelevance
-// half of the cache contract, end to end).
-func TestCampaignCrossSimPathHit(t *testing.T) {
-	store, err := cascache.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	on := cluster.Franklin()
-	off := cluster.Franklin()
-	off.AnalyticOff = true
-	spec := wldsl.Generate(4)
-
-	resOn, _, err := Run([]Entry{{Name: "on", Spec: spec, Platform: on, Seed: 9}}, Options{Store: store})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resOff, stats, err := Run([]Entry{{Name: "off", Spec: spec, Platform: off, Seed: 9}},
-		Options{Store: store, Verify: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Hits != 1 {
-		t.Fatalf("event-path request missed the analytic-path entry: %+v", stats)
-	}
-	if err := cascache.DiffArtifacts(resOn[0].Artifacts, resOff[0].Artifacts); err != nil {
-		t.Fatalf("cross-sim-path artifacts differ: %v", err)
-	}
-}
-
 func TestCampaignWithFaults(t *testing.T) {
 	store, err := cascache.Open(t.TempDir())
 	if err != nil {

@@ -70,51 +70,25 @@ func BenchmarkFlownetRecompute(b *testing.B) {
 	}
 }
 
-// benchFabricOff mirrors benchFabric with the analytic fast path
-// disabled — the pure event path reference side of the ablation.
-func benchFabricCfg(ports, streamsPerPort int, stagger sim.Duration, analyticOff bool) (*sim.Engine, *Fabric) {
-	eng := sim.NewEngine()
-	fab := New(eng, Config{AggregateMBps: 10_000, Quantum: 0.05, AnalyticOff: analyticOff})
-	for p := 0; p < ports; p++ {
-		port := fab.NewPort(2000)
-		for s := 0; s < streamsPerPort; s++ {
-			demand := 100 + float64((p*streamsPerPort+s)%7)*25
-			if stagger > 0 {
-				at := sim.Time(p*streamsPerPort+s) * stagger
-				eng.At(at, func() { port.Start(demand, StreamOpts{}) })
-			} else {
-				port.Start(demand, StreamOpts{})
-			}
-		}
-	}
-	return eng, fab
-}
-
-// BenchmarkFastForward measures the analytic fast path against the
-// pure event path on the stretches the tentpole targets. The two
-// sides trade differently per regime: the calendar wins when
-// refreshes vastly outnumber rate changes (poked10k — the workload
-// regime, where every wake-up otherwise rescans the population for
-// its minimum deadline), while the scan side is competitive when
-// every recompute re-rates the whole population anyway (steady10k's
-// completion clusters, churn10k's constant joins). The workload-level
-// BenchmarkFastForward in the repo root shows the end-to-end ratio.
+// BenchmarkFastForward measures the completion calendar in the regimes
+// that stress it: steady10k (completion clusters, long unchanged
+// stretches), churn10k (constant joins re-rate the whole population,
+// the regime calendar compaction bounds), poked10k (refreshes vastly
+// outnumber rate changes, so each wake-up is a calendar peek), and
+// repeated (identical uniform phases, GCRM's writer storms).
 func BenchmarkFastForward(b *testing.B) {
 	cases := []struct {
 		name           string
 		ports, perPort int
 		stagger        sim.Duration
-		analyticOff    bool
 	}{
-		{"steady10k/analytic", 250, 40, 0, false},
-		{"steady10k/event", 250, 40, 0, true},
-		{"churn10k/analytic", 250, 40, 0.0005, false},
-		{"churn10k/event", 250, 40, 0.0005, true},
+		{"steady10k", 250, 40, 0},
+		{"churn10k", 250, 40, 0.0005},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				eng, fab := benchFabricCfg(c.ports, c.perPort, c.stagger, c.analyticOff)
+				eng, fab := benchFabric(c.ports, c.perPort, c.stagger)
 				eng.Run()
 				if fab.ActiveStreams() != 0 {
 					b.Fatalf("%d streams still active", fab.ActiveStreams())
@@ -125,52 +99,39 @@ func BenchmarkFastForward(b *testing.B) {
 	// poked10k: a steady uniform 10k-stream stretch whose fabric is
 	// poked by an external event train (the flownet face of lustre's
 	// metadata and drain traffic). Rates never change between pokes,
-	// so each refresh is pure next-wake computation: calendar peek on
-	// the fast path, full population rescan on the event path.
-	for _, off := range []bool{false, true} {
-		name := "poked10k/analytic"
-		if off {
-			name = "poked10k/event"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				eng := sim.NewEngine()
-				fab := New(eng, Config{AggregateMBps: 10_000, Quantum: 0.05, AnalyticOff: off})
-				for p := 0; p < 250; p++ {
-					port := fab.NewPort(2000)
-					for s := 0; s < 40; s++ {
-						port.Start(10, StreamOpts{})
-					}
-				}
-				for k := 1; k <= 1000; k++ {
-					eng.At(sim.Time(k)*0.01, fab.poke)
-				}
-				eng.Run()
-				if fab.ActiveStreams() != 0 {
-					b.Fatalf("%d streams still active", fab.ActiveStreams())
+	// so each refresh is pure next-wake computation.
+	b.Run("poked10k", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			eng := sim.NewEngine()
+			fab := New(eng, Config{AggregateMBps: 10_000, Quantum: 0.05})
+			for p := 0; p < 250; p++ {
+				port := fab.NewPort(2000)
+				for s := 0; s < 40; s++ {
+					port.Start(10, StreamOpts{})
 				}
 			}
-		})
-	}
+			for k := 1; k <= 1000; k++ {
+				eng.At(sim.Time(k)*0.01, fab.poke)
+			}
+			eng.Run()
+			if fab.ActiveStreams() != 0 {
+				b.Fatalf("%d streams still active", fab.ActiveStreams())
+			}
+		}
+	})
 	// repeated: eight identical uniform phases on one fabric, the
 	// repeated-phase regime of GCRM's writer storms.
-	for _, off := range []bool{false, true} {
-		name := "repeated/analytic"
-		if off {
-			name = "repeated/event"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				eng := sim.NewEngine()
-				fab := New(eng, Config{AggregateMBps: 5000, Quantum: 0.05, AnalyticOff: off})
-				ports := make([]*Port, 80)
-				for j := range ports {
-					ports[j] = fab.NewPort(2000)
-				}
-				for phase := 0; phase < 8; phase++ {
-					repeatedPhase(eng, ports, 8)
-				}
+	b.Run("repeated", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			eng := sim.NewEngine()
+			fab := New(eng, Config{AggregateMBps: 5000, Quantum: 0.05})
+			ports := make([]*Port, 80)
+			for j := range ports {
+				ports[j] = fab.NewPort(2000)
 			}
-		})
-	}
+			for phase := 0; phase < 8; phase++ {
+				repeatedPhase(eng, ports, 8, (*Port).Start)
+			}
+		}
+	})
 }

@@ -6,9 +6,10 @@ import (
 	"ensembleio/internal/sim"
 )
 
-// calEntry is one pending completion in the analytic calendar. Entries
+// calEntry is one pending completion in the fabric's calendar. Entries
 // are immutable once pushed; a stream whose rate changes simply pushes
-// a fresh entry, and stale ones are dropped lazily when they surface.
+// a fresh entry, and stale ones are dropped when they surface or when
+// the fabric compacts the calendar.
 // An entry is current iff the stream it points at is still the same
 // transfer (ids are monotone and never reused) and still carries the
 // entry's deadline bits.
@@ -27,11 +28,10 @@ func (e calEntry) valid() bool {
 }
 
 // calendar is a slice-backed binary min-heap of completion deadlines
-// ordered by (deadline, stream id). The id tie-break makes the pop
-// order of simultaneous completions identical to the event path's
-// sorted scan, which is what keeps done-callback sequence numbers —
-// and therefore every downstream RNG draw — byte-identical between
-// the analytic and pure event paths.
+// ordered by (deadline, stream id). The id tie-break fixes the pop
+// order of simultaneous completions, which is what keeps
+// done-callback sequence numbers — and therefore every downstream RNG
+// draw — deterministic.
 type calendar struct {
 	a []calEntry
 }
@@ -73,7 +73,14 @@ func (c *calendar) pop() calEntry {
 	// even while the backing array lives on.
 	c.a[n] = calEntry{}
 	c.a = c.a[:n]
-	i := 0
+	c.down(0)
+	return top
+}
+
+// down sifts the entry at i toward the leaves until both children
+// order after it.
+func (c *calendar) down(i int) {
+	n := len(c.a)
 	for {
 		l, r := 2*i+1, 2*i+2
 		smallest := i
@@ -84,10 +91,27 @@ func (c *calendar) pop() calEntry {
 			smallest = r
 		}
 		if smallest == i {
-			return top
+			return
 		}
 		c.a[i], c.a[smallest] = c.a[smallest], c.a[i]
 		i = smallest
+	}
+}
+
+// compact drops every stale entry and restores the heap with Floyd's
+// bottom-up heapify in O(n). Valid entries are totally ordered by
+// (deadline, id), so their pop order is unchanged.
+func (c *calendar) compact() {
+	kept := c.a[:0]
+	for _, e := range c.a {
+		if e.valid() {
+			kept = append(kept, e)
+		}
+	}
+	clear(c.a[len(kept):])
+	c.a = kept
+	for i := len(kept)/2 - 1; i >= 0; i-- {
+		c.down(i)
 	}
 }
 

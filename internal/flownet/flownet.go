@@ -23,7 +23,6 @@ package flownet
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"ensembleio/internal/sim"
 	"ensembleio/internal/telemetry"
@@ -37,12 +36,6 @@ type Config struct {
 	// Quantum is the rate-recomputation interval in virtual seconds.
 	// Zero selects a default of 50 ms.
 	Quantum sim.Duration
-	// AnalyticOff disables the analytic fast path (the completion
-	// calendar) and falls back to the pure event path, which rescans
-	// every stream at each wake-up. The two paths
-	// produce byte-identical artifacts — the flag exists as an escape
-	// hatch and as the reference side of the ablation suite.
-	AnalyticOff bool
 }
 
 // Fabric is a shared bandwidth domain. Create one with New.
@@ -61,7 +54,6 @@ type Fabric struct {
 	eng        *sim.Engine
 	cap        float64
 	quantum    sim.Duration
-	analytic   bool
 	ports      []*Port
 	actPorts   []*Port // ports with ≥1 stream (stale empties linger until the next recompute)
 	active     int     // number of active streams across all ports
@@ -74,7 +66,7 @@ type Fabric struct {
 	free       []*Stream // engine-owned stream free list (see DESIGN.md §11)
 	due        []*Stream // scratch: streams completing at the current instant
 	touched    []*Port   // scratch: ports needing compaction after completions
-	cal        calendar  // analytic: pending completion deadlines, lazily invalidated
+	cal        calendar  // pending completion deadlines, lazily invalidated
 	pokeFn     func()
 	tickFn     func(uint64)
 
@@ -99,7 +91,7 @@ func New(eng *sim.Engine, cfg Config) *Fabric {
 	if q == 0 {
 		q = 0.05
 	}
-	f := &Fabric{eng: eng, cap: cfg.AggregateMBps, quantum: q, analytic: !cfg.AnalyticOff}
+	f := &Fabric{eng: eng, cap: cfg.AggregateMBps, quantum: q}
 	// Both scheduling closures are allocated once here and reused for
 	// every poke and wake-up over the fabric's lifetime.
 	f.pokeFn = func() {
@@ -116,9 +108,6 @@ func New(eng *sim.Engine, cfg Config) *Fabric {
 
 // AggregateMBps returns the configured aggregate capacity.
 func (f *Fabric) AggregateMBps() float64 { return f.cap }
-
-// Analytic reports whether the analytic fast path is enabled.
-func (f *Fabric) Analytic() bool { return f.analytic }
 
 // Instrument attaches a telemetry sink (nil = disabled) and caches the
 // fabric's metric handles.
@@ -196,8 +185,8 @@ type StreamOpts struct {
 // deadline is a pure function of the anchor. The anchor moves only
 // when the assigned rate actually changes (bitwise), so an unchanged
 // allocation keeps every deadline bit-stable across recomputes — the
-// invariant that makes the analytic calendar and the pure event path
-// agree byte for byte.
+// invariant that keeps the completion calendar free of needless
+// re-pushes.
 type Stream struct {
 	port      *Port
 	id        uint64   // monotone per-fabric; completion tie-break
@@ -360,41 +349,22 @@ func (f *Fabric) refresh() {
 }
 
 // completeDue fires done callbacks for streams whose analytic deadline
-// has arrived and removes them from their ports. Both paths complete
-// in (deadline, id) order — the analytic calendar pops in that order
-// natively; the event path collects and sorts — so the done events'
-// engine sequence numbers, and with them all downstream scheduling,
-// are identical either way.
+// has arrived and removes them from their ports. The calendar pops in
+// (deadline, id) order, so simultaneous completions get their done
+// events' engine sequence numbers — and with them all downstream
+// scheduling — in a fixed order.
 func (f *Fabric) completeDue(now sim.Time) {
 	f.due = f.due[:0]
-	if f.analytic {
-		for {
-			e, ok := f.cal.peek()
-			if !ok || e.dl > now {
-				break
-			}
-			f.cal.pop()
-			if e.valid() {
-				e.s.finished = true
-				f.due = append(f.due, e.s)
-			}
+	for {
+		e, ok := f.cal.peek()
+		if !ok || e.dl > now {
+			break
 		}
-	} else {
-		for _, p := range f.actPorts {
-			for _, s := range p.streams {
-				if s.deadline <= now {
-					s.finished = true
-					f.due = append(f.due, s)
-				}
-			}
+		f.cal.pop()
+		if e.valid() {
+			e.s.finished = true
+			f.due = append(f.due, e.s)
 		}
-		due := f.due
-		sort.Slice(due, func(i, j int) bool {
-			if due[i].deadline != due[j].deadline {
-				return due[i].deadline < due[j].deadline
-			}
-			return due[i].id < due[j].id
-		})
 	}
 	if len(f.due) == 0 {
 		return
@@ -436,36 +406,25 @@ func (f *Fabric) completeDue(now sim.Time) {
 	}
 }
 
-// minDeadline returns the earliest pending completion deadline:
-// calendar top on the fast path, full rescan on the event path.
+// minDeadline returns the earliest pending completion deadline: the
+// calendar top, after dropping the stale entries that have surfaced.
 func (f *Fabric) minDeadline() sim.Time {
-	if f.analytic {
-		for {
-			e, ok := f.cal.peek()
-			if !ok {
-				return sim.Infinity
-			}
-			if e.valid() {
-				return e.dl
-			}
-			f.cal.pop()
+	for {
+		e, ok := f.cal.peek()
+		if !ok {
+			return sim.Infinity
 		}
-	}
-	min := sim.Infinity
-	for _, p := range f.actPorts {
-		for _, s := range p.streams {
-			if s.deadline < min {
-				min = s.deadline
-			}
+		if e.valid() {
+			return e.dl
 		}
+		f.cal.pop()
 	}
-	return min
 }
 
 // setRate assigns a stream's water-fill allocation. When the rate is
 // bitwise unchanged the anchor — and therefore the deadline — is left
 // untouched, so stable allocations never churn the calendar and the
-// deadline bits agree across recomputes on both paths. On a change the
+// deadline bits agree across recomputes. On a change the
 // remaining bytes are materialized at now and the deadline re-derived.
 func (f *Fabric) setRate(s *Stream, r float64, now sim.Time) {
 	if math.Float64bits(r) == math.Float64bits(s.rate) {
@@ -487,7 +446,7 @@ func (f *Fabric) setRate(s *Stream, r float64, now sim.Time) {
 	} else {
 		s.deadline = now + sim.Time(rem/r)
 	}
-	if f.analytic && math.Float64bits(float64(s.deadline)) != math.Float64bits(float64(s.calDl)) {
+	if math.Float64bits(float64(s.deadline)) != math.Float64bits(float64(s.calDl)) {
 		f.cal.push(calEntry{dl: s.deadline, id: s.id, s: s})
 		s.calDl = s.deadline
 	}
@@ -501,8 +460,7 @@ func (f *Fabric) setRate(s *Stream, r float64, now sim.Time) {
 func (f *Fabric) recompute(now sim.Time) {
 	f.telRecomputes.Inc()
 	// Compact ports that emptied since the last recompute, preserving
-	// relative order (both paths run this same pass, so actPorts —
-	// and with it water-fill iteration order — stays identical).
+	// relative order (actPorts order is the water-fill iteration order).
 	kept := f.actPorts[:0]
 	for _, p := range f.actPorts {
 		if len(p.streams) == 0 {
@@ -563,6 +521,15 @@ func (f *Fabric) recompute(now sim.Time) {
 	}
 	for _, p := range f.actPorts {
 		p.distribute(now)
+	}
+	// A recompute that re-rates most of the population leaves one
+	// stale calendar entry per re-rated stream. Once they outnumber the
+	// live ones, drop them all: a compaction costs O(len) and discards
+	// more than active+64 stale entries, each pushed once, so it is
+	// amortized O(1) per push and keeps the calendar within a constant
+	// factor of the population.
+	if f.cal.len() > 2*f.active+64 {
+		f.cal.compact()
 	}
 }
 

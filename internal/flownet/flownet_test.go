@@ -270,15 +270,16 @@ func TestStreamRateObservable(t *testing.T) {
 	eng.Run()
 }
 
-// repeatedPhase starts perPort uniform streams of 100 MB on each port,
-// drains the engine, and returns the phase's completion instant.
-// Uniform streams finish together, so each phase costs exactly one
-// water-fill.
-func repeatedPhase(eng *sim.Engine, ports []*Port, perPort int) sim.Time {
+// repeatedPhase starts perPort uniform streams of 100 MB on each port
+// through start, drains the engine, and returns the phase's completion
+// instant. Uniform streams finish together, so each phase costs
+// exactly one water-fill.
+func repeatedPhase(eng *sim.Engine, ports []*Port, perPort int,
+	start func(*Port, float64, StreamOpts) *Stream) sim.Time {
 	var done sim.Time
 	for _, p := range ports {
 		for s := 0; s < perPort; s++ {
-			p.Start(100, StreamOpts{Done: func() {
+			start(p, 100, StreamOpts{Done: func() {
 				if t := eng.Now(); t > done {
 					done = t
 				}
@@ -291,22 +292,28 @@ func repeatedPhase(eng *sim.Engine, ports []*Port, perPort int) sim.Time {
 
 // TestRepeatedPhasesBitIdentical pins the repeated-phase regime (GCRM's
 // uniform writer storms): an identical phase run again on the same
-// fabric reproduces the first phase's duration to the bit, on both sim
-// paths.
+// fabric reproduces the first phase's duration to the bit, with the
+// calendar checked by the oracle at every completion and poke.
 func TestRepeatedPhasesBitIdentical(t *testing.T) {
-	for _, off := range []bool{false, true} {
-		eng := sim.NewEngine()
-		fab := New(eng, Config{AggregateMBps: 5000, Quantum: 0.05, AnalyticOff: off})
-		ports := make([]*Port, 4)
-		for i := range ports {
-			ports[i] = fab.NewPort(2000)
-		}
-		start1 := eng.Now()
-		d1 := repeatedPhase(eng, ports, 8) - start1
-		start2 := eng.Now()
-		d2 := repeatedPhase(eng, ports, 8) - start2
-		if math.Float64bits(float64(d1)) != math.Float64bits(float64(d2)) {
-			t.Fatalf("analyticOff=%v: repeated phase duration %v differs from the first %v", off, d2, d1)
-		}
+	eng := sim.NewEngine()
+	fab := New(eng, Config{AggregateMBps: 5000, Quantum: 0.05})
+	o := &completionOracle{t: t, f: fab}
+	ports := make([]*Port, 4)
+	for i := range ports {
+		ports[i] = fab.NewPort(2000)
+	}
+	// Each poke train ends inside its 0.64 s phase, so the second phase
+	// starts exactly where the first drained.
+	start1 := eng.Now()
+	pokeTrain(t, fab, 0.011, 0.6)
+	d1 := repeatedPhase(eng, ports, 8, o.start) - start1
+	start2 := eng.Now()
+	pokeTrain(t, fab, 0.011, 0.6)
+	d2 := repeatedPhase(eng, ports, 8, o.start) - start2
+	if math.Float64bits(float64(d1)) != math.Float64bits(float64(d2)) {
+		t.Fatalf("repeated phase duration %v differs from the first %v", d2, d1)
+	}
+	if o.n != 2*len(ports)*8 {
+		t.Fatalf("oracle saw %d of %d completions", o.n, 2*len(ports)*8)
 	}
 }

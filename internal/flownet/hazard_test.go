@@ -81,11 +81,13 @@ func sameBits(a, b sim.Time) bool {
 // TestNoQuantumLagAboveThreshold is the property test for the fast
 // path's headline claim: above exactThreshold, the historical scheme
 // detected completions with up to one quantum of lag, while the
-// analytic path fires them at the exact closed-form deadline. 600
+// calendar fires them at the exact closed-form deadline. 600
 // uniform streams (> exactThreshold = 512) start at t=0; the deferred
 // water-fill lands at exactly one quantum, and every completion must
 // land at quantum + demand/fairRate to the bit — no rounding up to
-// the next quantum boundary — on both the analytic and event paths.
+// the next quantum boundary. A second run checks the calendar against
+// the brute-force oracle from every completion and from a poke train,
+// and must complete every stream at the same instant.
 func TestNoQuantumLagAboveThreshold(t *testing.T) {
 	const (
 		n       = 600
@@ -93,13 +95,22 @@ func TestNoQuantumLagAboveThreshold(t *testing.T) {
 		demand  = 101.0
 		quantum = sim.Duration(0.05)
 	)
-	run := func(analyticOff bool) []sim.Time {
+	run := func(checked bool) []sim.Time {
 		eng := sim.NewEngine()
-		fab := New(eng, Config{AggregateMBps: cap, Quantum: quantum, AnalyticOff: analyticOff})
+		fab := New(eng, Config{AggregateMBps: cap, Quantum: quantum})
+		o := &completionOracle{t: t, f: fab}
 		port := fab.NewPort(0)
 		times := make([]sim.Time, 0, n)
 		for i := 0; i < n; i++ {
-			port.Start(demand, StreamOpts{Done: func() { times = append(times, eng.Now()) }})
+			done := func() { times = append(times, eng.Now()) }
+			if checked {
+				o.start(port, demand, StreamOpts{Done: done})
+			} else {
+				port.Start(demand, StreamOpts{Done: done})
+			}
+		}
+		if checked {
+			pokeTrain(t, fab, 0.013, 10)
 		}
 		eng.Run()
 		return times
@@ -120,19 +131,20 @@ func TestNoQuantumLagAboveThreshold(t *testing.T) {
 	}
 	for i, got := range run(true) {
 		if !sameBits(got, on[i]) {
-			t.Fatalf("stream %d: analytic %v vs event path %v differ", i, on[i], got)
+			t.Fatalf("stream %d: %v without pokes vs %v under the poke train", i, on[i], got)
 		}
 	}
 }
 
 // TestFastForwardHonorsBurstBoundary pins the burst-boundary hazard:
 // with 600 long uniform streams in flight the fabric's next deadline
-// is tens of virtual seconds out, so the analytic path would love to
+// is tens of virtual seconds out, so the fabric would love to
 // jump straight there — but a background burst arriving mid-stretch
 // is an engine event, and the engine never leaps over a queued event.
 // The burst must re-divide bandwidth within one quantum of its
 // arrival (the deferred-recompute bound), visibly slowing the bulk
-// streams, and the analytic and event paths must agree to the bit.
+// streams. A run checked by the calendar oracle and a poke train must
+// agree with the unchecked run to the bit.
 func TestFastForwardHonorsBurstBoundary(t *testing.T) {
 	const (
 		ports    = 40
@@ -144,14 +156,20 @@ func TestFastForwardHonorsBurstBoundary(t *testing.T) {
 		burstMB  = 40_000.0
 		preProbe = burstAt - 0.01
 	)
-	run := func(analyticOff, withBurst bool) (bulkDone sim.Time, preRate, postRate float64) {
+	run := func(checked, withBurst bool) (bulkDone sim.Time, preRate, postRate float64) {
 		eng := sim.NewEngine()
-		fab := New(eng, Config{AggregateMBps: cap, Quantum: quantum, AnalyticOff: analyticOff})
+		fab := New(eng, Config{AggregateMBps: cap, Quantum: quantum})
+		start := (*Port).Start
+		if checked {
+			o := &completionOracle{t: t, f: fab}
+			start = o.start
+			pokeTrain(t, fab, 0.21, 60)
+		}
 		var watch *Stream
 		for p := 0; p < ports; p++ {
 			port := fab.NewPort(2000)
 			for i := 0; i < perPort; i++ {
-				s := port.Start(demand, StreamOpts{Done: func() {
+				s := start(port, demand, StreamOpts{Done: func() {
 					if t := eng.Now(); t > bulkDone {
 						bulkDone = t
 					}
@@ -181,12 +199,12 @@ func TestFastForwardHonorsBurstBoundary(t *testing.T) {
 	if !(post < pre) {
 		t.Fatalf("bulk rate did not drop within one quantum of the burst (pre %.3f, post %.3f)", pre, post)
 	}
-	offDone, offPre, offPost := run(true, true)
-	if !sameBits(burstDone, offDone) ||
-		math.Float64bits(pre) != math.Float64bits(offPre) ||
-		math.Float64bits(post) != math.Float64bits(offPost) {
-		t.Fatalf("analytic vs event path diverge across the burst: done %v vs %v, rates (%.6f,%.6f) vs (%.6f,%.6f)",
-			burstDone, offDone, pre, post, offPre, offPost)
+	chkDone, chkPre, chkPost := run(true, true)
+	if !sameBits(burstDone, chkDone) ||
+		math.Float64bits(pre) != math.Float64bits(chkPre) ||
+		math.Float64bits(post) != math.Float64bits(chkPost) {
+		t.Fatalf("checked run diverges across the burst: done %v vs %v, rates (%.6f,%.6f) vs (%.6f,%.6f)",
+			burstDone, chkDone, pre, post, chkPre, chkPost)
 	}
 }
 
@@ -194,8 +212,9 @@ func TestFastForwardHonorsBurstBoundary(t *testing.T) {
 // hazard: a degraded-link edge (SetCapMBps, the hook fault injection
 // drives) arriving while the fabric is deep in an uncontended stretch
 // must take effect within one quantum — the wake generation counter
-// invalidates the far-future deadline wake — and must produce
-// bit-identical schedules on both paths.
+// invalidates the far-future deadline wake — and a run checked by the
+// calendar oracle and a poke train must produce the same schedule to
+// the bit.
 func TestFastForwardHonorsCapEdge(t *testing.T) {
 	const (
 		ports   = 40
@@ -205,9 +224,15 @@ func TestFastForwardHonorsCapEdge(t *testing.T) {
 		quantum = sim.Duration(0.05)
 		edgeAt  = sim.Time(3.21)
 	)
-	run := func(analyticOff bool) (victimDone, bulkDone sim.Time, postRate float64) {
+	run := func(checked bool) (victimDone, bulkDone sim.Time, postRate float64) {
 		eng := sim.NewEngine()
-		fab := New(eng, Config{AggregateMBps: cap, Quantum: quantum, AnalyticOff: analyticOff})
+		fab := New(eng, Config{AggregateMBps: cap, Quantum: quantum})
+		start := (*Port).Start
+		if checked {
+			o := &completionOracle{t: t, f: fab}
+			start = o.start
+			pokeTrain(t, fab, 0.21, 60)
+		}
 		var degraded *Port
 		var watch *Stream
 		for p := 0; p < ports; p++ {
@@ -217,7 +242,7 @@ func TestFastForwardHonorsCapEdge(t *testing.T) {
 				// victims, every other port's as healthy bulk.
 				degraded = port
 				for i := 0; i < perPort; i++ {
-					s := port.Start(demand, StreamOpts{Done: func() {
+					s := start(port, demand, StreamOpts{Done: func() {
 						if t := eng.Now(); t > victimDone {
 							victimDone = t
 						}
@@ -229,7 +254,7 @@ func TestFastForwardHonorsCapEdge(t *testing.T) {
 				continue
 			}
 			for i := 0; i < perPort; i++ {
-				port.Start(demand, StreamOpts{Done: func() {
+				start(port, demand, StreamOpts{Done: func() {
 					if t := eng.Now(); t > bulkDone {
 						bulkDone = t
 					}
@@ -250,10 +275,10 @@ func TestFastForwardHonorsCapEdge(t *testing.T) {
 	if post > 1 {
 		t.Fatalf("victim stream still at %.3f MB/s one quantum past the cap edge", post)
 	}
-	offVictim, offBulk, offPost := run(true)
-	if !sameBits(victim, offVictim) || !sameBits(bulk, offBulk) ||
-		math.Float64bits(post) != math.Float64bits(offPost) {
-		t.Fatalf("analytic vs event path diverge across the cap edge: victim %v vs %v, bulk %v vs %v",
-			victim, offVictim, bulk, offBulk)
+	chkVictim, chkBulk, chkPost := run(true)
+	if !sameBits(victim, chkVictim) || !sameBits(bulk, chkBulk) ||
+		math.Float64bits(post) != math.Float64bits(chkPost) {
+		t.Fatalf("checked run diverges across the cap edge: victim %v vs %v, bulk %v vs %v",
+			victim, chkVictim, bulk, chkBulk)
 	}
 }

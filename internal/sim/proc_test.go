@@ -5,7 +5,25 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
+
+// settledGoroutines returns the goroutine count once it stops
+// changing. Under -count the previous test's goroutine can still be
+// exiting when the next test starts, which would skew a before/after
+// comparison by one.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		time.Sleep(time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			return n
+		}
+		n = m
+	}
+	return n
+}
 
 // runPanic runs e to completion and returns the recovered panic
 // message ("" if Run returned normally).
@@ -48,7 +66,7 @@ func TestFailureBodyPanicSurfacesAtRun(t *testing.T) {
 // every parked process, so no coroutine (and no goroutine stack behind
 // it) outlives the failed run.
 func TestFailureDeadlockStopsParkedProcs(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := settledGoroutines()
 	e := NewEngine()
 	var q WaitQueue
 	unwound := 0
@@ -73,7 +91,7 @@ func TestFailureDeadlockStopsParkedProcs(t *testing.T) {
 // TestFailureRankPanicStopsParkedProcs: one body's panic must not
 // leave its parked peers behind either.
 func TestFailureRankPanicStopsParkedProcs(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := settledGoroutines()
 	e := NewEngine()
 	var q WaitQueue
 	unwound := 0

@@ -14,7 +14,7 @@
 // attribution. Both the co-run and the analysis are pure functions of
 // the configuration, so every artifact — traces, merged telemetry,
 // spans, the interference report JSON — is byte-identical across
-// worker counts and the analytic fast path.
+// worker counts.
 package tenancy
 
 import (
@@ -219,9 +219,23 @@ func launch(cfg Config, tenants []Tenant, progs []*wldsl.Program, only int, mode
 	return sess, jobs
 }
 
+// simPanic wraps a panic recovered from a simulation (a failing rank
+// body, or a deadlocked session) as the session's error. The engine
+// has already stopped every simulated process, so nothing is left
+// running.
+func simPanic(what string, r any) error {
+	return fmt.Errorf("tenancy: %s: simulation panicked: %v", what, r)
+}
+
 // RunTenants executes the co-run: every tenant on the shared platform,
-// staggered per its StartSec, driven by one engine run.
-func RunTenants(cfg Config, tenants []Tenant) (*Result, error) {
+// staggered per its StartSec, driven by one engine run. A panic inside
+// the simulation is returned as the error.
+func RunTenants(cfg Config, tenants []Tenant) (res *Result, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			res, err = nil, simPanic("co-run", r)
+		}
+	}()
 	progs, err := compile(tenants)
 	if err != nil {
 		return nil, err
@@ -232,7 +246,7 @@ func RunTenants(cfg Config, tenants []Tenant) (*Result, error) {
 	}
 	sess, jobs := launch(cfg, tenants, progs, -1, mode, cfg.Telemetry)
 
-	res := &Result{}
+	res = &Result{}
 	for i, p := range progs {
 		J := jobs[i]
 		s := p.Spec()
@@ -251,13 +265,19 @@ func RunTenants(cfg Config, tenants []Tenant) (*Result, error) {
 // SoloBaselines re-simulates each tenant alone under the solo-baseline
 // protocol (see launch) and returns each tenant's solo makespan in
 // seconds. Baselines run sequentially in tenant order — the function
-// is a pure, memo-friendly function of cfg and tenants.
-func SoloBaselines(cfg Config, tenants []Tenant) ([]float64, error) {
+// is a pure, memo-friendly function of cfg and tenants. A panic inside
+// a baseline is returned as the error.
+func SoloBaselines(cfg Config, tenants []Tenant) (solo []float64, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			solo, err = nil, simPanic("solo baseline", r)
+		}
+	}()
 	progs, err := compile(tenants)
 	if err != nil {
 		return nil, err
 	}
-	solo := make([]float64, len(progs))
+	solo = make([]float64, len(progs))
 	for i := range progs {
 		_, jobs := launch(cfg, tenants, progs, i, ipmio.ProfileMode, false)
 		solo[i] = jobs[i].EndSec() - jobs[i].StartSec()

@@ -187,3 +187,44 @@ func TestTenantValidation(t *testing.T) {
 		}
 	}
 }
+
+// poisonSpec passes validation but panics inside every rank body: it
+// writes through a descriptor it has already closed.
+const poisonSpec = `{
+  "name": "write-after-close",
+  "tasks": 4,
+  "path": "/scratch/poison.dat",
+  "phases": [
+    {"ops": [{"op": "open"}, {"op": "close"}, {"op": "write", "bytes": 1000000}]}
+  ]
+}`
+
+// TestPanickingTenantIsAnError: a tenant whose rank bodies panic fails
+// the co-run and the solo baselines with an error carrying the panic
+// message, instead of taking the process down.
+func TestPanickingTenantIsAnError(t *testing.T) {
+	poison, err := wldsl.Parse(strings.NewReader(poisonSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Machine: cluster.Franklin(), Seed: 3, Telemetry: true}
+	tenants := []Tenant{
+		{Name: "good", Spec: writerSpec("good", 16, 2, 1<<20)},
+		{Name: "poison", Spec: poison, StartSec: 1},
+	}
+	const msg = "posixio: bad file descriptor"
+	res, err := RunTenants(cfg, tenants)
+	if err == nil || !strings.Contains(err.Error(), msg) {
+		t.Fatalf("RunTenants: err %v, want the rank body's panic message", err)
+	}
+	if res != nil {
+		t.Error("failed co-run returned a result")
+	}
+	solo, err := SoloBaselines(cfg, tenants)
+	if err == nil || !strings.Contains(err.Error(), msg) {
+		t.Fatalf("SoloBaselines: err %v, want the rank body's panic message", err)
+	}
+	if solo != nil {
+		t.Error("failed baselines returned makespans")
+	}
+}

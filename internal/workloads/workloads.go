@@ -202,9 +202,8 @@ func (j *job) foldTelemetry(r *Run) {
 	tel.Gauge("sim.heap_high_water").Set(float64(j.eng.HeapHighWater()))
 
 	// Fast-forward accounting: virtual seconds the fabric crossed in
-	// single analytic jumps. Both fabric paths take identical jumps —
-	// the -analytic flag changes how wake-ups are computed, never when
-	// they land — so these counters are safe to serialize and
+	// single analytic jumps. The jumps are a pure function of the
+	// simulated schedule, so these counters are safe to serialize and
 	// ensembletop can print the ratio against sim.virtual_seconds.
 	tel.Counter("sim.virtual_seconds").Add(wall)
 	if ff := j.eng.FastForwardSeconds(); ff > 0 {
