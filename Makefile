@@ -5,7 +5,7 @@ FUZZTIME ?= 10s
 BENCHTIME ?= 1x
 BENCHCOUNT ?= 3
 
-.PHONY: build test race race-stress bench-check lint lint-sarif lint-testdata fmt vet fuzz-smoke bench bench-smoke trace-smoke bench-guard cache-golden dsl-golden interference-golden ci
+.PHONY: build test race race-stress bench-check lint lint-sarif lint-testdata fmt vet fuzz-smoke bench bench-smoke trace-smoke bench-guard cache-golden dsl-golden figs-check interference-golden ci
 
 build:
 	$(GO) build ./...
@@ -130,19 +130,30 @@ bench-guard:
 		$(GO) run ./cmd/benchjson -check BENCH_ensembleio.json -slack 3.0 -memslack 1.25
 
 # dsl-golden: the workload DSL's full proof chain, uncached — the
-# spec ports of IOR/MADbench/GCRM serialize byte-identical artifacts
-# to the hand-coded runners, the corpus compiles and stays canonical,
-# the golden digests of every corpus run still match, and the seeded
-# spec generator passes the determinism gate (-j 1 vs -j 4). Ends with
-# a wlrun smoke: spec in, artifacts out.
+# interpreter and the IOR/MADbench/GCRM spec builders (whose specs
+# match their corpus ports byte for byte), the corpus compiles and
+# stays canonical, the golden digests of every corpus run still match,
+# and the seeded spec generator passes the determinism gate (-j 1 vs
+# -j 4). Ends with a wlrun smoke: spec in, artifacts out.
 dsl-golden:
-	$(GO) test -count=1 ./internal/wldsl
+	$(GO) test -count=1 ./internal/workloads ./internal/wldsl
 	$(GO) test -count=1 -run 'TestWorkloadDSLGolden|TestGeneratedSpecsDeterministic' .
 	@rm -rf out/wlrun && mkdir -p out/wlrun
 	$(GO) run ./cmd/wlrun -spec testdata/scenarios/workloads/checkpoint-bursty.json \
 		-faults testdata/scenarios/flaky-ost.json -runs 2 -j 2 -out out/wlrun
 	@ls out/wlrun >/dev/null
-	@echo "dsl-golden: spec ports byte-identical, corpus canonical, goldens stable"
+	@echo "dsl-golden: builder specs match corpus ports, corpus canonical, goldens stable"
+
+# figs-check: the checked-in figure copies (out/fig*) are exactly what
+# `paperfig -fig all` writes today — regenerate into a temp dir and
+# diff both trees (a missing or extra file fails too). Takes ~10 s.
+# After an intended figure change: go run ./cmd/paperfig -fig all -out out
+figs-check:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+		mkdir "$$tmp/want" && cp out/fig* "$$tmp/want/" && \
+		$(GO) run ./cmd/paperfig -fig all -out "$$tmp/got" > /dev/null && \
+		diff -r "$$tmp/want" "$$tmp/got"
+	@echo "figs-check: out/fig* match paperfig -fig all"
 
 # interference-golden: the multi-tenant pipeline's proof chain — the
 # tenancy package's victim/aggressor and clean-co-run tests, the
@@ -171,4 +182,4 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='FuzzSpecDecode$$' -fuzztime=$(FUZZTIME) ./internal/wldsl
 	$(GO) test -run='^$$' -fuzz='FuzzScenarioKey$$' -fuzztime=$(FUZZTIME) ./internal/cascache
 
-ci: build lint lint-testdata race race-stress bench-check bench-smoke trace-smoke dsl-golden interference-golden cache-golden bench-guard fuzz-smoke
+ci: build lint lint-testdata race race-stress bench-check bench-smoke trace-smoke dsl-golden figs-check interference-golden cache-golden bench-guard fuzz-smoke

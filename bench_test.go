@@ -41,7 +41,7 @@ func BenchmarkFig1_IOR512(b *testing.B) {
 func BenchmarkFig2_LLN(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		pts := IORTransferSweep(IORConfig{Machine: Franklin(), Tasks: 1024, Reps: 5},
-			[]int{1, 2, 4, 8}, []int64{1, 2, 3})
+			[]int{1, 2, 4, 8}, []int64{1, 2, 3}, 0, nil)
 		b.ReportMetric(pts[0].MeanRateMBps, "k1_MB/s")
 		b.ReportMetric(pts[len(pts)-1].MeanRateMBps, "k8_MB/s")
 	}
@@ -52,8 +52,8 @@ func BenchmarkFig2_LLN(b *testing.B) {
 // reference that -j only changes speed, never results).
 func BenchmarkFig2_LLN_Sequential(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pts := IORTransferSweepJ(IORConfig{Machine: Franklin(), Tasks: 1024, Reps: 5},
-			[]int{1, 2, 4, 8}, []int64{1, 2, 3}, 1)
+		pts := IORTransferSweep(IORConfig{Machine: Franklin(), Tasks: 1024, Reps: 5},
+			[]int{1, 2, 4, 8}, []int64{1, 2, 3}, 1, nil)
 		b.ReportMetric(pts[0].MeanRateMBps, "k1_MB/s")
 	}
 }

@@ -132,7 +132,7 @@ func gcrmSpec(stage int) runSpec {
 func gcrmRun(stage int) *ensembleio.Run { return cachedRun(gcrmSpec(stage)) }
 
 // specsFor lists the simulations one figure reads from the cache.
-// (The writers sweep is not listed: IORWriterSweepJ parallelizes its
+// (The writers sweep is not listed: IORWriterSweep parallelizes its
 // own runs.)
 func specsFor(id string) []runSpec {
 	switch id {
@@ -583,7 +583,7 @@ func figWriters(txt, csv io.Writer) (string, error) {
 	// writer count, walls averaged over 3 seeds: a writer count
 	// "saturates" when adding more writers no longer shortens the job.
 	counts := []int{16, 32, 48, 80, 160, 320, 1024}
-	pts := ensembleio.IORWriterSweepProgress(machineFor("franklin"), counts, 4096, 512e6,
+	pts := ensembleio.IORWriterSweep(machineFor("franklin"), counts, 4096, 512e6,
 		[]int64{*seed, *seed + 1, *seed + 2}, *jobs, meter)
 	best := pts[len(pts)-1].WallSec
 	for _, p := range pts {

@@ -110,7 +110,7 @@ func sweepArtifacts(t *testing.T, workers int) []byte {
 	seeds := []int64{3, 5, 9}
 
 	var buf bytes.Buffer
-	for _, pt := range ensembleio.IORTransferSweepJ(base, ks, seeds, workers) {
+	for _, pt := range ensembleio.IORTransferSweep(base, ks, seeds, workers, nil) {
 		fmt.Fprintf(&buf, "k=%d transfer=%d mean=%v\n", pt.K, pt.TransferBytes, pt.MeanRateMBps)
 		for _, run := range pt.Runs {
 			if err := ensembleio.SaveTrace(&buf, run); err != nil {
@@ -124,7 +124,7 @@ func sweepArtifacts(t *testing.T, workers int) []byte {
 
 	pbase := base
 	pbase.Mode = ensembleio.ProfileMode
-	for _, pt := range ensembleio.IORTransferSweepJ(pbase, ks, seeds, workers) {
+	for _, pt := range ensembleio.IORTransferSweep(pbase, ks, seeds, workers, nil) {
 		for _, run := range pt.Runs {
 			profile, err := ensembleio.ProfileOf(run)
 			if err != nil {
@@ -400,7 +400,7 @@ func generatedSpecArtifacts(t *testing.T, workers int) []byte {
 // TestGeneratedSpecsDeterministic extends the determinism contract to
 // the workload DSL's generated corpus: every spec the seeded generator
 // emits must serialize byte-identically across worker counts (-j 1 vs
-// -j 4) — the same gate the hand-coded workloads pass, applied to the
+// -j 4) — the same gate the paper workloads pass, applied to the
 // grammar's random corner cases in bulk.
 func TestGeneratedSpecsDeterministic(t *testing.T) {
 	sequential := generatedSpecArtifacts(t, 1)

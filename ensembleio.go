@@ -122,17 +122,19 @@ func RunCheckpoint(cfg CheckpointConfig) *CheckpointResult {
 	return workloads.RunCheckpoint(cfg)
 }
 
-// Declarative workload DSL (internal/wldsl): JSON specs describing
+// Declarative workload DSL: JSON specs (internal/wldsl) describing
 // phases, per-rank op sequences, sizes, strides and collective
-// buffering, compiled into deterministic sim programs.
+// buffering, compiled into deterministic sim programs by the workload
+// interpreter (internal/workloads) that also runs IOR, MADbench, and
+// GCRM.
 type (
 	// WorkloadSpec is a decoded workload description.
-	WorkloadSpec = wldsl.Spec
+	WorkloadSpec = workloads.Spec
 	// WorkloadProgram is a compiled, runnable spec.
-	WorkloadProgram = wldsl.Program
+	WorkloadProgram = workloads.Program
 	// WorkloadRunConfig carries the runtime knobs a spec does not:
 	// machine, seed, collection mode, faults, telemetry.
-	WorkloadRunConfig = wldsl.RunConfig
+	WorkloadRunConfig = workloads.RunConfig
 )
 
 // ParseWorkload decodes and validates a workload spec.
@@ -147,11 +149,15 @@ func LoadWorkload(path string) (*WorkloadSpec, error) { return wldsl.Load(path) 
 func EncodeWorkload(w io.Writer, s *WorkloadSpec) error { return wldsl.Encode(w, s) }
 
 // CompileWorkload resolves a spec into a runnable program.
-func CompileWorkload(s *WorkloadSpec) (*WorkloadProgram, error) { return wldsl.Compile(s) }
+func CompileWorkload(s *WorkloadSpec) (*WorkloadProgram, error) { return workloads.Compile(s) }
 
 // RunWorkload compiles and executes a workload spec in one step.
 func RunWorkload(s *WorkloadSpec, cfg WorkloadRunConfig) (*Run, error) {
-	return wldsl.Run(s, cfg)
+	p, err := workloads.Compile(s)
+	if err != nil {
+		return nil, err
+	}
+	return p.Run(cfg), nil
 }
 
 // GenerateWorkload returns a seeded pseudo-random valid workload spec
@@ -430,31 +436,20 @@ type (
 	WriterPoint = workloads.WriterPoint
 )
 
-// IORTransferSweep runs the Figure 2 splitting experiment. The
-// independent seeded runs execute in parallel on all cores; the
-// reduction is in submission order, so results are identical at any
-// worker count.
-func IORTransferSweep(base IORConfig, ks []int, seeds []int64) []TransferPoint {
-	return workloads.IORTransferSweep(base, ks, seeds)
-}
-
-// IORTransferSweepJ is IORTransferSweep on at most workers OS workers
-// (workers <= 0 means all cores, 1 means sequential).
-func IORTransferSweepJ(base IORConfig, ks []int, seeds []int64, workers int) []TransferPoint {
-	return workloads.IORTransferSweepJ(base, ks, seeds, workers)
+// IORTransferSweep runs the Figure 2 splitting experiment on at most
+// workers OS workers (workers <= 0 means all cores, 1 means
+// sequential), reporting live completion counts to progress (nil
+// disables it). The reduction is in submission order, so results are
+// identical at any worker count, with or without progress.
+func IORTransferSweep(base IORConfig, ks []int, seeds []int64, workers int, progress Progress) []TransferPoint {
+	return workloads.IORTransferSweep(base, ks, seeds, workers, progress)
 }
 
 // IORWriterSweep runs the §V writer-saturation experiment, averaging
-// walls over the given seeds. Runs execute in parallel on all cores
-// with an ordered reduction (results identical at any worker count).
-func IORWriterSweep(prof Platform, counts []int, totalTransfers int, transferBytes int64, seeds []int64) []WriterPoint {
-	return workloads.IORWriterSweep(prof, counts, totalTransfers, transferBytes, seeds)
-}
-
-// IORWriterSweepJ is IORWriterSweep on at most workers OS workers
-// (workers <= 0 means all cores, 1 means sequential).
-func IORWriterSweepJ(prof Platform, counts []int, totalTransfers int, transferBytes int64, seeds []int64, workers int) []WriterPoint {
-	return workloads.IORWriterSweepJ(prof, counts, totalTransfers, transferBytes, seeds, workers)
+// walls over the given seeds; workers and progress are as for
+// IORTransferSweep.
+func IORWriterSweep(prof Platform, counts []int, totalTransfers int, transferBytes int64, seeds []int64, workers int, progress Progress) []WriterPoint {
+	return workloads.IORWriterSweep(prof, counts, totalTransfers, transferBytes, seeds, workers, progress)
 }
 
 // RunMany executes one workload per config element on up to workers
@@ -565,18 +560,6 @@ func StderrProgress(w io.Writer, label string) Progress {
 // progress disables it; results are unchanged either way).
 func RunManyProgress[C any](workers int, cfgs []C, progress Progress, run func(C) *Run) []*Run {
 	return runpool.MapProgress(workers, cfgs, progress, func(_ int, c C) *Run { return run(c) })
-}
-
-// IORTransferSweepProgress is IORTransferSweepJ with live completion
-// reporting.
-func IORTransferSweepProgress(base IORConfig, ks []int, seeds []int64, workers int, progress Progress) []TransferPoint {
-	return workloads.IORTransferSweepProgress(base, ks, seeds, workers, progress)
-}
-
-// IORWriterSweepProgress is IORWriterSweepJ with live completion
-// reporting.
-func IORWriterSweepProgress(prof Platform, counts []int, totalTransfers int, transferBytes int64, seeds []int64, workers int, progress Progress) []WriterPoint {
-	return workloads.IORWriterSweepProgress(prof, counts, totalTransfers, transferBytes, seeds, workers, progress)
 }
 
 // Profile is the persistent, distribution-only form of a profile-mode

@@ -274,7 +274,7 @@ func TestWriterSaturation(t *testing.T) {
 	// Fixed 2 TB volume (dwarfing page-cache absorption), varying
 	// writer count: a count saturates when it completes the job nearly
 	// as fast as the full machine. Walls averaged over two seeds.
-	pts := IORWriterSweep(Franklin(), []int{16, 80, 1024}, 4096, 512e6, []int64{5, 6})
+	pts := IORWriterSweep(Franklin(), []int{16, 80, 1024}, 4096, 512e6, []int64{5, 6}, 0, nil)
 	w16, w80, best := pts[0].WallSec, pts[1].WallSec, pts[2].WallSec
 	t.Logf("walls: 16 writers %.0fs, 80 writers %.0fs, 1024 writers %.0fs", w16, w80, best)
 	if w80 > 1.5*best {

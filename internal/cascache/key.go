@@ -43,6 +43,7 @@ import (
 	"ensembleio/internal/cluster"
 	"ensembleio/internal/faults"
 	"ensembleio/internal/wldsl"
+	"ensembleio/internal/workloads"
 )
 
 // SchemaEpoch versions the whole cache format: the key derivation
@@ -130,7 +131,7 @@ func CanonicalPlatform(prof cluster.Profile) ([]byte, error) {
 // deliberately absent — they select which artifacts get *written*,
 // never what their bytes are (the capture contract records the full
 // set regardless).
-func ScenarioKey(spec *wldsl.Spec, prof cluster.Profile, sc *faults.Scenario, seed int64) (Key, error) {
+func ScenarioKey(spec *workloads.Spec, prof cluster.Profile, sc *faults.Scenario, seed int64) (Key, error) {
 	wl, err := wldsl.CanonicalBytes(spec)
 	if err != nil {
 		return Key{}, fmt.Errorf("cascache: workload section: %w", err)

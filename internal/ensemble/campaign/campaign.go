@@ -23,14 +23,14 @@ import (
 	"ensembleio/internal/faults"
 	"ensembleio/internal/ipmio"
 	"ensembleio/internal/runpool"
-	"ensembleio/internal/wldsl"
+	"ensembleio/internal/workloads"
 )
 
 // Entry is one scenario of a campaign: the full pure-function input of
 // a run. Name is display-only and never reaches the key.
 type Entry struct {
 	Name     string
-	Spec     *wldsl.Spec
+	Spec     *workloads.Spec
 	Platform cluster.Profile
 	Faults   *faults.Scenario
 	Seed     int64
@@ -100,11 +100,11 @@ func runOne(e Entry) (c computed) {
 			c = computed{err: fmt.Errorf("campaign: %s: simulation panicked: %v", e.Name, r)}
 		}
 	}()
-	prog, err := wldsl.Compile(e.Spec)
+	prog, err := workloads.Compile(e.Spec)
 	if err != nil {
 		return computed{err: fmt.Errorf("campaign: %s: %w", e.Name, err)}
 	}
-	run := prog.Run(wldsl.RunConfig{
+	run := prog.Run(workloads.RunConfig{
 		Machine:   e.Platform,
 		Seed:      e.Seed,
 		Mode:      ipmio.TraceMode | ipmio.ProfileMode,

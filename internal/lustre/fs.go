@@ -39,10 +39,6 @@ type FS struct {
 	// one FS-wide buffer is safe).
 	ostScratch []int64
 
-	// OnPathology, when set, is called for every read that takes the
-	// degenerate page-read path (diagnostics and tests).
-	OnPathology func(nodeID int, t sim.Time, dirtyMB float64)
-
 	// DefaultStripeCount, when non-zero, is the stripe count assigned
 	// to newly created files (0 = stripe over all OSTs) — the
 	// `lfs setstripe -c` default of the mount. File-per-process fault

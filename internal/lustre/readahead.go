@@ -100,9 +100,6 @@ func (c *Client) Read(p *sim.Proc, f *File, rs *ReadState, offset, length int64)
 			pathological = true
 			c.fs.stats.PathologicalReads++
 			c.fs.telPathology.Inc()
-			if c.fs.OnPathology != nil {
-				c.fs.OnPathology(c.node.ID, p.Now(), c.node.DirtyMB)
-			}
 		}
 		if pathological {
 			capMBps = prof.PathologyMBps / rs.severity

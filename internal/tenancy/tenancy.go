@@ -26,7 +26,6 @@ import (
 	"ensembleio/internal/ipmio"
 	"ensembleio/internal/lustre"
 	"ensembleio/internal/telemetry"
-	"ensembleio/internal/wldsl"
 	"ensembleio/internal/workloads"
 )
 
@@ -36,8 +35,8 @@ type Tenant struct {
 	// ("<name>/..."), and report entries. Restricted to
 	// [A-Za-z0-9_-]+ so the tags parse unambiguously.
 	Name string `json:"name"`
-	// Spec is the tenant's declarative workload (internal/wldsl).
-	Spec *wldsl.Spec `json:"spec"`
+	// Spec is the tenant's declarative workload (see internal/workloads).
+	Spec *workloads.Spec `json:"spec"`
 	// StartSec staggers the tenant's launch in virtual time.
 	StartSec float64 `json:"start_sec,omitempty"`
 }
@@ -109,11 +108,11 @@ func validName(name string) bool {
 // compile validates the tenant list and compiles each spec with its
 // file tree moved under /tenants/<name>, so tenants sharing a default
 // path never collide on the shared mount.
-func compile(tenants []Tenant) ([]*wldsl.Program, error) {
+func compile(tenants []Tenant) ([]*workloads.Program, error) {
 	if len(tenants) == 0 {
 		return nil, fmt.Errorf("tenancy: need at least one tenant")
 	}
-	progs := make([]*wldsl.Program, len(tenants))
+	progs := make([]*workloads.Program, len(tenants))
 	for i := range tenants {
 		t := &tenants[i]
 		if !validName(t.Name) {
@@ -142,7 +141,7 @@ func compile(tenants []Tenant) ([]*wldsl.Program, error) {
 			base = "/" + base
 		}
 		spec.Path = "/tenants/" + t.Name + base
-		p, err := wldsl.Compile(&spec)
+		p, err := workloads.Compile(&spec)
 		if err != nil {
 			return nil, fmt.Errorf("tenancy: tenant %q: %w", t.Name, err)
 		}
@@ -154,7 +153,7 @@ func compile(tenants []Tenant) ([]*wldsl.Program, error) {
 // sharedStripeCount picks the mount-wide default stripe count: the
 // tenants' common value when they agree, otherwise 0 (stripe over all
 // OSTs) — the mount is shared, so striping cannot vary per tenant.
-func sharedStripeCount(progs []*wldsl.Program) int {
+func sharedStripeCount(progs []*workloads.Program) int {
 	sc := progs[0].Spec().StripeCount
 	for _, p := range progs[1:] {
 		if p.Spec().StripeCount != sc {
@@ -173,7 +172,7 @@ func sharedStripeCount(progs []*wldsl.Program) int {
 // makespan difference is attributable to the neighbors and nothing
 // else (fault windows even land at the same virtual times, because the
 // stagger is kept).
-func launch(cfg Config, tenants []Tenant, progs []*wldsl.Program, only int, mode ipmio.Mode, withTel bool) (*workloads.Session, []*workloads.Job) {
+func launch(cfg Config, tenants []Tenant, progs []*workloads.Program, only int, mode ipmio.Mode, withTel bool) (*workloads.Session, []*workloads.Job) {
 	cores := cfg.Machine.CoresPerNode
 	bases := make([]int, len(progs))
 	total := 0

@@ -7,28 +7,29 @@ import (
 	"ensembleio/internal/analysis"
 	"ensembleio/internal/cluster"
 	"ensembleio/internal/wldsl"
+	"ensembleio/internal/workloads"
 )
 
 // writerSpec builds an N-to-1 bursty writer: reps cycles of
 // barrier-fenced strided pwrites, the IOR shape the corpus uses.
-func writerSpec(name string, tasks, reps int, transfer int64) *wldsl.Spec {
+func writerSpec(name string, tasks, reps int, transfer int64) *workloads.Spec {
 	block := transfer * 4
-	return &wldsl.Spec{
+	return &workloads.Spec{
 		Name:  name,
 		Tasks: tasks,
-		Phases: []wldsl.Phase{
-			{Ops: []wldsl.Op{{Op: "open"}}},
+		Phases: []workloads.Phase{
+			{Ops: []workloads.Op{{Op: "open"}}},
 			{
 				Name:   "rep%d",
 				Repeat: reps,
-				Ops: []wldsl.Op{
+				Ops: []workloads.Op{
 					{Op: "barrier"},
 					{Op: "pwrite", Bytes: transfer, Count: 4,
-						Offset: &wldsl.Offset{PerRank: block, PerIter: transfer, PerPhase: block * int64(tasks)}},
+						Offset: &workloads.Offset{PerRank: block, PerIter: transfer, PerPhase: block * int64(tasks)}},
 					{Op: "barrier"},
 				},
 			},
-			{Ops: []wldsl.Op{{Op: "close"}}},
+			{Ops: []workloads.Op{{Op: "close"}}},
 		},
 	}
 }

@@ -1,6 +1,10 @@
 package wldsl
 
-import "bytes"
+import (
+	"bytes"
+
+	"ensembleio/internal/workloads"
+)
 
 // CanonicalBytes returns the spec's canonical encoding — the exact
 // bytes Encode writes — as a slice. This is the content-addressed
@@ -9,7 +13,7 @@ import "bytes"
 // order or whitespace they were read from, because Encode∘Parse is a
 // fixpoint. The spec must be valid (Parse and Generate only hand out
 // valid specs).
-func CanonicalBytes(s *Spec) ([]byte, error) {
+func CanonicalBytes(s *workloads.Spec) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := Encode(&buf, s); err != nil {
 		return nil, err

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"ensembleio/internal/workloads"
 )
 
 // FuzzSpecDecode hammers the spec parser with arbitrary bytes. The
@@ -33,7 +35,7 @@ func FuzzSpecDecode(f *testing.F) {
 	// Near-misses the validator must reject without panicking.
 	f.Add([]byte(`{"name":"x","tasks":2,"phases":[{"ops":[{"op":"open"},{"op":"pwrite","bytes":-5}]}]}`))
 	f.Add([]byte(`{"name":"x","tasks":2,"phases":[{"ops":[{"op":"open"},{"op":"compute","seconds":1e999}]}]}`))
-	f.Add([]byte(`{"name":"` + strings.Repeat("a", MaxNameLen+1) + `","tasks":2,"phases":[{"ops":[{"op":"open"}]}]}`))
+	f.Add([]byte(`{"name":"` + strings.Repeat("a", workloads.MaxNameLen+1) + `","tasks":2,"phases":[{"ops":[{"op":"open"}]}]}`))
 	f.Add([]byte(`{"name":"x","tasks":2,"phases":[{"ops":[{"op":"open"}]}]}{"trailing":1}`))
 	f.Add([]byte(`{`))
 
@@ -43,7 +45,7 @@ func FuzzSpecDecode(f *testing.F) {
 			return // rejecting bad input is fine; panicking is not
 		}
 		checkBounds(t, s)
-		if _, err := Compile(s); err != nil {
+		if _, err := workloads.Compile(s); err != nil {
 			t.Fatalf("Parse accepted a spec Compile rejects: %v", err)
 		}
 
@@ -68,28 +70,28 @@ func FuzzSpecDecode(f *testing.F) {
 // checkBounds asserts the hard grammar bounds directly on an accepted
 // spec — a belt-and-suspenders cross-check of Validate, phrased
 // independently of its implementation.
-func checkBounds(t *testing.T, s *Spec) {
+func checkBounds(t *testing.T, s *workloads.Spec) {
 	t.Helper()
-	if s.Name == "" || len(s.Name) > MaxNameLen {
-		t.Fatalf("accepted name length %d outside [1, %d]", len(s.Name), MaxNameLen)
+	if s.Name == "" || len(s.Name) > workloads.MaxNameLen {
+		t.Fatalf("accepted name length %d outside [1, %d]", len(s.Name), workloads.MaxNameLen)
 	}
-	if len(s.Path) > MaxNameLen {
-		t.Fatalf("accepted path length %d beyond %d", len(s.Path), MaxNameLen)
+	if len(s.Path) > workloads.MaxNameLen {
+		t.Fatalf("accepted path length %d beyond %d", len(s.Path), workloads.MaxNameLen)
 	}
 	if s.Tasks < 1 {
 		t.Fatalf("accepted non-positive tasks %d", s.Tasks)
 	}
 	for _, d := range s.Datasets {
-		if len(d.Name) > MaxNameLen || d.RecordBytes < 1 || d.RecordsPerTask < 1 || d.MetaOps < 0 {
+		if len(d.Name) > workloads.MaxNameLen || d.RecordBytes < 1 || d.RecordsPerTask < 1 || d.MetaOps < 0 {
 			t.Fatalf("accepted out-of-bounds dataset %+v", d)
 		}
 	}
 	for _, ph := range s.Phases {
-		if len(ph.Name) > MaxNameLen || ph.Repeat < 0 {
+		if len(ph.Name) > workloads.MaxNameLen || ph.Repeat < 0 {
 			t.Fatalf("accepted out-of-bounds phase %q repeat=%d", ph.Name, ph.Repeat)
 		}
 		for _, op := range ph.Ops {
-			if op.Bytes < 0 || op.Count < 0 || len(op.Name) > MaxNameLen {
+			if op.Bytes < 0 || op.Count < 0 || len(op.Name) > workloads.MaxNameLen {
 				t.Fatalf("accepted out-of-bounds op %+v", op)
 			}
 			if math.IsNaN(op.Seconds) || math.IsInf(op.Seconds, 0) || op.Seconds < 0 ||

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ensembleio/internal/sim"
+	"ensembleio/internal/workloads"
 )
 
 // genSeedSalt decorrelates the generator's stream from the run seeds
@@ -21,7 +22,7 @@ const genSeedSalt = 0x9e3d5c1
 //
 // Reads are only ever generated against extents a preceding phase
 // wrote, so a generated workload can never fault on missing data.
-func Generate(seed int64) *Spec {
+func Generate(seed int64) *workloads.Spec {
 	rng := sim.NewRNG(seed ^ genSeedSalt)
 	switch rng.Intn(6) {
 	case 0:
@@ -45,7 +46,7 @@ func Generate(seed int64) *Spec {
 // paper's IPM traces flag as pathological. Useful as a co-tenant when
 // stress-testing interference attribution — a flood of small strided
 // writes from a wide communicator is the canonical noisy neighbor.
-func GenerateAdversarial(seed int64) *Spec {
+func GenerateAdversarial(seed int64) *workloads.Spec {
 	return genAdversarial(seed, sim.NewRNG(seed^genSeedSalt))
 }
 
@@ -58,87 +59,87 @@ func genGeom(rng *sim.RNG) (tasks int, transfer int64, k, reps int) {
 	return
 }
 
-func genShared(seed int64, rng *sim.RNG) *Spec {
+func genShared(seed int64, rng *sim.RNG) *workloads.Spec {
 	tasks, transfer, k, reps := genGeom(rng)
 	block := transfer * int64(k)
-	return &Spec{
+	return &workloads.Spec{
 		Name:  fmt.Sprintf("gen-shared-%d", seed),
 		Tasks: tasks,
-		Phases: []Phase{
-			{Ops: []Op{{Op: "open"}, {Op: "barrier"}}},
-			{Name: "write-phase-%d", Repeat: reps, Ops: []Op{
+		Phases: []workloads.Phase{
+			{Ops: []workloads.Op{{Op: "open"}, {Op: "barrier"}}},
+			{Name: "write-phase-%d", Repeat: reps, Ops: []workloads.Op{
 				{Op: "pwrite", Bytes: transfer, Count: k,
-					Offset: &Offset{PerRank: block, PerIter: transfer}},
+					Offset: &workloads.Offset{PerRank: block, PerIter: transfer}},
 				{Op: "barrier"},
 			}},
-			{Ops: []Op{{Op: "close"}}},
+			{Ops: []workloads.Op{{Op: "close"}}},
 		},
 	}
 }
 
-func genFPP(seed int64, rng *sim.RNG) *Spec {
+func genFPP(seed int64, rng *sim.RNG) *workloads.Spec {
 	tasks, transfer, k, reps := genGeom(rng)
-	return &Spec{
+	return &workloads.Spec{
 		Name:           fmt.Sprintf("gen-fpp-%d", seed),
 		Tasks:          tasks,
 		FilePerProcess: true,
 		StripeCount:    1 + rng.Intn(2),
-		Phases: []Phase{
-			{Ops: []Op{{Op: "open"}, {Op: "barrier"}}},
-			{Name: "write-phase-%d", Repeat: reps, Ops: []Op{
+		Phases: []workloads.Phase{
+			{Ops: []workloads.Op{{Op: "open"}, {Op: "barrier"}}},
+			{Name: "write-phase-%d", Repeat: reps, Ops: []workloads.Op{
 				{Op: "pwrite", Bytes: transfer, Count: k,
-					Offset: &Offset{PerIter: transfer}},
+					Offset: &workloads.Offset{PerIter: transfer}},
 				{Op: "barrier"},
 			}},
-			{Ops: []Op{{Op: "close"}}},
+			{Ops: []workloads.Op{{Op: "close"}}},
 		},
 	}
 }
 
-func genCheckpoint(seed int64, rng *sim.RNG) *Spec {
+func genCheckpoint(seed int64, rng *sim.RNG) *workloads.Spec {
 	tasks, transfer, k, steps := genGeom(rng)
 	state := transfer * int64(k)
-	return &Spec{
+	return &workloads.Spec{
 		Name:  fmt.Sprintf("gen-checkpoint-%d", seed),
 		Tasks: tasks,
-		Phases: []Phase{
-			{Ops: []Op{{Op: "open"}, {Op: "barrier"}}},
-			{Repeat: steps + 1, Ops: []Op{
+		Phases: []workloads.Phase{
+			{Ops: []workloads.Op{{Op: "open"}, {Op: "barrier"}}},
+			{Repeat: steps + 1, Ops: []workloads.Op{
 				{Op: "compute", Seconds: 1 + 4*rng.Float64(), Sigma: 0.05},
 				{Op: "barrier"},
 				{Op: "mark", Name: "checkpoint-%d"},
 				{Op: "pwrite", Bytes: transfer, Count: k,
-					Offset: &Offset{PerRank: state, PerIter: transfer}},
+					Offset: &workloads.Offset{PerRank: state, PerIter: transfer}},
 				{Op: "barrier"},
 			}},
-			{Ops: []Op{{Op: "close"}}},
+			{Ops: []workloads.Op{{Op: "close"}}},
 		},
 	}
 }
 
-func genMixed(seed int64, rng *sim.RNG) *Spec {
+func genMixed(seed int64, rng *sim.RNG) *workloads.Spec {
 	tasks, transfer, k, _ := genGeom(rng)
 	block := transfer * int64(k)
 	// Read back at a (possibly) different granularity that still
 	// tiles the written block exactly.
 	rk := k * (1 + rng.Intn(2))
 	rt := block / int64(rk)
-	return &Spec{
+	return &workloads.Spec{
 		Name:  fmt.Sprintf("gen-mixed-%d", seed),
 		Tasks: tasks,
-		Phases: []Phase{
-			{Ops: []Op{{Op: "open"}, {Op: "barrier"}}},
-			{Name: "write-phase", Ops: []Op{
+		Phases: []workloads.Phase{
+			{Ops: []workloads.Op{{Op: "open"}, {Op: "barrier"}}},
+			{Name: "write-phase", Ops: []workloads.Op{
 				{Op: "pwrite", Bytes: transfer, Count: k,
-					Offset: &Offset{PerRank: block, PerIter: transfer}},
+					Offset: &workloads.Offset{PerRank: block, PerIter: transfer}},
 				{Op: "barrier"},
 			}},
-			{Name: "read-phase", Ops: []Op{
+			{Name: "read-phase", Ops: []workloads.Op{
 				{Op: "pread", Bytes: rt, Count: rk,
-					Offset: &Offset{PerRank: block, PerIter: rt}},
+					Offset: &workloads.Offset{PerRank: block, PerIter: rt}},
 				{Op: "barrier"},
 			}},
-			{Ops: []Op{{Op: "close"}}},
+			{Ops: []workloads.Op{{Op: "close"}}},
 		},
 	}
 }
@@ -149,62 +150,62 @@ func genMixed(seed int64, rng *sim.RNG) *Spec {
 // some generated specs ride the metadata-class path and some sit just
 // above it. Op counts stay modest; the pathology is width and
 // granularity, not volume.
-func genAdversarial(seed int64, rng *sim.RNG) *Spec {
+func genAdversarial(seed int64, rng *sim.RNG) *workloads.Spec {
 	tasks := 32 << rng.Intn(2)              // 32, 64
 	transfer := int64(4<<10) << rng.Intn(7) // 4K .. 256K
 	k := 4 + rng.Intn(5)                    // 4-8 tiny transfers per phase
 	reps := 1 + rng.Intn(2)                 // 1-2 phase repetitions
 	block := transfer * int64(k)
-	return &Spec{
+	return &workloads.Spec{
 		Name:  fmt.Sprintf("gen-adversarial-%d", seed),
 		Tasks: tasks,
-		Phases: []Phase{
-			{Ops: []Op{{Op: "open"}, {Op: "barrier"}}},
-			{Name: "flood-phase-%d", Repeat: reps, Ops: []Op{
+		Phases: []workloads.Phase{
+			{Ops: []workloads.Op{{Op: "open"}, {Op: "barrier"}}},
+			{Name: "flood-phase-%d", Repeat: reps, Ops: []workloads.Op{
 				{Op: "pwrite", Bytes: transfer, Count: k,
-					Offset: &Offset{PerRank: block, PerIter: transfer, PerPhase: block * int64(tasks)}},
+					Offset: &workloads.Offset{PerRank: block, PerIter: transfer, PerPhase: block * int64(tasks)}},
 				{Op: "barrier"},
 			}},
-			{Ops: []Op{{Op: "close"}}},
+			{Ops: []workloads.Op{{Op: "close"}}},
 		},
 	}
 }
 
-func genH5(seed int64, rng *sim.RNG) *Spec {
+func genH5(seed int64, rng *sim.RNG) *workloads.Spec {
 	tasks := 8 << rng.Intn(2) // 8, 16
-	h5 := &H5{}
+	h5 := &workloads.H5{}
 	if rng.Bernoulli(0.5) {
 		h5.AlignBytes = 1e6
 	}
 	if rng.Bernoulli(0.3) {
 		h5.AggregateMetadata = true
 	}
-	var coll *Collective
+	var coll *workloads.Collective
 	if rng.Bernoulli(0.7) {
-		coll = &Collective{
+		coll = &workloads.Collective{
 			Aggregators: tasks / (2 << rng.Intn(2)), // tasks/2 or tasks/4
 			TwoStage:    rng.Bernoulli(0.5),
 		}
 	}
 	nds := 1 + rng.Intn(2)
-	spec := &Spec{
+	spec := &workloads.Spec{
 		Name:       fmt.Sprintf("gen-h5-%d", seed),
 		Tasks:      tasks,
 		H5:         h5,
 		Collective: coll,
-		Phases:     []Phase{{Ops: []Op{{Op: "open"}, {Op: "barrier"}}}},
+		Phases:     []workloads.Phase{{Ops: []workloads.Op{{Op: "open"}, {Op: "barrier"}}}},
 	}
 	for v := 0; v < nds; v++ {
 		name := fmt.Sprintf("var_%d", v)
-		spec.Datasets = append(spec.Datasets, Dataset{
+		spec.Datasets = append(spec.Datasets, workloads.Dataset{
 			Name:           name,
 			RecordBytes:    int64(1+rng.Intn(4)) * 4e5,
 			RecordsPerTask: 1 + rng.Intn(3),
 			MetaOps:        4 + rng.Intn(13),
 		})
-		spec.Phases = append(spec.Phases, Phase{
+		spec.Phases = append(spec.Phases, workloads.Phase{
 			Name: fmt.Sprintf("var-%d", v),
-			Ops: []Op{
+			Ops: []workloads.Op{
 				{Op: "gather", Dataset: name},
 				{Op: "write-records", Dataset: name},
 				{Op: "metadata", Dataset: name},
@@ -212,6 +213,6 @@ func genH5(seed int64, rng *sim.RNG) *Spec {
 			},
 		})
 	}
-	spec.Phases = append(spec.Phases, Phase{Name: "close", Ops: []Op{{Op: "close"}}})
+	spec.Phases = append(spec.Phases, workloads.Phase{Name: "close", Ops: []workloads.Op{{Op: "close"}}})
 	return spec
 }

@@ -77,71 +77,56 @@ func assertSame(t *testing.T, label string, want, got map[string][]byte) {
 	}
 }
 
-// TestPortsMatchHandCoded is the DSL's core contract: a spec port of
-// each paper workload produces byte-identical serialized artifacts to
-// the hand-coded runner it models — same trace events, same marks,
-// same virtual wall, same telemetry when enabled.
+// TestPortsMatchHandCoded pins the paper workloads' spec builders to
+// their corpus ports: the spec IORSpec, MADbenchSpec, or GCRMSpec
+// builds from a typed config has the corpus file's canonical bytes
+// once its name is set to match. (The test name predates the
+// builders, from when those typed configs drove hand-coded rank
+// bodies.) RunIOR, RunMADbench, and RunGCRM interpret exactly these
+// specs, so the corpus goldens (TestWorkloadDSLGolden) pin the typed
+// runners as well. The -telemetry cases also run the typed runner and
+// the corpus spec side by side and compare every serialized artifact,
+// covering what a runner adds around the interpreter.
 func TestPortsMatchHandCoded(t *testing.T) {
 	const seed = 7
+	ior := workloads.IORConfig{
+		Machine: cluster.Franklin(), Tasks: 16, Reps: 2,
+		BlockBytes: 32e6, TransferBytes: 8e6, Seed: seed,
+	}
+	iorFPP := ior
+	iorFPP.FilePerProcess, iorFPP.StripeCount = true, 1
+	mad := workloads.MADbenchConfig{Machine: cluster.Jaguar(), Tasks: 36, Matrices: 2, Seed: seed}
+	gcrm := func(tasks, aggs int, twoStage, align, metaAgg bool) workloads.GCRMConfig {
+		return workloads.GCRMConfig{
+			Machine: cluster.Franklin(), Tasks: tasks, Aggregators: aggs, TwoStage: twoStage,
+			Align: align, AggregateMetadata: metaAgg, Seed: seed,
+		}
+	}
 	cases := []struct {
 		spec      string
 		telemetry bool
-		hand      func(telemetry bool) *workloads.Run
+		build     *Spec
+		// run, for the -telemetry cases, is the typed runner with
+		// telemetry on.
+		run func() *workloads.Run
 	}{
-		{"ior-shared.json", false, func(tel bool) *workloads.Run {
-			return workloads.RunIOR(workloads.IORConfig{
-				Machine: cluster.Franklin(), Tasks: 16, Reps: 2,
-				BlockBytes: 32e6, TransferBytes: 8e6, Seed: seed, Telemetry: tel,
-			})
+		{"ior-shared.json", false, workloads.IORSpec(ior), nil},
+		{"ior-shared.json", true, workloads.IORSpec(ior), func() *workloads.Run {
+			cfg := ior
+			cfg.Telemetry = true
+			return workloads.RunIOR(cfg)
 		}},
-		{"ior-shared.json", true, func(tel bool) *workloads.Run {
-			return workloads.RunIOR(workloads.IORConfig{
-				Machine: cluster.Franklin(), Tasks: 16, Reps: 2,
-				BlockBytes: 32e6, TransferBytes: 8e6, Seed: seed, Telemetry: tel,
-			})
+		{"ior-fpp.json", false, workloads.IORSpec(iorFPP), nil},
+		{"madbench.json", false, workloads.MADbenchSpec(mad), nil},
+		{"gcrm-baseline.json", false, workloads.GCRMSpec(gcrm(640, 0, false, false, false)), nil},
+		{"gcrm-collective.json", true, workloads.GCRMSpec(gcrm(640, 80, false, false, false)), func() *workloads.Run {
+			cfg := gcrm(640, 80, false, false, false)
+			cfg.Telemetry = true
+			return workloads.RunGCRM(cfg)
 		}},
-		{"ior-fpp.json", false, func(tel bool) *workloads.Run {
-			return workloads.RunIOR(workloads.IORConfig{
-				Machine: cluster.Franklin(), Tasks: 16, Reps: 2,
-				BlockBytes: 32e6, TransferBytes: 8e6, Seed: seed, Telemetry: tel,
-				FilePerProcess: true, StripeCount: 1,
-			})
-		}},
-		{"madbench.json", false, func(tel bool) *workloads.Run {
-			return workloads.RunMADbench(workloads.MADbenchConfig{
-				Machine: cluster.Jaguar(), Tasks: 36, Matrices: 2,
-				Seed: seed, Telemetry: tel,
-			})
-		}},
-		{"gcrm-baseline.json", false, func(tel bool) *workloads.Run {
-			return workloads.RunGCRM(workloads.GCRMConfig{
-				Machine: cluster.Franklin(), Tasks: 640, Seed: seed, Telemetry: tel,
-			})
-		}},
-		{"gcrm-collective.json", true, func(tel bool) *workloads.Run {
-			return workloads.RunGCRM(workloads.GCRMConfig{
-				Machine: cluster.Franklin(), Tasks: 640, Aggregators: 80,
-				Seed: seed, Telemetry: tel,
-			})
-		}},
-		{"gcrm-twostage.json", false, func(tel bool) *workloads.Run {
-			return workloads.RunGCRM(workloads.GCRMConfig{
-				Machine: cluster.Franklin(), Tasks: 128, Aggregators: 16,
-				TwoStage: true, Seed: seed, Telemetry: tel,
-			})
-		}},
-		{"gcrm-aligned.json", false, func(tel bool) *workloads.Run {
-			return workloads.RunGCRM(workloads.GCRMConfig{
-				Machine: cluster.Franklin(), Tasks: 640, Aggregators: 80,
-				Align: true, Seed: seed, Telemetry: tel,
-			})
-		}},
-		{"gcrm-metaagg.json", false, func(tel bool) *workloads.Run {
-			return workloads.RunGCRM(workloads.GCRMConfig{
-				Machine: cluster.Franklin(), Tasks: 640, Aggregators: 80,
-				Align: true, AggregateMetadata: true, Seed: seed, Telemetry: tel,
-			})
-		}},
+		{"gcrm-twostage.json", false, workloads.GCRMSpec(gcrm(128, 16, true, false, false)), nil},
+		{"gcrm-aligned.json", false, workloads.GCRMSpec(gcrm(640, 80, false, true, false)), nil},
+		{"gcrm-metaagg.json", false, workloads.GCRMSpec(gcrm(640, 80, false, true, true)), nil},
 	}
 	for _, tc := range cases {
 		name := strings.TrimSuffix(tc.spec, ".json")
@@ -149,41 +134,53 @@ func TestPortsMatchHandCoded(t *testing.T) {
 			name += "-telemetry"
 		}
 		t.Run(name, func(t *testing.T) {
-			spec := loadSpec(t, tc.spec)
-			machine := cluster.Franklin()
-			if strings.HasPrefix(tc.spec, "madbench") {
-				machine = cluster.Jaguar()
-			}
-			run, err := Run(spec, RunConfig{Machine: machine, Seed: seed, Telemetry: tc.telemetry})
+			port := loadSpec(t, tc.spec)
+			built := *tc.build
+			built.Name = port.Name
+			want, err := CanonicalBytes(port)
 			if err != nil {
-				t.Fatalf("Run: %v", err)
+				t.Fatal(err)
 			}
-			hand := tc.hand(tc.telemetry)
-			assertSame(t, name, serialize(t, hand), serialize(t, run))
+			got, err := CanonicalBytes(&built)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(want, got) {
+				t.Fatalf("builder spec differs from the corpus port:\n--- built\n%s--- %s\n%s", got, tc.spec, want)
+			}
+			if tc.run == nil {
+				return
+			}
+			p, err := workloads.Compile(port)
+			if err != nil {
+				t.Fatalf("Compile: %v", err)
+			}
+			run := p.Run(RunConfig{Machine: cluster.Franklin(), Seed: seed, Telemetry: true})
+			assertSame(t, name, serialize(t, tc.run()), serialize(t, run))
 		})
 	}
 }
 
 // TestProfileModeMatchesHandCoded pins the other collection mode: the
-// DSL port profiles identically to the hand-coded runner.
+// typed IOR runner profiles identically to its corpus port.
 func TestProfileModeMatchesHandCoded(t *testing.T) {
-	spec := loadSpec(t, "ior-shared.json")
-	run, err := Run(spec, RunConfig{Machine: cluster.Franklin(), Seed: 3, Mode: ipmio.ProfileMode})
+	p, err := workloads.Compile(loadSpec(t, "ior-shared.json"))
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("Compile: %v", err)
 	}
-	hand := workloads.RunIOR(workloads.IORConfig{
+	run := p.Run(RunConfig{Machine: cluster.Franklin(), Seed: 3, Mode: ipmio.ProfileMode})
+	typed := workloads.RunIOR(workloads.IORConfig{
 		Machine: cluster.Franklin(), Tasks: 16, Reps: 2,
 		BlockBytes: 32e6, TransferBytes: 8e6, Seed: 3, Mode: ipmio.ProfileMode,
 	})
 	var a, b bytes.Buffer
 	pa, err := tracefmt.ProfileOf(run.Collector)
 	if err != nil {
-		t.Fatalf("ProfileOf(dsl): %v", err)
+		t.Fatalf("ProfileOf(port): %v", err)
 	}
-	pb, err := tracefmt.ProfileOf(hand.Collector)
+	pb, err := tracefmt.ProfileOf(typed.Collector)
 	if err != nil {
-		t.Fatalf("ProfileOf(hand): %v", err)
+		t.Fatalf("ProfileOf(typed): %v", err)
 	}
 	if err := tracefmt.WriteProfile(&a, pa); err != nil {
 		t.Fatalf("WriteProfile: %v", err)
@@ -192,7 +189,7 @@ func TestProfileModeMatchesHandCoded(t *testing.T) {
 		t.Fatalf("WriteProfile: %v", err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) || a.Len() == 0 {
-		t.Errorf("profile JSON differs (dsl %d bytes, hand %d bytes)", a.Len(), b.Len())
+		t.Errorf("profile JSON differs (port %d bytes, typed %d bytes)", a.Len(), b.Len())
 	}
 }
 
@@ -267,10 +264,10 @@ func TestValidateRejects(t *testing.T) {
 	rejects(t, "no tasks", func(s *Spec) { s.Tasks = 0 })
 	rejects(t, "negative bytes", func(s *Spec) { s.Phases[1].Ops[0].Bytes = -1 })
 	rejects(t, "nan seconds", func(s *Spec) {
-		s.Phases[1].Ops = append(s.Phases[1].Ops, Op{Op: "compute", Seconds: nan()})
+		s.Phases[1].Ops = append(s.Phases[1].Ops, workloads.Op{Op: "compute", Seconds: nan()})
 	})
 	rejects(t, "second open", func(s *Spec) {
-		s.Phases[2].Ops = append(s.Phases[2].Ops, Op{Op: "open"})
+		s.Phases[2].Ops = append(s.Phases[2].Ops, workloads.Op{Op: "open"})
 	})
 	rejects(t, "open in repeated phase", func(s *Spec) {
 		s.Phases[0].Repeat = 2
@@ -279,11 +276,11 @@ func TestValidateRejects(t *testing.T) {
 	rejects(t, "repeated phase without %d", func(s *Spec) { s.Phases[1].Name = "write-phase" })
 	rejects(t, "unknown op", func(s *Spec) { s.Phases[1].Ops[0].Op = "pwrite9" })
 	rejects(t, "dataset op in posix mode", func(s *Spec) {
-		s.Phases[1].Ops[0] = Op{Op: "write-records", Dataset: "x"}
+		s.Phases[1].Ops[0] = workloads.Op{Op: "write-records", Dataset: "x"}
 	})
 	rejects(t, "bad name charset", func(s *Spec) { s.Name = "a b" })
 	rejects(t, "unresolved offset reach", func(s *Spec) {
-		s.Phases[1].Ops[0].Offset.PerRank = maxOffsetCoeff
+		s.Phases[1].Ops[0].Offset.PerRank = 1 << 42 // the coefficient bound; 15 ranks of it overshoot the offset bound
 	})
 }
 

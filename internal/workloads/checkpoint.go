@@ -5,6 +5,7 @@ import (
 
 	"ensembleio/internal/cluster"
 	"ensembleio/internal/ipmio"
+	"ensembleio/internal/mpi"
 	"ensembleio/internal/posixio"
 	"ensembleio/internal/sim"
 )
@@ -106,7 +107,7 @@ func RunCheckpoint(cfg CheckpointConfig) *CheckpointResult {
 	stepStart := make([]sim.Time, cfg.Steps)
 	stepEnd := make([]sim.Time, cfg.Steps)
 
-	j.launch(func(r *mpiRank, tr *tracer) {
+	j.launch(func(r *mpi.Rank, tr *ipmio.Tracer) {
 		var fd int
 		var err error
 		if !cfg.FilePerProcess {

@@ -5,7 +5,6 @@ import (
 
 	"ensembleio/internal/cluster"
 	"ensembleio/internal/faults"
-	"ensembleio/internal/h5lite"
 	"ensembleio/internal/ipmio"
 )
 
@@ -94,173 +93,65 @@ func (c *GCRMConfig) TotalRecords() int {
 	return c.Tasks * (c.SingleVars + c.MultiVars*c.MultiRecs)
 }
 
+// GCRMSpec returns the spec of the kernel cfg describes: one h5
+// dataset per variable, one phase per variable (stage-one gather, the
+// writers' record writes, the metadata flush, a barrier), and a close
+// phase. Collective buffering, alignment, and metadata aggregation are
+// spec options, so every rung of the optimization ladder shares the
+// phase list.
+func GCRMSpec(cfg GCRMConfig) *Spec {
+	cfg.defaults()
+	if cfg.Aggregators > 0 && cfg.Tasks%cfg.Aggregators != 0 {
+		panic("workloads: GCRM tasks must divide evenly among aggregators")
+	}
+	s := &Spec{
+		Tasks: cfg.Tasks,
+		Path:  cfg.Path,
+		H5:    &H5{AggregateMetadata: cfg.AggregateMetadata},
+	}
+	s.Name = "gcrm-baseline"
+	switch {
+	case cfg.AggregateMetadata:
+		s.Name = "gcrm-metaagg"
+	case cfg.Align:
+		s.Name = "gcrm-aligned"
+	case cfg.Aggregators > 0:
+		s.Name = "gcrm-collective"
+	}
+	if cfg.Align {
+		s.H5.AlignBytes = 1e6
+	}
+	if cfg.Aggregators > 0 {
+		s.Collective = &Collective{Aggregators: cfg.Aggregators, TwoStage: cfg.TwoStage}
+	}
+
+	s.Phases = []Phase{{Ops: []Op{{Op: "open"}, {Op: "barrier"}}}} // synchronize after the create storm
+	variable := func(ds, mark string, recsPerTask int) {
+		s.Datasets = append(s.Datasets, Dataset{
+			Name: ds, RecordBytes: cfg.RecordBytes, RecordsPerTask: recsPerTask, MetaOps: cfg.MetaOpsPerVar,
+		})
+		s.Phases = append(s.Phases, Phase{Name: mark, Ops: []Op{
+			{Op: "gather", Dataset: ds},
+			{Op: "write-records", Dataset: ds},
+			{Op: "metadata", Dataset: ds},
+			{Op: "barrier"},
+		}})
+	}
+	for v := 0; v < cfg.SingleVars; v++ {
+		variable(fmt.Sprintf("var1_%d", v), fmt.Sprintf("single-var-%d", v), 1)
+	}
+	for v := 0; v < cfg.MultiVars; v++ {
+		variable(fmt.Sprintf("var%d_%d", cfg.MultiRecs, v), fmt.Sprintf("multi-var-%d", v), cfg.MultiRecs)
+	}
+	s.Phases = append(s.Phases, Phase{Name: "close", Ops: []Op{{Op: "close"}}})
+	return s
+}
+
 // RunGCRM executes the kernel and returns its artifact.
 func RunGCRM(cfg GCRMConfig) *Run {
 	cfg.defaults()
-
-	writers := cfg.Tasks
-	perWriter := 1 // tasks' records handled per writer rank
-	if cfg.Aggregators > 0 {
-		if cfg.Tasks%cfg.Aggregators != 0 {
-			panic("workloads: GCRM tasks must divide evenly among aggregators")
-		}
-		writers = cfg.Aggregators
-		perWriter = cfg.Tasks / cfg.Aggregators
-	}
-
-	ranks := writers
-	if cfg.TwoStage && cfg.Aggregators > 0 {
-		ranks = cfg.Tasks
-	}
-
-	var align int64
-	if cfg.Align {
-		align = 1e6
-	}
-
-	j := newJob(cfg.Machine, ranks, cfg.Seed, cfg.Mode, cfg.Telemetry)
-	j.applyFaults(cfg.Faults)
-	// Per writer: open + close and one write per record it owns; the
-	// per-variable metadata flushes come from the single metadata-writer
-	// rank — pre-size the trace buffer to the full run (a floor;
-	// aggregated-metadata close writes ride on top).
-	recsPerWriter := perWriter * (cfg.SingleVars + cfg.MultiVars*cfg.MultiRecs)
-	metaOps := (cfg.SingleVars + cfg.MultiVars) * cfg.MetaOpsPerVar
-	j.col.Reserve(writers*(2+recsPerWriter) + metaOps + 4)
-
-	// In two-stage mode, writer w is world rank w*perWriter (spreading
-	// aggregators across nodes); its group is the perWriter ranks
-	// starting there. In single-stage mode every rank is a writer.
-	writerIdx := func(worldRank int) (int, bool) {
-		if !cfg.TwoStage || cfg.Aggregators == 0 {
-			return worldRank, true
-		}
-		if worldRank%perWriter == 0 {
-			return worldRank / perWriter, true
-		}
-		return -1, false
-	}
-	var groups []*mpiComm
-	if cfg.TwoStage && cfg.Aggregators > 0 {
-		for g := 0; g < writers; g++ {
-			members := make([]int, perWriter)
-			for i := range members {
-				members[i] = g*perWriter + i
-			}
-			groups = append(groups, j.w.NewComm(members))
-		}
-	}
-
-	// Dataset and phase-mark names are shared across ranks; format them
-	// once here instead of once per rank inside the launch body.
-	singleNames := make([]string, cfg.SingleVars)
-	singleMarks := make([]string, cfg.SingleVars)
-	for v := range singleNames {
-		singleNames[v] = fmt.Sprintf("var1_%d", v)
-		singleMarks[v] = fmt.Sprintf("single-var-%d", v)
-	}
-	multiNames := make([]string, cfg.MultiVars)
-	multiMarks := make([]string, cfg.MultiVars)
-	for v := range multiNames {
-		multiNames[v] = fmt.Sprintf("var%d_%d", cfg.MultiRecs, v)
-		multiMarks[v] = fmt.Sprintf("multi-var-%d", v)
-	}
-
-	j.launch(func(r *mpiRank, tr *tracer) {
-		w, isWriter := writerIdx(r.ID)
-		var group *mpiComm
-		if groups != nil {
-			group = groups[r.ID/perWriter]
-		}
-
-		// Non-writer ranks in two-stage mode only ship data.
-		var f *h5lite.File
-		var singles, multis []*h5lite.Dataset
-		if isWriter {
-			var err error
-			f, err = h5lite.Create(r.P, tr, cfg.Path, h5lite.FileOpts{
-				Alignment:         align,
-				AggregateMetadata: cfg.AggregateMetadata,
-				MetadataWriter:    r.ID == 0,
-			})
-			if err != nil {
-				panic(err)
-			}
-			for v := 0; v < cfg.SingleVars; v++ {
-				singles = append(singles, f.CreateDataset(
-					singleNames[v], cfg.RecordBytes, cfg.Tasks, cfg.MetaOpsPerVar))
-			}
-			for v := 0; v < cfg.MultiVars; v++ {
-				multis = append(multis, f.CreateDataset(
-					multiNames[v], cfg.RecordBytes, cfg.Tasks*cfg.MultiRecs, cfg.MetaOpsPerVar))
-			}
-		}
-
-		r.Barrier() // synchronize after file create / open storm
-
-		writeVar := func(ds *h5lite.Dataset, recsPerTask int, name string) {
-			j.mark(r, name)
-			if group != nil {
-				// Stage one: ship records to the aggregator.
-				n := cfg.RecordBytes * int64(recsPerTask)
-				group.Gather(r, n, r.ID)
-			}
-			if isWriter {
-				// Stage two: the writer emits its tasks' records.
-				for tsk := w * perWriter; tsk < (w+1)*perWriter; tsk++ {
-					t := tsk
-					if cfg.Aggregators == 0 {
-						t = w // every rank is its own task
-					}
-					for rec := 0; rec < recsPerTask; rec++ {
-						if err := ds.WriteRecord(r.P, t*recsPerTask+rec); err != nil {
-							panic(err)
-						}
-					}
-				}
-				if err := ds.FlushMetadata(r.P); err != nil {
-					panic(err)
-				}
-			}
-			r.Barrier()
-		}
-
-		for v := 0; v < cfg.SingleVars; v++ {
-			var ds *h5lite.Dataset
-			if isWriter {
-				ds = singles[v]
-			}
-			writeVar(ds, 1, singleMarks[v])
-		}
-		for v := 0; v < cfg.MultiVars; v++ {
-			var ds *h5lite.Dataset
-			if isWriter {
-				ds = multis[v]
-			}
-			writeVar(ds, cfg.MultiRecs, multiMarks[v])
-		}
-		if isWriter {
-			j.mark(r, "close")
-			if err := f.Close(r.P); err != nil {
-				panic(err)
-			}
-		}
-	})
-
-	name := "gcrm-baseline"
-	switch {
-	case cfg.AggregateMetadata:
-		name = "gcrm-metaagg"
-	case cfg.Align:
-		name = "gcrm-aligned"
-	case cfg.Aggregators > 0:
-		name = "gcrm-collective"
-	}
-	return j.finish(&Run{
-		Name:       name,
-		Tasks:      cfg.Tasks,
-		Collector:  j.col,
-		Wall:       j.wall,
-		TotalBytes: int64(cfg.TotalRecords()) * cfg.RecordBytes,
+	return mustRunSpec(GCRMSpec(cfg), RunConfig{
+		Machine: cfg.Machine, Seed: cfg.Seed, Mode: cfg.Mode,
+		Faults: cfg.Faults, Telemetry: cfg.Telemetry,
 	})
 }

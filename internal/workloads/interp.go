@@ -1,4 +1,4 @@
-package wldsl
+package workloads
 
 import (
 	"fmt"
@@ -10,7 +10,6 @@ import (
 	"ensembleio/internal/mpi"
 	"ensembleio/internal/posixio"
 	"ensembleio/internal/sim"
-	"ensembleio/internal/workloads"
 )
 
 // computeSeedSalt decorrelates the compute-imbalance stream from every
@@ -193,7 +192,7 @@ func expandMarks(name string, repeat int) []string {
 // account folds one compiled phase into the program's trace-event and
 // logical-byte totals. Event counts are a close floor (aggregated-
 // metadata close writes are estimated), byte totals are exact and
-// match the hand-coded workloads' conventions: sized data ops count
+// follow the Run.TotalBytes convention: sized data ops count
 // their requested bytes, record writes count logical record bytes
 // (padding excluded), metadata and gather traffic count nothing.
 func (p *Program) account(cp *cphase) {
@@ -280,8 +279,7 @@ func (p *Program) TotalBytes() int64 { return p.total }
 
 // RunConfig carries the runtime knobs a spec deliberately does not:
 // which machine, which seed, which degradation scenario, what to
-// collect. It mirrors the hand-coded workload configs field for
-// field.
+// collect.
 type RunConfig struct {
 	Machine cluster.Profile
 	Seed    int64
@@ -295,34 +293,38 @@ type RunConfig struct {
 	Telemetry bool
 }
 
-// Run executes the compiled program once and returns its artifact.
-func (p *Program) Run(cfg RunConfig) *workloads.Run {
-	J := workloads.NewCustomJob(workloads.CustomConfig{
-		Machine:       cfg.Machine,
-		Tasks:         p.ranks,
-		Seed:          cfg.Seed,
-		Mode:          cfg.Mode,
-		Faults:        cfg.Faults,
-		Telemetry:     cfg.Telemetry,
-		StripeCount:   p.spec.StripeCount,
-		ReserveEvents: p.events,
+// Run executes the compiled program once on a machine of its own and
+// returns its artifact.
+func (p *Program) Run(cfg RunConfig) *Run {
+	if cfg.Mode == 0 {
+		cfg.Mode = ipmio.TraceMode
+	}
+	j := newJob(cfg.Machine, p.ranks, cfg.Seed, cfg.Mode, cfg.Telemetry)
+	j.fs.DefaultStripeCount = p.spec.StripeCount
+	j.plat.applyFaults(cfg.Faults)
+	j.col.Reserve(p.events)
+	j.launch(p.Body(&Job{j: j}, cfg.Seed))
+	return j.finish(&Run{
+		Name:       p.spec.Name,
+		Tasks:      p.spec.Tasks,
+		Collector:  j.col,
+		Wall:       j.wall,
+		TotalBytes: p.total,
 	})
-	J.Launch(p.Body(J, cfg.Seed))
-	return J.Finish(p.spec.Name, p.spec.Tasks, p.total)
 }
 
-// Body prepares the program to run on an externally built job — a
-// tenant of a shared-platform session (internal/tenancy) or the solo
-// job Run builds — and returns the per-rank interpreter body for
-// Launch/Spawn. Pre-launch setup happens here, in a deterministic
-// order: the stage-one shipping groups on J's world, then the
-// compute-imbalance draws from the seed's dedicated stream (a solo
-// baseline passing the same seed reproduces the same compute times).
-func (p *Program) Body(J *workloads.Job, seed int64) func(r *mpi.Rank, tr *ipmio.Tracer) {
+// Body prepares the program to run on job J — the solo job Run
+// builds, or a tenant of a shared-platform session (internal/tenancy)
+// — and returns the per-rank interpreter body. Pre-launch setup
+// happens here, in a deterministic order: the stage-one shipping
+// groups on J's world, then the compute-imbalance draws from the
+// seed's dedicated stream (a solo baseline passing the same seed
+// reproduces the same compute times).
+func (p *Program) Body(J *Job, seed int64) func(r *mpi.Rank, tr *ipmio.Tracer) {
+	j := J.j
 	// Stage-one shipping groups: aggregator g's group is the perWriter
 	// consecutive ranks starting at g*perWriter, created pre-launch in
-	// writer order (the same deterministic order the hand-coded GCRM
-	// uses).
+	// writer order.
 	var groups []*mpi.Comm
 	if p.twoStage {
 		for g := 0; g < p.writers; g++ {
@@ -330,14 +332,14 @@ func (p *Program) Body(J *workloads.Job, seed int64) func(r *mpi.Rank, tr *ipmio
 			for i := range members {
 				members[i] = g*p.perWriter + i
 			}
-			groups = append(groups, J.World().NewComm(members))
+			groups = append(groups, j.w.NewComm(members))
 		}
 	}
 
 	factors := p.drawImbalance(seed)
 
 	return func(r *mpi.Rank, tr *ipmio.Tracer) {
-		ex := executor{p: p, J: J, r: r, tr: tr, fd: -1, factors: factors}
+		ex := executor{p: p, j: j, r: r, tr: tr, fd: -1, factors: factors}
 		ex.writer, ex.w = p.writerOf(r.ID)
 		if groups != nil {
 			ex.group = groups[r.ID/p.perWriter]
@@ -395,7 +397,7 @@ func (p *Program) drawImbalance(seed int64) [][]float64 {
 // executor is one rank's interpreter state.
 type executor struct {
 	p       *Program
-	J       *workloads.Job
+	j       *job
 	r       *mpi.Rank
 	tr      *ipmio.Tracer
 	factors [][]float64
@@ -409,9 +411,9 @@ type executor struct {
 	datasets []*h5lite.Dataset
 }
 
-// exec runs one compiled op for the rank. I/O errors panic, exactly
-// as the hand-coded workload bodies treat them: inside the simulation
-// an I/O error is a workload bug, not an environmental condition.
+// exec runs one compiled op for the rank. I/O errors panic: inside
+// the simulation an I/O error is a workload bug, not an environmental
+// condition.
 func (ex *executor) exec(op *cop, rep int) {
 	p, r, tr := ex.p, ex.r, ex.tr
 	switch op.kind {
@@ -444,7 +446,7 @@ func (ex *executor) exec(op *cop, rep int) {
 	case kBarrier:
 		r.Barrier()
 	case kMark:
-		ex.J.Mark(r, op.marks[rep])
+		ex.j.mark(r, op.marks[rep])
 	case kCompute:
 		r.P.Sleep(sim.Duration(op.seconds * ex.factors[op.compute][r.ID]))
 	case kSeek:
@@ -534,11 +536,14 @@ func (o *Offset) at(rank, iter, rep int) int64 {
 	return o.Base + o.PerRank*int64(rank) + o.PerIter*int64(iter) + o.PerPhase*int64(rep)
 }
 
-// Run compiles and executes a spec in one step.
-func Run(s *Spec, cfg RunConfig) (*workloads.Run, error) {
+// mustRunSpec compiles and runs a spec built from a typed workload
+// config. Builders hand out valid specs for valid configs, so a
+// compile error means the config itself is out of range, and it
+// panics like every other invalid-config check in this package.
+func mustRunSpec(s *Spec, cfg RunConfig) *Run {
 	p, err := Compile(s)
 	if err != nil {
-		return nil, err
+		panic(err)
 	}
-	return p.Run(cfg), nil
+	return p.Run(cfg)
 }

@@ -6,7 +6,6 @@ import (
 	"ensembleio/internal/cluster"
 	"ensembleio/internal/faults"
 	"ensembleio/internal/ipmio"
-	"ensembleio/internal/posixio"
 )
 
 // IORConfig parametrizes the Interleaved-Or-Random micro-benchmark as
@@ -70,80 +69,75 @@ func (c *IORConfig) defaults() {
 	}
 }
 
-// RunIOR executes the benchmark and returns its artifact.
-func RunIOR(cfg IORConfig) *Run {
+// IORSpec returns the spec of the benchmark cfg describes: an open
+// storm and a barrier, Reps write phases of BlockBytes/TransferBytes
+// transfers per task, an optional read-back phase, and a close.
+func IORSpec(cfg IORConfig) *Spec {
 	cfg.defaults()
 	if cfg.BlockBytes%cfg.TransferBytes != 0 {
 		panic("workloads: IOR block must be a multiple of the transfer size")
 	}
 	k := int(cfg.BlockBytes / cfg.TransferBytes)
-
-	flags := posixio.OCreat | posixio.OWronly
-	if cfg.ReadBack {
-		flags = posixio.OCreat | posixio.ORdwr
-	}
-	j := newJob(cfg.Machine, cfg.Tasks, cfg.Seed, cfg.Mode, cfg.Telemetry)
-	j.fs.DefaultStripeCount = cfg.StripeCount
-	j.applyFaults(cfg.Faults)
-	// Every rank records one open, Reps*k writes, k reads when reading
-	// back, and one close; pre-size the trace buffer to the full run.
-	perRank := 2 + cfg.Reps*k
-	if cfg.ReadBack {
-		perRank += k
-	}
-	j.col.Reserve(cfg.Tasks * perRank)
-	j.launch(func(r *mpiRank, tr *tracer) {
-		path := cfg.Path
-		base := int64(r.ID) * cfg.BlockBytes
-		if cfg.FilePerProcess {
-			path = fmt.Sprintf("%s.%05d", cfg.Path, r.ID)
-			base = 0
-		}
-		fd, err := tr.Open(r.P, path, flags)
-		if err != nil {
-			panic(err)
-		}
-		// Synchronize after the open storm so phase marks precede all
-		// phase I/O (IOR also barriers before its timed section).
-		r.Barrier()
-		for rep := 0; rep < cfg.Reps; rep++ {
-			j.mark(r, fmt.Sprintf("write-phase-%d", rep))
-			for i := 0; i < k; i++ {
-				off := base + int64(i)*cfg.TransferBytes
-				if _, err := tr.Pwrite(r.P, fd, off, cfg.TransferBytes); err != nil {
-					panic(err)
-				}
-			}
-			r.Barrier()
-		}
-		if cfg.ReadBack {
-			j.mark(r, "read-phase")
-			for i := 0; i < k; i++ {
-				off := base + int64(i)*cfg.TransferBytes
-				if n, err := tr.Pread(r.P, fd, off, cfg.TransferBytes); err != nil || n != cfg.TransferBytes {
-					panic(fmt.Sprintf("ior readback: n=%d err=%v", n, err))
-				}
-			}
-			r.Barrier()
-		}
-		if err := tr.Close(r.P, fd); err != nil {
-			panic(err)
-		}
-	})
-
-	total := int64(cfg.Tasks) * cfg.BlockBytes * int64(cfg.Reps)
-	if cfg.ReadBack {
-		total += int64(cfg.Tasks) * cfg.BlockBytes
-	}
 	name := fmt.Sprintf("ior-%dx%dMB-t%dMB", cfg.Tasks, cfg.BlockBytes/1e6, cfg.TransferBytes/1e6)
 	if cfg.FilePerProcess {
 		name += "-fpp"
 	}
-	return j.finish(&Run{
-		Name:       name,
-		Tasks:      cfg.Tasks,
-		Collector:  j.col,
-		Wall:       j.wall,
-		TotalBytes: total,
+	// Each task's block: a unique region of the shared file, or the
+	// start of its own file.
+	off := Offset{PerRank: cfg.BlockBytes, PerIter: cfg.TransferBytes}
+	if cfg.FilePerProcess {
+		off.PerRank = 0
+	}
+	phases := []Phase{
+		// Synchronize after the open storm so phase marks precede all
+		// phase I/O (IOR also barriers before its timed section).
+		{Ops: []Op{{Op: "open"}, {Op: "barrier"}}},
+		{Name: "write-phase-%d", Repeat: cfg.Reps, Ops: []Op{
+			{Op: "pwrite", Bytes: cfg.TransferBytes, Count: k, Offset: &off},
+			{Op: "barrier"},
+		}},
+	}
+	if cfg.ReadBack {
+		rd := off
+		phases = append(phases, Phase{Name: "read-phase", Ops: []Op{
+			{Op: "pread", Bytes: cfg.TransferBytes, Count: k, Offset: &rd},
+			{Op: "barrier"},
+		}})
+	}
+	phases = append(phases, Phase{Ops: []Op{{Op: "close"}}})
+	return &Spec{
+		Name:           name,
+		Tasks:          cfg.Tasks,
+		Path:           cfg.Path,
+		FilePerProcess: cfg.FilePerProcess,
+		StripeCount:    cfg.StripeCount,
+		Phases:         phases,
+	}
+}
+
+// RunIOR executes the benchmark and returns its artifact.
+func RunIOR(cfg IORConfig) *Run {
+	cfg.defaults()
+	run := mustRunSpec(IORSpec(cfg), RunConfig{
+		Machine: cfg.Machine, Seed: cfg.Seed, Mode: cfg.Mode,
+		Faults: cfg.Faults, Telemetry: cfg.Telemetry,
 	})
+	if err := checkIORReadBack(run.Collector, cfg.TransferBytes); err != nil {
+		panic(err)
+	}
+	return run
+}
+
+// checkIORReadBack fails a read-back call that returned fewer bytes
+// than it asked for. A short read at end of file is legal POSIX, so
+// the interpreter traces it and moves on; IOR reads back blocks it has
+// just written, so for IOR a short read is a model bug. The check runs
+// over the traced read events (a profile-only run retains none).
+func checkIORReadBack(col *ipmio.Collector, transfer int64) error {
+	for i := range col.Events {
+		if e := &col.Events[i]; e.Op == ipmio.OpRead && e.Bytes != transfer {
+			return fmt.Errorf("ior readback: rank %d read %d bytes at offset %d, want %d", e.Rank, e.Bytes, e.Offset, transfer)
+		}
+	}
+	return nil
 }

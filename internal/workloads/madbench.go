@@ -6,8 +6,6 @@ import (
 	"ensembleio/internal/cluster"
 	"ensembleio/internal/faults"
 	"ensembleio/internal/ipmio"
-	"ensembleio/internal/lustre"
-	"ensembleio/internal/posixio"
 )
 
 // MADbenchConfig parametrizes the MADbench I/O kernel of §IV with
@@ -41,9 +39,6 @@ type MADbenchConfig struct {
 	// Telemetry enables the run's deterministic metric/span sink
 	// (Run.Telemetry, Run.Spans).
 	Telemetry bool
-	// Instrument, when set, receives the mounted file system before
-	// launch (diagnostic hooks, e.g. lustre.FS.OnPathology).
-	Instrument func(fs *lustre.FS)
 }
 
 func (c *MADbenchConfig) defaults() {
@@ -75,77 +70,73 @@ func (c *MADbenchConfig) Stride() int64 {
 	return (cc.MatrixBytes + cc.AlignBytes - 1) / cc.AlignBytes * cc.AlignBytes
 }
 
+// MADbenchSpec returns the spec of the kernel cfg describes: each
+// task's matrices live in consecutive aligned slots of its region of
+// the shared file, written in the S phase, read and rewritten in the
+// W phase, and read again in the C phase, with a barrier after every
+// matrix.
+func MADbenchSpec(cfg MADbenchConfig) *Spec {
+	cfg.defaults()
+	stride := cfg.Stride()
+	// slot is matrix rep's aligned slot in the rank's region.
+	slot := func() *Offset {
+		return &Offset{PerRank: int64(cfg.Matrices) * stride, PerPhase: stride}
+	}
+	return &Spec{
+		Name:  fmt.Sprintf("madbench-%d-%s", cfg.Tasks, cfg.Machine.Name),
+		Tasks: cfg.Tasks,
+		Path:  cfg.Path,
+		Phases: []Phase{
+			{Ops: []Op{{Op: "open"}, {Op: "barrier"}}}, // synchronize after the open storm
+			// S: generate and write each matrix.
+			{Name: "S-write-%d", Repeat: cfg.Matrices, Ops: []Op{
+				{Op: "pwrite", Bytes: cfg.MatrixBytes, Offset: slot()},
+				{Op: "barrier"},
+			}},
+			// W: read each matrix back, multiply (elided), write result.
+			{Name: "W-rw-%d", Repeat: cfg.Matrices, Ops: []Op{
+				{Op: "seek", Offset: slot()},
+				{Op: "read", Bytes: cfg.MatrixBytes},
+				{Op: "seek", Offset: slot()},
+				{Op: "write", Bytes: cfg.MatrixBytes},
+				{Op: "barrier"},
+			}},
+			// C: read the results and accumulate the trace (elided).
+			{Name: "C-read-%d", Repeat: cfg.Matrices, Ops: []Op{
+				{Op: "seek", Offset: slot()},
+				{Op: "read", Bytes: cfg.MatrixBytes},
+				{Op: "barrier"},
+			}},
+			{Ops: []Op{{Op: "close"}}},
+		},
+	}
+}
+
 // RunMADbench executes the kernel and returns its artifact.
 func RunMADbench(cfg MADbenchConfig) *Run {
 	cfg.defaults()
-	stride := cfg.Stride()
-
-	j := newJob(cfg.Machine, cfg.Tasks, cfg.Seed, cfg.Mode, cfg.Telemetry)
-	j.applyFaults(cfg.Faults)
-	if cfg.Instrument != nil {
-		cfg.Instrument(j.fs)
-	}
-	// Per rank: open, S write, W seek+read+seek+write, C seek+read per
-	// matrix, close — pre-size the trace buffer to the full run.
-	j.col.Reserve(cfg.Tasks * (2 + cfg.Matrices*7))
-	j.launch(func(r *mpiRank, tr *tracer) {
-		fd, err := tr.Open(r.P, cfg.Path, posixio.OCreat|posixio.ORdwr)
-		if err != nil {
-			panic(err)
-		}
-		r.Barrier() // synchronize after the open storm
-		base := int64(r.ID) * int64(cfg.Matrices) * stride
-		slot := func(m int) int64 { return base + int64(m)*stride }
-
-		// S: generate and write each matrix.
-		for m := 0; m < cfg.Matrices; m++ {
-			j.mark(r, fmt.Sprintf("S-write-%d", m))
-			mustW(tr.Pwrite(r.P, fd, slot(m), cfg.MatrixBytes))
-			r.Barrier()
-		}
-		// W: read each matrix back, multiply (elided), write result.
-		for m := 0; m < cfg.Matrices; m++ {
-			j.mark(r, fmt.Sprintf("W-rw-%d", m))
-			must(tr.Seek(r.P, fd, slot(m), posixio.SeekSet))
-			mustW(tr.Read(r.P, fd, cfg.MatrixBytes))
-			must(tr.Seek(r.P, fd, slot(m), posixio.SeekSet))
-			mustW(tr.Write(r.P, fd, cfg.MatrixBytes))
-			r.Barrier()
-		}
-		// C: read the results and accumulate the trace (elided).
-		for m := 0; m < cfg.Matrices; m++ {
-			j.mark(r, fmt.Sprintf("C-read-%d", m))
-			must(tr.Seek(r.P, fd, slot(m), posixio.SeekSet))
-			mustW(tr.Read(r.P, fd, cfg.MatrixBytes))
-			r.Barrier()
-		}
-		if err := tr.Close(r.P, fd); err != nil {
-			panic(err)
-		}
+	run := mustRunSpec(MADbenchSpec(cfg), RunConfig{
+		Machine: cfg.Machine, Seed: cfg.Seed, Mode: cfg.Mode,
+		Faults: cfg.Faults, Telemetry: cfg.Telemetry,
 	})
-
-	perTask := int64(cfg.Matrices) * cfg.MatrixBytes
-	return j.finish(&Run{
-		Name:      fmt.Sprintf("madbench-%d-%s", cfg.Tasks, cfg.Machine.Name),
-		Tasks:     cfg.Tasks,
-		Collector: j.col,
-		Wall:      j.wall,
-		// S writes + W reads + W writes + C reads.
-		TotalBytes: int64(cfg.Tasks) * perTask * 4,
-	})
-}
-
-func must(_ int64, err error) {
-	if err != nil {
+	if err := checkMADbenchTransfers(run.Collector); err != nil {
 		panic(err)
 	}
+	return run
 }
 
-func mustW(n int64, err error) {
-	if err != nil {
-		panic(err)
+// checkMADbenchTransfers fails a matrix read or write that moved no
+// bytes. The interpreter accepts a zero-length read at end of file as
+// legal POSIX; every MADbench transfer moves a whole matrix through a
+// slot the S phase wrote, so for MADbench one is a model bug. The
+// check runs over the traced events (a profile-only run retains
+// none).
+func checkMADbenchTransfers(col *ipmio.Collector) error {
+	for i := range col.Events {
+		e := &col.Events[i]
+		if (e.Op == ipmio.OpRead || e.Op == ipmio.OpWrite) && e.Bytes == 0 {
+			return fmt.Errorf("workloads: madbench zero-length %s on rank %d at offset %d", e.Op, e.Rank, e.Offset)
+		}
 	}
-	if n == 0 {
-		panic("workloads: zero-length transfer")
-	}
+	return nil
 }

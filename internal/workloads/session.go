@@ -22,6 +22,46 @@ type Session struct {
 	pl *platform
 }
 
+// Job is one simulated job: its MPI world and collector, plus, on a
+// Session (AddJob), its tenant identity and lustre accounting bucket
+// on the shared platform.
+type Job struct {
+	j *job
+}
+
+// Spawn launches body on every rank at the job's start offset without
+// driving the engine. The session spawns every tenant, then calls
+// Session.Run once.
+func (J *Job) Spawn(body func(r *mpi.Rank, tr *ipmio.Tracer)) { J.j.spawn(body) }
+
+// FinishTenant assembles a tenant's run artifact after Session.Run:
+// collector, absolute last-rank finish time (Wall), and the shared
+// mount's final stats. It folds no telemetry — the session folds one
+// merged stream for all tenants (Session.Fold). tasks is the
+// workload's logical task count and totalBytes its logical data
+// volume.
+func (J *Job) FinishTenant(name string, tasks int, totalBytes int64) *Run {
+	return &Run{
+		Name:         name,
+		Tasks:        tasks,
+		Collector:    J.j.col,
+		Wall:         J.j.wall,
+		TotalBytes:   totalBytes,
+		FSStats:      J.j.fs.Stats(),
+		CoresPerNode: J.j.cl.Prof.CoresPerNode,
+	}
+}
+
+// StartSec is the virtual time the job's ranks actually launched (its
+// staggered start offset).
+func (J *Job) StartSec() float64 { return float64(J.j.started) }
+
+// EndSec is the virtual time the job's last rank finished.
+func (J *Job) EndSec() float64 { return float64(J.j.wall) }
+
+// Usage snapshots the job's per-tenant slice of the server-side view.
+func (J *Job) Usage() lustre.TenantUsage { return J.j.fs.TenantUsage(J.j.tenantIdx) }
+
 // SessionConfig sizes and seeds the shared platform.
 type SessionConfig struct {
 	Machine cluster.Profile
@@ -94,15 +134,8 @@ func (s *Session) AddJob(cfg TenantJobConfig) *Job {
 // drains. Spawn every tenant first.
 func (s *Session) Run() { s.pl.eng.Run() }
 
-// FS exposes the shared mount (per-tenant usage snapshots).
-func (s *Session) FS() *lustre.FS { return s.pl.fs }
-
-// Telemetry exposes the session's merged sink (nil-safe no-op when
-// telemetry is disabled).
-func (s *Session) Telemetry() *telemetry.Sink { return s.pl.tel }
-
-// Fold assembles the session's merged telemetry after Run: the global
-// engine/lustre/per-OST sections exactly as a solo run folds them,
+// Fold assembles the session's merged telemetry after Run: the
+// platform-wide section a solo run folds too (platform.foldCounters),
 // then a per-tenant section for each job in attachment order —
 // window, fast-forward share, data-path totals, per-OST byte/stall/
 // busy counters — and the span stream in a fixed order: tenant
@@ -123,19 +156,8 @@ func (s *Session) Fold(jobs []*Job) (*telemetry.Snapshot, []telemetry.Span) {
 		}
 	}
 
-	tel.Counter("sim.events_popped").Add(float64(s.pl.eng.EventsPopped()))
-	tel.Counter("sim.events_scheduled").Add(float64(s.pl.eng.EventsScheduled()))
-	tel.Gauge("sim.heap_high_water").Set(float64(s.pl.eng.HeapHighWater()))
-	tel.Counter("sim.virtual_seconds").Add(wall)
-	if ff := s.pl.eng.FastForwardSeconds(); ff > 0 {
-		tel.Counter("sim.ff_seconds").Add(ff)
-		tel.Counter("sim.ff_jumps").Add(float64(s.pl.eng.FastForwardJumps()))
-	}
-
 	st := s.pl.fs.Stats()
-	foldLustreCounters(tel, &st)
-	stalls := s.pl.scenario.StallSeconds(wall, len(st.PerOST))
-	foldPerOST(tel, "lustre.", st.PerOST, stalls)
+	s.pl.foldCounters(wall, &st)
 
 	for _, J := range jobs {
 		j := J.j
@@ -189,9 +211,7 @@ func (s *Session) Fold(jobs []*Job) (*telemetry.Snapshot, []telemetry.Span) {
 			tel.Span("phase", j.tenant+"/"+m.Name, -1, float64(m.T), end)
 		}
 	}
-	for _, w := range s.pl.scenario.Windows(wall) {
-		tel.Span("fault", w.Label, -1, w.T0, w.T1)
-	}
+	s.pl.foldFaultWindows(wall)
 	for _, J := range jobs {
 		j := J.j
 		for i := range j.col.Events {
@@ -201,31 +221,6 @@ func (s *Session) Fold(jobs []*Job) (*telemetry.Snapshot, []telemetry.Span) {
 	}
 
 	return tel.Snapshot(), tel.Spans()
-}
-
-// foldLustreCounters folds the file-system-wide counters, skipping
-// zeros (shared with the solo fold).
-func foldLustreCounters(tel *telemetry.Sink, st *lustre.Stats) {
-	for _, c := range []struct {
-		name string
-		v    float64
-	}{
-		{"lustre.write_jobs", float64(st.WriteJobs)},
-		{"lustre.write_mb", st.WriteMB},
-		{"lustre.read_calls", float64(st.ReadCalls)},
-		{"lustre.read_mb", st.ReadMB},
-		{"lustre.absorbed_mb", st.AbsorbedMB},
-		{"lustre.drain_chunks", float64(st.DrainChunks)},
-		{"lustre.conflicts", float64(st.Conflicts)},
-		{"lustre.luck_capped", float64(st.LuckCapped)},
-		{"lustre.mds_ops", float64(st.MDSOps)},
-		{"lustre.mds_slow_ops", float64(st.MDSSlowOps)},
-		{"lustre.small_writes", float64(st.SmallWrites)},
-	} {
-		if c.v != 0 {
-			tel.Counter(c.name).Add(c.v)
-		}
-	}
 }
 
 // foldPerOST folds one per-OST stat block under the given name prefix,

@@ -28,24 +28,13 @@ type TransferPoint struct {
 
 // IORTransferSweep runs the Figure 2 experiment: the base
 // configuration with its block split into each k of ks, averaged over
-// the given seeds. The base's TransferBytes is ignored. All (k, seed)
-// runs execute in parallel on all cores; use IORTransferSweepJ to
-// bound the worker count.
-func IORTransferSweep(base IORConfig, ks []int, seeds []int64) []TransferPoint {
-	return IORTransferSweepJ(base, ks, seeds, 0)
-}
-
-// IORTransferSweepJ is IORTransferSweep on at most workers OS workers
-// (workers <= 0 means all cores, 1 means sequential).
-func IORTransferSweepJ(base IORConfig, ks []int, seeds []int64, workers int) []TransferPoint {
-	return IORTransferSweepProgress(base, ks, seeds, workers, nil)
-}
-
-// IORTransferSweepProgress is IORTransferSweepJ with live completion
-// reporting (see runpool.Progress; nil disables). Progress observes
-// only run *counts*, so the sweep's results and serialized artifacts
-// stay byte-identical with or without it.
-func IORTransferSweepProgress(base IORConfig, ks []int, seeds []int64, workers int, progress runpool.Progress) []TransferPoint {
+// the given seeds. The base's TransferBytes is ignored. The (k, seed)
+// runs execute on at most workers OS workers (workers <= 0 means all
+// cores, 1 means sequential). progress, when non-nil, observes live
+// completion counts (see runpool.Progress); it sees only counts, so
+// the results and serialized artifacts are byte-identical with or
+// without it.
+func IORTransferSweep(base IORConfig, ks []int, seeds []int64, workers int, progress runpool.Progress) []TransferPoint {
 	base.defaults()
 	type job struct {
 		k    int
@@ -100,21 +89,8 @@ type WriterPoint struct {
 // volume (totalTransfers x transferBytes) divided among each writer
 // count, each task issuing whole transfers and walls averaged over the
 // seeds. Counts that do not divide the work evenly get the rounded-up
-// share. All (count, seed) runs execute in parallel on all cores; use
-// IORWriterSweepJ to bound the worker count.
-func IORWriterSweep(prof cluster.Profile, counts []int, totalTransfers int, transferBytes int64, seeds []int64) []WriterPoint {
-	return IORWriterSweepJ(prof, counts, totalTransfers, transferBytes, seeds, 0)
-}
-
-// IORWriterSweepJ is IORWriterSweep on at most workers OS workers
-// (workers <= 0 means all cores, 1 means sequential).
-func IORWriterSweepJ(prof cluster.Profile, counts []int, totalTransfers int, transferBytes int64, seeds []int64, workers int) []WriterPoint {
-	return IORWriterSweepProgress(prof, counts, totalTransfers, transferBytes, seeds, workers, nil)
-}
-
-// IORWriterSweepProgress is IORWriterSweepJ with live completion
-// reporting (see runpool.Progress; nil disables).
-func IORWriterSweepProgress(prof cluster.Profile, counts []int, totalTransfers int, transferBytes int64, seeds []int64, workers int, progress runpool.Progress) []WriterPoint {
+// share. workers and progress are as for IORTransferSweep.
+func IORWriterSweep(prof cluster.Profile, counts []int, totalTransfers int, transferBytes int64, seeds []int64, workers int, progress runpool.Progress) []WriterPoint {
 	type job struct {
 		writers int
 		seed    int64

@@ -1,9 +1,12 @@
-// Package workloads implements the paper's three studied I/O
-// workloads against the simulated stack: the IOR parametrized
-// micro-benchmark (§III), the MADbench out-of-core CMB solver I/O
-// kernel (§IV), and the GCRM climate-model I/O kernel with its three
-// progressive optimizations (§V). Each run produces an IPM-I/O
-// collector ready for ensemble analysis.
+// Package workloads runs I/O workloads against the simulated stack.
+// One interpreter (Compile, Program) executes declarative workload
+// specs, and the paper's three studied workloads are builders over
+// it: the IOR parametrized micro-benchmark (§III, IORSpec), the
+// MADbench out-of-core CMB solver I/O kernel (§IV, MADbenchSpec), and
+// the GCRM climate-model I/O kernel with its three progressive
+// optimizations (§V, GCRMSpec). RunCheckpoint keeps a rank body of its
+// own. Each run produces an IPM-I/O collector ready for ensemble
+// analysis.
 package workloads
 
 import (
@@ -15,13 +18,6 @@ import (
 	"ensembleio/internal/posixio"
 	"ensembleio/internal/sim"
 	"ensembleio/internal/telemetry"
-)
-
-// Type aliases keep the per-workload files terse.
-type (
-	mpiRank = mpi.Rank
-	mpiComm = mpi.Comm
-	tracer  = ipmio.Tracer
 )
 
 // Run is the artifact of one workload execution.
@@ -121,6 +117,59 @@ func (pl *platform) jobDone() {
 	}
 }
 
+// foldCounters writes the platform-wide telemetry section that solo
+// runs and multi-tenant sessions share: engine work and fast-forward
+// counters over wall virtual seconds, the file-system-wide lustre
+// counters, and the per-OST block with the fault scenario's stall
+// exposure (nil scenario -> no stalls). Snapshots sort counters by
+// name, so where a fold calls this does not move a byte.
+func (pl *platform) foldCounters(wall float64, st *lustre.Stats) {
+	tel, eng := pl.tel, pl.eng
+	tel.Counter("sim.events_popped").Add(float64(eng.EventsPopped()))
+	tel.Counter("sim.events_scheduled").Add(float64(eng.EventsScheduled()))
+	tel.Gauge("sim.heap_high_water").Set(float64(eng.HeapHighWater()))
+
+	// Fast-forward accounting: virtual seconds the fabric crossed in
+	// single analytic jumps. The jumps are a pure function of the
+	// simulated schedule, so these counters are safe to serialize and
+	// ensembletop can print the ratio against sim.virtual_seconds.
+	tel.Counter("sim.virtual_seconds").Add(wall)
+	if ff := eng.FastForwardSeconds(); ff > 0 {
+		tel.Counter("sim.ff_seconds").Add(ff)
+		tel.Counter("sim.ff_jumps").Add(float64(eng.FastForwardJumps()))
+	}
+
+	for _, c := range []struct {
+		name string
+		v    float64
+	}{
+		{"lustre.write_jobs", float64(st.WriteJobs)},
+		{"lustre.write_mb", st.WriteMB},
+		{"lustre.read_calls", float64(st.ReadCalls)},
+		{"lustre.read_mb", st.ReadMB},
+		{"lustre.absorbed_mb", st.AbsorbedMB},
+		{"lustre.drain_chunks", float64(st.DrainChunks)},
+		{"lustre.conflicts", float64(st.Conflicts)},
+		{"lustre.luck_capped", float64(st.LuckCapped)},
+		{"lustre.mds_ops", float64(st.MDSOps)},
+		{"lustre.mds_slow_ops", float64(st.MDSSlowOps)},
+		{"lustre.small_writes", float64(st.SmallWrites)},
+	} {
+		if c.v != 0 {
+			tel.Counter(c.name).Add(c.v)
+		}
+	}
+	foldPerOST(tel, "lustre.", st.PerOST, pl.scenario.StallSeconds(wall, len(st.PerOST)))
+}
+
+// foldFaultWindows records the fault scenario's windows up to wall as
+// spans (none without a scenario).
+func (pl *platform) foldFaultWindows(wall float64) {
+	for _, w := range pl.scenario.Windows(wall) {
+		pl.tel.Span("fault", w.Label, -1, w.T0, w.T1)
+	}
+}
+
 // job wires up one simulated job on a platform: an MPI world, a
 // collector, and (on multi-tenant sessions) a tenant identity plus a
 // virtual-time start offset.
@@ -175,8 +224,6 @@ func newJob(prof cluster.Profile, tasks int, seed int64, mode ipmio.Mode, withTe
 	return pl.attach(tasks, mode, mpi.Config{})
 }
 
-func (j *job) applyFaults(s *faults.Scenario) { j.plat.applyFaults(s) }
-
 // finish snapshots the per-run server-side state into the artifact.
 func (j *job) finish(r *Run) *Run {
 	r.FSStats = j.fs.Stats()
@@ -186,38 +233,16 @@ func (j *job) finish(r *Run) *Run {
 }
 
 // foldTelemetry turns the sink plus end-of-run state into the run's
-// serialized telemetry: engine and lustre counters are folded in bulk
-// here (zero hot-path cost), and the span list is assembled in a fixed
-// order — workload phases, fault windows, then per-rank I/O calls —
-// every piece a pure function of the simulated run.
+// serialized telemetry: the platform-wide counters, then the span list
+// in a fixed order — workload phases, fault windows, then per-rank I/O
+// calls — every piece a pure function of the simulated run.
 func (j *job) foldTelemetry(r *Run) {
 	tel := j.tel
 	if !tel.Enabled() {
 		return
 	}
 	wall := float64(j.wall)
-
-	tel.Counter("sim.events_popped").Add(float64(j.eng.EventsPopped()))
-	tel.Counter("sim.events_scheduled").Add(float64(j.eng.EventsScheduled()))
-	tel.Gauge("sim.heap_high_water").Set(float64(j.eng.HeapHighWater()))
-
-	// Fast-forward accounting: virtual seconds the fabric crossed in
-	// single analytic jumps. The jumps are a pure function of the
-	// simulated schedule, so these counters are safe to serialize and
-	// ensembletop can print the ratio against sim.virtual_seconds.
-	tel.Counter("sim.virtual_seconds").Add(wall)
-	if ff := j.eng.FastForwardSeconds(); ff > 0 {
-		tel.Counter("sim.ff_seconds").Add(ff)
-		tel.Counter("sim.ff_jumps").Add(float64(j.eng.FastForwardJumps()))
-	}
-
-	st := &r.FSStats
-	foldLustreCounters(tel, st)
-
-	// Per-OST accounting, including injected stall exposure derived
-	// from the fault scenario's windows (nil scenario -> no stalls).
-	stalls := j.plat.scenario.StallSeconds(wall, len(st.PerOST))
-	foldPerOST(tel, "lustre.", st.PerOST, stalls)
+	j.plat.foldCounters(wall, &r.FSStats)
 
 	marks := j.col.Marks
 	for i, m := range marks {
@@ -227,9 +252,7 @@ func (j *job) foldTelemetry(r *Run) {
 		}
 		tel.Span("phase", m.Name, -1, float64(m.T), end)
 	}
-	for _, w := range j.plat.scenario.Windows(wall) {
-		tel.Span("fault", w.Label, -1, w.T0, w.T1)
-	}
+	j.plat.foldFaultWindows(wall)
 	for i := range j.col.Events {
 		e := &j.col.Events[i]
 		tel.Span("io", e.Op.String(), e.Rank, float64(e.Start), float64(e.Start+e.Dur))

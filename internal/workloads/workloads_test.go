@@ -338,7 +338,7 @@ func TestFilePerProcessAvoidsSharedContention(t *testing.T) {
 func TestIORTransferSweep(t *testing.T) {
 	pts := IORTransferSweep(IORConfig{
 		Machine: quiet(), Tasks: 16, Reps: 1, BlockBytes: 64e6,
-	}, []int{1, 2, 4}, []int64{1, 2})
+	}, []int{1, 2, 4}, []int64{1, 2}, 0, nil)
 	if len(pts) != 3 {
 		t.Fatalf("%d points, want 3", len(pts))
 	}
@@ -360,7 +360,7 @@ func TestIORTransferSweep(t *testing.T) {
 
 func TestIORWriterSweepAndSaturation(t *testing.T) {
 	prof := quiet()
-	pts := IORWriterSweep(prof, []int{4, 16, 64}, 64, 32e6, []int64{1, 2})
+	pts := IORWriterSweep(prof, []int{4, 16, 64}, 64, 32e6, []int64{1, 2}, 0, nil)
 	if len(pts) != 3 {
 		t.Fatalf("%d points, want 3", len(pts))
 	}
@@ -428,4 +428,45 @@ func TestCheckpointRejectsUnevenTransfer(t *testing.T) {
 		}
 	}()
 	RunCheckpoint(CheckpointConfig{Machine: quiet(), Tasks: 2, StateBytes: 10e6, TransferBytes: 3e6})
+}
+
+// doctored returns a trace-mode copy of col in which the first event
+// of op moves n bytes instead.
+func doctored(t *testing.T, col *ipmio.Collector, op ipmio.Op, n int64) *ipmio.Collector {
+	t.Helper()
+	out := ipmio.NewCollector(ipmio.TraceMode)
+	done := false
+	for _, e := range col.Events {
+		if !done && e.Op == op {
+			e.Bytes, done = n, true
+		}
+		out.Record(e)
+	}
+	if !done {
+		t.Fatalf("no %s event to doctor", op)
+	}
+	return out
+}
+
+// TestPostRunChecksFire feeds the typed runners' post-run checks a
+// clean run and a doctored copy of it: a short IOR read-back and a
+// zero-length MADbench transfer must each be reported.
+func TestPostRunChecksFire(t *testing.T) {
+	ior := RunIOR(IORConfig{Machine: quiet(), Tasks: 4, BlockBytes: 8e6, TransferBytes: 4e6, ReadBack: true, Seed: 1})
+	if err := checkIORReadBack(ior.Collector, 4e6); err != nil {
+		t.Fatalf("clean IOR read-back flagged: %v", err)
+	}
+	if err := checkIORReadBack(doctored(t, ior.Collector, ipmio.OpRead, 4e6-1), 4e6); err == nil {
+		t.Error("short IOR read-back not reported")
+	}
+
+	mad := RunMADbench(MADbenchConfig{Machine: quiet(), Tasks: 4, Matrices: 2, MatrixBytes: 4e6, Seed: 1})
+	if err := checkMADbenchTransfers(mad.Collector); err != nil {
+		t.Fatalf("clean MADbench run flagged: %v", err)
+	}
+	for _, op := range []ipmio.Op{ipmio.OpRead, ipmio.OpWrite} {
+		if err := checkMADbenchTransfers(doctored(t, mad.Collector, op, 0)); err == nil {
+			t.Errorf("zero-length MADbench %s not reported", op)
+		}
+	}
 }

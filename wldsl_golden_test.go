@@ -1,11 +1,11 @@
 package ensembleio
 
 // Golden pinning for the workload DSL. The internal wldsl tests prove
-// the spec ports byte-identical to the hand-coded runners *today*;
+// the IOR/MADbench/GCRM spec builders emit exactly their corpus ports;
 // these goldens pin every serialized artifact of the corpus across
 // time, so an engine or interpreter change that shifts any byte of
 // any encoding — trace, profile, telemetry, spans, Chrome export —
-// fails loudly. Golden files store sizes and SHA-256 digests (the
+// fails loudly, for the corpus and the typed paper runners alike. Golden files store sizes and SHA-256 digests (the
 // full artifacts would dwarf the repo); regenerate with:
 //
 //	go test -run TestWorkloadDSLGolden -update .
