@@ -125,7 +125,7 @@ cache-golden:
 # a tight memory slack (allocs/op is nearly deterministic, so eroding
 # allocation wins trip the guard long before they show up as time).
 bench-guard:
-	$(GO) test -run '^$$' -bench 'BenchmarkTelemetry|BenchmarkSimulatorThroughputSingle$$|BenchmarkCacheHitMRU$$|BenchmarkCacheCampaign' \
+	$(GO) test -run '^$$' -bench 'BenchmarkTelemetry|BenchmarkSimulatorThroughputSingle$$|BenchmarkCacheHitMRU$$|BenchmarkCacheCampaign|BenchmarkAnalysis_Diagnose$$' \
 		-benchmem -benchtime 1x -count 3 . | \
 		$(GO) run ./cmd/benchjson -check BENCH_ensembleio.json -slack 3.0 -memslack 1.25
 

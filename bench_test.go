@@ -306,6 +306,32 @@ func BenchmarkTraceCodec_Binary(b *testing.B) {
 	}
 }
 
+// --- Figure analysis ---
+
+// analysisSink keeps BenchmarkAnalysis_Diagnose's results live.
+var analysisSink struct {
+	findings []Finding
+	phases   []Phase
+	acts     []RankActivity
+}
+
+// BenchmarkAnalysis_Diagnose is the per-run analysis of the figure
+// suite over one collective GCRM trace (10,240 ranks, 80 aggregators):
+// the advisor's diagnosis, the barrier phase split and the per-rank
+// activity sweep. The run is simulated outside the timer. bench-guard
+// holds its B/op and allocs/op to the checked-in baseline, so copying
+// the trace per phase or per detector cannot creep back in.
+func BenchmarkAnalysis_Diagnose(b *testing.B) {
+	run := RunGCRM(GCRMConfig{Machine: Franklin(), Aggregators: 80, Seed: 1})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		analysisSink.findings = Diagnose(run)
+		analysisSink.phases = Phases(run)
+		analysisSink.acts = RankActivities(run)
+	}
+}
+
 var benchRun *Run
 
 func cachedBenchRun() *Run {

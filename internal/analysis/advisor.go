@@ -92,14 +92,29 @@ func (c *DiagnoseConfig) defaults() {
 
 // Diagnose inspects a merged trace for the bottleneck signatures of
 // the paper's case studies and returns its findings, most severe
-// first.
+// first. Intermediates several detectors read — the read-duration
+// ensemble, per-rank medians, each event's phase — are computed once.
 func Diagnose(events []ipmio.Event, cfg DiagnoseConfig) []Finding {
 	cfg.defaults()
+	reads := Durations(events, IsOp(ipmio.OpRead))
+	readTail := false
+	if reads.Len() >= 20 {
+		med := reads.Quantile(0.5)
+		readTail = med > 0 && reads.Quantile(0.99)/med >= 8
+	}
+	ranks, meds := rankMedians(events, cfg.SmallIOBytes)
+	// The phase-correlated detectors stay silent below three marks
+	// (nil phases).
+	var phases []Phase
+	var phaseOf []int32
+	if len(cfg.Marks) >= 3 {
+		phases, phaseOf = phaseIndex(events, cfg.Marks, cfg.Wall)
+	}
 	var out []Finding
 	if f, ok := diagnoseMultiModalWrites(events); ok {
 		out = append(out, f)
 	}
-	if f, ok := diagnoseReadTail(events); ok {
+	if f, ok := diagnoseReadTail(reads); ok {
 		out = append(out, f)
 	}
 	if f, ok := diagnoseStridedReads(events); ok {
@@ -117,19 +132,19 @@ func Diagnose(events []ipmio.Event, cfg DiagnoseConfig) []Finding {
 	if f, ok := diagnoseSingleRankSerializer(events); ok {
 		out = append(out, f)
 	}
-	if f, ok := diagnoseStragglerOST(events, cfg); ok {
+	if f, ok := diagnoseStragglerOST(ranks, meds, cfg); ok {
 		out = append(out, f)
 	}
-	if f, ok := diagnoseSlowNode(events, cfg); ok {
+	if f, ok := diagnoseSlowNode(ranks, meds, cfg); ok {
 		out = append(out, f)
 	}
-	if f, ok := diagnoseIntermittentStall(events, cfg); ok {
+	if f, ok := diagnoseIntermittentStall(events, phases, phaseOf, readTail, cfg); ok {
 		out = append(out, f)
 	}
 	if f, ok := diagnoseMDSBrownout(events); ok {
 		out = append(out, f)
 	}
-	if f, ok := diagnoseBackgroundContention(events, cfg); ok {
+	if f, ok := diagnoseBackgroundContention(events, phases, phaseOf, readTail, cfg); ok {
 		out = append(out, f)
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Severity > out[j].Severity })
@@ -161,9 +176,8 @@ func diagnoseMultiModalWrites(events []ipmio.Event) (Finding, bool) {
 }
 
 // diagnoseReadTail flags a heavy right tail in read durations — the
-// MADbench-on-Franklin signature.
-func diagnoseReadTail(events []ipmio.Event) (Finding, bool) {
-	d := Durations(events, IsOp(ipmio.OpRead))
+// MADbench-on-Franklin signature. d is the read-duration ensemble.
+func diagnoseReadTail(d *ensemble.Dataset) (Finding, bool) {
 	if d.Len() < 20 {
 		return Finding{}, false
 	}

@@ -22,41 +22,31 @@ func dataOp(smallIO int64) func(ipmio.Event) bool {
 	}
 }
 
-// rankMedians returns each rank's median sized-data-op duration. Ranks
-// are returned sorted ascending so map iteration order never reaches
-// the caller.
-func rankMedians(events []ipmio.Event, smallIO int64) (ranks []int, med map[int]float64) {
-	byRank := make(map[int][]float64)
-	keep := dataOp(smallIO)
-	for _, e := range events {
-		if keep(e) {
-			byRank[e.Rank] = append(byRank[e.Rank], float64(e.Dur))
-		}
+// rankMedians returns each rank's median sized-data-op duration:
+// meds[i] is the median of ranks[i], and ranks ascend.
+func rankMedians(events []ipmio.Event, smallIO int64) (ranks []int, meds []float64) {
+	slot, ranks := rankSlots(events, dataOp(smallIO))
+	ds, off := groupBy(slot, len(ranks), nil, func(i int) float64 { return float64(events[i].Dur) })
+	meds = make([]float64, len(ranks))
+	for s := range ranks {
+		d := ds[off[s]:off[s+1]]
+		sort.Float64s(d)
+		meds[s] = d[len(d)/2]
 	}
-	med = make(map[int]float64, len(byRank))
-	for r, ds := range byRank {
-		ranks = append(ranks, r)
-		sort.Float64s(ds)
-		med[r] = ds[len(ds)/2]
-	}
-	sort.Ints(ranks)
-	return ranks, med
+	return ranks, meds
 }
 
 // slowRanks partitions ranks into those whose median sized-op duration
 // is at least thresh times the global median of rank medians.
-func slowRanks(ranks []int, med map[int]float64, thresh float64) (slow []int, global float64) {
-	all := make([]float64, 0, len(ranks))
-	for _, r := range ranks {
-		all = append(all, med[r])
-	}
+func slowRanks(ranks []int, meds []float64, thresh float64) (slow []int, global float64) {
+	all := append([]float64(nil), meds...)
 	sort.Float64s(all)
 	global = all[len(all)/2]
 	if global <= 0 {
 		return nil, global
 	}
-	for _, r := range ranks {
-		if med[r] >= thresh*global {
+	for i, r := range ranks {
+		if meds[i] >= thresh*global {
 			slow = append(slow, r)
 		}
 	}
@@ -69,15 +59,11 @@ func slowRanks(ranks []int, med map[int]float64, thresh float64) (slow []int, gl
 // matches the fraction of bytes striped onto one OST, and the
 // server-side per-OST statistics confirm that exactly that OST serves
 // far below the median rate. Localization names the OST index.
-func diagnoseStragglerOST(events []ipmio.Event, cfg DiagnoseConfig) (Finding, bool) {
-	if len(cfg.OSTRates) < 2 {
+func diagnoseStragglerOST(ranks []int, meds []float64, cfg DiagnoseConfig) (Finding, bool) {
+	if len(cfg.OSTRates) < 2 || len(ranks) < 16 {
 		return Finding{}, false
 	}
-	ranks, med := rankMedians(events, cfg.SmallIOBytes)
-	if len(ranks) < 16 {
-		return Finding{}, false
-	}
-	slow, _ := slowRanks(ranks, med, 3)
+	slow, _ := slowRanks(ranks, meds, 3)
 	frac := float64(len(slow)) / float64(len(ranks))
 	if len(slow) == 0 || frac > 0.5 {
 		return Finding{}, false
@@ -126,12 +112,11 @@ func diagnoseStragglerOST(events []ipmio.Event, cfg DiagnoseConfig) (Finding, bo
 // diagnoseSlowNode recognizes a degraded node link: the slow-rank
 // subpopulation maps exactly onto one compute node's ranks (a striping
 // straggler scatters slow ranks across nodes instead).
-func diagnoseSlowNode(events []ipmio.Event, cfg DiagnoseConfig) (Finding, bool) {
-	ranks, med := rankMedians(events, cfg.SmallIOBytes)
+func diagnoseSlowNode(ranks []int, meds []float64, cfg DiagnoseConfig) (Finding, bool) {
 	if len(ranks) < 16 || cfg.CoresPerNode <= 0 {
 		return Finding{}, false
 	}
-	slow, _ := slowRanks(ranks, med, 3)
+	slow, _ := slowRanks(ranks, meds, 3)
 	if len(slow) == 0 || len(slow) > cfg.CoresPerNode ||
 		float64(len(slow))/float64(len(ranks)) > 0.25 {
 		return Finding{}, false
@@ -161,34 +146,23 @@ func diagnoseSlowNode(events []ipmio.Event, cfg DiagnoseConfig) (Finding, bool) 
 	}, true
 }
 
-// phaseDurations returns, per phase, the sized-data-op durations.
-func phaseDurations(events []ipmio.Event, cfg DiagnoseConfig, keep func(ipmio.Event) bool) []struct {
+// phaseDurs is one phase's sorted durations.
+type phaseDurs struct {
 	name string
 	durs []float64
-} {
-	wall := cfg.Wall
-	for _, e := range events {
-		if end := e.Start + e.Dur; end > wall {
-			wall = end
-		}
-	}
-	phases := Phases(events, cfg.Marks, wall)
-	out := make([]struct {
-		name string
-		durs []float64
-	}, 0, len(phases))
-	for _, ph := range phases {
-		var ds []float64
-		for _, e := range ph.Events {
-			if keep(e) {
-				ds = append(ds, float64(e.Dur))
-			}
-		}
-		sort.Float64s(ds)
-		out = append(out, struct {
-			name string
-			durs []float64
-		}{ph.Name, ds})
+}
+
+// phaseDurations returns, per phase, the sorted durations of the
+// events keep accepts; phases and phaseOf are phaseIndex's split.
+func phaseDurations(events []ipmio.Event, phases []Phase, phaseOf []int32, keep func(ipmio.Event) bool) []phaseDurs {
+	ds, off := groupBy(phaseOf, len(phases),
+		func(i int) bool { return keep(events[i]) },
+		func(i int) float64 { return float64(events[i].Dur) })
+	out := make([]phaseDurs, len(phases))
+	for k, ph := range phases {
+		d := ds[off[k]:off[k+1]:off[k+1]]
+		sort.Float64s(d)
+		out[k] = phaseDurs{ph.Name, d}
 	}
 	return out
 }
@@ -207,23 +181,19 @@ func quantileSorted(ds []float64, q float64) float64 {
 // phases are clean, and the tail magnitude does not grow phase over
 // phase (progressive growth is the read-ahead defect's signature, not
 // a stall window's).
-func diagnoseIntermittentStall(events []ipmio.Event, cfg DiagnoseConfig) (Finding, bool) {
-	if len(cfg.Marks) < 3 {
+//
+// A heavy global read tail (readTail) is the §IV read-ahead pathology,
+// whose per-phase deterioration mimics stall windows; the detector
+// then stays silent and lets the dominant diagnosis speak alone.
+func diagnoseIntermittentStall(events []ipmio.Event, phases []Phase, phaseOf []int32, readTail bool, cfg DiagnoseConfig) (Finding, bool) {
+	if phases == nil || readTail {
 		return Finding{}, false
 	}
-	// A heavy global read tail is the §IV read-ahead pathology, whose
-	// per-phase deterioration mimics stall windows; let the dominant
-	// diagnosis speak alone.
-	if reads := Durations(events, IsOp(ipmio.OpRead)); reads.Len() >= 20 {
-		if med := reads.Quantile(0.5); med > 0 && reads.Quantile(0.99)/med >= 8 {
-			return Finding{}, false
-		}
-	}
-	phases := phaseDurations(events, cfg, dataOp(cfg.SmallIOBytes))
+	durs := phaseDurations(events, phases, phaseOf, dataOp(cfg.SmallIOBytes))
 	var stalledNames []string
 	var tailMeds []float64
 	clean := 0
-	for _, ph := range phases {
+	for _, ph := range durs {
 		n := len(ph.durs)
 		if n < 8 {
 			continue
@@ -303,18 +273,15 @@ func diagnoseMDSBrownout(events []ipmio.Event) (Finding, bool) {
 // lower quartile included — and later phases recover. A flaky OST
 // instead leaves the lower quartile in place and a read-ahead defect
 // never recovers.
-func diagnoseBackgroundContention(events []ipmio.Event, cfg DiagnoseConfig) (Finding, bool) {
-	if len(cfg.Marks) < 3 {
+//
+// A heavy read tail (readTail, the §IV pathology) confounds per-phase
+// write medians; the detector then lets the dominant diagnosis speak
+// alone.
+func diagnoseBackgroundContention(events []ipmio.Event, phases []Phase, phaseOf []int32, readTail bool, cfg DiagnoseConfig) (Finding, bool) {
+	if phases == nil || readTail {
 		return Finding{}, false
 	}
-	// A heavy read tail (the §IV pathology) confounds per-phase write
-	// medians; let the dominant diagnosis speak alone.
-	if reads := Durations(events, IsOp(ipmio.OpRead)); reads.Len() >= 20 {
-		if med := reads.Quantile(0.5); med > 0 && reads.Quantile(0.99)/med >= 8 {
-			return Finding{}, false
-		}
-	}
-	phases := phaseDurations(events, cfg, func(e ipmio.Event) bool {
+	durs := phaseDurations(events, phases, phaseOf, func(e ipmio.Event) bool {
 		return e.Op == ipmio.OpWrite && e.Bytes > cfg.SmallIOBytes
 	})
 	type phStat struct {
@@ -322,7 +289,7 @@ func diagnoseBackgroundContention(events []ipmio.Event, cfg DiagnoseConfig) (Fin
 		med, p25 float64
 	}
 	var stats []phStat
-	for _, ph := range phases {
+	for _, ph := range durs {
 		if len(ph.durs) < 8 {
 			continue
 		}

@@ -79,6 +79,95 @@ func sortedRanks[V any](m map[int]V) []int {
 	return ranks
 }
 
+// rankSlots numbers the distinct ranks of the events keep accepts
+// (nil keeps all) densely in ascending rank order: ranks[s] is the
+// rank in slot s and slot[i] is event i's slot, or -1 when keep
+// rejects it. Per-rank state can then live in slices indexed by slot.
+// A rank range up to a few times the event count, as every simulated
+// run has, is numbered through a table; a sparse one, as a decoded
+// trace may carry, through a map.
+func rankSlots(events []ipmio.Event, keep func(ipmio.Event) bool) (slot []int32, ranks []int) {
+	slot = make([]int32, len(events))
+	lo, hi, n := 0, 0, 0
+	for i, e := range events {
+		if keep != nil && !keep(e) {
+			slot[i] = -1
+			continue
+		}
+		if n == 0 || e.Rank < lo {
+			lo = e.Rank
+		}
+		if n == 0 || e.Rank > hi {
+			hi = e.Rank
+		}
+		n++
+	}
+	if n == 0 {
+		return slot, nil
+	}
+	if span := uint64(hi) - uint64(lo); span < uint64(4*n+64) {
+		table := make([]int32, span+1) // slot+1 of rank lo+j, 0 = absent
+		for i, e := range events {
+			if slot[i] >= 0 {
+				table[e.Rank-lo] = 1
+			}
+		}
+		for j, present := range table {
+			if present != 0 {
+				ranks = append(ranks, lo+j)
+				table[j] = int32(len(ranks))
+			}
+		}
+		for i, e := range events {
+			if slot[i] >= 0 {
+				slot[i] = table[e.Rank-lo] - 1
+			}
+		}
+		return slot, ranks
+	}
+	m := make(map[int]int32)
+	for i, e := range events {
+		if slot[i] >= 0 {
+			m[e.Rank] = 0
+		}
+	}
+	ranks = sortedRanks(m)
+	for j, r := range ranks {
+		m[r] = int32(j)
+	}
+	for i, e := range events {
+		if slot[i] >= 0 {
+			slot[i] = m[e.Rank]
+		}
+	}
+	return slot, ranks
+}
+
+// groupBy gathers val(i) for every entry i with idx[i] >= 0 that keep
+// accepts (nil keeps all) into one exactly sized array, grouped by
+// idx and in entry order within a group: group k is
+// vals[off[k]:off[k+1]].
+func groupBy[T any](idx []int32, groups int, keep func(i int) bool, val func(i int) T) (vals []T, off []int) {
+	off = make([]int, groups+1)
+	for i, k := range idx {
+		if k >= 0 && (keep == nil || keep(i)) {
+			off[k+1]++
+		}
+	}
+	for k := 0; k < groups; k++ {
+		off[k+1] += off[k]
+	}
+	vals = make([]T, off[groups])
+	next := append([]int(nil), off[:groups]...)
+	for i, k := range idx {
+		if k >= 0 && (keep == nil || keep(i)) {
+			vals[next[k]] = val(i)
+			next[k]++
+		}
+	}
+	return vals, off
+}
+
 // RankActivities computes per-rank busy and exclusive-busy time with a
 // single boundary sweep over all event intervals.
 func RankActivities(events []ipmio.Event) []RankActivity {
@@ -87,27 +176,37 @@ func RankActivities(events []ipmio.Event) []RankActivity {
 	}
 	type boundary struct {
 		t     sim.Time
-		rank  int
-		delta int
+		slot  int32
+		delta int32
 	}
-	var bounds []boundary
-	counts := make(map[int]int) // events per rank
-	for _, e := range events {
-		counts[e.Rank]++
+	slot, ranks := rankSlots(events, nil)
+	counts := make([]int, len(ranks)) // events per rank
+	nb := 0
+	for i, e := range events {
+		counts[slot[i]]++
+		if !(e.Dur <= 0) { // the skip below, NaN included
+			nb += 2
+		}
+	}
+	bounds := make([]boundary, 0, nb)
+	for i, e := range events {
 		if e.Dur <= 0 {
 			continue
 		}
-		bounds = append(bounds, boundary{t: e.Start, rank: e.Rank, delta: +1})
-		bounds = append(bounds, boundary{t: e.Start + e.Dur, rank: e.Rank, delta: -1})
+		bounds = append(bounds,
+			boundary{t: e.Start, slot: slot[i], delta: +1},
+			boundary{t: e.Start + e.Dur, slot: slot[i], delta: -1})
 	}
 	sort.Slice(bounds, func(i, j int) bool { return bounds[i].t < bounds[j].t })
 
-	depth := make(map[int]int) // per-rank overlap depth
-	since := make(map[int]sim.Time)
-	active := make(map[int]struct{})
-	busy := make(map[int]sim.Duration)
-	exclusive := make(map[int]sim.Duration)
-	soloRank := -1
+	depth := make([]int32, len(ranks)) // per-rank overlap depth
+	since := make([]sim.Time, len(ranks))
+	busy := make([]sim.Duration, len(ranks))
+	exclusive := make([]sim.Duration, len(ranks))
+	// The busy ranks as a count and a slot sum: while exactly one rank
+	// is busy, the sum is its slot.
+	nActive, activeSum := 0, 0
+	solo := -1
 	var soloSince sim.Time
 	for i := 0; i < len(bounds); {
 		t := bounds[i].t
@@ -116,41 +215,41 @@ func RankActivities(events []ipmio.Event) []RankActivity {
 		//lint:allow(floateq) grouping boundaries at the bit-identical instant is intended
 		for i < len(bounds) && bounds[i].t == t {
 			b := bounds[i]
-			was := depth[b.rank]
-			depth[b.rank] = was + b.delta
-			now := depth[b.rank]
+			was := depth[b.slot]
+			now := was + b.delta
+			depth[b.slot] = now
 			if was == 0 && now > 0 {
-				since[b.rank] = t
-				active[b.rank] = struct{}{}
+				since[b.slot] = t
+				nActive++
+				activeSum += int(b.slot)
 			}
 			if was > 0 && now == 0 {
-				busy[b.rank] += t - since[b.rank]
-				delete(active, b.rank)
+				busy[b.slot] += t - since[b.slot]
+				nActive--
+				activeSum -= int(b.slot)
 			}
 			i++
 		}
 		// Exclusive tracking: close any ended solo period, open a new
 		// one when exactly one rank remains busy.
-		if soloRank >= 0 && (len(active) != 1 || depth[soloRank] == 0) {
-			exclusive[soloRank] += t - soloSince
-			soloRank = -1
+		if solo >= 0 && (nActive != 1 || depth[solo] == 0) {
+			exclusive[solo] += t - soloSince
+			solo = -1
 		}
-		if soloRank < 0 && len(active) == 1 {
-			for r := range active {
-				soloRank = r //lint:allow(maporder) active holds exactly one rank here
-			}
+		if solo < 0 && nActive == 1 {
+			solo = activeSum
 			soloSince = t
 		}
 	}
 
-	var out []RankActivity
-	for _, rank := range sortedRanks(counts) {
-		out = append(out, RankActivity{
+	out := make([]RankActivity, len(ranks))
+	for s, rank := range ranks {
+		out[s] = RankActivity{
 			Rank:      rank,
-			Events:    counts[rank],
-			Busy:      busy[rank],
-			Exclusive: exclusive[rank],
-		})
+			Events:    counts[s],
+			Busy:      busy[s],
+			Exclusive: exclusive[s],
+		}
 	}
 	return out
 }

@@ -125,3 +125,12 @@ func TestRankActivitiesHandlesSoloHandoff(t *testing.T) {
 		t.Errorf("handoff exclusives = %v/%v, want 5/4", acts[0].Exclusive, acts[1].Exclusive)
 	}
 }
+
+// TestRankActivitiesNegativeRanks: a negative rank, as a decoded trace
+// may carry, is credited its exclusive time like any other.
+func TestRankActivitiesNegativeRanks(t *testing.T) {
+	acts := RankActivities([]ipmio.Event{ev(-3, 0, 1), ev(5, 2, 1.5)})
+	if len(acts) != 2 || acts[0].Rank != -3 || acts[0].Exclusive != 1 || acts[1].Exclusive != 1.5 {
+		t.Fatalf("activities %+v, want rank -3 exclusive 1 and rank 5 exclusive 1.5", acts)
+	}
+}

@@ -8,6 +8,8 @@
 package analysis
 
 import (
+	"sort"
+
 	"ensembleio/internal/ensemble"
 	"ensembleio/internal/ipmio"
 	"ensembleio/internal/sim"
@@ -23,15 +25,42 @@ type Phase struct {
 
 // Phases splits events into the intervals delimited by marks (which
 // must be in time order); end closes the final phase. Events are
-// assigned by start time. Events before the first mark are grouped
-// into a synthetic "pre" phase if any exist.
+// assigned by start time. Events that start before the first mark are
+// grouped into a synthetic "pre" phase if any exist. Each phase's
+// events keep their trace order; all phases share one backing array.
 func Phases(events []ipmio.Event, marks []ipmio.PhaseMark, end sim.Time) []Phase {
-	var phases []Phase
 	if len(marks) == 0 {
 		return []Phase{{Name: "all", StartT: 0, EndT: end, Events: events}}
 	}
-	if len(events) > 0 && events[0].Start < marks[0].T {
-		phases = append(phases, Phase{Name: "pre", StartT: 0, EndT: marks[0].T})
+	phases, idx := phaseIndex(events, marks, end)
+	evs, off := groupBy(idx, len(phases), nil, func(i int) ipmio.Event { return events[i] })
+	for k := range phases {
+		if off[k] < off[k+1] { // an empty phase keeps nil Events
+			phases[k].Events = evs[off[k]:off[k+1]:off[k+1]]
+		}
+	}
+	return phases
+}
+
+// phaseIndex returns the phases delimited by marks, without events,
+// and each event's phase index (-1 when it starts before every
+// phase). An event belongs to the last phase starting at or before
+// it: phase k ends where phase k+1 starts, so this is the first phase
+// whose [StartT, EndT) holds it, the final phase being closed by end
+// alone. With no marks every event is in the single phase "all".
+func phaseIndex(events []ipmio.Event, marks []ipmio.PhaseMark, end sim.Time) ([]Phase, []int32) {
+	idx := make([]int32, len(events))
+	if len(marks) == 0 {
+		return []Phase{{Name: "all", StartT: 0, EndT: end}}, idx
+	}
+	phases := make([]Phase, 0, len(marks)+1)
+	// Collectors record in completion order, so the earliest start need
+	// not be events[0].
+	for _, ev := range events {
+		if ev.Start < marks[0].T {
+			phases = append(phases, Phase{Name: "pre", StartT: 0, EndT: marks[0].T})
+			break
+		}
 	}
 	for i, m := range marks {
 		e := end
@@ -40,27 +69,36 @@ func Phases(events []ipmio.Event, marks []ipmio.PhaseMark, end sim.Time) []Phase
 		}
 		phases = append(phases, Phase{Name: m.Name, StartT: m.T, EndT: e})
 	}
-	for _, ev := range events {
-		for i := range phases {
-			if ev.Start >= phases[i].StartT && (ev.Start < phases[i].EndT || i == len(phases)-1) {
-				phases[i].Events = append(phases[i].Events, ev)
-				break
-			}
+	for i, ev := range events {
+		if !(ev.Start >= phases[0].StartT) {
+			idx[i] = -1
+			continue
 		}
+		k := sort.Search(len(phases), func(k int) bool { return phases[k].StartT > ev.Start })
+		idx[i] = int32(k - 1)
 	}
-	return phases
+	return phases, idx
 }
 
 // Durations extracts the durations of events matching the filter (nil
 // accepts all) as an ensemble dataset.
 func Durations(events []ipmio.Event, filter func(ipmio.Event) bool) *ensemble.Dataset {
-	d := ensemble.NewDataset(nil)
-	for _, ev := range events {
-		if filter == nil || filter(ev) {
-			d.Add(float64(ev.Dur))
+	n := len(events)
+	if filter != nil {
+		n = 0
+		for _, ev := range events {
+			if filter(ev) {
+				n++
+			}
 		}
 	}
-	return d
+	ds := make([]float64, 0, n)
+	for _, ev := range events {
+		if filter == nil || filter(ev) {
+			ds = append(ds, float64(ev.Dur))
+		}
+	}
+	return ensemble.NewDataset(ds)
 }
 
 // SecPerMB extracts size-normalized durations (seconds per MB) of

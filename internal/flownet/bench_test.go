@@ -58,15 +58,35 @@ func BenchmarkFlownetRefresh(b *testing.B) {
 }
 
 // BenchmarkFlownetRecompute isolates one two-level water-fill pass
-// over a steady population (the cost the dirty flag now skips on
-// unchanged-membership refreshes).
+// over a steady population of 32 ports × 8 streams. full-fill marks
+// every port changed before each pass, so every port rescans its caps
+// and redistributes: the cost of a recompute after a barrier storm.
+// one-port-changed marks a single port, the common case of one join or
+// completion, where the other ports keep their share and are skipped.
 func BenchmarkFlownetRecompute(b *testing.B) {
-	eng, fab := benchFabric(32, 8, 0)
-	// Process the poke so every stream is rated and listed.
-	eng.RunUntil(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fab.recompute(eng.Now())
+	for _, c := range []struct {
+		name string
+		mark func(f *Fabric, i int)
+	}{
+		{"full-fill", func(f *Fabric, _ int) {
+			for _, p := range f.actPorts {
+				p.changed = true
+			}
+		}},
+		{"one-port-changed", func(f *Fabric, i int) {
+			f.actPorts[i%len(f.actPorts)].changed = true
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			eng, fab := benchFabric(32, 8, 0)
+			// Process the poke so every stream is rated and listed.
+			eng.RunUntil(0)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.mark(fab, i)
+				fab.recompute(eng.Now())
+			}
+		})
 	}
 }
 

@@ -126,9 +126,15 @@ type Port struct {
 	streams []*Stream
 	share   float64 // current port allocation, MB/s
 	listed  bool    // present in fab.actPorts (possibly as a stale empty)
-	maxUse  float64 // scratch: maximum useful rate this round
+	maxUse  float64 // maximum useful rate; rescanned only when changed
 	frozen  bool    // scratch: water-fill freeze mark
 	touched bool    // scratch: has completions pending removal
+	// changed marks a join, a completion or a cap change since the last
+	// distribute; distShare is the share that distribute last ran at.
+	// An unchanged port re-offered a bitwise-equal share would assign
+	// every stream the rate it already has, so distribute skips it.
+	changed   bool
+	distShare float64
 }
 
 // NewPort adds a port with the given local link capacity in MB/s
@@ -153,6 +159,7 @@ func (f *Fabric) NewWeightedPort(capMBps, weight float64) *Port {
 // streams are in flight takes effect at the next rate recomputation.
 func (p *Port) SetCapMBps(capMBps float64) {
 	p.cap = capMBps
+	p.changed = true
 	if p.listed {
 		f := p.fab
 		f.markDirty(f.eng.Now())
@@ -254,6 +261,7 @@ func (p *Port) Start(demandMB float64, opts StreamOpts) *Stream {
 		done:      opts.Done,
 	}
 	p.streams = append(p.streams, s)
+	p.changed = true
 	if !p.listed {
 		p.listed = true
 		f.actPorts = append(f.actPorts, p)
@@ -393,6 +401,7 @@ func (f *Fabric) completeDue(now sim.Time) {
 		}
 		p.streams = kept
 		p.touched = false
+		p.changed = true
 		// Emptied ports stay listed in actPorts until the next
 		// recompute compacts them — keeping membership bookkeeping
 		// O(completions), not O(ports), on the fast path.
@@ -456,7 +465,9 @@ func (f *Fabric) setRate(s *Stream, r float64, now sim.Time) {
 // the active ports using iterative freezing (no sorting, no
 // allocation): in each round the tentative fair level is computed and
 // every port whose maximum useful rate falls below its weighted share
-// is frozen there; the remainder is split by weight.
+// is frozen there; the remainder is split by weight. Only changed
+// ports rescan their streams' caps, and only changed or re-shared
+// ports redistribute (DESIGN.md §11).
 func (f *Fabric) recompute(now sim.Time) {
 	f.telRecomputes.Inc()
 	// Compact ports that emptied since the last recompute, preserving
@@ -476,23 +487,9 @@ func (f *Fabric) recompute(now sim.Time) {
 	f.actPorts = kept
 	totalW := 0.0
 	for _, p := range f.actPorts {
-		max := p.cap
-		if max <= 0 {
-			max = math.Inf(1)
+		if p.changed {
+			p.maxUse = p.useLimit()
 		}
-		capSum := 0.0
-		allCapped := true
-		for _, s := range p.streams {
-			if s.rateCap <= 0 {
-				allCapped = false
-				break
-			}
-			capSum += s.rateCap
-		}
-		if allCapped && capSum < max {
-			max = capSum
-		}
-		p.maxUse = max
 		p.frozen = false
 		totalW += p.weight
 	}
@@ -533,11 +530,38 @@ func (f *Fabric) recompute(now sim.Time) {
 	}
 }
 
+// useLimit returns the port's maximum useful rate: its link capacity,
+// or the sum of its streams' caps when every stream is capped below it.
+func (p *Port) useLimit() float64 {
+	max := p.cap
+	if max <= 0 {
+		max = math.Inf(1)
+	}
+	capSum := 0.0
+	for _, s := range p.streams {
+		if s.rateCap <= 0 {
+			return max
+		}
+		capSum += s.rateCap
+	}
+	if capSum < max {
+		return capSum
+	}
+	return max
+}
+
 // distribute water-fills the port share across its streams with the
 // same iterative-freezing scheme, honoring per-stream caps and weights.
 // Rates are assigned through setRate so anchors and deadlines move only
-// on an actual change.
+// on an actual change. The fill is a pure function of the share bits
+// and the ordered stream caps and weights, so an unchanged port at a
+// bitwise-equal share returns at once: every setRate would be a no-op.
 func (p *Port) distribute(now sim.Time) {
+	if !p.changed && math.Float64bits(p.share) == math.Float64bits(p.distShare) {
+		return
+	}
+	p.changed = false
+	p.distShare = p.share
 	f := p.fab
 	totalW := 0.0
 	for _, s := range p.streams {

@@ -1,9 +1,11 @@
 package flownet
 
 import (
+	"math"
 	"testing"
 
 	"ensembleio/internal/sim"
+	"ensembleio/internal/telemetry"
 )
 
 // checkCalendar is the brute-force reference for the completion
@@ -238,5 +240,270 @@ func TestRandomizedChurnMatchesOracle(t *testing.T) {
 	if limit := 2*peak + 64; peakCal > limit {
 		t.Fatalf("calendar grew to %d entries with at most %d streams live (limit %d): stale entries are not compacted",
 			peakCal, peak, limit)
+	}
+}
+
+// shadowStream is one live stream as the unconditional water-fill
+// would leave it: the anchored progress model of Stream, advanced by a
+// full re-fill of every port on every recompute.
+type shadowStream struct {
+	anchorT   sim.Time
+	anchorRem float64
+	rate      float64
+	deadline  sim.Time
+}
+
+// set mirrors Fabric.setRate: the anchor moves only on a bitwise rate
+// change.
+func (sh *shadowStream) set(r float64, now sim.Time) {
+	if math.Float64bits(r) == math.Float64bits(sh.rate) {
+		return
+	}
+	rem := sh.anchorRem
+	if sh.rate > 0 {
+		rem -= sh.rate * float64(now-sh.anchorT)
+	}
+	sh.anchorT, sh.anchorRem, sh.rate = now, rem, r
+	switch {
+	case r <= 0:
+		sh.deadline = sim.Infinity
+	case rem <= 0:
+		sh.deadline = now
+	default:
+		sh.deadline = now + sim.Time(rem/r)
+	}
+}
+
+// referenceFill is the two-level water-fill without the per-port
+// skip: every port's stream caps are rescanned and every port's share
+// is re-distributed on every call. It returns each live stream's rate
+// and each port's share.
+func referenceFill(f *Fabric) (rates map[*Stream]float64, shares map[*Port]float64) {
+	var ports []*Port
+	for _, p := range f.actPorts {
+		if len(p.streams) > 0 {
+			ports = append(ports, p)
+		}
+	}
+	maxUse := make([]float64, len(ports))
+	share := make([]float64, len(ports))
+	frozen := make([]bool, len(ports))
+	totalW := 0.0
+	for i, p := range ports {
+		max := p.cap
+		if max <= 0 {
+			max = math.Inf(1)
+		}
+		capSum := 0.0
+		allCapped := true
+		for _, s := range p.streams {
+			if s.rateCap <= 0 {
+				allCapped = false
+				break
+			}
+			capSum += s.rateCap
+		}
+		if allCapped && capSum < max {
+			max = capSum
+		}
+		maxUse[i] = max
+		totalW += p.weight
+	}
+	remaining, wRem := f.cap, totalW
+	for wRem > 0 {
+		level := remaining / wRem
+		froze := false
+		for i, p := range ports {
+			if !frozen[i] && maxUse[i] <= p.weight*level {
+				frozen[i], share[i] = true, maxUse[i]
+				remaining -= maxUse[i]
+				wRem -= p.weight
+				froze = true
+			}
+		}
+		if !froze {
+			for i, p := range ports {
+				if !frozen[i] {
+					share[i] = p.weight * level
+				}
+			}
+			break
+		}
+	}
+	rates = make(map[*Stream]float64)
+	shares = make(map[*Port]float64)
+	for i, p := range ports {
+		shares[p] = share[i]
+		sFrozen := make(map[*Stream]bool)
+		totalW := 0.0
+		for _, s := range p.streams {
+			totalW += s.weight
+		}
+		remaining, wRem := share[i], totalW
+		for wRem > 0 {
+			level := remaining / wRem
+			froze := false
+			for _, s := range p.streams {
+				if sFrozen[s] {
+					continue
+				}
+				max := s.rateCap
+				if max <= 0 {
+					max = math.Inf(1)
+				}
+				if max <= s.weight*level {
+					sFrozen[s], rates[s] = true, max
+					remaining -= max
+					wRem -= s.weight
+					froze = true
+				}
+			}
+			if !froze {
+				for _, s := range p.streams {
+					if !sFrozen[s] {
+						rates[s] = s.weight * level
+					}
+				}
+				break
+			}
+		}
+	}
+	return rates, shares
+}
+
+// TestPortSkipMatchesUnconditionalFill checks that recompute's
+// per-port skip — no cap rescan and no re-distribute for a port with
+// no join, completion or cap change since its last fill, offered a
+// bitwise-equal share — is exact. A seeded random population runs
+// through both scheduling regimes with capped and uncapped, weighted
+// streams on weighted ports, staggered joins, follow-up transfers
+// started from Done callbacks and mid-flight SetCapMBps. After every
+// refresh each live stream's rate and deadline must equal, bit for
+// bit, those of a shadow model re-filled unconditionally.
+func TestPortSkipMatchesUnconditionalFill(t *testing.T) {
+	rng := sim.NewRNG(19)
+	eng := sim.NewEngine()
+	fab := New(eng, Config{AggregateMBps: 6000, Quantum: 0.05})
+	fab.Instrument(telemetry.New())
+	ports := make([]*Port, 32)
+	for i := range ports {
+		capMBps := 0.0
+		if i%4 != 0 {
+			capMBps = rng.Uniform(50, 1500)
+		}
+		ports[i] = fab.NewWeightedPort(capMBps, float64(1+rng.Intn(3)))
+	}
+	shadow := make(map[uint64]*shadowStream)
+	touched := make(map[*Port]bool) // join, completion or cap change since the last recompute
+	lastShare := make(map[*Port]float64)
+	started, finished, peak, checks, skippable := 0, 0, 0, 0, 0
+	var launch func(follow int)
+	launch = func(follow int) {
+		p := ports[rng.Intn(len(ports))]
+		demand := rng.Uniform(1, 150)
+		opts := StreamOpts{Weight: float64(1 + rng.Intn(3))}
+		if rng.Intn(3) == 0 {
+			opts.RateCap = rng.Uniform(5, 400)
+		}
+		opts.Done = func() {
+			finished++
+			if follow > 0 {
+				launch(follow - 1)
+			}
+		}
+		started++
+		s := p.Start(demand, opts)
+		shadow[s.id] = &shadowStream{anchorT: eng.Now(), anchorRem: demand, deadline: sim.Infinity}
+		touched[p] = true
+		if n := fab.ActiveStreams(); n > peak {
+			peak = n
+		}
+	}
+	lastRecomputes := 0.0
+	check := func() {
+		now := eng.Now()
+		live := make(map[uint64]bool, fab.ActiveStreams())
+		recomputed := fab.telRecomputes.Value() > lastRecomputes
+		lastRecomputes = fab.telRecomputes.Value()
+		var rates map[*Stream]float64
+		if !fab.dirty && fab.active > 0 {
+			var shares map[*Port]float64
+			rates, shares = referenceFill(fab)
+			if recomputed {
+				for p, sh := range shares {
+					if old, ok := lastShare[p]; ok && !touched[p] && math.Float64bits(old) == math.Float64bits(sh) {
+						skippable++
+					}
+					lastShare[p] = sh
+				}
+				for p := range touched {
+					delete(touched, p)
+				}
+			}
+		}
+		for _, p := range fab.actPorts {
+			for _, s := range p.streams {
+				sh := shadow[s.id]
+				live[s.id] = true
+				if rates != nil {
+					sh.set(rates[s], now)
+				}
+				if math.Float64bits(s.rate) != math.Float64bits(sh.rate) || !sameBits(s.deadline, sh.deadline) {
+					t.Fatalf("t=%v: stream %d rate %v deadline %v, unconditional fill gives rate %v deadline %v",
+						now, s.id, s.rate, s.deadline, sh.rate, sh.deadline)
+				}
+			}
+		}
+		for id := range shadow {
+			if !live[id] {
+				delete(shadow, id)
+			}
+		}
+		checks++
+	}
+	// The check runs after each refresh, so wrap the fabric's two
+	// wake-up paths. A refresh only removes streams, so a port that
+	// holds fewer afterwards had a completion.
+	lens := make([]int, len(ports))
+	around := func(refresh func()) {
+		for i, p := range ports {
+			lens[i] = len(p.streams)
+		}
+		refresh()
+		for i, p := range ports {
+			if len(p.streams) < lens[i] {
+				touched[p] = true
+			}
+		}
+		check()
+	}
+	poke, tick := fab.pokeFn, fab.tickFn
+	fab.pokeFn = func() { around(poke) }
+	fab.tickFn = func(gen uint64) { around(func() { tick(gen) }) }
+	eng.At(0, func() {
+		for i := 0; i < 700; i++ {
+			launch(rng.Intn(2))
+		}
+	})
+	for i := 0; i < 500; i++ {
+		eng.At(sim.Time(rng.Uniform(0, 25)), func() { launch(rng.Intn(3)) })
+	}
+	for i := 0; i < 30; i++ {
+		p := ports[rng.Intn(len(ports))]
+		capMBps := []float64{0, 20, rng.Uniform(50, 1500)}[rng.Intn(3)]
+		eng.At(sim.Time(rng.Uniform(0, 25)), func() {
+			p.SetCapMBps(capMBps)
+			touched[p] = true
+		})
+	}
+	eng.Run()
+	if finished != started || fab.ActiveStreams() != 0 {
+		t.Fatalf("%d of %d streams finished, %d still active", finished, started, fab.ActiveStreams())
+	}
+	if peak <= exactThreshold {
+		t.Fatalf("peak population %d never crossed exactThreshold %d", peak, exactThreshold)
+	}
+	if skippable == 0 {
+		t.Fatalf("no recompute re-offered an untouched port its old share in %d checks: the skip was never exercised", checks)
 	}
 }
