@@ -43,6 +43,9 @@ func BenchmarkFlownetRefresh(b *testing.B) {
 		{"churn256", 32, 8, 0.002},
 		// Beyond exactThreshold: quantum batching, no exact min-scan.
 		{"quantum1024", 64, 16, 0},
+		// One port, 4096 streams: every completion lands on the same
+		// port, the shape a calendar keyed per port would rescan.
+		{"oneport4096", 1, 4096, 0},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
@@ -57,12 +60,16 @@ func BenchmarkFlownetRefresh(b *testing.B) {
 	}
 }
 
-// BenchmarkFlownetRecompute isolates one two-level water-fill pass
-// over a steady population of 32 ports × 8 streams. full-fill marks
-// every port changed before each pass, so every port rescans its caps
-// and redistributes: the cost of a recompute after a barrier storm.
-// one-port-changed marks a single port, the common case of one join or
-// completion, where the other ports keep their share and are skipped.
+// BenchmarkFlownetRecompute isolates one recompute over a steady
+// population of 32 ports × 8 uncapped streams, marking ports through
+// the same helper joins and completions use. full-fill marks every
+// port changed and forces the full fill, as after a barrier storm:
+// every port rescans its caps and redistributes. refit marks one port
+// whose limit keeps every freezing decision, the common case of a join
+// or completion on a port that keeps its share: only that port
+// redistributes. refill marks one port as if it had just been listed
+// or emptied, which forces the full fill over otherwise unchanged
+// ports.
 func BenchmarkFlownetRecompute(b *testing.B) {
 	for _, c := range []struct {
 		name string
@@ -70,11 +77,16 @@ func BenchmarkFlownetRecompute(b *testing.B) {
 	}{
 		{"full-fill", func(f *Fabric, _ int) {
 			for _, p := range f.actPorts {
-				p.changed = true
+				f.markChanged(p)
 			}
+			f.refill = true
 		}},
-		{"one-port-changed", func(f *Fabric, i int) {
-			f.actPorts[i%len(f.actPorts)].changed = true
+		{"refit", func(f *Fabric, i int) {
+			f.markChanged(f.actPorts[i%len(f.actPorts)])
+		}},
+		{"refill", func(f *Fabric, i int) {
+			f.markChanged(f.actPorts[i%len(f.actPorts)])
+			f.refill = true
 		}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
@@ -93,7 +105,7 @@ func BenchmarkFlownetRecompute(b *testing.B) {
 // BenchmarkFastForward measures the completion calendar in the regimes
 // that stress it: steady10k (completion clusters, long unchanged
 // stretches), churn10k (constant joins re-rate the whole population,
-// the regime calendar compaction bounds), poked10k (refreshes vastly
+// so every stream re-sifts per recompute), poked10k (refreshes vastly
 // outnumber rate changes, so each wake-up is a calendar peek), and
 // repeated (identical uniform phases, GCRM's writer storms).
 func BenchmarkFastForward(b *testing.B) {

@@ -1,118 +1,121 @@
 package flownet
 
-import (
-	"math"
+import "ensembleio/internal/sim"
 
-	"ensembleio/internal/sim"
-)
-
-// calEntry is one pending completion in the fabric's calendar. Entries
-// are immutable once pushed; a stream whose rate changes simply pushes
-// a fresh entry, and stale ones are dropped when they surface or when
-// the fabric compacts the calendar.
-// An entry is current iff the stream it points at is still the same
-// transfer (ids are monotone and never reused) and still carries the
-// entry's deadline bits.
-type calEntry struct {
-	dl sim.Time
-	id uint64
-	s  *Stream
-}
-
-// valid reports whether the entry still describes its stream's live
-// deadline. Reading a recycled *Stream is safe — the object is only
-// ever reused for another transfer, which changes its id.
-func (e calEntry) valid() bool {
-	return e.s.id == e.id && !e.s.finished &&
-		math.Float64bits(float64(e.s.deadline)) == math.Float64bits(float64(e.dl))
-}
-
-// calendar is a slice-backed binary min-heap of completion deadlines
-// ordered by (deadline, stream id). The id tie-break fixes the pop
-// order of simultaneous completions, which is what keeps
-// done-callback sequence numbers — and therefore every downstream RNG
-// draw — deterministic.
+// calendar is an indexed binary min-heap of the live streams with a
+// finite deadline, ordered by (deadline, stream id). Each stream
+// records its slot in calIdx (-1 when absent), so a rate change
+// re-sifts the stream in place instead of leaving a stale entry
+// behind: the heap holds exactly one entry per scheduled stream. The
+// id tie-break makes the order total, which fixes the pop order of
+// simultaneous completions — and with it done-callback sequence
+// numbers and every downstream RNG draw.
 type calendar struct {
-	a []calEntry
+	a []*Stream
 }
 
-func (c *calendar) less(i, j int) bool {
-	if c.a[i].dl != c.a[j].dl {
-		return c.a[i].dl < c.a[j].dl
+// before reports whether a orders ahead of b.
+func before(a, b *Stream) bool {
+	if a.deadline != b.deadline {
+		return a.deadline < b.deadline
 	}
-	return c.a[i].id < c.a[j].id
+	return a.id < b.id
 }
 
-func (c *calendar) push(e calEntry) {
-	c.a = append(c.a, e)
-	i := len(c.a) - 1
+// fix inserts s, or restores heap order around it after its deadline
+// changed.
+func (c *calendar) fix(s *Stream) {
+	if s.calIdx < 0 {
+		s.calIdx = len(c.a)
+		c.a = append(c.a, s)
+		c.up(s, s.calIdx)
+		return
+	}
+	if !c.up(s, s.calIdx) {
+		c.down(s, s.calIdx)
+	}
+}
+
+// remove takes s out of the calendar; absent streams are left alone.
+func (c *calendar) remove(s *Stream) {
+	i := s.calIdx
+	if i < 0 {
+		return
+	}
+	n := len(c.a) - 1
+	last := c.a[n]
+	// Clear the vacated slot so the stream is collectable even while
+	// the backing array lives on.
+	c.a[n] = nil
+	c.a = c.a[:n]
+	s.calIdx = -1
+	if i != n {
+		c.a[i], last.calIdx = last, i
+		if !c.up(last, i) {
+			c.down(last, i)
+		}
+	}
+}
+
+// pop removes and returns the earliest stream; the calendar must not
+// be empty.
+func (c *calendar) pop() *Stream {
+	s := c.a[0]
+	c.remove(s)
+	return s
+}
+
+// minDeadline returns the earliest scheduled deadline, or Infinity.
+func (c *calendar) minDeadline() sim.Time {
+	if len(c.a) == 0 {
+		return sim.Infinity
+	}
+	return c.a[0].deadline
+}
+
+// up sifts s, which sits at slot i, toward the root and reports
+// whether it moved. Each entry s passes moves down into the hole s
+// leaves, and s is stored once at its final slot: every store is a
+// pointer write, which costs a write barrier while the collector runs,
+// so the sifts never swap pairs.
+func (c *calendar) up(s *Stream, i int) bool {
+	start := i
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !c.less(i, parent) {
+		p := c.a[parent]
+		if !before(s, p) {
 			break
 		}
-		c.a[i], c.a[parent] = c.a[parent], c.a[i]
+		c.a[i], p.calIdx = p, i
 		i = parent
 	}
-}
-
-// peek returns the minimum entry without removing it. The caller is
-// responsible for lazily popping invalid entries.
-func (c *calendar) peek() (calEntry, bool) {
-	if len(c.a) == 0 {
-		return calEntry{}, false
+	if i == start {
+		return false
 	}
-	return c.a[0], true
+	c.a[i], s.calIdx = s, i
+	return true
 }
 
-func (c *calendar) pop() calEntry {
-	top := c.a[0]
-	n := len(c.a) - 1
-	c.a[0] = c.a[n]
-	// Clear the vacated slot so the entry's *Stream is collectable
-	// even while the backing array lives on.
-	c.a[n] = calEntry{}
-	c.a = c.a[:n]
-	c.down(0)
-	return top
-}
-
-// down sifts the entry at i toward the leaves until both children
-// order after it.
-func (c *calendar) down(i int) {
-	n := len(c.a)
+// down sifts s, which sits at slot i, toward the leaves, moving the
+// earlier child up into the hole until both children order after it.
+func (c *calendar) down(s *Stream, i int) {
+	start, n := i, len(c.a)
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && c.less(l, smallest) {
-			smallest = l
+		child := 2*i + 1
+		if child >= n {
+			break
 		}
-		if r < n && c.less(r, smallest) {
-			smallest = r
+		if r := child + 1; r < n && before(c.a[r], c.a[child]) {
+			child = r
 		}
-		if smallest == i {
-			return
+		ch := c.a[child]
+		if !before(ch, s) {
+			break
 		}
-		c.a[i], c.a[smallest] = c.a[smallest], c.a[i]
-		i = smallest
+		c.a[i], ch.calIdx = ch, i
+		i = child
+	}
+	if i != start {
+		c.a[i], s.calIdx = s, i
 	}
 }
-
-// compact drops every stale entry and restores the heap with Floyd's
-// bottom-up heapify in O(n). Valid entries are totally ordered by
-// (deadline, id), so their pop order is unchanged.
-func (c *calendar) compact() {
-	kept := c.a[:0]
-	for _, e := range c.a {
-		if e.valid() {
-			kept = append(kept, e)
-		}
-	}
-	clear(c.a[len(kept):])
-	c.a = kept
-	for i := len(kept)/2 - 1; i >= 0; i-- {
-		c.down(i)
-	}
-}
-
-func (c *calendar) len() int { return len(c.a) }

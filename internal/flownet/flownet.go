@@ -66,9 +66,19 @@ type Fabric struct {
 	free       []*Stream // engine-owned stream free list (see DESIGN.md §11)
 	due        []*Stream // scratch: streams completing at the current instant
 	touched    []*Port   // scratch: ports needing compaction after completions
-	cal        calendar  // pending completion deadlines, lazily invalidated
+	cal        calendar  // live streams with a finite deadline, by (deadline, id)
+	chPorts    []*Port   // ports whose changed mark is set
+	refill     bool      // a port was listed or emptied since the last recompute
 	pokeFn     func()
 	tickFn     func(uint64)
+
+	// The last full fill's freezing record, which lets a recompute
+	// refit only the changed ports (see keepsDecisions): each round's level,
+	// the last round that froze a port (-1 = none), and whether every
+	// port froze. Each port keeps its own freeze round in Port.round.
+	levels    []float64
+	lastRound int
+	allFrozen bool
 
 	// Telemetry handles cached by Instrument; nil handles no-op, so the
 	// hot loops below pay a nil check and nothing else when disabled.
@@ -127,12 +137,13 @@ type Port struct {
 	share   float64 // current port allocation, MB/s
 	listed  bool    // present in fab.actPorts (possibly as a stale empty)
 	maxUse  float64 // maximum useful rate; rescanned only when changed
-	frozen  bool    // scratch: water-fill freeze mark
+	round   int     // round the last full fill froze the port in (-1 = unfrozen)
 	touched bool    // scratch: has completions pending removal
 	// changed marks a join, a completion or a cap change since the last
-	// distribute; distShare is the share that distribute last ran at.
-	// An unchanged port re-offered a bitwise-equal share would assign
-	// every stream the rate it already has, so distribute skips it.
+	// distribute, and puts the port on fab.chPorts; distShare is the
+	// share that distribute last ran at. An unchanged port re-offered a
+	// bitwise-equal share would assign every stream the rate it
+	// already has, so distribute skips it.
 	changed   bool
 	distShare float64
 }
@@ -157,11 +168,12 @@ func (f *Fabric) NewWeightedPort(capMBps, weight float64) *Port {
 // SetCapMBps changes the port's local link capacity in MB/s (0 = no
 // local limit). Degraded-link fault injection uses it; a change while
 // streams are in flight takes effect at the next rate recomputation.
+// An idle port needs no mark: its next join marks it.
 func (p *Port) SetCapMBps(capMBps float64) {
 	p.cap = capMBps
-	p.changed = true
 	if p.listed {
 		f := p.fab
+		f.markChanged(p)
 		f.markDirty(f.eng.Now())
 		f.poke()
 	}
@@ -193,7 +205,7 @@ type StreamOpts struct {
 // when the assigned rate actually changes (bitwise), so an unchanged
 // allocation keeps every deadline bit-stable across recomputes — the
 // invariant that keeps the completion calendar free of needless
-// re-pushes.
+// re-sifts.
 type Stream struct {
 	port      *Port
 	id        uint64   // monotone per-fabric; completion tie-break
@@ -203,7 +215,7 @@ type Stream struct {
 	weight    float64
 	rate      float64  // current allocation, MB/s
 	deadline  sim.Time // absolute completion time at the current rate (Infinity while idle)
-	calDl     sim.Time // deadline of the latest calendar entry pushed (-1 = none)
+	calIdx    int      // slot in the fabric's calendar (-1 = not scheduled)
 	joined    sim.Time
 	done      func()
 	finished  bool
@@ -237,7 +249,7 @@ func (p *Port) Start(demandMB float64, opts StreamOpts) *Stream {
 		if opts.Done != nil {
 			f.eng.At(now, opts.Done)
 		}
-		return &Stream{port: p, rateCap: opts.RateCap, weight: w, joined: now, finished: true}
+		return &Stream{port: p, rateCap: opts.RateCap, weight: w, calIdx: -1, joined: now, finished: true}
 	}
 	var s *Stream
 	if n := len(f.free); n > 0 {
@@ -256,16 +268,17 @@ func (p *Port) Start(demandMB float64, opts StreamOpts) *Stream {
 		rateCap:   opts.RateCap,
 		weight:    w,
 		deadline:  sim.Infinity,
-		calDl:     -1,
+		calIdx:    -1,
 		joined:    now,
 		done:      opts.Done,
 	}
 	p.streams = append(p.streams, s)
-	p.changed = true
 	if !p.listed {
 		p.listed = true
 		f.actPorts = append(f.actPorts, p)
+		f.refill = true
 	}
+	f.markChanged(p)
 	if f.active == 0 {
 		f.lastWake = now // idle gaps are not fast-forwarded stretches
 	}
@@ -304,6 +317,15 @@ func (f *Fabric) markDirty(now sim.Time) {
 	if !f.dirty {
 		f.dirty = true
 		f.dirtySince = now
+	}
+}
+
+// markChanged sets a listed port's changed mark and, when the mark
+// flips, lists the port for the next recompute.
+func (f *Fabric) markChanged(p *Port) {
+	if !p.changed {
+		p.changed = true
+		f.chPorts = append(f.chPorts, p)
 	}
 }
 
@@ -348,7 +370,7 @@ func (f *Fabric) refresh() {
 	if f.dirty {
 		wake = f.dirtySince + f.quantum
 	}
-	if dl := f.minDeadline(); dl < wake {
+	if dl := f.cal.minDeadline(); dl < wake {
 		wake = dl
 	}
 	if wake < sim.Infinity {
@@ -363,16 +385,10 @@ func (f *Fabric) refresh() {
 // scheduling — in a fixed order.
 func (f *Fabric) completeDue(now sim.Time) {
 	f.due = f.due[:0]
-	for {
-		e, ok := f.cal.peek()
-		if !ok || e.dl > now {
-			break
-		}
-		f.cal.pop()
-		if e.valid() {
-			e.s.finished = true
-			f.due = append(f.due, e.s)
-		}
+	for f.cal.minDeadline() <= now {
+		s := f.cal.pop()
+		s.finished = true
+		f.due = append(f.due, s)
 	}
 	if len(f.due) == 0 {
 		return
@@ -401,10 +417,14 @@ func (f *Fabric) completeDue(now sim.Time) {
 		}
 		p.streams = kept
 		p.touched = false
-		p.changed = true
-		// Emptied ports stay listed in actPorts until the next
-		// recompute compacts them — keeping membership bookkeeping
-		// O(completions), not O(ports), on the fast path.
+		f.markChanged(p)
+		if len(kept) == 0 {
+			// Emptied ports stay listed in actPorts until the next
+			// recompute compacts them — keeping membership bookkeeping
+			// O(completions), not O(ports), on the fast path. That
+			// recompute must be a full fill.
+			f.refill = true
+		}
 	}
 	for _, s := range f.due {
 		// The stream is out of its port and its done callback holds no
@@ -415,26 +435,12 @@ func (f *Fabric) completeDue(now sim.Time) {
 	}
 }
 
-// minDeadline returns the earliest pending completion deadline: the
-// calendar top, after dropping the stale entries that have surfaced.
-func (f *Fabric) minDeadline() sim.Time {
-	for {
-		e, ok := f.cal.peek()
-		if !ok {
-			return sim.Infinity
-		}
-		if e.valid() {
-			return e.dl
-		}
-		f.cal.pop()
-	}
-}
-
 // setRate assigns a stream's water-fill allocation. When the rate is
 // bitwise unchanged the anchor — and therefore the deadline — is left
-// untouched, so stable allocations never churn the calendar and the
-// deadline bits agree across recomputes. On a change the
-// remaining bytes are materialized at now and the deadline re-derived.
+// untouched, so stable allocations never touch the calendar and the
+// deadline bits agree across recomputes. On a change the remaining
+// bytes are materialized at now, the deadline re-derived, and the
+// stream re-sifted in the calendar (or taken out while it has no rate).
 func (f *Fabric) setRate(s *Stream, r float64, now sim.Time) {
 	if math.Float64bits(r) == math.Float64bits(s.rate) {
 		return
@@ -446,6 +452,7 @@ func (f *Fabric) setRate(s *Stream, r float64, now sim.Time) {
 	s.anchorT, s.anchorRem, s.rate = now, rem, r
 	if r <= 0 {
 		s.deadline = sim.Infinity
+		f.cal.remove(s)
 		return
 	}
 	if rem <= 0 {
@@ -455,21 +462,77 @@ func (f *Fabric) setRate(s *Stream, r float64, now sim.Time) {
 	} else {
 		s.deadline = now + sim.Time(rem/r)
 	}
-	if math.Float64bits(float64(s.deadline)) != math.Float64bits(float64(s.calDl)) {
-		f.cal.push(calEntry{dl: s.deadline, id: s.id, s: s})
-		s.calDl = s.deadline
-	}
+	f.cal.fix(s)
 }
 
-// recompute performs the two-level water-filling rate allocation over
-// the active ports using iterative freezing (no sorting, no
-// allocation): in each round the tentative fair level is computed and
-// every port whose maximum useful rate falls below its weighted share
-// is frozen there; the remainder is split by weight. Only changed
-// ports rescan their streams' caps, and only changed or re-shared
-// ports redistribute (DESIGN.md §11).
+// recompute brings the allocation up to date with the membership and
+// cap changes since the last one. The changed ports rescan their
+// streams' caps; when keepsDecisions shows their new limits leave every
+// freezing decision of the last full fill standing, only those ports
+// redistribute. Otherwise — and whenever a port was listed or emptied
+// — the full fill runs (DESIGN.md §11).
 func (f *Fabric) recompute(now sim.Time) {
 	f.telRecomputes.Inc()
+	refit := !f.refill
+	for _, p := range f.chPorts {
+		lim := p.useLimit()
+		if refit && !f.keepsDecisions(p, lim) {
+			refit = false
+		}
+		p.maxUse = lim
+	}
+	if refit {
+		for _, p := range f.chPorts {
+			if p.round >= 0 { // a frozen port's share is its limit
+				p.share = p.maxUse
+			}
+			p.distribute(now)
+		}
+	} else {
+		f.fill(now)
+	}
+	f.chPorts = f.chPorts[:0]
+	f.refill = false
+}
+
+// keepsDecisions reports whether the last full fill, rerun with p's
+// maximum useful rate set to lim, would freeze every port in the same
+// round as before. Then every level it computes is unchanged, and so is
+// every other port's share. That holds when lim has the old bits; when
+// p was unfrozen and lim still exceeds its weighted level in every
+// round; and when the fill froze every port, p froze in the last
+// freezing round, and lim first fits there — p then takes lim as its
+// share, and no round after it has a port left to re-level.
+func (f *Fabric) keepsDecisions(p *Port, lim float64) bool {
+	if math.Float64bits(lim) == math.Float64bits(p.maxUse) {
+		return true
+	}
+	k := f.firstFreeze(lim, p.weight)
+	if p.round < 0 {
+		return k < 0
+	}
+	return f.allFrozen && p.round == f.lastRound && k == f.lastRound
+}
+
+// firstFreeze returns the first round of the last full fill in which a
+// port of weight w and maximum useful rate lim would freeze, or -1.
+func (f *Fabric) firstFreeze(lim, w float64) int {
+	for k, level := range f.levels {
+		if lim <= w*level {
+			return k
+		}
+	}
+	return -1
+}
+
+// fill performs the two-level water-filling rate allocation over the
+// active ports using iterative freezing (no sorting; the level record
+// reuses its slice): in each round the tentative fair level is
+// computed and every port whose maximum useful rate falls below its
+// weighted share is frozen there; the remainder is split by weight.
+// It records each port's freeze round and each round's level for
+// keepsDecisions, and only changed or re-shared ports redistribute.
+func (f *Fabric) fill(now sim.Time) {
 	// Compact ports that emptied since the last recompute, preserving
 	// relative order (actPorts order is the water-fill iteration order).
 	kept := f.actPorts[:0]
@@ -477,6 +540,7 @@ func (f *Fabric) recompute(now sim.Time) {
 		if len(p.streams) == 0 {
 			p.listed = false
 			p.share = 0
+			p.changed = false
 			continue
 		}
 		kept = append(kept, p)
@@ -487,46 +551,42 @@ func (f *Fabric) recompute(now sim.Time) {
 	f.actPorts = kept
 	totalW := 0.0
 	for _, p := range f.actPorts {
-		if p.changed {
-			p.maxUse = p.useLimit()
-		}
-		p.frozen = false
+		p.round = -1
 		totalW += p.weight
 	}
+	f.levels = f.levels[:0]
+	f.lastRound = -1
+	frozen := 0
 	remaining := f.cap
 	wRem := totalW
 	for wRem > 0 {
 		level := remaining / wRem
+		k := len(f.levels)
+		f.levels = append(f.levels, level)
 		froze := false
 		for _, p := range f.actPorts {
-			if !p.frozen && p.maxUse <= p.weight*level {
-				p.frozen = true
+			if p.round < 0 && p.maxUse <= p.weight*level {
+				p.round = k
 				p.share = p.maxUse
 				remaining -= p.maxUse
 				wRem -= p.weight
+				frozen++
 				froze = true
 			}
 		}
 		if !froze {
 			for _, p := range f.actPorts {
-				if !p.frozen {
+				if p.round < 0 {
 					p.share = p.weight * level
 				}
 			}
 			break
 		}
+		f.lastRound = k
 	}
+	f.allFrozen = frozen == len(f.actPorts)
 	for _, p := range f.actPorts {
 		p.distribute(now)
-	}
-	// A recompute that re-rates most of the population leaves one
-	// stale calendar entry per re-rated stream. Once they outnumber the
-	// live ones, drop them all: a compaction costs O(len) and discards
-	// more than active+64 stale entries, each pushed once, so it is
-	// amortized O(1) per push and keeps the calendar within a constant
-	// factor of the population.
-	if f.cal.len() > 2*f.active+64 {
-		f.cal.compact()
 	}
 }
 

@@ -9,20 +9,17 @@ import (
 )
 
 // checkCalendar is the brute-force reference for the completion
-// calendar: it scans every live stream and checks that minDeadline is
-// the bitwise minimum live deadline, that every live stream with a
-// finite deadline has a valid calendar entry, and that no live stream
-// is overdue (a deadline in the past means a completion was missed).
+// calendar: it scans every live stream and checks that the calendar
+// holds exactly the live streams with a finite deadline, each in the
+// slot it records and in heap order, that its minimum is the bitwise
+// minimum live deadline, and that no live stream is overdue (a
+// deadline in the past means a completion was missed).
 func checkCalendar(t *testing.T, f *Fabric) {
 	t.Helper()
-	inCal := make(map[*Stream]bool, f.cal.len())
-	for _, e := range f.cal.a {
-		if e.valid() {
-			inCal[e.s] = true
-		}
-	}
+	checkHeap(t, &f.cal)
 	now := f.eng.Now()
 	min := sim.Infinity
+	scheduled := 0
 	for _, p := range f.actPorts {
 		for _, s := range p.streams {
 			if s.deadline < now {
@@ -31,13 +28,36 @@ func checkCalendar(t *testing.T, f *Fabric) {
 			if s.deadline < min {
 				min = s.deadline
 			}
-			if s.deadline < sim.Infinity && !inCal[s] {
-				t.Fatalf("t=%v: stream %d (deadline %v) has no valid calendar entry", now, s.id, s.deadline)
+			switch {
+			case s.deadline < sim.Infinity:
+				scheduled++
+				if s.calIdx < 0 || s.calIdx >= len(f.cal.a) || f.cal.a[s.calIdx] != s {
+					t.Fatalf("t=%v: stream %d (deadline %v) is not in the calendar", now, s.id, s.deadline)
+				}
+			case s.calIdx >= 0:
+				t.Fatalf("t=%v: stream %d has no deadline but sits in calendar slot %d", now, s.id, s.calIdx)
 			}
 		}
 	}
-	if got := f.minDeadline(); !sameBits(got, min) {
-		t.Fatalf("t=%v: calendar minDeadline %v, brute-force scan %v", now, got, min)
+	if n := len(f.cal.a); n != scheduled {
+		t.Fatalf("t=%v: calendar holds %d entries, %d live streams have a deadline", now, n, scheduled)
+	}
+	if got := f.cal.minDeadline(); !sameBits(got, min) {
+		t.Fatalf("t=%v: calendar minimum %v, brute-force scan %v", now, got, min)
+	}
+}
+
+// checkHeap checks that every calendar entry records its own slot and
+// orders no earlier than its parent.
+func checkHeap(t *testing.T, c *calendar) {
+	t.Helper()
+	for i, s := range c.a {
+		if s.calIdx != i {
+			t.Fatalf("calendar slot %d holds stream %d recording slot %d", i, s.id, s.calIdx)
+		}
+		if i > 0 && before(s, c.a[(i-1)/2]) {
+			t.Fatalf("heap order broken at slot %d", i)
+		}
 	}
 }
 
@@ -103,64 +123,73 @@ func pokeTrain(t *testing.T, f *Fabric, every, span sim.Duration) {
 	}
 }
 
-// TestCalendarCompactPreservesPopOrder builds a heap in which most
-// entries are stale — re-rated streams, finished streams, recycled
-// stream objects — and checks that compact keeps exactly the valid
-// entries, restores the heap property, and pops the same valid
-// sequence as the uncompacted heap.
-func TestCalendarCompactPreservesPopOrder(t *testing.T) {
+// TestIndexedCalendarMatchesSortedReference drives the calendar
+// through a seeded random sequence of inserts, re-sifts after a
+// deadline change, removals (of scheduled and unscheduled streams)
+// and pops. Coarse deadlines force ties, so pop order rests on the
+// (deadline, id) tie-break. After every step the heap must hold
+// exactly the reference set with every slot index current, and every
+// pop must return the reference's (deadline, id) minimum.
+func TestIndexedCalendarMatchesSortedReference(t *testing.T) {
 	rng := sim.NewRNG(7)
-	streams := make([]*Stream, 200)
-	var cal calendar
+	streams := make([]*Stream, 64)
 	for i := range streams {
-		s := &Stream{id: uint64(i + 1)}
-		streams[i] = s
-		// Several re-rates per stream; only the last entry stays valid.
-		// Coarse deadlines force (deadline, id) ties.
-		for k := 0; k < 1+rng.Intn(4); k++ {
-			s.deadline = sim.Time(rng.Intn(50))
-			cal.push(calEntry{dl: s.deadline, id: s.id, s: s})
-		}
+		streams[i] = &Stream{id: uint64(i + 1), calIdx: -1}
 	}
-	for i, s := range streams {
-		switch i % 5 {
-		case 0:
-			s.finished = true
-		case 1:
-			s.id += 1000 // the object was recycled for another transfer
-		}
-	}
-	validPops := func(c *calendar) []calEntry {
-		var out []calEntry
-		for c.len() > 0 {
-			if e := c.pop(); e.valid() {
-				out = append(out, e)
+	var cal calendar
+	in := make(map[*Stream]bool)
+	refMin := func() *Stream {
+		var best *Stream
+		for s := range in {
+			if best == nil || s.deadline < best.deadline || (s.deadline == best.deadline && s.id < best.id) {
+				best = s
 			}
 		}
-		return out
+		return best
 	}
-	compacted := calendar{a: append([]calEntry(nil), cal.a...)}
-	compacted.compact()
-	for i, e := range compacted.a {
-		if !e.valid() {
-			t.Fatalf("compact kept stale entry %+v", e)
+	pops := 0
+	for step := 0; step < 20000; step++ {
+		s := streams[rng.Intn(len(streams))]
+		switch op := rng.Intn(10); {
+		case op < 5: // insert, or re-sift after a deadline change
+			s.deadline = sim.Time(rng.Intn(40))
+			cal.fix(s)
+			in[s] = true
+		case op < 7:
+			cal.remove(s)
+			delete(in, s)
+		default:
+			want := refMin()
+			if want == nil {
+				if len(cal.a) != 0 {
+					t.Fatalf("step %d: reference empty, calendar holds %d", step, len(cal.a))
+				}
+				continue
+			}
+			if got := cal.pop(); got != want {
+				t.Fatalf("step %d: popped stream %d (deadline %v), reference minimum is stream %d (deadline %v)",
+					step, got.id, got.deadline, want.id, want.deadline)
+			}
+			delete(in, want)
+			pops++
 		}
-		if i > 0 && compacted.less(i, (i-1)/2) {
-			t.Fatalf("heap property broken at %d after compact", i)
+		checkHeap(t, &cal)
+		if len(cal.a) != len(in) {
+			t.Fatalf("step %d: calendar holds %d streams, reference %d", step, len(cal.a), len(in))
+		}
+		for s := range in {
+			if s.calIdx < 0 || cal.a[s.calIdx] != s {
+				t.Fatalf("step %d: stream %d missing from the calendar", step, s.id)
+			}
+		}
+		for _, s := range streams {
+			if !in[s] && s.calIdx != -1 {
+				t.Fatalf("step %d: removed stream %d still records slot %d", step, s.id, s.calIdx)
+			}
 		}
 	}
-	want := validPops(&cal)
-	if compacted.len() != len(want) {
-		t.Fatalf("compact kept %d entries, want the %d valid ones", compacted.len(), len(want))
-	}
-	got := validPops(&compacted)
-	if len(want) == 0 {
-		t.Fatal("no valid entries; the check is vacuous")
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("pop %d: compacted %+v, reference %+v", i, got[i], want[i])
-		}
+	if pops < 1000 {
+		t.Fatalf("only %d pops; the pop order check is too thin", pops)
 	}
 }
 
@@ -170,7 +199,7 @@ func TestCalendarCompactPreservesPopOrder(t *testing.T) {
 // callbacks, and degraded-link SetCapMBps edges — while the oracle
 // checks the calendar from every completion and from a poke train.
 // The population crosses exactThreshold in both directions, and the
-// calendar must stay within a constant factor of the peak population.
+// calendar must hold exactly the scheduled live streams throughout.
 func TestRandomizedChurnMatchesOracle(t *testing.T) {
 	rng := sim.NewRNG(20100419)
 	eng := sim.NewEngine()
@@ -184,7 +213,7 @@ func TestRandomizedChurnMatchesOracle(t *testing.T) {
 		}
 		ports[i] = fab.NewWeightedPort(capMBps, float64(1+rng.Intn(4)))
 	}
-	started, finished, peak, peakCal := 0, 0, 0, 0
+	started, finished, peak := 0, 0, 0
 	var launch func(follow int)
 	launch = func(follow int) {
 		opts := StreamOpts{Weight: float64(1 + rng.Intn(3))}
@@ -220,9 +249,6 @@ func TestRandomizedChurnMatchesOracle(t *testing.T) {
 	}
 	for at := sim.Time(0.0137); at < 60; at += 0.0137 {
 		eng.At(at, func() {
-			if n := fab.cal.len(); n > peakCal {
-				peakCal = n
-			}
 			fab.poke()
 			checkCalendar(t, fab)
 		})
@@ -236,10 +262,6 @@ func TestRandomizedChurnMatchesOracle(t *testing.T) {
 	}
 	if o.n != started {
 		t.Fatalf("oracle saw %d of %d completions", o.n, started)
-	}
-	if limit := 2*peak + 64; peakCal > limit {
-		t.Fatalf("calendar grew to %d entries with at most %d streams live (limit %d): stale entries are not compacted",
-			peakCal, peak, limit)
 	}
 }
 
@@ -371,15 +393,67 @@ func referenceFill(f *Fabric) (rates map[*Stream]float64, shares map[*Port]float
 	return rates, shares
 }
 
+// fillRecord is the freezing record a refit reads, as the last full
+// fill left it: each round's level, the last round that froze a port,
+// whether every port froze, and each port's limit and freeze round.
+type fillRecord struct {
+	levels    []float64
+	lastRound int
+	allFrozen bool
+	maxUse    map[*Port]float64
+	round     map[*Port]int
+}
+
+func recordFill(f *Fabric, ports []*Port) fillRecord {
+	r := fillRecord{
+		levels:    append([]float64(nil), f.levels...),
+		lastRound: f.lastRound,
+		allFrozen: f.allFrozen,
+		maxUse:    make(map[*Port]float64, len(ports)),
+		round:     make(map[*Port]int, len(ports)),
+	}
+	for _, p := range ports {
+		r.maxUse[p], r.round[p] = p.maxUse, p.round
+	}
+	return r
+}
+
+// refitBranch names the case in which giving port p the new maximum
+// useful rate lim provably keeps every freezing decision of the
+// recorded fill, or returns "" when only a full fill is exact.
+func (r fillRecord) refitBranch(p *Port, lim float64) string {
+	first := -1
+	for k, level := range r.levels {
+		if lim <= p.weight*level {
+			first = k
+			break
+		}
+	}
+	round := r.round[p]
+	switch {
+	case math.Float64bits(lim) == math.Float64bits(r.maxUse[p]):
+		return "same-bits"
+	case round < 0 && first < 0:
+		return "stays-unfrozen"
+	case r.allFrozen && round == r.lastRound && first == round:
+		return "frozen-last-round"
+	}
+	return ""
+}
+
 // TestPortSkipMatchesUnconditionalFill checks that recompute's
-// per-port skip — no cap rescan and no re-distribute for a port with
-// no join, completion or cap change since its last fill, offered a
-// bitwise-equal share — is exact. A seeded random population runs
-// through both scheduling regimes with capped and uncapped, weighted
-// streams on weighted ports, staggered joins, follow-up transfers
-// started from Done callbacks and mid-flight SetCapMBps. After every
-// refresh each live stream's rate and deadline must equal, bit for
-// bit, those of a shadow model re-filled unconditionally.
+// incremental paths are exact: the refit, which redistributes only the
+// changed ports when their new limits keep every freezing decision of
+// the last full fill, and the per-port skip, which re-distributes no
+// port that is unchanged and offered a bitwise-equal share. A seeded
+// random population runs through both scheduling regimes with capped
+// and uncapped, weighted streams on weighted ports, staggered joins,
+// follow-up transfers started from Done callbacks and mid-flight
+// SetCapMBps, including probes that cap an unfrozen port at exactly its
+// fair share. After every refresh each live stream's rate and deadline
+// must equal, bit for bit, those of a shadow model re-filled
+// unconditionally, and after every recompute no emptied port may stay
+// listed. Each refit case and the full-fill fallback must be exercised.
 func TestPortSkipMatchesUnconditionalFill(t *testing.T) {
 	rng := sim.NewRNG(19)
 	eng := sim.NewEngine()
@@ -395,8 +469,11 @@ func TestPortSkipMatchesUnconditionalFill(t *testing.T) {
 	}
 	shadow := make(map[uint64]*shadowStream)
 	touched := make(map[*Port]bool) // join, completion or cap change since the last recompute
+	needFull := false               // a port was listed or emptied since the last recompute
+	fill := recordFill(fab, ports)
+	branches := make(map[string]int)
 	lastShare := make(map[*Port]float64)
-	started, finished, peak, checks, skippable := 0, 0, 0, 0, 0
+	started, finished, peak, checks, skippable, probes := 0, 0, 0, 0, 0, 0
 	var launch func(follow int)
 	launch = func(follow int) {
 		p := ports[rng.Intn(len(ports))]
@@ -412,11 +489,41 @@ func TestPortSkipMatchesUnconditionalFill(t *testing.T) {
 			}
 		}
 		started++
+		if !p.listed {
+			needFull = true
+		}
 		s := p.Start(demand, opts)
 		shadow[s.id] = &shadowStream{anchorT: eng.Now(), anchorRem: demand, deadline: sim.Infinity}
 		touched[p] = true
 		if n := fab.ActiveStreams(); n > peak {
 			peak = n
+		}
+	}
+	// classify names the path the recompute that just ran had to take:
+	// the full fill, or a refit whose changed ports each satisfy one of
+	// the cases in refitBranch.
+	classify := func() {
+		full := needFull
+		var hits []string
+		if !full {
+			for p := range touched {
+				if !p.listed {
+					continue // an idle port's cap change; its next join lists it
+				}
+				b := fill.refitBranch(p, p.maxUse)
+				if b == "" {
+					full = true
+					break
+				}
+				hits = append(hits, b)
+			}
+		}
+		if full {
+			branches["full-fill"]++
+			return
+		}
+		for _, b := range hits {
+			branches[b]++
 		}
 	}
 	lastRecomputes := 0.0
@@ -430,6 +537,17 @@ func TestPortSkipMatchesUnconditionalFill(t *testing.T) {
 			var shares map[*Port]float64
 			rates, shares = referenceFill(fab)
 			if recomputed {
+				for _, p := range fab.actPorts {
+					if len(p.streams) == 0 {
+						t.Fatalf("t=%v: an emptied port is still listed after a recompute", now)
+					}
+				}
+				for _, p := range ports {
+					if len(p.streams) > 0 && !p.listed {
+						t.Fatalf("t=%v: a port with %d streams is not listed", now, len(p.streams))
+					}
+				}
+				classify()
 				for p, sh := range shares {
 					if old, ok := lastShare[p]; ok && !touched[p] && math.Float64bits(old) == math.Float64bits(sh) {
 						skippable++
@@ -439,6 +557,8 @@ func TestPortSkipMatchesUnconditionalFill(t *testing.T) {
 				for p := range touched {
 					delete(touched, p)
 				}
+				needFull = false
+				fill = recordFill(fab, ports)
 			}
 		}
 		for _, p := range fab.actPorts {
@@ -463,7 +583,8 @@ func TestPortSkipMatchesUnconditionalFill(t *testing.T) {
 	}
 	// The check runs after each refresh, so wrap the fabric's two
 	// wake-up paths. A refresh only removes streams, so a port that
-	// holds fewer afterwards had a completion.
+	// holds fewer afterwards had a completion, and one left with none
+	// was emptied.
 	lens := make([]int, len(ports))
 	around := func(refresh func()) {
 		for i, p := range ports {
@@ -471,8 +592,11 @@ func TestPortSkipMatchesUnconditionalFill(t *testing.T) {
 		}
 		refresh()
 		for i, p := range ports {
-			if len(p.streams) < lens[i] {
+			if n := len(p.streams); n < lens[i] {
 				touched[p] = true
+				if n == 0 {
+					needFull = true
+				}
 			}
 		}
 		check()
@@ -496,6 +620,35 @@ func TestPortSkipMatchesUnconditionalFill(t *testing.T) {
 			touched[p] = true
 		})
 	}
+	// Probes of the refit's edges. An unfrozen port capped at exactly
+	// its share ties the weighted level of the fill's last round, so it
+	// must freeze there and the full fill must rerun. A port frozen in
+	// the last freezing round whose cap tightens but stays above the
+	// previous round's level freezes in the same round again; that
+	// keeps the other shares only if no port was left unfrozen.
+	for i := 0; i < 400; i++ {
+		p := ports[rng.Intn(len(ports))]
+		tie := i%2 == 0
+		eng.At(sim.Time(rng.Uniform(0, 25)), func() {
+			if !p.listed || fab.dirty || len(p.streams) == 0 || fab.ActiveStreams() > exactThreshold {
+				return
+			}
+			switch {
+			case tie && p.round < 0:
+				p.SetCapMBps(p.share)
+			case !tie && p.round >= 0 && p.round == fab.lastRound:
+				lo := 0.0
+				if p.round > 0 {
+					lo = p.weight * fab.levels[p.round-1]
+				}
+				p.SetCapMBps((lo + p.maxUse) / 2)
+			default:
+				return
+			}
+			touched[p] = true
+			probes++
+		})
+	}
 	eng.Run()
 	if finished != started || fab.ActiveStreams() != 0 {
 		t.Fatalf("%d of %d streams finished, %d still active", finished, started, fab.ActiveStreams())
@@ -506,4 +659,13 @@ func TestPortSkipMatchesUnconditionalFill(t *testing.T) {
 	if skippable == 0 {
 		t.Fatalf("no recompute re-offered an untouched port its old share in %d checks: the skip was never exercised", checks)
 	}
+	if probes == 0 {
+		t.Fatal("no boundary probe found an unfrozen port")
+	}
+	for _, b := range []string{"same-bits", "stays-unfrozen", "frozen-last-round", "full-fill"} {
+		if branches[b] == 0 {
+			t.Fatalf("recompute path %q never taken in %d checks (taken: %v)", b, checks, branches)
+		}
+	}
+	t.Logf("recompute paths: %v; %d boundary probes", branches, probes)
 }
