@@ -5,7 +5,7 @@ FUZZTIME ?= 10s
 BENCHTIME ?= 1x
 BENCHCOUNT ?= 3
 
-.PHONY: build test race race-stress bench-check lint lint-sarif lint-testdata fmt vet fuzz-smoke bench bench-smoke trace-smoke bench-guard cache-golden dsl-golden figs-check interference-golden ci
+.PHONY: build test race race-stress bench-check lint lint-sarif lint-testdata fmt vet fuzz-smoke bench bench-smoke trace-smoke examples-smoke bench-guard cache-golden dsl-golden figs-check interference-golden ci
 
 build:
 	$(GO) build ./...
@@ -89,6 +89,13 @@ trace-smoke:
 	$(GO) run ./cmd/iorbench -tasks 64 -faults testdata/scenarios/flaky-ost.json \
 		-trace out/smoke.spans.jsonl -traceformat spans
 	$(GO) run ./cmd/ensembletop -top 5 -spans out/smoke.spans.jsonl out/smoke.telemetry.json
+
+# examples-smoke: every examples/* program runs to completion (go
+# build only compiles them). Takes ~5 s.
+examples-smoke:
+	@for d in examples/*/; do \
+		echo "go run ./$$d"; $(GO) run ./$$d > /dev/null || exit 1; \
+	done
 
 # cache-golden: the content-addressed run cache must be invisible in
 # the bytes. A cold wlrun batch (-j 4) populates the store; a warm
@@ -181,5 +188,6 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='FuzzMetricsDecode$$' -fuzztime=$(FUZZTIME) ./internal/tracefmt
 	$(GO) test -run='^$$' -fuzz='FuzzSpecDecode$$' -fuzztime=$(FUZZTIME) ./internal/wldsl
 	$(GO) test -run='^$$' -fuzz='FuzzScenarioKey$$' -fuzztime=$(FUZZTIME) ./internal/cascache
+	$(GO) test -run='^$$' -fuzz='FuzzScenarioParse$$' -fuzztime=$(FUZZTIME) ./internal/faults
 
-ci: build lint lint-testdata race race-stress bench-check bench-smoke trace-smoke dsl-golden figs-check interference-golden cache-golden bench-guard fuzz-smoke
+ci: build lint lint-testdata race race-stress bench-check bench-smoke trace-smoke examples-smoke dsl-golden figs-check interference-golden cache-golden bench-guard fuzz-smoke

@@ -81,6 +81,11 @@ func TestParseRejects(t *testing.T) {
 		{"brownout bad window", `{"faults":[{"type":"mds-brownout","slow_prob":0.5,"slow_lo_sec":2,"slow_hi_sec":1}]}`, "slow_lo_sec <= slow_hi_sec"},
 		{"bursts no rate", `{"faults":[{"type":"background-bursts","on_sec":1}]}`, "mbps must be positive"},
 		{"bursts no window", `{"faults":[{"type":"background-bursts","mbps":100}]}`, "on_sec must be positive"},
+		{"unknown top-level field", `{"fualts":[{"type":"slow-ost","ost":0,"factor":0.5}]}`, `unknown field "fualts"`},
+		{"unknown fault field", `{"faults":[{"type":"slow-ost","ost":0,"factor":0.5,"facter":0.1}]}`, `unknown field "facter"`},
+		{"trailing data", `{"faults":[]} {"faults":[]}`, "trailing data"},
+		{"trailing brace", `{"faults":[]}}`, "trailing data"},
+		{"oversized", `{"name":"` + strings.Repeat("x", MaxScenarioBytes) + `"}`, "exceeds"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -100,4 +105,35 @@ func TestScenarioString(t *testing.T) {
 	if got, want := s.String(), "scenario[slow-ost,mds-brownout]"; got != want {
 		t.Errorf("String() = %q, want %q", got, want)
 	}
+}
+
+// FuzzScenarioParse: Parse never panics, and an accepted scenario
+// re-parses from its MarshalJSON encoding to the same canonical bytes.
+func FuzzScenarioParse(f *testing.F) {
+	f.Add(sampleSpec)
+	f.Add(`{"name":"x","faults":[{"type":"slow-ost","ost":1,"factor":0.5}]}`)
+	f.Add(`{"fualts":[]}`)
+	f.Add(`{"faults":[{"type":"flaky-ost","ost":0,"period_sec":2,"stall_sec":1,"facter":1}]}`)
+	f.Add(`{} {}`)
+	f.Fuzz(func(t *testing.T, spec string) {
+		s, err := Parse(strings.NewReader(spec))
+		if err != nil {
+			return
+		}
+		b, err := Canonical(s)
+		if err != nil {
+			t.Fatalf("accepted scenario does not encode: %v", err)
+		}
+		s2, err := Parse(strings.NewReader(string(b)))
+		if err != nil {
+			t.Fatalf("encoding %s does not re-parse: %v", b, err)
+		}
+		b2, err := Canonical(s2)
+		if err != nil {
+			t.Fatalf("re-parsed scenario does not encode: %v", err)
+		}
+		if string(b) != string(b2) {
+			t.Fatalf("canonical bytes moved:\n first: %s\nsecond: %s", b, b2)
+		}
+	})
 }

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -68,37 +69,59 @@ func newFault(kind string) (Fault, error) {
 	return nil, fmt.Errorf("unknown fault type %q", kind)
 }
 
-// UnmarshalJSON decodes and validates the scenario spec form.
+// UnmarshalJSON decodes and validates the scenario spec form. Unknown
+// fields, at the top level or in a fault entry, are rejected: a typo
+// in a scenario must fail loudly, not silently drop a fault or one of
+// its parameters.
 func (s *Scenario) UnmarshalJSON(b []byte) error {
 	var raw struct {
 		Name   string            `json:"name"`
 		Faults []json.RawMessage `json:"faults"`
 	}
-	if err := json.Unmarshal(b, &raw); err != nil {
+	if err := decodeStrict(b, &raw); err != nil {
 		return err
 	}
 	s.Name = raw.Name
 	s.Faults = nil
 	for i, msg := range raw.Faults {
-		var tag struct {
-			Type string `json:"type"`
-		}
-		if err := json.Unmarshal(msg, &tag); err != nil {
+		// The "type" tag selects the fault; every other field must
+		// belong to that fault kind.
+		var fields map[string]json.RawMessage
+		if err := json.Unmarshal(msg, &fields); err != nil {
 			return fmt.Errorf("faults: entry %d: %w", i, err)
 		}
-		f, err := newFault(tag.Type)
+		var kind string
+		if tag, ok := fields["type"]; ok {
+			if err := json.Unmarshal(tag, &kind); err != nil {
+				return fmt.Errorf("faults: entry %d: %w", i, err)
+			}
+			delete(fields, "type")
+		}
+		f, err := newFault(kind)
 		if err != nil {
 			return fmt.Errorf("faults: entry %d: %w", i, err)
 		}
-		if err := json.Unmarshal(msg, f); err != nil {
-			return fmt.Errorf("faults: entry %d (%s): %w", i, tag.Type, err)
+		params, err := json.Marshal(fields)
+		if err != nil {
+			return fmt.Errorf("faults: entry %d (%s): %w", i, kind, err)
+		}
+		if err := decodeStrict(params, f); err != nil {
+			return fmt.Errorf("faults: entry %d (%s): %w", i, kind, err)
 		}
 		if err := f.Validate(); err != nil {
-			return fmt.Errorf("faults: entry %d (%s): %w", i, tag.Type, err)
+			return fmt.Errorf("faults: entry %d (%s): %w", i, kind, err)
 		}
 		s.Faults = append(s.Faults, f)
 	}
 	return nil
+}
+
+// decodeStrict unmarshals b into v, rejecting fields v does not
+// declare.
+func decodeStrict(b []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
 }
 
 // MarshalJSON encodes the spec form (round-trips with UnmarshalJSON;
@@ -135,12 +158,26 @@ func Canonical(s *Scenario) ([]byte, error) {
 	return json.Marshal(*s)
 }
 
-// Parse reads and validates a scenario spec.
+// MaxScenarioBytes bounds the encoded scenario Parse will read.
+const MaxScenarioBytes = 1 << 20
+
+// Parse reads and validates a scenario spec: one JSON document of at
+// most MaxScenarioBytes, with no unknown fields and nothing after it.
 func Parse(r io.Reader) (*Scenario, error) {
-	dec := json.NewDecoder(r)
+	data, err := io.ReadAll(io.LimitReader(r, MaxScenarioBytes+1))
+	if err != nil {
+		return nil, fmt.Errorf("faults: reading scenario: %w", err)
+	}
+	if len(data) > MaxScenarioBytes {
+		return nil, fmt.Errorf("faults: scenario exceeds %d bytes", MaxScenarioBytes)
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
 	var s Scenario
 	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("faults: decoding scenario: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("faults: trailing data after scenario")
 	}
 	return &s, nil
 }

@@ -130,13 +130,7 @@ func compile(tenants []Tenant) ([]*workloads.Program, error) {
 			return nil, fmt.Errorf("tenancy: tenant %q: negative start offset %g", t.Name, t.StartSec)
 		}
 		spec := *t.Spec
-		base := spec.Path
-		if base == "" {
-			base = "/scratch/wl.dat"
-			if spec.H5 != nil {
-				base = "/scratch/wl.h5"
-			}
-		}
+		base := spec.FilePath()
 		if base[0] != '/' {
 			base = "/" + base
 		}
@@ -195,24 +189,15 @@ func launch(cfg Config, tenants []Tenant, progs []*workloads.Program, only int, 
 		if only >= 0 && i != only {
 			continue
 		}
-		jobs[i] = sess.AddJob(workloads.TenantJobConfig{
-			Name:          tenants[i].Name,
-			Tasks:         p.Ranks(),
-			NodeBase:      bases[i],
-			StartSec:      tenants[i].StartSec,
-			Mode:          mode,
-			ReserveEvents: p.Events(),
+		// Tenant i's body draws use tenantSeed(i) in the baseline
+		// exactly as in the co-run.
+		jobs[i] = sess.AddJob(p, workloads.TenantJobConfig{
+			Name:     tenants[i].Name,
+			NodeBase: bases[i],
+			StartSec: tenants[i].StartSec,
+			Mode:     mode,
+			Seed:     tenantSeed(cfg.Seed, i),
 		})
-	}
-	// Bodies are prepared (communicators, imbalance draws) in tenant
-	// order before any spawn, then all spawns are registered and one
-	// engine run drives the whole session. Tenant i's body draws use
-	// tenantSeed(i) in the baseline exactly as in the co-run.
-	for i, p := range progs {
-		if jobs[i] == nil {
-			continue
-		}
-		jobs[i].Spawn(p.Body(jobs[i], tenantSeed(cfg.Seed, i)))
 	}
 	sess.Run()
 	return sess, jobs
@@ -246,18 +231,16 @@ func RunTenants(cfg Config, tenants []Tenant) (res *Result, err error) {
 	sess, jobs := launch(cfg, tenants, progs, -1, mode, cfg.Telemetry)
 
 	res = &Result{}
-	for i, p := range progs {
-		J := jobs[i]
-		s := p.Spec()
+	for i, j := range jobs {
 		res.Tenants = append(res.Tenants, TenantResult{
 			Name:     tenants[i].Name,
-			StartSec: J.StartSec(),
-			EndSec:   J.EndSec(),
-			Run:      J.FinishTenant(s.Name, s.Tasks, p.TotalBytes()),
-			Usage:    J.Usage(),
+			StartSec: j.StartSec(),
+			EndSec:   j.EndSec(),
+			Run:      j.Finish(),
+			Usage:    j.Usage(),
 		})
 	}
-	res.Telemetry, res.Spans = sess.Fold(jobs)
+	res.Telemetry, res.Spans = sess.Fold()
 	return res, nil
 }
 

@@ -2,12 +2,10 @@ package workloads
 
 import (
 	"fmt"
+	"strings"
 
 	"ensembleio/internal/cluster"
 	"ensembleio/internal/ipmio"
-	"ensembleio/internal/mpi"
-	"ensembleio/internal/posixio"
-	"ensembleio/internal/sim"
 )
 
 // CheckpointConfig parametrizes the generic checkpoint/restart cycle
@@ -31,9 +29,6 @@ type CheckpointConfig struct {
 	// ComputeSec is the mean simulated compute time per step (with
 	// per-task lognormal imbalance); default 20 s.
 	ComputeSec float64
-	// FilePerProcess writes per-task checkpoint files instead of a
-	// unique region of one shared file per step.
-	FilePerProcess bool
 
 	Seed int64
 	Mode ipmio.Mode
@@ -89,88 +84,55 @@ func (r *CheckpointResult) IOFraction() float64 {
 	return io / float64(r.Wall)
 }
 
-// RunCheckpoint executes the cycle and returns its artifact.
-func RunCheckpoint(cfg CheckpointConfig) *CheckpointResult {
+// CheckpointSpec returns the spec of the cycle cfg describes: an
+// open and a barrier, Steps repetitions of compute (with per-task
+// imbalance, so some tasks reach the checkpoint late, as real solvers
+// do), a barrier, a checkpoint mark, every task's state written to its
+// unique region of the shared file in StateBytes/TransferBytes
+// transfers, and a barrier; then a close.
+func CheckpointSpec(cfg CheckpointConfig) *Spec {
 	cfg.defaults()
 	if cfg.StateBytes%cfg.TransferBytes != 0 {
 		panic("workloads: checkpoint state must be a multiple of the transfer size")
 	}
 	k := int(cfg.StateBytes / cfg.TransferBytes)
-
-	j := newJob(cfg.Machine, cfg.Tasks, cfg.Seed, cfg.Mode, cfg.Telemetry)
-	rng := sim.NewRNG(cfg.Seed ^ 0xc4e9)
-	imbalance := make([]float64, cfg.Tasks)
-	for i := range imbalance {
-		imbalance[i] = rng.Lognormal(0, 0.05)
-	}
-
-	stepStart := make([]sim.Time, cfg.Steps)
-	stepEnd := make([]sim.Time, cfg.Steps)
-
-	j.launch(func(r *mpi.Rank, tr *ipmio.Tracer) {
-		var fd int
-		var err error
-		if !cfg.FilePerProcess {
-			fd, err = tr.Open(r.P, cfg.Path, posixio.OCreat|posixio.OWronly)
-			if err != nil {
-				panic(err)
-			}
-		}
-		r.Barrier()
-		for step := 0; step < cfg.Steps; step++ {
-			// Compute phase: per-task imbalance makes some tasks reach
-			// the checkpoint late, as real solvers do.
-			r.P.Sleep(sim.Duration(cfg.ComputeSec * imbalance[r.ID]))
-			r.Barrier()
-			j.mark(r, fmt.Sprintf("checkpoint-%d", step))
-			if r.ID == 0 {
-				stepStart[step] = r.P.Now()
-			}
-			f := fd
-			if cfg.FilePerProcess {
-				f, err = tr.Open(r.P, fmt.Sprintf("%s.%d.%05d", cfg.Path, step, r.ID), posixio.OCreat|posixio.OWronly)
-				if err != nil {
-					panic(err)
-				}
-			}
-			base := int64(r.ID) * cfg.StateBytes
-			if cfg.FilePerProcess {
-				base = 0
-			}
-			for i := 0; i < k; i++ {
-				if _, err := tr.Pwrite(r.P, f, base+int64(i)*cfg.TransferBytes, cfg.TransferBytes); err != nil {
-					panic(err)
-				}
-			}
-			if cfg.FilePerProcess {
-				if err := tr.Close(r.P, f); err != nil {
-					panic(err)
-				}
-			}
-			r.Barrier()
-			if r.ID == 0 {
-				stepEnd[step] = r.P.Now()
-			}
-		}
-		if !cfg.FilePerProcess {
-			if err := tr.Close(r.P, fd); err != nil {
-				panic(err)
-			}
-		}
-	})
-
-	res := &CheckpointResult{
-		Run: &Run{
-			Name:       fmt.Sprintf("checkpoint-%dx%dMB-k%d", cfg.Tasks, cfg.StateBytes/1e6, k),
-			Tasks:      cfg.Tasks,
-			Collector:  j.col,
-			Wall:       j.wall,
-			TotalBytes: int64(cfg.Tasks) * cfg.StateBytes * int64(cfg.Steps),
+	return &Spec{
+		Name:  fmt.Sprintf("checkpoint-%dx%dMB-k%d", cfg.Tasks, cfg.StateBytes/1e6, k),
+		Tasks: cfg.Tasks,
+		Path:  cfg.Path,
+		Phases: []Phase{
+			{Ops: []Op{{Op: "open"}, {Op: "barrier"}}},
+			{Name: "compute-%d", Repeat: cfg.Steps, Ops: []Op{
+				{Op: "compute", Seconds: cfg.ComputeSec, Sigma: 0.05},
+				{Op: "barrier"},
+				{Op: "mark", Name: checkpointMark + "%d"},
+				{Op: "pwrite", Bytes: cfg.TransferBytes, Count: k,
+					Offset: &Offset{PerRank: cfg.StateBytes, PerIter: cfg.TransferBytes}},
+				{Op: "barrier"},
+			}},
+			{Name: "close", Ops: []Op{{Op: "close"}}},
 		},
-		ComputeSecTotal: cfg.ComputeSec * float64(cfg.Steps),
 	}
-	for step := 0; step < cfg.Steps; step++ {
-		res.StepIOSec = append(res.StepIOSec, float64(stepEnd[step]-stepStart[step]))
+}
+
+// checkpointMark prefixes the mark rank 0 records as it leaves the
+// barrier that opens each checkpoint.
+const checkpointMark = "checkpoint-"
+
+// RunCheckpoint executes the cycle and returns its artifact. Step s's
+// I/O time runs from the checkpoint-s mark to the next mark (the next
+// step's compute, or the close): both are rank 0's barrier exits.
+func RunCheckpoint(cfg CheckpointConfig) *CheckpointResult {
+	cfg.defaults()
+	run := mustRunSpec(CheckpointSpec(cfg), RunConfig{
+		Machine: cfg.Machine, Seed: cfg.Seed, Mode: cfg.Mode, Telemetry: cfg.Telemetry,
+	})
+	res := &CheckpointResult{Run: run, ComputeSecTotal: cfg.ComputeSec * float64(cfg.Steps)}
+	marks := run.Collector.Marks
+	for i, m := range marks {
+		if strings.HasPrefix(m.Name, checkpointMark) {
+			res.StepIOSec = append(res.StepIOSec, float64(marks[i+1].T-m.T))
+		}
 	}
 	return res
 }

@@ -95,13 +95,7 @@ func Compile(s *Spec) (*Program, error) {
 	}
 	p := &Program{spec: s, h5: s.H5 != nil}
 
-	p.path = s.Path
-	if p.path == "" {
-		p.path = "/scratch/wl.dat"
-		if p.h5 {
-			p.path = "/scratch/wl.h5"
-		}
-	}
+	p.path = s.FilePath()
 
 	p.ranks, p.writers, p.perWriter = s.Tasks, s.Tasks, 1
 	if c := s.Collective; c != nil {
@@ -293,35 +287,30 @@ type RunConfig struct {
 	Telemetry bool
 }
 
-// Run executes the compiled program once on a machine of its own and
-// returns its artifact.
+// Run executes the compiled program once on a machine of its own —
+// a Session with one unnamed job — and returns its artifact.
 func (p *Program) Run(cfg RunConfig) *Run {
-	if cfg.Mode == 0 {
-		cfg.Mode = ipmio.TraceMode
-	}
-	j := newJob(cfg.Machine, p.ranks, cfg.Seed, cfg.Mode, cfg.Telemetry)
-	j.fs.DefaultStripeCount = p.spec.StripeCount
-	j.plat.applyFaults(cfg.Faults)
-	j.col.Reserve(p.events)
-	j.launch(p.Body(&Job{j: j}, cfg.Seed))
-	return j.finish(&Run{
-		Name:       p.spec.Name,
-		Tasks:      p.spec.Tasks,
-		Collector:  j.col,
-		Wall:       j.wall,
-		TotalBytes: p.total,
+	cores := cfg.Machine.CoresPerNode
+	s := NewSession(SessionConfig{
+		Machine:     cfg.Machine,
+		Nodes:       (p.ranks + cores - 1) / cores,
+		Seed:        cfg.Seed,
+		Faults:      cfg.Faults,
+		Telemetry:   cfg.Telemetry,
+		StripeCount: p.spec.StripeCount,
 	})
+	j := s.AddJob(p, TenantJobConfig{Mode: cfg.Mode, Seed: cfg.Seed})
+	s.Run()
+	run := j.Finish()
+	run.Telemetry, run.Spans = s.Fold()
+	return run
 }
 
-// Body prepares the program to run on job J — the solo job Run
-// builds, or a tenant of a shared-platform session (internal/tenancy)
-// — and returns the per-rank interpreter body. Pre-launch setup
-// happens here, in a deterministic order: the stage-one shipping
-// groups on J's world, then the compute-imbalance draws from the
-// seed's dedicated stream (a solo baseline passing the same seed
-// reproduces the same compute times).
-func (p *Program) Body(J *Job, seed int64) func(r *mpi.Rank, tr *ipmio.Tracer) {
-	j := J.j
+// body prepares the program to run on job j and returns the per-rank
+// interpreter body. Pre-launch setup happens here, in a deterministic
+// order: the stage-one shipping groups on j's world, then the
+// compute-imbalance draws from j's seed's dedicated stream.
+func (p *Program) body(j *Job) func(r *mpi.Rank, tr *ipmio.Tracer) {
 	// Stage-one shipping groups: aggregator g's group is the perWriter
 	// consecutive ranks starting at g*perWriter, created pre-launch in
 	// writer order.
@@ -336,7 +325,7 @@ func (p *Program) Body(J *Job, seed int64) func(r *mpi.Rank, tr *ipmio.Tracer) {
 		}
 	}
 
-	factors := p.drawImbalance(seed)
+	factors := p.drawImbalance(j.seed)
 
 	return func(r *mpi.Rank, tr *ipmio.Tracer) {
 		ex := executor{p: p, j: j, r: r, tr: tr, fd: -1, factors: factors}
@@ -397,7 +386,7 @@ func (p *Program) drawImbalance(seed int64) [][]float64 {
 // executor is one rank's interpreter state.
 type executor struct {
 	p       *Program
-	j       *job
+	j       *Job
 	r       *mpi.Rank
 	tr      *ipmio.Tracer
 	factors [][]float64
@@ -446,7 +435,10 @@ func (ex *executor) exec(op *cop, rep int) {
 	case kBarrier:
 		r.Barrier()
 	case kMark:
-		ex.j.mark(r, op.marks[rep])
+		// Phase boundaries are recorded once, from rank 0.
+		if r.ID == 0 {
+			ex.j.col.Mark(op.marks[rep], r.P.Now())
+		}
 	case kCompute:
 		r.P.Sleep(sim.Duration(op.seconds * ex.factors[op.compute][r.ID]))
 	case kSeek:

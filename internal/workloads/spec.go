@@ -50,6 +50,18 @@ type Spec struct {
 	Phases []Phase `json:"phases"`
 }
 
+// FilePath is the shared file the spec opens: Path, or the default
+// for its file model.
+func (s *Spec) FilePath() string {
+	switch {
+	case s.Path != "":
+		return s.Path
+	case s.H5 != nil:
+		return "/scratch/wl.h5"
+	}
+	return "/scratch/wl.dat"
+}
+
 // H5 configures the hierarchical file model (see internal/h5lite).
 type H5 struct {
 	// AlignBytes pads dataset bases and record strides to this

@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"reflect"
 	"testing"
 
 	"ensembleio/internal/analysis"
@@ -381,10 +382,12 @@ func TestIORWriterSweepAndSaturation(t *testing.T) {
 }
 
 func TestCheckpointStructure(t *testing.T) {
-	res := RunCheckpoint(CheckpointConfig{
+	cfg := CheckpointConfig{
 		Machine: quiet(), Tasks: 16, Steps: 3,
 		StateBytes: 64e6, TransferBytes: 16e6, ComputeSec: 5, Seed: 1,
-	})
+		Telemetry: true,
+	}
+	res := RunCheckpoint(cfg)
 	writes := res.Collector.OpEvents(ipmio.OpWrite)
 	if want := 16 * 3 * 4; len(writes) != want {
 		t.Errorf("%d writes, want %d", len(writes), want)
@@ -405,19 +408,23 @@ func TestCheckpointStructure(t *testing.T) {
 	if float64(res.Wall) < res.ComputeSecTotal {
 		t.Errorf("wall %.1f below total compute %.1f", float64(res.Wall), res.ComputeSecTotal)
 	}
-}
-
-func TestCheckpointFilePerProcess(t *testing.T) {
-	res := RunCheckpoint(CheckpointConfig{
-		Machine: quiet(), Tasks: 8, Steps: 2,
-		StateBytes: 32e6, ComputeSec: 1, FilePerProcess: true, Seed: 1,
-	})
-	files := map[string]bool{}
-	for _, e := range res.Collector.OpEvents(ipmio.OpWrite) {
-		files[e.File] = true
+	// The run is finished like every other workload: telemetry folded,
+	// server-side stats and the rank-to-node factor recorded.
+	if res.Telemetry == nil {
+		t.Error("Telemetry: true run has nil Telemetry")
 	}
-	if want := 8 * 2; len(files) != want {
-		t.Errorf("%d checkpoint files, want %d (per task per step)", len(files), want)
+	if res.FSStats.WriteJobs <= 0 {
+		t.Errorf("FSStats.WriteJobs = %d, want > 0", res.FSStats.WriteJobs)
+	}
+	if res.CoresPerNode != cfg.Machine.CoresPerNode {
+		t.Errorf("CoresPerNode = %d, want %d", res.CoresPerNode, cfg.Machine.CoresPerNode)
+	}
+	// Step times come from rank 0's phase marks, which profile-only
+	// collection keeps too.
+	cfg.Mode, cfg.Telemetry = ipmio.ProfileMode, false
+	prof := RunCheckpoint(cfg)
+	if !reflect.DeepEqual(prof.StepIOSec, res.StepIOSec) {
+		t.Errorf("profile-mode StepIOSec %v, trace mode %v", prof.StepIOSec, res.StepIOSec)
 	}
 }
 
