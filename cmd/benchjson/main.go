@@ -14,9 +14,13 @@
 // best (minimum) ns/op of the new run must be within -slack times the
 // baseline's best, and the best allocs/op and B/op within -memslack
 // times theirs (memory metrics are skipped when either side was run
-// without -benchmem). Exit status 1 on regression — the CI guard that
-// the hot paths stay within noise of the baseline and that allocation
-// wins can't silently erode.
+// without -benchmem). The exact work-counter units (events, heap_hw,
+// refreshes, recomputes, write_jobs) admit no slack: every value on
+// both sides must be the same number, and a counter the baseline has
+// must be in the run. Exit status 1 on regression —
+// the CI guard that the hot paths stay within noise of the baseline,
+// that allocation wins can't silently erode, and that the simulated
+// work did not change.
 package main
 
 import (
@@ -128,6 +132,12 @@ func main() {
 	}
 }
 
+// exactUnits are the deterministic work counters benchmarks report
+// with b.ReportMetric. A run does the same work on every host, so the
+// gate is ratio exactly 1.0 in both directions: more work and less
+// work alike mean the simulated behaviour changed.
+var exactUnits = []string{"events", "heap_hw", "refreshes", "recomputes", "write_jobs"}
+
 // gomaxprocsSuffix strips the trailing -P parallelism tag go test
 // appends to benchmark names; baselines recorded on another machine
 // carry a different suffix for the same benchmark.
@@ -155,7 +165,7 @@ func checkAgainst(run baseline, path string, slack, memSlack float64) error {
 	if len(failures) > 0 {
 		return fmt.Errorf("perf regression against %s:\n  %s", path, strings.Join(failures, "\n  "))
 	}
-	fmt.Printf("%d benchmark(s) within x%.2f ns/op, x%.2f allocs/op+B/op of baseline\n", compared, slack, memSlack)
+	fmt.Printf("%d benchmark(s) within x%.2f ns/op, x%.2f allocs/op+B/op of baseline, work counters exact\n", compared, slack, memSlack)
 	return nil
 }
 
@@ -167,6 +177,8 @@ func checkAgainst(run baseline, path string, slack, memSlack float64) error {
 // generous time slack means only gross regressions — an accidentally-
 // hot disabled path — trip the guard, while the tighter memory slack
 // catches eroding allocation wins (allocs/op is nearly deterministic).
+// The exactUnits work counters must match the baseline exactly, and
+// one the baseline has but the run lacks is a failure.
 // Metrics absent on either side (e.g. a baseline recorded without
 // -benchmem) are skipped. Returns the ok report lines (one per passing
 // benchmark, with a column per compared metric), the failure lines,
@@ -227,7 +239,28 @@ func checkRun(run, base baseline, slack, memSlack float64) (oks, failures []stri
 						short, nv, g.metric, bv, ratio, g.slack))
 			}
 		}
-		if len(cols) == 0 {
+		for _, unit := range exactUnits {
+			bvs, nvs := bm[unit], run.Benchmarks[name][unit]
+			if bvs == nil {
+				continue
+			}
+			if nvs == nil {
+				failed = true
+				failures = append(failures,
+					fmt.Sprintf("%s: %s counter missing (baseline %s)", short, unit, values(bvs)))
+				continue
+			}
+			bv, okBase := constant(bvs)
+			nv, okRun := constant(nvs)
+			if !okBase || !okRun || nv != bv {
+				failed = true
+				failures = append(failures,
+					fmt.Sprintf("%s: %s %s vs baseline %s (exact counter, must match)", short, unit, values(nvs), values(bvs)))
+				continue
+			}
+			cols = append(cols, fmt.Sprintf("%.0f %s =", nv, unit))
+		}
+		if len(cols) == 0 && !failed {
 			continue
 		}
 		compared++
@@ -236,6 +269,29 @@ func checkRun(run, base baseline, slack, memSlack float64) (oks, failures []stri
 		}
 	}
 	return oks, failures, compared
+}
+
+// constant returns the one value every element of vs shares; false if
+// vs is empty or its values differ.
+func constant(vs []float64) (float64, bool) {
+	if len(vs) == 0 {
+		return 0, false
+	}
+	for _, v := range vs[1:] {
+		if v != vs[0] {
+			return 0, false
+		}
+	}
+	return vs[0], true
+}
+
+// values renders a counter series in full, without exponents.
+func values(vs []float64) string {
+	out := make([]string, len(vs))
+	for i, v := range vs {
+		out[i] = strconv.FormatFloat(v, 'f', -1, 64)
+	}
+	return strings.Join(out, ",")
 }
 
 // best returns the minimum of vs (the least-noise repetition).

@@ -129,3 +129,38 @@ func TestCheckRunZeroAllocBaselineIsExact(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckRunExactCounters: the work-counter units are gated at ratio
+// exactly 1.0. One event more or one fewer fails, however fast the
+// run; so does a run that lacks a counter the baseline has, and one
+// whose repetitions disagree; identical counters pass and show as a
+// column.
+func TestCheckRunExactCounters(t *testing.T) {
+	counters := func(events float64) map[string][]float64 {
+		return map[string][]float64{
+			"ns/op": {2e9}, "events": {events, events}, "heap_hw": {10242, 10242},
+			"refreshes": {406712, 406712}, "recomputes": {25068, 25068}, "write_jobs": {215040, 215040},
+		}
+	}
+	base := bl("BenchmarkSimulatorThroughputSingle-2", counters(1553229))
+	oks, failures, compared := checkRun(bl("BenchmarkSimulatorThroughputSingle-4", counters(1553229)), base, 3.0, 1.25)
+	if compared != 1 || len(failures) != 0 || len(oks) != 1 || !strings.Contains(oks[0], "1553229 events =") {
+		t.Fatalf("identical counters: compared=%d failures=%v oks=%v", compared, failures, oks)
+	}
+	for _, events := range []float64{1553230, 1553228} {
+		_, failures, _ := checkRun(bl("BenchmarkSimulatorThroughputSingle-2", counters(events)), base, 3.0, 1.25)
+		if len(failures) != 1 || !strings.Contains(failures[0], "events") || !strings.Contains(failures[0], "exact") {
+			t.Errorf("events %v vs 1553229: want one exact-counter failure, got %v", events, failures)
+		}
+	}
+	missing := counters(1553229)
+	delete(missing, "events")
+	if _, failures, _ := checkRun(bl("BenchmarkSimulatorThroughputSingle-2", missing), base, 3.0, 1.25); len(failures) != 1 || !strings.Contains(failures[0], "events counter missing") {
+		t.Errorf("events absent from the run: want one counter-missing failure, got %v", failures)
+	}
+	split := counters(1553229)
+	split["events"] = []float64{1553229, 1553230}
+	if _, failures, _ := checkRun(bl("BenchmarkSimulatorThroughputSingle-2", split), base, 3.0, 1.25); len(failures) != 1 {
+		t.Errorf("repetitions that disagree on events: want one failure, got %v", failures)
+	}
+}

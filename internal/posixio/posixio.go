@@ -54,12 +54,17 @@ type Task struct {
 	sys  *System
 	node *cluster.Node
 	cl   *lustre.Client
-	fds  map[int]*fd
-	next int
+	// fds is the dense descriptor table: descriptor num lives at
+	// fds[num-firstFD] and is nil once closed. Numbers are per-task,
+	// issued in order and never reused, so the table only grows.
+	fds []*fd
 }
 
+// firstFD is the first descriptor number Open issues; 0-2 are
+// reserved, as in POSIX.
+const firstFD = 3
+
 type fd struct {
-	num    int
 	file   *lustre.File
 	path   string
 	offset int64
@@ -74,8 +79,6 @@ func (s *System) NewTask(rank int, node *cluster.Node) *Task {
 		sys:  s,
 		node: node,
 		cl:   s.FS.ClientFor(node),
-		fds:  make(map[int]*fd),
-		next: 3, // 0-2 reserved, as in POSIX
 	}
 }
 
@@ -95,18 +98,16 @@ func (t *Task) Open(p *sim.Proc, path string, flags int) (int, error) {
 		f.Size = 0
 	}
 	t.sys.FS.MDSOp(p, 0)
-	d := &fd{num: t.next, file: f, path: path, flags: flags, read: lustre.NewReadState()}
-	t.fds[d.num] = d
-	t.next++
-	return d.num, nil
+	t.fds = append(t.fds, &fd{file: f, path: path, flags: flags, read: lustre.NewReadState()})
+	return firstFD + len(t.fds) - 1, nil
 }
 
 // Close releases the descriptor, charging one metadata operation.
 func (t *Task) Close(p *sim.Proc, num int) error {
-	if _, ok := t.fds[num]; !ok {
+	if t.lookup(num) == nil {
 		return ErrBadFD
 	}
-	delete(t.fds, num)
+	t.fds[num-firstFD] = nil
 	t.sys.FS.MDSOp(p, 0)
 	return nil
 }
@@ -182,8 +183,8 @@ func (t *Task) readAt(p *sim.Proc, d *fd, offset, n int64) int64 {
 // Seek repositions the descriptor offset and returns the new offset.
 // Seeking is a client-local operation and costs no simulated time.
 func (t *Task) Seek(num int, offset int64, whence int) (int64, error) {
-	d, ok := t.fds[num]
-	if !ok {
+	d := t.lookup(num)
+	if d == nil {
 		return 0, ErrBadFD
 	}
 	switch whence {
@@ -204,7 +205,7 @@ func (t *Task) Seek(num int, offset int64, whence int) (int64, error) {
 
 // Fsync flushes the node's write-back cache and outstanding writes.
 func (t *Task) Fsync(p *sim.Proc, num int) error {
-	if _, ok := t.fds[num]; !ok {
+	if t.lookup(num) == nil {
 		return ErrBadFD
 	}
 	t.cl.Fsync(p)
@@ -214,8 +215,8 @@ func (t *Task) Fsync(p *sim.Proc, num int) error {
 // Path returns the path an open descriptor refers to — the fd-to-file
 // lookup table IPM-I/O uses to associate events with files.
 func (t *Task) Path(num int) (string, bool) {
-	d, ok := t.fds[num]
-	if !ok {
+	d := t.lookup(num)
+	if d == nil {
 		return "", false
 	}
 	return d.path, true
@@ -223,16 +224,25 @@ func (t *Task) Path(num int) (string, bool) {
 
 // Offset returns the descriptor's current offset.
 func (t *Task) Offset(num int) (int64, bool) {
-	d, ok := t.fds[num]
-	if !ok {
+	d := t.lookup(num)
+	if d == nil {
 		return 0, false
 	}
 	return d.offset, true
 }
 
+// lookup returns the open descriptor num, or nil if num was never
+// issued or is closed.
+func (t *Task) lookup(num int) *fd {
+	if i := num - firstFD; i >= 0 && i < len(t.fds) {
+		return t.fds[i]
+	}
+	return nil
+}
+
 func (t *Task) writable(num int) (*fd, error) {
-	d, ok := t.fds[num]
-	if !ok {
+	d := t.lookup(num)
+	if d == nil {
 		return nil, ErrBadFD
 	}
 	if d.flags&(OWronly|ORdwr) == 0 {
@@ -242,8 +252,8 @@ func (t *Task) writable(num int) (*fd, error) {
 }
 
 func (t *Task) readable(num int) (*fd, error) {
-	d, ok := t.fds[num]
-	if !ok {
+	d := t.lookup(num)
+	if d == nil {
 		return nil, ErrBadFD
 	}
 	if d.flags&OWronly != 0 && d.flags&ORdwr == 0 {

@@ -82,24 +82,64 @@ func TestAccessModeEnforcement(t *testing.T) {
 	eng.Run()
 }
 
+// TestBadFDErrors: every call rejects a number that names no open
+// descriptor — the reserved 0-2, a negative number, one never issued,
+// and one already closed (so a double Close fails too).
 func TestBadFDErrors(t *testing.T) {
 	eng, cl, sys := testSystem()
 	task := sys.NewTask(0, cl.Nodes[0])
 	eng.Spawn("t", func(p *sim.Proc) {
-		if _, err := task.Read(p, 99, 10); !errors.Is(err, ErrBadFD) {
-			t.Errorf("read bad fd: %v", err)
+		closed, _ := task.Open(p, "/scratch/closed", OCreat|ORdwr)
+		open, _ := task.Open(p, "/scratch/open", OCreat|ORdwr)
+		if err := task.Close(p, closed); err != nil {
+			t.Fatalf("close: %v", err)
 		}
-		if _, err := task.Write(p, 99, 10); !errors.Is(err, ErrBadFD) {
-			t.Errorf("write bad fd: %v", err)
+		for _, num := range []int{0, 1, 2, -1, -4, open + 1, 99, closed} {
+			for name, err := range map[string]error{
+				"Close":  task.Close(p, num),
+				"Fsync":  task.Fsync(p, num),
+				"Read":   second(task.Read(p, num, 10)),
+				"Write":  second(task.Write(p, num, 10)),
+				"Pread":  second(task.Pread(p, num, 0, 10)),
+				"Pwrite": second(task.Pwrite(p, num, 0, 10)),
+				"Seek":   second(task.Seek(num, 0, SeekSet)),
+			} {
+				if !errors.Is(err, ErrBadFD) {
+					t.Errorf("%s(%d): err=%v, want ErrBadFD", name, num, err)
+				}
+			}
+			if _, ok := task.Path(num); ok {
+				t.Errorf("Path(%d) succeeded", num)
+			}
+			if _, ok := task.Offset(num); ok {
+				t.Errorf("Offset(%d) succeeded", num)
+			}
 		}
-		if err := task.Close(p, 99); !errors.Is(err, ErrBadFD) {
-			t.Errorf("close bad fd: %v", err)
+		if got, ok := task.Path(open); !ok || got != "/scratch/open" {
+			t.Errorf("open fd %d lost: Path = %q,%v", open, got, ok)
 		}
-		if _, err := task.Seek(99, 0, SeekSet); !errors.Is(err, ErrBadFD) {
-			t.Errorf("seek bad fd: %v", err)
-		}
-		if err := task.Fsync(p, 99); !errors.Is(err, ErrBadFD) {
-			t.Errorf("fsync bad fd: %v", err)
+	})
+	eng.Run()
+}
+
+func second[T any](_ T, err error) error { return err }
+
+// TestFDNumbersNeverReused: descriptor numbers are issued in order
+// from 3 and a closed number is never handed out again.
+func TestFDNumbersNeverReused(t *testing.T) {
+	eng, cl, sys := testSystem()
+	task := sys.NewTask(0, cl.Nodes[0])
+	eng.Spawn("t", func(p *sim.Proc) {
+		want := 3
+		for i := 0; i < 5; i++ {
+			fd, err := task.Open(p, "/scratch/reuse", OCreat|OWronly)
+			if err != nil || fd != want {
+				t.Fatalf("open %d: fd=%d err=%v, want fd %d", i, fd, err, want)
+			}
+			if err := task.Close(p, fd); err != nil {
+				t.Fatalf("close %d: %v", fd, err)
+			}
+			want++
 		}
 	})
 	eng.Run()

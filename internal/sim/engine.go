@@ -2,7 +2,13 @@
 // with a virtual clock and a lock-step process runtime.
 //
 // The engine executes events in (time, sequence) order on a single
-// goroutine. Simulated processes are coroutines (iter.Pull) that the
+// goroutine. They wait in two lanes: a FIFO of events scheduled for
+// the current instant, and a 4-ary heap of future events.
+// Bulk-synchronous workloads schedule most events at the current
+// instant (a barrier exit wakes every rank at once), and those never
+// touch the heap.
+//
+// Simulated processes are coroutines (iter.Pull) that the
 // event loop resumes directly: at most one process executes at a time,
 // and control returns to the event loop whenever a process blocks on a
 // simulated operation. This makes simulations fully deterministic for a
@@ -41,82 +47,105 @@ type event struct {
 	proc *Proc
 }
 
-// eventHeap is a hand-rolled binary min-heap ordered by (t, seq).
-// The engine pushes and pops one event per simulated operation, so
-// this is the hottest data structure in the repo; a typed heap avoids
-// the interface{} boxing (one allocation per Push) and the dynamic
-// dispatch of container/heap.
+// eventHeap is a hand-rolled 4-ary min-heap ordered by (t, seq). It
+// holds only future events (t > now when scheduled); same-instant
+// events take the engine's FIFO lane instead. A 4-ary heap is half as
+// deep as a binary one, and sifting moves one event into a hole
+// rather than swapping pairs, so each level costs one 48-byte copy.
+// A typed heap avoids the interface{} boxing (one allocation per
+// Push) and the dynamic dispatch of container/heap.
 type eventHeap struct {
 	a []event
 }
 
 func (h *eventHeap) len() int { return len(h.a) }
 
-// less orders strictly by time, then by scheduling sequence — the
+// before orders strictly by time, then by scheduling sequence — the
 // determinism tie-break: two events at the same instant run in the
 // order they were scheduled.
-func (h *eventHeap) less(i, j int) bool {
-	if h.a[i].t != h.a[j].t {
-		return h.a[i].t < h.a[j].t
+func before(x, y *event) bool {
+	if x.t != y.t {
+		return x.t < y.t
 	}
-	return h.a[i].seq < h.a[j].seq
+	return x.seq < y.seq
 }
 
-func (h *eventHeap) push(e event) {
-	h.a = append(h.a, e)
-	// Sift up.
-	i := len(h.a) - 1
+func (h *eventHeap) push(ev event) {
+	h.a = append(h.a, event{})
+	a := h.a
+	i := len(a) - 1
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
+		parent := (i - 1) / 4
+		if !before(&ev, &a[parent]) {
 			break
 		}
-		h.a[i], h.a[parent] = h.a[parent], h.a[i]
+		a[i] = a[parent]
 		i = parent
 	}
+	a[i] = ev
 }
 
 func (h *eventHeap) pop() event {
-	top := h.a[0]
-	n := len(h.a) - 1
-	h.a[0] = h.a[n]
+	a := h.a
+	top := a[0]
+	n := len(a) - 1
+	last := a[n]
 	// Clear the vacated slot so the popped event's closure — and
 	// everything it captures — is collectable even while the backing
 	// array lives on. Without this, long runs pin every completed
 	// event's captured state until the heap slot is overwritten.
-	h.a[n] = event{}
-	h.a = h.a[:n]
-	// Sift down.
+	a[n] = event{}
+	a = a[:n]
+	h.a = a
+	if n == 0 {
+		return top
+	}
+	// Sift the last event down from the root's hole.
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && h.less(l, smallest) {
-			smallest = l
+		c := 4*i + 1
+		if c >= n {
+			break
 		}
-		if r < n && h.less(r, smallest) {
-			smallest = r
+		m := c
+		for k, end := c+1, min(c+4, n); k < end; k++ {
+			if before(&a[k], &a[m]) {
+				m = k
+			}
 		}
-		if smallest == i {
-			return top
+		if !before(&a[m], &last) {
+			break
 		}
-		h.a[i], h.a[smallest] = h.a[smallest], h.a[i]
-		i = smallest
+		a[i] = a[m]
+		i = m
 	}
+	a[i] = last
+	return top
 }
 
 // Engine is a discrete-event simulator. The zero value is not usable;
 // construct with NewEngine.
+//
+// Pending events live in two lanes. An event scheduled at the current
+// instant is appended to nowq, a FIFO consumed from nowHead; any later
+// event goes on the heap. The lanes merge back into one (t, seq) order
+// because every nowq entry was scheduled after the clock reached now,
+// so a heap event at t == now (scheduled while the clock was still
+// earlier) has a lower seq than all of them and pops first. The clock
+// advances from the heap only when nowq is empty.
 type Engine struct {
 	now     Time
-	events  eventHeap
+	events  eventHeap // future events
+	nowq    []event   // same-instant FIFO lane; nowq[:nowHead] already popped
+	nowHead int
 	seq     uint64
 	running bool
 	procs   int     // live (spawned, not finished) processes
 	spawned []*Proc // processes spawned since the last clean drain, stopped on abnormal exit
 
 	// Scheduling statistics, kept unconditionally: one integer update
-	// per push/pop, cheap enough that there is nothing to disable.
+	// per schedule/pop, cheap enough that there is nothing to disable.
+	// maxHeap is the high water of both lanes together.
 	// Telemetry folds them into the run snapshot via the accessors.
 	popped  uint64
 	maxHeap int
@@ -165,10 +194,36 @@ func (e *Engine) schedule(ev event) {
 	}
 	e.seq++
 	ev.seq = e.seq
-	e.events.push(ev)
-	if n := e.events.len(); n > e.maxHeap {
+	if ev.t == e.now {
+		e.nowq = append(e.nowq, ev)
+	} else {
+		e.events.push(ev)
+	}
+	if n := e.Pending(); n > e.maxHeap {
 		e.maxHeap = n
 	}
+}
+
+// next removes and returns the earliest pending event by (t, seq), or
+// reports false if it lies beyond limit or nothing is pending.
+func (e *Engine) next(limit Time) (event, bool) {
+	h := &e.events
+	if e.nowHead < len(e.nowq) && (h.len() == 0 || h.a[0].t != e.now) {
+		if e.now > limit {
+			return event{}, false
+		}
+		ev := e.nowq[e.nowHead]
+		e.nowq[e.nowHead] = event{} // release the closure, as heap pops do
+		e.nowHead++
+		if e.nowHead == len(e.nowq) {
+			e.nowq, e.nowHead = e.nowq[:0], 0
+		}
+		return ev, true
+	}
+	if h.len() == 0 || h.a[0].t > limit {
+		return event{}, false
+	}
+	return h.pop(), true
 }
 
 // After schedules fn to run d seconds from now. Negative d panics.
@@ -196,12 +251,11 @@ func (e *Engine) RunUntil(limit Time) Time {
 			e.stopAll()
 		}
 	}()
-	for e.events.len() > 0 {
-		if e.events.a[0].t > limit {
-			ok = true
-			return e.now
+	for {
+		ev, more := e.next(limit)
+		if !more {
+			break
 		}
-		ev := e.events.pop()
 		e.popped++
 		e.now = ev.t
 		switch {
@@ -212,6 +266,10 @@ func (e *Engine) RunUntil(limit Time) Time {
 		default:
 			ev.fn()
 		}
+	}
+	if e.Pending() > 0 {
+		ok = true // stopped at limit
+		return e.now
 	}
 	if e.procs > 0 {
 		panic(fmt.Sprintf("sim: deadlock: %d process(es) blocked with no pending events at t=%v", e.procs, e.now))
@@ -230,8 +288,8 @@ func (e *Engine) stopAll() {
 	e.spawned = nil
 }
 
-// Pending reports the number of queued events.
-func (e *Engine) Pending() int { return e.events.len() }
+// Pending reports the number of queued events in both lanes.
+func (e *Engine) Pending() int { return e.events.len() + len(e.nowq) - e.nowHead }
 
 // EventsPopped reports how many events the engine has executed.
 func (e *Engine) EventsPopped() uint64 { return e.popped }
@@ -239,7 +297,8 @@ func (e *Engine) EventsPopped() uint64 { return e.popped }
 // EventsScheduled reports how many events have ever been scheduled.
 func (e *Engine) EventsScheduled() uint64 { return e.seq }
 
-// HeapHighWater reports the maximum event-queue length observed.
+// HeapHighWater reports the maximum number of queued events observed,
+// both lanes together.
 func (e *Engine) HeapHighWater() int { return e.maxHeap }
 
 // NoteFastForward records d virtual seconds traversed in one analytic

@@ -80,6 +80,42 @@ func TestEventHeapPopClearsSlot(t *testing.T) {
 	}
 }
 
+// TestEngineLanePopClearsSlot is the same-instant lane's half of the
+// closure-retention fix: every popped lane slot is zeroed at once, and
+// a drained lane keeps no event in its backing array.
+func TestEngineLanePopClearsSlot(t *testing.T) {
+	e := NewEngine()
+	cleared := func(ev event) bool {
+		return ev.fn == nil && ev.afn == nil && ev.proc == nil && ev.t == 0 && ev.seq == 0 && ev.arg == 0
+	}
+	checks := 0
+	check := func() {
+		checks++
+		for i, ev := range e.nowq[:e.nowHead] {
+			if !cleared(ev) {
+				t.Fatalf("lane slot %d not cleared after pop: %+v", i, ev)
+			}
+		}
+	}
+	for i := 0; i < 32; i++ {
+		e.At(0, check)
+		e.AtArg(0, func(uint64) { check() }, uint64(i+1))
+	}
+	e.Spawn("p", func(p *Proc) { p.Sleep(0); check() })
+	e.Run()
+	if checks != 65 {
+		t.Fatalf("ran %d checks, want 65", checks)
+	}
+	if len(e.nowq) != 0 || e.nowHead != 0 {
+		t.Fatalf("drained lane not reset: len %d, head %d", len(e.nowq), e.nowHead)
+	}
+	for i, ev := range e.nowq[:cap(e.nowq)] {
+		if !cleared(ev) {
+			t.Fatalf("drained lane keeps slot %d: %+v", i, ev)
+		}
+	}
+}
+
 // BenchmarkEngineEventChurn measures the raw event-queue hot path:
 // schedule-and-run chains of events the way simulated I/O operations
 // do. The typed heap must not allocate per push/pop.
@@ -114,6 +150,35 @@ func BenchmarkEngineDeepHeap(b *testing.B) {
 		e := NewEngine()
 		for k := 0; k < 10000; k++ {
 			e.At(Time(k%97)+Time(k)*1e-6, func() {})
+		}
+		e.Run()
+	}
+}
+
+// BenchmarkEngineBarrierWake is the bulk-synchronous pattern the
+// same-instant lane serves: 10,240 processes loop over a short Sleep
+// and a WaitQueue barrier, so every barrier exit wakes all of them at
+// one instant. BenchmarkEngineDeepHeap is the contrast: all its events
+// but the first lie in the future and take the heap.
+func BenchmarkEngineBarrierWake(b *testing.B) {
+	const procs, rounds = 10240, 8
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e := NewEngine()
+		var q WaitQueue
+		arrived := 0
+		for k := 0; k < procs; k++ {
+			e.Spawn("rank", func(p *Proc) {
+				for r := 0; r < rounds; r++ {
+					p.Sleep(1e-6)
+					if arrived++; arrived < procs {
+						q.Wait(p)
+						continue
+					}
+					arrived = 0
+					q.WakeAll()
+				}
+			})
 		}
 		e.Run()
 	}
