@@ -132,7 +132,7 @@ cache-golden:
 # a tight memory slack (allocs/op is nearly deterministic, so eroding
 # allocation wins trip the guard long before they show up as time).
 bench-guard:
-	$(GO) test -run '^$$' -bench 'BenchmarkTelemetry|BenchmarkSimulatorThroughputSingle$$|BenchmarkCacheHitMRU$$|BenchmarkCacheCampaign|BenchmarkAnalysis_Diagnose$$' \
+	$(GO) test -run '^$$' -bench 'BenchmarkTelemetry|BenchmarkSimulatorThroughputSingle$$|BenchmarkCacheHitMRU$$|BenchmarkCacheCampaign|BenchmarkCaptureRun$$|BenchmarkAnalysis_Diagnose$$' \
 		-benchmem -benchtime 1x -count 3 . | \
 		$(GO) run ./cmd/benchjson -check BENCH_ensembleio.json -slack 3.0 -memslack 1.25
 
@@ -186,6 +186,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='FuzzProfileJSON$$' -fuzztime=$(FUZZTIME) ./internal/tracefmt
 	$(GO) test -run='^$$' -fuzz='FuzzSpanDecode$$' -fuzztime=$(FUZZTIME) ./internal/tracefmt
 	$(GO) test -run='^$$' -fuzz='FuzzMetricsDecode$$' -fuzztime=$(FUZZTIME) ./internal/tracefmt
+	$(GO) test -run='^$$' -fuzz='FuzzJSONWritersMatchEncodingJSON$$' -fuzztime=$(FUZZTIME) ./internal/tracefmt
 	$(GO) test -run='^$$' -fuzz='FuzzSpecDecode$$' -fuzztime=$(FUZZTIME) ./internal/wldsl
 	$(GO) test -run='^$$' -fuzz='FuzzScenarioKey$$' -fuzztime=$(FUZZTIME) ./internal/cascache
 	$(GO) test -run='^$$' -fuzz='FuzzScenarioParse$$' -fuzztime=$(FUZZTIME) ./internal/faults

@@ -15,7 +15,8 @@
 // baseline's best, and the best allocs/op and B/op within -memslack
 // times theirs (memory metrics are skipped when either side was run
 // without -benchmem). The exact work-counter units (events, heap_hw,
-// refreshes, recomputes, write_jobs) admit no slack: every value on
+// refreshes, recomputes, write_jobs; the cache counters hits, misses,
+// puts; the capture's bytes) admit no slack: every value on
 // both sides must be the same number, and a counter the baseline has
 // must be in the run. Exit status 1 on regression —
 // the CI guard that the hot paths stay within noise of the baseline,
@@ -136,7 +137,7 @@ func main() {
 // with b.ReportMetric. A run does the same work on every host, so the
 // gate is ratio exactly 1.0 in both directions: more work and less
 // work alike mean the simulated behaviour changed.
-var exactUnits = []string{"events", "heap_hw", "refreshes", "recomputes", "write_jobs"}
+var exactUnits = []string{"events", "heap_hw", "refreshes", "recomputes", "write_jobs", "hits", "misses", "puts", "bytes"}
 
 // gomaxprocsSuffix strips the trailing -P parallelism tag go test
 // appends to benchmark names; baselines recorded on another machine

@@ -164,3 +164,24 @@ func TestCheckRunExactCounters(t *testing.T) {
 		t.Errorf("repetitions that disagree on events: want one failure, got %v", failures)
 	}
 }
+
+// TestCheckRunExactCacheCounters: the cache rows' hits, misses and puts
+// and the capture row's bytes are gated like the flagship counters.
+func TestCheckRunExactCacheCounters(t *testing.T) {
+	cache := func(hits, misses, puts float64) map[string][]float64 {
+		return map[string][]float64{"ns/op": {1e7}, "hits": {hits}, "misses": {misses}, "puts": {puts}}
+	}
+	base := bl("BenchmarkCacheCampaignWarm100-2", cache(50, 0, 0))
+	if oks, failures, _ := checkRun(bl("BenchmarkCacheCampaignWarm100-2", cache(50, 0, 0)), base, 3.0, 1.25); len(failures) != 0 || len(oks) != 1 || !strings.Contains(oks[0], "50 hits =") {
+		t.Fatalf("identical cache counters: failures=%v oks=%v", failures, oks)
+	}
+	for _, run := range []map[string][]float64{cache(49, 1, 1), cache(50, 0, 1)} {
+		if _, failures, _ := checkRun(bl("BenchmarkCacheCampaignWarm100-2", run), base, 3.0, 1.25); len(failures) == 0 {
+			t.Errorf("run %v vs warm baseline: want an exact-counter failure", run)
+		}
+	}
+	capture := bl("BenchmarkCaptureRun-2", map[string][]float64{"ns/op": {3e7}, "bytes": {5899118}})
+	if _, failures, _ := checkRun(bl("BenchmarkCaptureRun-2", map[string][]float64{"ns/op": {3e7}, "bytes": {5899119}}), capture, 3.0, 1.25); len(failures) != 1 || !strings.Contains(failures[0], "bytes") {
+		t.Errorf("one more captured byte: want one bytes failure, got %v", failures)
+	}
+}

@@ -159,6 +159,11 @@ func validArtifactName(name string) bool {
 // mismatch means the blob was corrupted after publication, so the
 // entry is evicted from disk and reported as a miss — a poisoned store
 // can cost recomputation, never wrong bytes.
+//
+// Gets of distinct keys may run concurrently (campaign.Run probes on
+// the pool). They fill the MRU layer in completion order, so which
+// entries it keeps can vary between runs; the hit/miss outcome and the
+// served bytes never depend on that order.
 func (s *Store) Get(k Key) (Entry, bool) {
 	s.mu.Lock()
 	if e := s.mru.get(k); e != nil {

@@ -83,6 +83,18 @@ type Stats struct {
 	BytesComputed uint64 // artifact bytes of computed runs
 }
 
+// keyed is one entry's scenario key, or why it has none.
+type keyed struct {
+	key cascache.Key
+	err error
+}
+
+// probe is one unique key's store lookup.
+type probe struct {
+	ent cascache.Entry
+	hit bool
+}
+
 // computed is one scheduled miss's outcome.
 type computed struct {
 	arts []cascache.Artifact
@@ -118,8 +130,12 @@ func runOne(e Entry) (c computed) {
 	return computed{arts: arts, meta: meta}
 }
 
-// Run executes the campaign. Results are indexed like entries;
-// duplicates share the first occurrence's artifact slices (no copy).
+// Run executes the campaign. Keying, store probes and the runs of the
+// misses all go through runpool with opts.Workers; dedup, the hit/miss
+// split, result folding and every Put stay serial in submission order,
+// so the store's index.jsonl gains its lines in a deterministic order.
+// Results are indexed like entries; duplicates share the first
+// occurrence's artifact slices (no copy).
 // The error reports campaign-level failures only (keying, publishing,
 // a verify mismatch); a scenario whose run fails lands in its Result's
 // Err and is counted in Stats.Failed.
@@ -127,13 +143,18 @@ func Run(entries []Entry, opts Options) ([]Result, Stats, error) {
 	results := make([]Result, len(entries))
 	stats := Stats{Scenarios: len(entries)}
 
-	// Dedup by canonical scenario key, preserving submission order of
-	// first occurrences. The map is lookup-only (never ranged), so
-	// iteration order cannot reach the results.
+	// Key every entry on the pool, then dedup serially, preserving
+	// submission order of first occurrences (and reporting the first
+	// keying error in that order). The map is lookup-only (never
+	// ranged), so iteration order cannot reach the results.
+	keys := runpool.Map(opts.Workers, entries, func(_ int, e Entry) keyed {
+		k, err := cascache.ScenarioKey(e.Spec, e.Platform, e.Faults, e.Seed)
+		return keyed{k, err}
+	})
 	firstOf := make(map[cascache.Key]int, len(entries))
 	var uniques []int
 	for i, e := range entries {
-		k, err := cascache.ScenarioKey(e.Spec, e.Platform, e.Faults, e.Seed)
+		k, err := keys[i].key, keys[i].err
 		if err != nil {
 			return nil, stats, fmt.Errorf("campaign: %s: %w", e.Name, err)
 		}
@@ -149,21 +170,30 @@ func Run(entries []Entry, opts Options) ([]Result, Stats, error) {
 	stats.Unique = len(uniques)
 	stats.DupHits = len(entries) - len(uniques)
 
-	// Probe the store; misses (and, in Verify mode, hits too) get
-	// scheduled. toRun holds entry indices, submission order.
+	// Probe the store for every unique key on the pool: distinct keys
+	// never share an entry directory, so concurrent probes (and the
+	// eviction of a corrupt entry) cannot touch each other's files.
+	// The hit/miss split is then settled serially in submission order;
+	// misses (and, in Verify mode, hits too) get scheduled. toRun holds
+	// entry indices, submission order.
+	var probes []probe
+	if opts.Store != nil {
+		probes = runpool.Map(opts.Workers, uniques, func(_ int, i int) probe {
+			ent, ok := opts.Store.Get(results[i].Key)
+			return probe{ent, ok}
+		})
+	}
 	var toRun []int
-	for _, i := range uniques {
-		if opts.Store != nil {
-			if ent, ok := opts.Store.Get(results[i].Key); ok {
-				results[i].Source = SourceCache
-				results[i].Meta = ent.Meta
-				results[i].Artifacts = ent.Artifacts
-				stats.Hits++
-				if opts.Verify {
-					toRun = append(toRun, i)
-				}
-				continue
+	for j, i := range uniques {
+		if probes != nil && probes[j].hit {
+			results[i].Source = SourceCache
+			results[i].Meta = probes[j].ent.Meta
+			results[i].Artifacts = probes[j].ent.Artifacts
+			stats.Hits++
+			if opts.Verify {
+				toRun = append(toRun, i)
 			}
+			continue
 		}
 		results[i].Source = SourceRun
 		toRun = append(toRun, i)

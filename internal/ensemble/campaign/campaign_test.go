@@ -2,6 +2,9 @@ package campaign
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -203,5 +206,108 @@ func TestCampaignContainsPanickingScenario(t *testing.T) {
 	}
 	if again.Hits != 2 || again.Misses != 1 || again.Failed != 2 {
 		t.Fatalf("second pass stats %+v, want 2 hits, 1 miss, 2 failed", again)
+	}
+}
+
+// entryDir is where the store keeps key k's artifacts.
+func entryDir(s *cascache.Store, k cascache.Key) string {
+	h := k.Hex()
+	return filepath.Join(s.Dir(), h[:2], h)
+}
+
+// TestParallelProbesEvictCorruptEntries: with the store probed on the
+// pool, a damaged entry is still evicted and recomputed, never served,
+// and every artifact set matches a one-worker run byte for byte.
+func TestParallelProbesEvictCorruptEntries(t *testing.T) {
+	entries := testEntries(6, 2) // 12 entries, 6 unique
+	dir := t.TempDir()
+	store, err := cascache.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, _, err := Run(entries, Options{Workers: 1, Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Truncate an artifact of the first entry; flip a byte in one of
+	// the second's.
+	if err := os.Truncate(filepath.Join(entryDir(store, ref[0].Key), cascache.ArtTraceBin), 3); err != nil {
+		t.Fatal(err)
+	}
+	flip := filepath.Join(entryDir(store, ref[1].Key), cascache.ArtSpans)
+	b, err := os.ReadFile(flip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)/2] ^= 0xff
+	if err := os.WriteFile(flip, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	warm, err := cascache.Open(dir) // a new process: the MRU starts empty
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, stats, err := Run(entries, Options{Workers: 4, Store: warm})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Unique != 6 || stats.Hits != 6-2 || stats.Misses != 2 {
+		t.Fatalf("stats %+v, want 4 hits and 2 misses of 6 unique", stats)
+	}
+	if st := warm.Stats(); st.Corrupt != 2 || st.Puts != 2 {
+		t.Fatalf("store stats %+v, want 2 corrupt entries evicted and republished", st)
+	}
+	for i, r := range res {
+		want := SourceCache
+		switch {
+		case i >= 6:
+			want = SourceDup
+		case i < 2:
+			want = SourceRun
+		}
+		if r.Source != want || r.Err != nil {
+			t.Errorf("entry %d: source %q err %v, want %q", i, r.Source, r.Err, want)
+		}
+		if err := cascache.DiffArtifacts(ref[i].Artifacts, r.Artifacts); err != nil {
+			t.Errorf("entry %d: %v", i, err)
+		}
+	}
+}
+
+// TestParallelProbesWorkerCountInvariant: Results and Stats of a warm
+// campaign do not depend on the worker count.
+func TestParallelProbesWorkerCountInvariant(t *testing.T) {
+	entries := testEntries(5, 2)
+	store, err := cascache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Run(entries, Options{Workers: 2, Store: store}); err != nil {
+		t.Fatal(err)
+	}
+	var ref []Result
+	var refStats Stats
+	for _, w := range []int{1, 2, 4} {
+		store.SetMRUCap(0) // every probe reads and re-checks the disk
+		store.SetMRUCap(cascache.DefaultMRUCap)
+		res, stats, err := Run(entries, Options{Workers: w, Store: store})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Hits != stats.Unique || stats.Misses != 0 {
+			t.Fatalf("workers %d: stats %+v, want every unique key a hit", w, stats)
+		}
+		if ref == nil {
+			ref, refStats = res, stats
+			continue
+		}
+		if stats != refStats {
+			t.Errorf("workers %d: stats %+v, workers 1 gave %+v", w, stats, refStats)
+		}
+		if !reflect.DeepEqual(res, ref) {
+			t.Errorf("workers %d: results differ from workers 1", w)
+		}
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sort"
+	"strconv"
 
 	"ensembleio/internal/telemetry"
 )
@@ -58,23 +60,43 @@ func runTID(cat string) int {
 	return len(runCats)
 }
 
-// WriteChromeTrace renders spans as a Chrome trace-event JSON object.
+// WriteChromeTrace renders spans as a Chrome trace-event JSON object,
+// laid out with a one-space indent per level. Every span is validated
+// before anything is written.
 func WriteChromeTrace(w io.Writer, spans []telemetry.Span) error {
-	tr := chromeTrace{DisplayTimeUnit: "ms"}
-	meta := func(name string, pid, tid int, args map[string]string) {
-		tr.TraceEvents = append(tr.TraceEvents, chromeEvent{
-			Name: name, Ph: "M", PID: pid, TID: tid, Args: args,
-		})
-	}
-	meta("process_name", chromePIDRun, 0, map[string]string{"name": "run"})
-	meta("process_name", chromePIDRanks, 0, map[string]string{"name": "ranks"})
-	for tid, cat := range runCats {
-		meta("thread_name", chromePIDRun, tid, map[string]string{"name": cat})
-	}
 	for _, sp := range spans {
 		if err := validateSpan(sp); err != nil {
 			return err
 		}
+	}
+	bw := bufio.NewWriter(w)
+	var rec []byte
+	sep := "{\n \"displayTimeUnit\": \"ms\",\n \"traceEvents\": [\n" // the first event opens the document
+	put := func(ev chromeEvent) error {
+		rec = append(rec[:0], sep...)
+		sep = ",\n"
+		var err error
+		if rec, err = appendChromeEvent(rec, ev); err != nil {
+			return err
+		}
+		_, err = bw.Write(rec)
+		return err
+	}
+	events := []chromeEvent{
+		{Name: "process_name", Ph: "M", PID: chromePIDRun, Args: map[string]string{"name": "run"}},
+		{Name: "process_name", Ph: "M", PID: chromePIDRanks, Args: map[string]string{"name": "ranks"}},
+	}
+	for tid, cat := range runCats {
+		events = append(events, chromeEvent{
+			Name: "thread_name", Ph: "M", PID: chromePIDRun, TID: tid, Args: map[string]string{"name": cat},
+		})
+	}
+	for _, ev := range events {
+		if err := put(ev); err != nil {
+			return err
+		}
+	}
+	for _, sp := range spans {
 		ev := chromeEvent{
 			Name: sp.Name, Cat: sp.Cat, Ph: "X",
 			TS: sp.Start * 1e6, Dur: (sp.End - sp.Start) * 1e6,
@@ -86,15 +108,62 @@ func WriteChromeTrace(w io.Writer, spans []telemetry.Span) error {
 			ev.PID = chromePIDRanks
 			ev.TID = sp.Rank
 		}
-		tr.TraceEvents = append(tr.TraceEvents, ev)
+		if err := put(ev); err != nil {
+			return err
+		}
 	}
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(tr); err != nil {
+	if _, err := bw.WriteString("\n ]\n}\n"); err != nil {
 		return err
 	}
 	return bw.Flush()
+}
+
+// appendChromeEvent appends ev as one element of the traceEvents
+// array, at the array's indent depth. Empty cat, zero dur and empty
+// args are left out; args keys are written in sorted order.
+func appendChromeEvent(b []byte, ev chromeEvent) ([]byte, error) {
+	var err error
+	b = append(b, "  {\n   \"name\": "...)
+	b = appendString(b, ev.Name)
+	if ev.Cat != "" {
+		b = append(b, ",\n   \"cat\": "...)
+		b = appendString(b, ev.Cat)
+	}
+	b = append(b, ",\n   \"ph\": "...)
+	b = appendString(b, ev.Ph)
+	b = append(b, ",\n   \"ts\": "...)
+	if b, err = appendFloat(b, ev.TS); err != nil {
+		return b, err
+	}
+	if ev.Dur != 0 {
+		b = append(b, ",\n   \"dur\": "...)
+		if b, err = appendFloat(b, ev.Dur); err != nil {
+			return b, err
+		}
+	}
+	b = append(b, ",\n   \"pid\": "...)
+	b = strconv.AppendInt(b, int64(ev.PID), 10)
+	b = append(b, ",\n   \"tid\": "...)
+	b = strconv.AppendInt(b, int64(ev.TID), 10)
+	if len(ev.Args) > 0 {
+		keys := make([]string, 0, len(ev.Args))
+		for k := range ev.Args {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		b = append(b, ",\n   \"args\": {"...)
+		for i, k := range keys {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, "\n    "...)
+			b = appendString(b, k)
+			b = append(b, ": "...)
+			b = appendString(b, ev.Args[k])
+		}
+		b = append(b, "\n   }"...)
+	}
+	return append(b, "\n  }"...), nil
 }
 
 // ValidateChromeTrace parses a Chrome trace-event JSON stream and

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strconv"
 
 	"ensembleio/internal/telemetry"
 )
@@ -16,12 +17,33 @@ import (
 // event decoder, the reader is hardened against hostile input: bounded
 // string lengths, finite times, End >= Start.
 
-// WriteSpans encodes spans as one JSON object per line, in order.
+// WriteSpans encodes spans as one JSON object per line, in order. A
+// span ReadSpans would reject is an error, so a written stream always
+// reads back.
 func WriteSpans(w io.Writer, spans []telemetry.Span) error {
 	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
+	var rec []byte
+	var err error
 	for _, sp := range spans {
-		if err := enc.Encode(sp); err != nil {
+		if err := validateSpan(sp); err != nil {
+			return err
+		}
+		rec = append(rec[:0], `{"cat":`...)
+		rec = appendString(rec, sp.Cat)
+		rec = append(rec, `,"name":`...)
+		rec = appendString(rec, sp.Name)
+		rec = append(rec, `,"rank":`...)
+		rec = strconv.AppendInt(rec, int64(sp.Rank), 10)
+		rec = append(rec, `,"start":`...)
+		if rec, err = appendFloat(rec, sp.Start); err != nil {
+			return err
+		}
+		rec = append(rec, `,"end":`...)
+		if rec, err = appendFloat(rec, sp.End); err != nil {
+			return err
+		}
+		rec = append(rec, "}\n"...)
+		if _, err := bw.Write(rec); err != nil {
 			return err
 		}
 	}

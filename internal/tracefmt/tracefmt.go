@@ -13,6 +13,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"strconv"
 
 	"ensembleio/internal/ipmio"
 	"ensembleio/internal/sim"
@@ -34,21 +35,59 @@ type jsonRecord struct {
 }
 
 // WriteJSONL encodes events and phase marks as one JSON object per
-// line, in the order given.
+// line, in the order given. Each line carries the jsonRecord fields in
+// declaration order, empty optional fields left out.
 func WriteJSONL(w io.Writer, events []ipmio.Event, marks []ipmio.PhaseMark) error {
 	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
+	var rec []byte
+	var err error
 	for _, m := range marks {
-		if err := enc.Encode(jsonRecord{Type: "mark", Name: m.Name, T: float64(m.T)}); err != nil {
+		rec = append(rec[:0], `{"type":"mark","r":0,"t":`...)
+		if rec, err = appendFloat(rec, float64(m.T)); err != nil {
+			return err
+		}
+		if m.Name != "" {
+			rec = append(rec, `,"name":`...)
+			rec = appendString(rec, m.Name)
+		}
+		rec = append(rec, "}\n"...)
+		if _, err := bw.Write(rec); err != nil {
 			return err
 		}
 	}
 	for _, e := range events {
-		rec := jsonRecord{
-			Rank: e.Rank, Op: e.Op.String(), FD: e.FD, File: e.File,
-			Off: e.Offset, N: e.Bytes, T: float64(e.Start), D: float64(e.Dur),
+		rec = append(rec[:0], `{"r":`...)
+		rec = strconv.AppendInt(rec, int64(e.Rank), 10)
+		rec = append(rec, `,"op":`...)
+		rec = appendString(rec, e.Op.String())
+		if e.FD != 0 {
+			rec = append(rec, `,"fd":`...)
+			rec = strconv.AppendInt(rec, int64(e.FD), 10)
 		}
-		if err := enc.Encode(rec); err != nil {
+		if e.File != "" {
+			rec = append(rec, `,"f":`...)
+			rec = appendString(rec, e.File)
+		}
+		if e.Offset != 0 {
+			rec = append(rec, `,"o":`...)
+			rec = strconv.AppendInt(rec, e.Offset, 10)
+		}
+		if e.Bytes != 0 {
+			rec = append(rec, `,"n":`...)
+			rec = strconv.AppendInt(rec, e.Bytes, 10)
+		}
+		rec = append(rec, `,"t":`...)
+		if rec, err = appendFloat(rec, float64(e.Start)); err != nil {
+			return err
+		}
+		if e.Dur != 0 { // -0 is empty too, as for omitempty
+			rec = append(rec, `,"d":`...)
+			if rec, err = appendFloat(rec, float64(e.Dur)); err != nil {
+				return err
+			}
+		}
+		rec = append(rec, "}\n"...)
+		if _, err := bw.Write(rec); err != nil {
 			return err
 		}
 	}
