@@ -190,5 +190,6 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='FuzzSpecDecode$$' -fuzztime=$(FUZZTIME) ./internal/wldsl
 	$(GO) test -run='^$$' -fuzz='FuzzScenarioKey$$' -fuzztime=$(FUZZTIME) ./internal/cascache
 	$(GO) test -run='^$$' -fuzz='FuzzScenarioParse$$' -fuzztime=$(FUZZTIME) ./internal/faults
+	$(GO) test -run='^$$' -fuzz='FuzzAnalysisMatchesReferences$$' -fuzztime=$(FUZZTIME) ./internal/analysis
 
 ci: build lint lint-testdata race race-stress bench-check bench-smoke trace-smoke examples-smoke dsl-golden figs-check interference-golden cache-golden bench-guard fuzz-smoke

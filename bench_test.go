@@ -311,7 +311,9 @@ var analysisSink struct {
 // the advisor's diagnosis, the barrier phase split and the per-rank
 // activity sweep. The run is simulated outside the timer. bench-guard
 // holds its B/op and allocs/op to the checked-in baseline, so copying
-// the trace per phase or per detector cannot creep back in.
+// the trace per phase or per detector cannot creep back in, and gates
+// the exact counters it reports: the events analysed and the findings
+// made of them.
 func BenchmarkAnalysis_Diagnose(b *testing.B) {
 	run := RunGCRM(GCRMConfig{Machine: Franklin(), Aggregators: 80, Seed: 1})
 	b.ReportAllocs()
@@ -321,6 +323,8 @@ func BenchmarkAnalysis_Diagnose(b *testing.B) {
 		analysisSink.phases = Phases(run)
 		analysisSink.acts = RankActivities(run)
 	}
+	b.ReportMetric(float64(len(run.Collector.Events)), "events")
+	b.ReportMetric(float64(len(analysisSink.findings)), "findings")
 }
 
 var benchRun *Run

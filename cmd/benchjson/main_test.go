@@ -185,3 +185,22 @@ func TestCheckRunExactCacheCounters(t *testing.T) {
 		t.Errorf("one more captured byte: want one bytes failure, got %v", failures)
 	}
 }
+
+// TestCheckRunExactAnalysisCounters: the analysis row's findings and
+// events are gated exactly, so a detector that starts or stops firing
+// on the guard trace fails however fast it runs.
+func TestCheckRunExactAnalysisCounters(t *testing.T) {
+	analysis := func(findings float64) map[string][]float64 {
+		return map[string][]float64{"ns/op": {1e8, 1e8}, "events": {215681, 215681}, "findings": {findings, findings}}
+	}
+	base := bl("BenchmarkAnalysis_Diagnose-2", analysis(3))
+	if oks, failures, _ := checkRun(bl("BenchmarkAnalysis_Diagnose-2", analysis(3)), base, 3.0, 1.25); len(failures) != 0 || len(oks) != 1 || !strings.Contains(oks[0], "3 findings =") {
+		t.Fatalf("identical analysis counters: failures=%v oks=%v", failures, oks)
+	}
+	for _, findings := range []float64{2, 4} {
+		_, failures, _ := checkRun(bl("BenchmarkAnalysis_Diagnose-2", analysis(findings)), base, 3.0, 1.25)
+		if len(failures) != 1 || !strings.Contains(failures[0], "findings") || !strings.Contains(failures[0], "exact") {
+			t.Errorf("findings %v vs 3: want one exact-counter failure, got %v", findings, failures)
+		}
+	}
+}

@@ -338,7 +338,7 @@ func ConvolveK(h *Histogram, k int) *Histogram { return ensemble.ConvolveK(h, k)
 
 // Durations extracts the duration ensemble of one op type from a run.
 func Durations(run *Run, op Op) *Dataset {
-	return run.Collector.Dataset(func(e Event) bool { return e.Op == op })
+	return analysis.Durations(run.Collector.Events, analysis.IsOp(op))
 }
 
 // DataWrites extracts size-normalized (seconds per MB) durations of
@@ -360,7 +360,9 @@ type (
 	Series = analysis.Series
 )
 
-// Phases slices a run into its barrier-delimited phases.
+// Phases slices a run into its barrier-delimited phases. Each phase's
+// Events is a view of the run's trace (see analysis.Phases): read it,
+// or copy it before changing it.
 func Phases(run *Run) []Phase {
 	return analysis.Phases(run.Collector.Events, run.Collector.Marks, run.Wall)
 }

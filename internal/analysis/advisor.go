@@ -93,7 +93,8 @@ func (c *DiagnoseConfig) defaults() {
 // Diagnose inspects a merged trace for the bottleneck signatures of
 // the paper's case studies and returns its findings, most severe
 // first. Intermediates several detectors read — the read-duration
-// ensemble, per-rank medians, each event's phase — are computed once.
+// ensemble, per-rank medians, each phase's order statistics — are
+// computed once.
 func Diagnose(events []ipmio.Event, cfg DiagnoseConfig) []Finding {
 	cfg.defaults()
 	reads := Durations(events, IsOp(ipmio.OpRead))
@@ -104,11 +105,12 @@ func Diagnose(events []ipmio.Event, cfg DiagnoseConfig) []Finding {
 	}
 	ranks, meds := rankMedians(events, cfg.SmallIOBytes)
 	// The phase-correlated detectors stay silent below three marks
-	// (nil phases).
-	var phases []Phase
-	var phaseOf []int32
+	// (nil phase statistics).
+	var phases []phaseStat
 	if len(cfg.Marks) >= 3 {
-		phases, phaseOf = phaseIndex(events, cfg.Marks, cfg.Wall)
+		ph, phaseOf := phaseIndex(events, cfg.Marks, cfg.Wall)
+		vals, off := phaseGroups(events, ph, phaseOf, cfg.SmallIOBytes)
+		phases = phaseStats(ph, vals, off)
 	}
 	var out []Finding
 	if f, ok := diagnoseMultiModalWrites(events); ok {
@@ -138,13 +140,13 @@ func Diagnose(events []ipmio.Event, cfg DiagnoseConfig) []Finding {
 	if f, ok := diagnoseSlowNode(ranks, meds, cfg); ok {
 		out = append(out, f)
 	}
-	if f, ok := diagnoseIntermittentStall(events, phases, phaseOf, readTail, cfg); ok {
+	if f, ok := diagnoseIntermittentStall(phases, readTail); ok {
 		out = append(out, f)
 	}
 	if f, ok := diagnoseMDSBrownout(events); ok {
 		out = append(out, f)
 	}
-	if f, ok := diagnoseBackgroundContention(events, phases, phaseOf, readTail, cfg); ok {
+	if f, ok := diagnoseBackgroundContention(phases, readTail); ok {
 		out = append(out, f)
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Severity > out[j].Severity })

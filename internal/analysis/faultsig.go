@@ -26,12 +26,13 @@ func dataOp(smallIO int64) func(ipmio.Event) bool {
 // meds[i] is the median of ranks[i], and ranks ascend.
 func rankMedians(events []ipmio.Event, smallIO int64) (ranks []int, meds []float64) {
 	slot, ranks := rankSlots(events, dataOp(smallIO))
-	ds, off := groupBy(slot, len(ranks), nil, func(i int) float64 { return float64(events[i].Dur) })
+	ds, off := groupBy(len(events), len(ranks),
+		func(i int) int32 { return slot[i] },
+		func(i int) float64 { return float64(events[i].Dur) })
 	meds = make([]float64, len(ranks))
 	for s := range ranks {
 		d := ds[off[s]:off[s+1]]
-		sort.Float64s(d)
-		meds[s] = d[len(d)/2]
+		meds[s] = kth(d, len(d)/2)
 	}
 	return ranks, meds
 }
@@ -40,8 +41,7 @@ func rankMedians(events []ipmio.Event, smallIO int64) (ranks []int, meds []float
 // is at least thresh times the global median of rank medians.
 func slowRanks(ranks []int, meds []float64, thresh float64) (slow []int, global float64) {
 	all := append([]float64(nil), meds...)
-	sort.Float64s(all)
-	global = all[len(all)/2]
+	global = kth(all, len(all)/2)
 	if global <= 0 {
 		return nil, global
 	}
@@ -146,23 +146,77 @@ func diagnoseSlowNode(ranks []int, meds []float64, cfg DiagnoseConfig) (Finding,
 	}, true
 }
 
-// phaseDurs is one phase's sorted durations.
-type phaseDurs struct {
+// phaseStat is one phase's order statistics, each the element a sort
+// of the phase's durations puts at that rank.
+type phaseStat struct {
 	name string
-	durs []float64
+	// Over the phase's sized data ops (dataOp): their number, median
+	// (the element at n/2), and the tail of ops at or above three
+	// times the median: its size and median.
+	n       int
+	med     float64
+	tail    int
+	tailMed float64
+	// Over the phase's sized writes alone: their number, median and
+	// lower quartile (quantileSorted at 0.25).
+	writes             int
+	writeMed, writeP25 float64
 }
 
-// phaseDurations returns, per phase, the sorted durations of the
-// events keep accepts; phases and phaseOf are phaseIndex's split.
-func phaseDurations(events []ipmio.Event, phases []Phase, phaseOf []int32, keep func(ipmio.Event) bool) []phaseDurs {
-	ds, off := groupBy(phaseOf, len(phases),
-		func(i int) bool { return keep(events[i]) },
+// phaseGroups groups the durations of each phase's sized data ops,
+// writes first: phase k's ops are vals[off[2k]:off[2k+2]], and its
+// writes alone vals[off[2k]:off[2k+1]]. phases and phaseOf are
+// phaseIndex's split.
+func phaseGroups(events []ipmio.Event, phases []Phase, phaseOf []int32, smallIO int64) (vals []float64, off []int) {
+	keep := dataOp(smallIO)
+	return groupBy(len(events), 2*len(phases),
+		func(i int) int32 {
+			e := events[i]
+			if phaseOf[i] < 0 || !keep(e) {
+				return -1
+			}
+			if e.Op == ipmio.OpRead {
+				return 2*phaseOf[i] + 1
+			}
+			return 2 * phaseOf[i]
+		},
 		func(i int) float64 { return float64(events[i].Dur) })
-	out := make([]phaseDurs, len(phases))
+}
+
+// phaseStats computes each phase's statistics by selection, reordering
+// the groups of phaseGroups in place.
+func phaseStats(phases []Phase, vals []float64, off []int) []phaseStat {
+	out := make([]phaseStat, len(phases))
 	for k, ph := range phases {
-		d := ds[off[k]:off[k+1]:off[k+1]]
-		sort.Float64s(d)
-		out[k] = phaseDurs{ph.Name, d}
+		st := phaseStat{name: ph.Name}
+		// The writes first: selecting within them leaves the phase's
+		// group the same multiset.
+		if w := vals[off[2*k]:off[2*k+1]]; len(w) > 0 {
+			st.writes = len(w)
+			q := int(0.25 * float64(len(w)-1))
+			st.writeP25 = kth(w, q)
+			// kth leaves w[q:] holding the elements ranked q and up.
+			st.writeMed = kth(w[q:], len(w)/2-q)
+		}
+		if d := vals[off[2*k]:off[2*k+2]]; len(d) > 0 {
+			st.n = len(d)
+			st.med = kth(d, len(d)/2)
+			for _, x := range d {
+				if x >= 3*st.med {
+					st.tail++
+				}
+			}
+			if st.tail > 0 {
+				// The tail is the top st.tail ranks; once the median is
+				// positive they lie above its rank, in d[len(d)/2:].
+				r, lo := len(d)-st.tail+st.tail/2, 0
+				if r >= len(d)/2 {
+					lo = len(d) / 2
+				}
+				st.tailMed = kth(d[lo:], r-lo)
+			}
+		}
+		out[k] = st
 	}
 	return out
 }
@@ -185,26 +239,18 @@ func quantileSorted(ds []float64, q float64) float64 {
 // A heavy global read tail (readTail) is the §IV read-ahead pathology,
 // whose per-phase deterioration mimics stall windows; the detector
 // then stays silent and lets the dominant diagnosis speak alone.
-func diagnoseIntermittentStall(events []ipmio.Event, phases []Phase, phaseOf []int32, readTail bool, cfg DiagnoseConfig) (Finding, bool) {
-	if phases == nil || readTail {
+func diagnoseIntermittentStall(stats []phaseStat, readTail bool) (Finding, bool) {
+	if stats == nil || readTail {
 		return Finding{}, false
 	}
-	durs := phaseDurations(events, phases, phaseOf, dataOp(cfg.SmallIOBytes))
 	var stalledNames []string
 	var tailMeds []float64
 	clean := 0
-	for _, ph := range durs {
-		n := len(ph.durs)
-		if n < 8 {
+	for _, ph := range stats {
+		if ph.n < 8 || ph.med <= 0 {
 			continue
 		}
-		med := ph.durs[n/2]
-		if med <= 0 {
-			continue
-		}
-		tailStart := sort.SearchFloat64s(ph.durs, 3*med)
-		tail := ph.durs[tailStart:]
-		frac := float64(len(tail)) / float64(n)
+		frac := float64(ph.tail) / float64(ph.n)
 		if frac < 0.05 {
 			clean++
 			continue
@@ -212,12 +258,9 @@ func diagnoseIntermittentStall(events []ipmio.Event, phases []Phase, phaseOf []i
 		// A stalled phase carries a substantial minority tail far above
 		// its own median (>=5x keeps partially burst-covered phases,
 		// whose tails sit near 3-4x, from qualifying).
-		if frac >= 0.1 && frac <= 0.5 {
-			tailMed := tail[len(tail)/2]
-			if tailMed >= 5*med {
-				stalledNames = append(stalledNames, ph.name)
-				tailMeds = append(tailMeds, tailMed)
-			}
+		if frac >= 0.1 && frac <= 0.5 && ph.tailMed >= 5*ph.med {
+			stalledNames = append(stalledNames, ph.name)
+			tailMeds = append(tailMeds, ph.tailMed)
 		}
 	}
 	if len(stalledNames) == 0 || clean == 0 {
@@ -277,23 +320,15 @@ func diagnoseMDSBrownout(events []ipmio.Event) (Finding, bool) {
 // A heavy read tail (readTail, the §IV pathology) confounds per-phase
 // write medians; the detector then lets the dominant diagnosis speak
 // alone.
-func diagnoseBackgroundContention(events []ipmio.Event, phases []Phase, phaseOf []int32, readTail bool, cfg DiagnoseConfig) (Finding, bool) {
+func diagnoseBackgroundContention(phases []phaseStat, readTail bool) (Finding, bool) {
 	if phases == nil || readTail {
 		return Finding{}, false
 	}
-	durs := phaseDurations(events, phases, phaseOf, func(e ipmio.Event) bool {
-		return e.Op == ipmio.OpWrite && e.Bytes > cfg.SmallIOBytes
-	})
-	type phStat struct {
-		name     string
-		med, p25 float64
-	}
-	var stats []phStat
-	for _, ph := range durs {
-		if len(ph.durs) < 8 {
-			continue
+	var stats []phaseStat
+	for _, ph := range phases {
+		if ph.writes >= 8 {
+			stats = append(stats, ph)
 		}
-		stats = append(stats, phStat{ph.name, ph.durs[len(ph.durs)/2], quantileSorted(ph.durs, 0.25)})
 	}
 	if len(stats) < 3 {
 		return Finding{}, false
@@ -305,8 +340,8 @@ func diagnoseBackgroundContention(events []ipmio.Event, phases []Phase, phaseOf 
 	refMeds := make([]float64, 0, len(stats))
 	refP25s := make([]float64, 0, len(stats))
 	for _, s := range stats {
-		refMeds = append(refMeds, s.med)
-		refP25s = append(refP25s, s.p25)
+		refMeds = append(refMeds, s.writeMed)
+		refP25s = append(refP25s, s.writeP25)
 	}
 	sort.Float64s(refMeds)
 	sort.Float64s(refP25s)
@@ -319,10 +354,10 @@ func diagnoseBackgroundContention(events []ipmio.Event, phases []Phase, phaseOf 
 	lastSlow, lastClean := -1, -1
 	for i, s := range stats {
 		switch {
-		case s.med >= 2*refMed && s.p25 >= 1.3*refP25:
+		case s.writeMed >= 2*refMed && s.writeP25 >= 1.3*refP25:
 			slowNames = append(slowNames, s.name)
 			lastSlow = i
-		case s.med <= 1.3*refMed:
+		case s.writeMed <= 1.3*refMed:
 			lastClean = i
 		}
 	}

@@ -1,6 +1,9 @@
 package analysis
 
 import (
+	"cmp"
+	"math"
+	"slices"
 	"sort"
 
 	"ensembleio/internal/ipmio"
@@ -143,61 +146,84 @@ func rankSlots(events []ipmio.Event, keep func(ipmio.Event) bool) (slot []int32,
 	return slot, ranks
 }
 
-// groupBy gathers val(i) for every entry i with idx[i] >= 0 that keep
-// accepts (nil keeps all) into one exactly sized array, grouped by
-// idx and in entry order within a group: group k is
-// vals[off[k]:off[k+1]].
-func groupBy[T any](idx []int32, groups int, keep func(i int) bool, val func(i int) T) (vals []T, off []int) {
+// groupBy gathers val(i) for each of n entries into one exactly sized
+// array, grouped by key(i) in [0, groups) and in entry order within a
+// group; entries with a negative key are left out. Group g is
+// vals[off[g]:off[g+1]].
+func groupBy[T any](n, groups int, key func(i int) int32, val func(i int) T) (vals []T, off []int) {
 	off = make([]int, groups+1)
-	for i, k := range idx {
-		if k >= 0 && (keep == nil || keep(i)) {
-			off[k+1]++
+	for i := 0; i < n; i++ {
+		if g := key(i); g >= 0 {
+			off[g+1]++
 		}
 	}
-	for k := 0; k < groups; k++ {
-		off[k+1] += off[k]
+	for g := 0; g < groups; g++ {
+		off[g+1] += off[g]
 	}
 	vals = make([]T, off[groups])
 	next := append([]int(nil), off[:groups]...)
-	for i, k := range idx {
-		if k >= 0 && (keep == nil || keep(i)) {
-			vals[next[k]] = val(i)
-			next[k]++
+	for i := 0; i < n; i++ {
+		if g := key(i); g >= 0 {
+			vals[next[g]] = val(i)
+			next[g]++
 		}
 	}
 	return vals, off
 }
 
 // RankActivities computes per-rank busy and exclusive-busy time with a
-// single boundary sweep over all event intervals.
+// single boundary sweep over all event intervals. All boundaries at
+// one instant apply as a group: a rank's busy time opens or closes
+// only when the group changes its depth from or to zero, so touching
+// intervals count as one piece whatever order the trace lists them in,
+// and the result does not depend on the input order.
+//
+// The interval starts are radix-sorted by timeKey. The ends come in
+// trace order, which collectors record by completion, so they are
+// usually sorted already; otherwise they are sorted in place. The
+// sweep merges the two, starts first at a shared instant: a rank
+// busy before and after the instant then never closes and reopens.
 func RankActivities(events []ipmio.Event) []RankActivity {
 	if len(events) == 0 {
 		return nil
 	}
-	type boundary struct {
-		t     sim.Time
-		slot  int32
-		delta int32
-	}
 	slot, ranks := rankSlots(events, nil)
 	counts := make([]int, len(ranks)) // events per rank
-	nb := 0
+	n := 0
 	for i, e := range events {
 		counts[slot[i]]++
 		if !(e.Dur <= 0) { // the skip below, NaN included
-			nb += 2
+			n++
 		}
 	}
-	bounds := make([]boundary, 0, nb)
+	// One array: the starts, then the ends, which serve as the starts'
+	// radix scratch before they are filled.
+	bounds := make([]boundary, 2*n)
+	starts, ends := bounds[:n], bounds[n:]
+	j := 0
 	for i, e := range events {
 		if e.Dur <= 0 {
 			continue
 		}
-		bounds = append(bounds,
-			boundary{t: e.Start, slot: slot[i], delta: +1},
-			boundary{t: e.Start + e.Dur, slot: slot[i], delta: -1})
+		starts[j] = boundary{timeKey(e.Start), slot[i]}
+		j++
 	}
-	sort.Slice(bounds, func(i, j int) bool { return bounds[i].t < bounds[j].t })
+	radixSort(starts, ends)
+	j = 0
+	sorted := true
+	for i, e := range events {
+		if e.Dur <= 0 {
+			continue
+		}
+		ends[j] = boundary{timeKey(e.Start + e.Dur), slot[i]}
+		if j > 0 && ends[j].key < ends[j-1].key {
+			sorted = false
+		}
+		j++
+	}
+	if !sorted {
+		slices.SortFunc(ends, func(a, b boundary) int { return cmp.Compare(a.key, b.key) })
+	}
 
 	depth := make([]int32, len(ranks)) // per-rank overlap depth
 	since := make([]sim.Time, len(ranks))
@@ -208,27 +234,32 @@ func RankActivities(events []ipmio.Event) []RankActivity {
 	nActive, activeSum := 0, 0
 	solo := -1
 	var soloSince sim.Time
-	for i := 0; i < len(bounds); {
-		t := bounds[i].t
-		// Apply all boundaries at this instant; account per-rank busy
-		// time and job-wide exclusive time only at transitions.
-		//lint:allow(floateq) grouping boundaries at the bit-identical instant is intended
-		for i < len(bounds) && bounds[i].t == t {
-			b := bounds[i]
-			was := depth[b.slot]
-			now := was + b.delta
-			depth[b.slot] = now
-			if was == 0 && now > 0 {
-				since[b.slot] = t
+	for i, j := 0, 0; i < n || j < n; {
+		k := uint64(math.MaxUint64)
+		if j < n {
+			k = ends[j].key
+		}
+		if i < n && starts[i].key < k {
+			k = starts[i].key
+		}
+		t := keyTime(k)
+		// Account per-rank busy time only at transitions.
+		for ; i < n && starts[i].key == k; i++ {
+			s := starts[i].slot
+			if depth[s] == 0 {
+				since[s] = t
 				nActive++
-				activeSum += int(b.slot)
+				activeSum += int(s)
 			}
-			if was > 0 && now == 0 {
-				busy[b.slot] += t - since[b.slot]
+			depth[s]++
+		}
+		for ; j < n && ends[j].key == k; j++ {
+			s := ends[j].slot
+			if depth[s]--; depth[s] == 0 {
+				busy[s] += t - since[s]
 				nActive--
-				activeSum -= int(b.slot)
+				activeSum -= int(s)
 			}
-			i++
 		}
 		// Exclusive tracking: close any ended solo period, open a new
 		// one when exactly one rank remains busy.
@@ -252,6 +283,81 @@ func RankActivities(events []ipmio.Event) []RankActivity {
 		}
 	}
 	return out
+}
+
+// boundary is one end of an event interval in the RankActivities
+// sweep: its instant as a timeKey and the rank's slot.
+type boundary struct {
+	key  uint64
+	slot int32
+}
+
+// timeKey maps a time to a key whose unsigned order is the times'
+// order: the sign bit is flipped on non-negative times and every bit
+// on negative ones. -0 maps to +0's key, so keys are equal exactly
+// when the times compare equal (NaN aside, which sorts after +Inf or
+// before -Inf by its sign and groups only with the same bits).
+func timeKey(t sim.Time) uint64 {
+	b := math.Float64bits(float64(t))
+	if b == 1<<63 { // -0
+		b = 0
+	}
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
+}
+
+// keyTime inverts timeKey.
+func keyTime(k uint64) sim.Time {
+	if k>>63 != 0 {
+		return sim.Time(math.Float64frombits(k &^ (1 << 63)))
+	}
+	return sim.Time(math.Float64frombits(^k))
+}
+
+// radixSort sorts bs by key with a least-significant-digit radix sort
+// over 11-bit digits, using scratch (len(scratch) >= len(bs)) for the
+// scatter passes. A digit that every key shares cannot reorder
+// anything and is skipped.
+func radixSort(bs, scratch []boundary) {
+	const bits, digits = 11, 6
+	if len(bs) < 2 {
+		return
+	}
+	var counts [digits][1 << bits]uint32
+	var diff uint64
+	first := bs[0].key
+	for _, b := range bs {
+		diff |= b.key ^ first
+		k := b.key
+		for d := 0; d < digits; d++ {
+			counts[d][k&(1<<bits-1)]++
+			k >>= bits
+		}
+	}
+	src, dst := bs, scratch[:len(bs)]
+	for d := 0; d < digits; d++ {
+		shift := uint(bits * d)
+		if (diff>>shift)&(1<<bits-1) == 0 {
+			continue
+		}
+		var sum uint32
+		next := &counts[d]
+		for v, c := range next {
+			next[v] = sum
+			sum += c
+		}
+		for _, b := range src {
+			v := (b.key >> shift) & (1<<bits - 1)
+			dst[next[v]] = b
+			next[v]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &bs[0] {
+		copy(bs, src)
+	}
 }
 
 // Serializer names the rank whose exclusive activity dominates the

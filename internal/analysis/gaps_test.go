@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"math"
 	"testing"
 
 	"ensembleio/internal/ipmio"
@@ -132,5 +133,16 @@ func TestRankActivitiesNegativeRanks(t *testing.T) {
 	acts := RankActivities([]ipmio.Event{ev(-3, 0, 1), ev(5, 2, 1.5)})
 	if len(acts) != 2 || acts[0].Rank != -3 || acts[0].Exclusive != 1 || acts[1].Exclusive != 1.5 {
 		t.Fatalf("activities %+v, want rank -3 exclusive 1 and rank 5 exclusive 1.5", acts)
+	}
+}
+
+// TestRankActivitiesNaNTimesTerminate: a NaN start or duration, which
+// never compares equal to itself, still ends its instant's group, so
+// the sweep terminates and counts every event.
+func TestRankActivitiesNaNTimesTerminate(t *testing.T) {
+	nan := math.NaN()
+	acts := RankActivities([]ipmio.Event{ev(0, 0, 1), ev(1, nan, 1), ev(1, 2, nan), ev(2, 0.5, 1)})
+	if len(acts) != 3 || acts[0].Events != 1 || acts[1].Events != 2 || acts[2].Events != 1 {
+		t.Fatalf("activities %+v, want 3 ranks holding 1, 2 and 1 events", acts)
 	}
 }

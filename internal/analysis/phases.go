@@ -27,19 +27,51 @@ type Phase struct {
 // must be in time order); end closes the final phase. Events are
 // assigned by start time. Events that start before the first mark are
 // grouped into a synthetic "pre" phase if any exist. Each phase's
-// events keep their trace order; all phases share one backing array.
+// events keep their trace order.
+//
+// When the trace lists its phases in order, as every simulated run
+// does (barrier-delimited phases complete in turn), each phase's
+// Events is a view of the trace, not a copy: it shares the trace's
+// backing array, so writing an element writes the trace, but its
+// capacity ends with the phase, so appending to it copies and never
+// overwrites the next phase. A trace out of phase order gets copies
+// in one shared, exactly sized array.
 func Phases(events []ipmio.Event, marks []ipmio.PhaseMark, end sim.Time) []Phase {
 	if len(marks) == 0 {
-		return []Phase{{Name: "all", StartT: 0, EndT: end, Events: events}}
+		return []Phase{{Name: "all", StartT: 0, EndT: end, Events: events[:len(events):len(events)]}}
 	}
 	phases, idx := phaseIndex(events, marks, end)
-	evs, off := groupBy(idx, len(phases), nil, func(i int) ipmio.Event { return events[i] })
+	var evs []ipmio.Event
+	var off []int
+	if ordered(idx) {
+		evs, off = events, make([]int, len(phases)+1)
+		for _, k := range idx {
+			off[k+1]++ // events before every phase (-1) lead the trace
+		}
+		for k := range phases {
+			off[k+1] += off[k]
+		}
+	} else {
+		evs, off = groupBy(len(events), len(phases),
+			func(i int) int32 { return idx[i] },
+			func(i int) ipmio.Event { return events[i] })
+	}
 	for k := range phases {
 		if off[k] < off[k+1] { // an empty phase keeps nil Events
 			phases[k].Events = evs[off[k]:off[k+1]:off[k+1]]
 		}
 	}
 	return phases
+}
+
+// ordered reports whether idx never decreases.
+func ordered(idx []int32) bool {
+	for i := 1; i < len(idx); i++ {
+		if idx[i] < idx[i-1] {
+			return false
+		}
+	}
+	return true
 }
 
 // phaseIndex returns the phases delimited by marks, without events,

@@ -180,18 +180,6 @@ func (c *Collector) RateProfile(op Op) *ensemble.Histogram {
 	return c.rateHist[op]
 }
 
-// Dataset extracts the durations of the traced events accepted by the
-// filter (nil accepts all) as an ensemble.
-func (c *Collector) Dataset(filter func(Event) bool) *ensemble.Dataset {
-	d := ensemble.NewDataset(nil)
-	for _, ev := range c.Events {
-		if filter == nil || filter(ev) {
-			d.Add(float64(ev.Dur))
-		}
-	}
-	return d
-}
-
 // OpEvents returns the traced events of one op type.
 func (c *Collector) OpEvents(op Op) []Event {
 	var out []Event

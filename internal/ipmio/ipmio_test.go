@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ensembleio/internal/cluster"
+	"ensembleio/internal/ensemble"
 	"ensembleio/internal/lustre"
 	"ensembleio/internal/posixio"
 	"ensembleio/internal/sim"
@@ -87,7 +88,10 @@ func TestProfileModeAgreesWithTraceMode(t *testing.T) {
 	})
 	eng.Run()
 
-	writes := col.Dataset(func(e Event) bool { return e.Op == OpWrite })
+	writes := ensemble.NewDataset(nil)
+	for _, e := range col.OpEvents(OpWrite) {
+		writes.Add(float64(e.Dur))
+	}
 	if writes.Len() != 20 {
 		t.Fatalf("traced %d writes, want 20", writes.Len())
 	}

@@ -275,6 +275,37 @@ func TestWriteCapContentionScalesWithWriters(t *testing.T) {
 	}
 }
 
+// TestLockPowerMemo: the memoized extent-lock power is math.Pow's
+// value at every writer count, whichever order the counts come in,
+// and a changed stripe count re-keys the memo.
+func TestLockPowerMemo(t *testing.T) {
+	prof := quietProfile()
+	eng := sim.NewEngine()
+	cl := cluster.New(eng, prof, 1, 1)
+	fs := NewFS(cl)
+	f := fs.Create("/scratch/shared")
+	check := func(n int) {
+		t.Helper()
+		f.activeWriters = n
+		w := math.Max(1, float64(n)/float64(fs.stripeTargets(f)))
+		if got, want := fs.lockPower(f), math.Pow(w, prof.LockGamma); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%d writers over %d OSTs: power %v, math.Pow %v", n, fs.stripeTargets(f), got, want)
+		}
+	}
+	for _, count := range []int{0, 1, 7, 1} { // 0: the mount's OSTs
+		f.Layout.Count = count
+		for n := 300; n >= 0; n-- {
+			check(n)
+		}
+		for n := 0; n <= 300; n += 3 {
+			check(n)
+		}
+		if f.lockPowOSTs != fs.stripeTargets(f) {
+			t.Fatalf("memo keyed on %d OSTs, layout spreads over %d", f.lockPowOSTs, fs.stripeTargets(f))
+		}
+	}
+}
+
 func TestDeterministicAcrossRuns(t *testing.T) {
 	prof := quietProfile()
 	prof.NoiseSigma = 0.2 // determinism must hold even with noise on

@@ -220,6 +220,14 @@ type File struct {
 	// this file; extent-lock contention is a per-file phenomenon
 	// (writers of different files never share locks).
 	activeWriters int
+
+	// lockPow memoizes the extent-lock contention power for this
+	// file: lockPow[n] is math.Pow(writersPerOST, LockGamma) at n
+	// active writers over lockPowOSTs stripe targets, 0 when not yet
+	// computed. Layout is exported, so a changed stripe count clears
+	// it.
+	lockPow     []float64
+	lockPowOSTs int
 }
 
 // ActiveWriters reports this file's queued or in-flight write jobs.
@@ -276,15 +284,36 @@ func (fs *FS) ActiveWriters() int { return fs.activeWriteJobs }
 // Writers of different files never contend for extent locks, so a
 // file-per-process workload sees no penalty at any scale.
 func (fs *FS) writersPerOST(f *File) float64 {
-	osts := f.Layout.Count
-	if osts <= 0 {
-		osts = fs.Cl.Prof.OSTs
-	}
-	w := float64(f.activeWriters) / float64(osts)
+	w := float64(f.activeWriters) / float64(fs.stripeTargets(f))
 	if w < 1 {
 		return 1
 	}
 	return w
+}
+
+// stripeTargets is the number of OSTs f's writers spread over.
+func (fs *FS) stripeTargets(f *File) int {
+	if f.Layout.Count <= 0 {
+		return fs.Cl.Prof.OSTs
+	}
+	return f.Layout.Count
+}
+
+// lockPower returns writersPerOST(f)^LockGamma, the extent-lock
+// divisor of writeCapMBps, from f's memo: a write job costs one
+// math.Pow per distinct writer count, not one per job.
+func (fs *FS) lockPower(f *File) float64 {
+	n := f.activeWriters
+	if osts := fs.stripeTargets(f); osts != f.lockPowOSTs {
+		f.lockPow, f.lockPowOSTs = f.lockPow[:0], osts
+	}
+	if n >= len(f.lockPow) {
+		f.lockPow = append(f.lockPow, make([]float64, n+1-len(f.lockPow))...)
+	}
+	if f.lockPow[n] == 0 {
+		f.lockPow[n] = math.Pow(fs.writersPerOST(f), fs.Cl.Prof.LockGamma)
+	}
+	return f.lockPow[n]
 }
 
 // writeCapMBps returns the per-stream rate cap for one write job of
@@ -294,8 +323,7 @@ func (fs *FS) writersPerOST(f *File) float64 {
 // partial-stripe penalty.
 func (fs *FS) writeCapMBps(f *File, regionMB float64, aligned bool) float64 {
 	prof := fs.Cl.Prof
-	w := fs.writersPerOST(f)
-	cap := prof.LockCapMBps * (regionMB / prof.StripeMB) / math.Pow(w, prof.LockGamma)
+	cap := prof.LockCapMBps * (regionMB / prof.StripeMB) / fs.lockPower(f)
 	if !aligned {
 		cap /= prof.UnalignedPenalty
 	}

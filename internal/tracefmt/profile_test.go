@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"ensembleio/internal/analysis"
 	"ensembleio/internal/ensemble"
 	"ensembleio/internal/ipmio"
 	"ensembleio/internal/sim"
@@ -73,7 +74,7 @@ func TestProfileCapturesTraceStatistics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace := c.Dataset(func(e ipmio.Event) bool { return e.Op == ipmio.OpWrite })
+	trace := analysis.Durations(c.Events, analysis.IsOp(ipmio.OpWrite))
 	prof := p.Duration(ipmio.OpWrite)
 	if math.Abs(prof.Mean()-trace.Mean())/trace.Mean() > 0.1 {
 		t.Errorf("profile mean %v vs trace mean %v", prof.Mean(), trace.Mean())

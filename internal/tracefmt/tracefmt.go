@@ -139,7 +139,8 @@ const (
 
 // WriteBinary encodes a trace compactly. File paths are interned: the
 // first reference to a path emits a definition record, later events
-// carry only its id.
+// carry only its id. A NaN or infinite event or mark time is an error,
+// as it is for WriteJSONL.
 func WriteBinary(w io.Writer, events []ipmio.Event, marks []ipmio.PhaseMark) error {
 	// The whole trace is encoded into one buffer and written with a
 	// single call: the initial size estimate (~40 bytes per event)
@@ -166,14 +167,20 @@ func WriteBinary(w io.Writer, events []ipmio.Event, marks []ipmio.PhaseMark) err
 		buf = append(buf, s...)
 	}
 
-	for _, m := range marks {
+	for i, m := range marks {
+		if err := checkTime("mark", i, "time", float64(m.T)); err != nil {
+			return err
+		}
 		putUv(kindMark)
 		putS(m.Name)
 		putF(float64(m.T))
 	}
 
 	paths := make(map[string]uint64)
-	for _, e := range events {
+	for i, e := range events {
+		if err := checkEventTimes(i, e); err != nil {
+			return err
+		}
 		id, ok := paths[e.File]
 		if !ok {
 			id = uint64(len(paths))
@@ -196,7 +203,24 @@ func WriteBinary(w io.Writer, events []ipmio.Event, marks []ipmio.PhaseMark) err
 	return err
 }
 
-// ReadBinary decodes a binary trace.
+// checkTime rejects a NaN or infinite time, which no simulated trace
+// holds and the analysis cannot order.
+func checkTime(what string, i int, field string, v float64) error {
+	if !finite(v) {
+		return fmt.Errorf("tracefmt: %s %d has non-finite %s %v", what, i, field, v)
+	}
+	return nil
+}
+
+func checkEventTimes(i int, e ipmio.Event) error {
+	if err := checkTime("event", i, "start", float64(e.Start)); err != nil {
+		return err
+	}
+	return checkTime("event", i, "duration", float64(e.Dur))
+}
+
+// ReadBinary decodes a binary trace. It rejects NaN and infinite event
+// and mark times, so every trace it returns is finite.
 func ReadBinary(r io.Reader) ([]ipmio.Event, []ipmio.PhaseMark, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(binMagic))
@@ -248,6 +272,9 @@ func ReadBinary(r io.Reader) ([]ipmio.Event, []ipmio.PhaseMark, error) {
 			}
 			t, err := getF()
 			if err != nil {
+				return nil, nil, err
+			}
+			if err := checkTime("mark", len(marks), "time", t); err != nil {
 				return nil, nil, err
 			}
 			marks = append(marks, ipmio.PhaseMark{Name: name, T: sim.Time(t)})
@@ -303,6 +330,9 @@ func ReadBinary(r io.Reader) ([]ipmio.Event, []ipmio.PhaseMark, error) {
 			e.Bytes = n
 			e.Start = sim.Time(start)
 			e.Dur = sim.Duration(dur)
+			if err := checkEventTimes(len(events), e); err != nil {
+				return nil, nil, err
+			}
 			events = append(events, e)
 		default:
 			return nil, nil, fmt.Errorf("tracefmt: unknown record kind %d", kind)

@@ -2,6 +2,9 @@ package tracefmt
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -122,5 +125,49 @@ func TestEmptyTraceRoundTrips(t *testing.T) {
 	ev, mk, err := ReadBinary(&buf)
 	if err != nil || len(ev) != 0 || len(mk) != 0 {
 		t.Errorf("empty round trip: ev=%v mk=%v err=%v", ev, mk, err)
+	}
+}
+
+// TestBinaryRejectsNonFiniteTimes: a NaN or infinite event or mark
+// time fails WriteBinary, and ReadBinary rejects an encoding carrying
+// one, so every decoded trace is finite.
+func TestBinaryRejectsNonFiniteTimes(t *testing.T) {
+	const mark = 1234.5 // a finite stand-in, patched in the encoding
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name  string
+		bad   float64
+		patch func(e *ipmio.Event, m *ipmio.PhaseMark, v float64)
+		want  string
+	}{
+		{"nan start", nan, func(e *ipmio.Event, _ *ipmio.PhaseMark, v float64) { e.Start = sim.Time(v) }, "event 1 has non-finite start"},
+		{"inf start", inf, func(e *ipmio.Event, _ *ipmio.PhaseMark, v float64) { e.Start = sim.Time(v) }, "event 1 has non-finite start"},
+		{"-inf start", -inf, func(e *ipmio.Event, _ *ipmio.PhaseMark, v float64) { e.Start = sim.Time(v) }, "event 1 has non-finite start"},
+		{"nan duration", nan, func(e *ipmio.Event, _ *ipmio.PhaseMark, v float64) { e.Dur = sim.Duration(v) }, "event 1 has non-finite duration"},
+		{"inf duration", inf, func(e *ipmio.Event, _ *ipmio.PhaseMark, v float64) { e.Dur = sim.Duration(v) }, "event 1 has non-finite duration"},
+		{"nan mark", nan, func(_ *ipmio.Event, m *ipmio.PhaseMark, v float64) { m.T = sim.Time(v) }, "mark 1 has non-finite time"},
+		{"-inf mark", -inf, func(_ *ipmio.Event, m *ipmio.PhaseMark, v float64) { m.T = sim.Time(v) }, "mark 1 has non-finite time"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			events, marks := sampleTrace()
+			tc.patch(&events[1], &marks[1], tc.bad)
+			if err := WriteBinary(io.Discard, events, marks); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("WriteBinary error %v, want %q", err, tc.want)
+			}
+			// Encode the stand-in, then swap its bits for the bad value.
+			events, marks = sampleTrace()
+			tc.patch(&events[1], &marks[1], mark)
+			var buf bytes.Buffer
+			if err := WriteBinary(&buf, events, marks); err != nil {
+				t.Fatal(err)
+			}
+			var good, bad [8]byte
+			binary.LittleEndian.PutUint64(good[:], math.Float64bits(mark))
+			binary.LittleEndian.PutUint64(bad[:], math.Float64bits(tc.bad))
+			enc := bytes.Replace(buf.Bytes(), good[:], bad[:], 1)
+			if _, _, err := ReadBinary(bytes.NewReader(enc)); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("ReadBinary error %v, want %q", err, tc.want)
+			}
+		})
 	}
 }

@@ -326,7 +326,7 @@ func TestFilePerProcessAvoidsSharedContention(t *testing.T) {
 			BlockBytes: 1600000, TransferBytes: 1600000,
 			FilePerProcess: fpp, Seed: 6,
 		})
-		d := r.Collector.Dataset(func(e ipmio.Event) bool { return e.Op == ipmio.OpWrite })
+		d := analysis.Durations(r.Collector.Events, analysis.IsOp(ipmio.OpWrite))
 		return d.Quantile(0.5)
 	}
 	shared := run(false)
