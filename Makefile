@@ -77,18 +77,25 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -count 1 ./...
 
-# trace-smoke: the end-to-end telemetry workflow — a faulted IOR run
-# exports a Chrome trace, a span stream, and a metrics snapshot; the
-# trace must pass the schema validator (i.e. load in Perfetto) and
-# ensembletop must digest the snapshot into its hot-spot tables.
+# trace-smoke: the end-to-end record-then-analyse workflow — wlrun
+# runs the 64-task IOR preset under a flaky-OST fault scenario and
+# exports a Chrome trace, a span stream, a binary trace and a metrics
+# snapshot; the Chrome trace must pass the schema validator (i.e. load
+# in Perfetto), ensembletop must digest the snapshot into its hot-spot
+# tables, and tracestat must diagnose the saved trace and snapshot as
+# an intermittent stall (TestDiagnoseTraceMatchesDiagnose pins the
+# same run).
+SMOKE_RUN = $(GO) run ./cmd/wlrun -spec testdata/scenarios/presets/ior-64.json -faults testdata/scenarios/flaky-ost.json
 trace-smoke:
 	@mkdir -p out
-	$(GO) run ./cmd/iorbench -tasks 64 -faults testdata/scenarios/flaky-ost.json \
-		-trace out/smoke.trace.json -traceformat chrome -telemetry out/smoke.telemetry.json
+	$(SMOKE_RUN) -trace out/smoke.trace.json -traceformat chrome -telemetry out/smoke.telemetry.json
 	$(GO) run ./cmd/tracestat -validate-chrome out/smoke.trace.json
-	$(GO) run ./cmd/iorbench -tasks 64 -faults testdata/scenarios/flaky-ost.json \
-		-trace out/smoke.spans.jsonl -traceformat spans
+	$(SMOKE_RUN) -trace out/smoke.spans.jsonl -traceformat spans
 	$(GO) run ./cmd/ensembletop -top 5 -spans out/smoke.spans.jsonl out/smoke.telemetry.json
+	$(SMOKE_RUN) -trace out/smoke.trace.bin
+	$(GO) run ./cmd/tracestat out/smoke.trace.bin out/smoke.telemetry.json > out/smoke.tracestat.txt
+	grep -q 'intermittent-stall' out/smoke.tracestat.txt
+	@echo "trace-smoke: exports valid, saved trace diagnosed as intermittent-stall"
 
 # examples-smoke: every examples/* program runs to completion (go
 # build only compiles them). Takes ~5 s.
@@ -191,5 +198,6 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='FuzzScenarioKey$$' -fuzztime=$(FUZZTIME) ./internal/cascache
 	$(GO) test -run='^$$' -fuzz='FuzzScenarioParse$$' -fuzztime=$(FUZZTIME) ./internal/faults
 	$(GO) test -run='^$$' -fuzz='FuzzAnalysisMatchesReferences$$' -fuzztime=$(FUZZTIME) ./internal/analysis
+	$(GO) test -run='^$$' -fuzz='FuzzCampaignGrid$$' -fuzztime=$(FUZZTIME) ./internal/ensemble/campaign
 
 ci: build lint lint-testdata race race-stress bench-check bench-smoke trace-smoke examples-smoke dsl-golden figs-check interference-golden cache-golden bench-guard fuzz-smoke

@@ -198,18 +198,41 @@ func BenchmarkAblation_OSTLuck(b *testing.B) {
 // bench guard watches — a nil sink must cost only dead nil-checks, so
 // Disabled should be statistically indistinguishable from the
 // pre-telemetry baseline, and Enabled bounds the price of -trace.
+// Every iteration runs seed 1, so every iteration does the same work;
+// the exact counters (events on both rows, spans on Enabled) come from
+// one untimed telemetry-on run, and benchjson -check gates them at
+// ratio 1.0.
 func benchTelemetry(b *testing.B, enabled bool) {
+	cfg := telemetryBenchConfig
+	c := telemetryCounters()
+	cfg.Telemetry = enabled
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		run := RunIOR(IORConfig{
-			Machine: Franklin(), Tasks: 256, Reps: 3,
-			Seed: int64(i + 1), Telemetry: enabled,
-		})
+		run := RunIOR(cfg)
 		if enabled && run.Telemetry == nil {
 			b.Fatal("telemetry requested but absent")
 		}
 		reportRun(b, run)
 	}
+	b.ReportMetric(c.events, "events")
+	if enabled {
+		b.ReportMetric(c.spans, "spans")
+	}
 }
+
+var telemetryBenchConfig = IORConfig{Machine: Franklin(), Tasks: 256, Reps: 3, Seed: 1}
+
+// telemetryCounters runs the telemetry probe once per process with
+// telemetry on and keeps its event and span counts.
+var telemetryCounters = sync.OnceValue(func() (c struct{ events, spans float64 }) {
+	cfg := telemetryBenchConfig
+	cfg.Telemetry = true
+	run := RunIOR(cfg)
+	c.events = run.Telemetry.Counter("sim.events_popped")
+	c.spans = float64(len(run.Spans))
+	runtime.GC()
+	return c
+})
 
 func BenchmarkTelemetryDisabled(b *testing.B) { benchTelemetry(b, false) }
 func BenchmarkTelemetryEnabled(b *testing.B)  { benchTelemetry(b, true) }

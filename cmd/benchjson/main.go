@@ -137,7 +137,7 @@ func main() {
 // with b.ReportMetric. A run does the same work on every host, so the
 // gate is ratio exactly 1.0 in both directions: more work and less
 // work alike mean the simulated behaviour changed.
-var exactUnits = []string{"events", "heap_hw", "refreshes", "recomputes", "write_jobs", "hits", "misses", "puts", "bytes", "findings"}
+var exactUnits = []string{"events", "heap_hw", "refreshes", "recomputes", "write_jobs", "hits", "misses", "puts", "bytes", "findings", "spans"}
 
 // gomaxprocsSuffix strips the trailing -P parallelism tag go test
 // appends to benchmark names; baselines recorded on another machine

@@ -163,6 +163,13 @@ func TestCheckRunExactCounters(t *testing.T) {
 	if _, failures, _ := checkRun(bl("BenchmarkSimulatorThroughputSingle-2", split), base, 3.0, 1.25); len(failures) != 1 {
 		t.Errorf("repetitions that disagree on events: want one failure, got %v", failures)
 	}
+	// The telemetry row's span count is gated the same way.
+	telemetry := func(spans float64) baseline {
+		return bl("BenchmarkTelemetryEnabled-2", map[string][]float64{"ns/op": {1e7}, "events": {9444}, "spans": {spans}})
+	}
+	if _, failures, _ := checkRun(telemetry(1284), telemetry(1283), 3.0, 1.25); len(failures) != 1 || !strings.Contains(failures[0], "spans") || !strings.Contains(failures[0], "exact") {
+		t.Errorf("spans 1284 vs 1283: want one exact-counter failure, got %v", failures)
+	}
 }
 
 // TestCheckRunExactCacheCounters: the cache rows' hits, misses and puts

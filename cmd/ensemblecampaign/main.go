@@ -9,25 +9,11 @@
 //	    [-j N] [-cache DIR] [-cache-verify] [-out DIR]
 //	    [-telemetry FILE] [-progress] [-prof PREFIX] [-version]
 //
-// The campaign file is JSON:
-//
-//	{
-//	  "name": "readahead-sweep",
-//	  "machine": "franklin",
-//	  "seeds": [1, 2, 3],
-//	  "entries": [
-//	    {"gen": 7},
-//	    {"spec": "workloads/ior-shared.json", "seeds": [5]},
-//	    {"spec": "workloads/ior-shared.json", "machine": "jaguar",
-//	     "faults": "flaky-ost.json"}
-//	  ]
-//	}
-//
-// Each entry names a workload — a spec file path (relative to the
-// campaign file) or a generator seed ("gen") — and expands into one
-// scenario per seed (the entry's "seeds", else the campaign's, else
-// [1]); "machine" and "faults" likewise default from the campaign
-// level. Duplicate scenarios are served from their first occurrence,
+// The campaign file is the JSON grid campaign.Grid documents: entries
+// naming a spec file (relative to the campaign file) or a generator
+// seed, each expanded over its seeds, with "machine", "faults" and
+// "seeds" defaulting from the campaign level. The grid is parsed
+// strictly and bounded (campaign.ParseGrid). Duplicate scenarios are served from their first occurrence,
 // cached scenarios from the store; only true misses are scheduled on
 // the run pool (-j workers; results are byte-identical at any value).
 //
@@ -44,7 +30,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -53,25 +38,8 @@ import (
 
 	"ensembleio"
 	"ensembleio/internal/cliutil"
+	"ensembleio/internal/ensemble/campaign"
 )
-
-// campaignFile is the on-disk campaign grid.
-type campaignFile struct {
-	Name    string          `json:"name"`
-	Machine string          `json:"machine,omitempty"`
-	Faults  string          `json:"faults,omitempty"`
-	Seeds   []int64         `json:"seeds,omitempty"`
-	Entries []campaignEntry `json:"entries"`
-}
-
-type campaignEntry struct {
-	Name    string  `json:"name,omitempty"`
-	Spec    string  `json:"spec,omitempty"`
-	Gen     *int64  `json:"gen,omitempty"`
-	Machine string  `json:"machine,omitempty"`
-	Faults  string  `json:"faults,omitempty"`
-	Seeds   []int64 `json:"seeds,omitempty"`
-}
 
 func main() {
 	log.SetFlags(0)
@@ -112,16 +80,13 @@ func main() {
 		}
 	}()
 
-	camp, err := loadCampaign(*campPath)
+	camp, err := campaign.LoadGrid(*campPath)
 	if err != nil {
 		log.Fatal(err)
 	}
-	entries, err := expand(camp, filepath.Dir(*campPath), *machine)
+	entries, err := camp.Expand(filepath.Dir(*campPath), *machine)
 	if err != nil {
 		log.Fatal(err)
-	}
-	if len(entries) == 0 {
-		log.Fatal("campaign has no entries")
 	}
 
 	var store *ensembleio.CacheStore
@@ -167,7 +132,7 @@ func main() {
 	}
 	fmt.Printf("cache: %d hit(s), %d miss(es), %d dup(s), %s served, %s computed%s\n",
 		stats.Hits, stats.Misses, stats.DupHits,
-		fmtBytes(stats.BytesServed), fmtBytes(stats.BytesComputed), verified)
+		cliutil.FormatBytes(stats.BytesServed), cliutil.FormatBytes(stats.BytesComputed), verified)
 
 	if *telOut != "" {
 		f, err := os.Create(*telOut)
@@ -203,112 +168,4 @@ func main() {
 		}
 		log.Fatalf("%d of %d scenario(s) failed", n, len(results))
 	}
-}
-
-func loadCampaign(path string) (*campaignFile, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var c campaignFile
-	if err := json.Unmarshal(data, &c); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &c, nil
-}
-
-// expand turns the campaign grid into the flat scenario list, in file
-// order: entries outer, seeds inner. Relative spec/faults paths
-// resolve against the campaign file's directory.
-func expand(c *campaignFile, baseDir, defaultMachine string) ([]ensembleio.CampaignEntry, error) {
-	campMachine := c.Machine
-	if campMachine == "" {
-		campMachine = defaultMachine
-	}
-	campSeeds := c.Seeds
-	if len(campSeeds) == 0 {
-		campSeeds = []int64{1}
-	}
-	var out []ensembleio.CampaignEntry
-	for i, e := range c.Entries {
-		var spec *ensembleio.WorkloadSpec
-		var err error
-		switch {
-		case e.Spec != "" && e.Gen != nil:
-			return nil, fmt.Errorf("entry %d: give spec or gen, not both", i)
-		case e.Spec != "":
-			spec, err = ensembleio.LoadWorkload(resolve(baseDir, e.Spec))
-			if err != nil {
-				return nil, fmt.Errorf("entry %d: %w", i, err)
-			}
-		case e.Gen != nil:
-			spec = ensembleio.GenerateWorkload(*e.Gen)
-		default:
-			return nil, fmt.Errorf("entry %d: needs a spec path or a gen seed", i)
-		}
-
-		machineName := e.Machine
-		if machineName == "" {
-			machineName = campMachine
-		}
-		prof, err := platform(machineName)
-		if err != nil {
-			return nil, fmt.Errorf("entry %d: %w", i, err)
-		}
-
-		faultsPath := e.Faults
-		if faultsPath == "" {
-			faultsPath = c.Faults
-		}
-		var sc *ensembleio.Scenario
-		if faultsPath != "" {
-			if sc, err = ensembleio.LoadScenario(resolve(baseDir, faultsPath)); err != nil {
-				return nil, fmt.Errorf("entry %d: %w", i, err)
-			}
-		}
-
-		name := e.Name
-		if name == "" {
-			name = spec.Name
-		}
-		seeds := e.Seeds
-		if len(seeds) == 0 {
-			seeds = campSeeds
-		}
-		for _, s := range seeds {
-			out = append(out, ensembleio.CampaignEntry{
-				Name: name, Spec: spec, Platform: prof, Faults: sc, Seed: s,
-			})
-		}
-	}
-	return out, nil
-}
-
-func resolve(baseDir, path string) string {
-	if filepath.IsAbs(path) {
-		return path
-	}
-	return filepath.Join(baseDir, path)
-}
-
-func platform(name string) (ensembleio.Platform, error) {
-	switch name {
-	case "franklin":
-		return ensembleio.Franklin(), nil
-	case "franklin-patched":
-		return ensembleio.FranklinPatched(), nil
-	case "jaguar":
-		return ensembleio.Jaguar(), nil
-	}
-	return ensembleio.Platform{}, fmt.Errorf("unknown machine %q", name)
-}
-
-func fmtBytes(n uint64) string {
-	switch {
-	case n >= 1<<20:
-		return fmt.Sprintf("%.1f MB", float64(n)/(1<<20))
-	case n >= 1<<10:
-		return fmt.Sprintf("%.1f KB", float64(n)/(1<<10))
-	}
-	return fmt.Sprintf("%d B", n)
 }

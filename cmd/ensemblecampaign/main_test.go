@@ -1,76 +1,11 @@
 package main
 
 import (
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
 	"ensembleio"
 )
-
-func TestExpandGrid(t *testing.T) {
-	dir := t.TempDir()
-	seven := int64(7)
-	c := &campaignFile{
-		Name:  "t",
-		Seeds: []int64{1, 2},
-		Entries: []campaignEntry{
-			{Gen: &seven},
-			{Gen: &seven, Seeds: []int64{9}, Machine: "jaguar"},
-		},
-	}
-	entries, err := expand(c, dir, "franklin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 3 {
-		t.Fatalf("expanded to %d entries, want 3 (2 default seeds + 1 override)", len(entries))
-	}
-	if entries[0].Seed != 1 || entries[1].Seed != 2 || entries[2].Seed != 9 {
-		t.Fatalf("seeds %d,%d,%d", entries[0].Seed, entries[1].Seed, entries[2].Seed)
-	}
-	if entries[2].Platform.Name == entries[0].Platform.Name {
-		t.Fatal("per-entry machine override ignored")
-	}
-}
-
-func TestExpandErrors(t *testing.T) {
-	seven := int64(7)
-	cases := []campaignEntry{
-		{},                            // neither spec nor gen
-		{Spec: "x.json", Gen: &seven}, // both
-		{Gen: &seven, Machine: "nope"},
-	}
-	for i, e := range cases {
-		_, err := expand(&campaignFile{Entries: []campaignEntry{e}}, t.TempDir(), "franklin")
-		if err == nil {
-			t.Errorf("case %d: expand accepted invalid entry %+v", i, e)
-		}
-	}
-}
-
-func TestExpandRelativePaths(t *testing.T) {
-	dir := t.TempDir()
-	spec := ensembleio.GenerateWorkload(3)
-	f, err := os.Create(filepath.Join(dir, "wl.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ensembleio.EncodeWorkload(f, spec); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := expand(&campaignFile{Entries: []campaignEntry{{Spec: "wl.json"}}}, dir, "franklin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if entries[0].Name != spec.Name {
-		t.Fatalf("entry name %q, want %q", entries[0].Name, spec.Name)
-	}
-}
 
 // benchGrid builds the headline shape: n scenarios with ~50%
 // duplicates (each unique scenario submitted twice).

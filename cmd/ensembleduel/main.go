@@ -44,19 +44,14 @@ import (
 	"ensembleio"
 	"ensembleio/internal/cascache"
 	"ensembleio/internal/cliutil"
+	"ensembleio/internal/cluster"
 	"ensembleio/internal/report"
 )
-
-// specList accumulates repeated -spec flags.
-type specList []string
-
-func (s *specList) String() string     { return strings.Join(*s, ",") }
-func (s *specList) Set(v string) error { *s = append(*s, v); return nil }
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("ensembleduel: ")
-	var specs specList
+	var specs cliutil.StringList
 	flag.Var(&specs, "spec", "workload spec JSON (repeat once per tenant)")
 	var (
 		machine  = flag.String("machine", "franklin", "platform profile: franklin, franklin-patched, jaguar")
@@ -96,7 +91,7 @@ func main() {
 		}
 	}()
 
-	prof, err := platform(*machine)
+	prof, err := cluster.ProfileByName(*machine)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -231,18 +226,6 @@ func session(cfg ensembleio.TenancyConfig, tenants []ensembleio.Tenant, binSec f
 		return nil, err
 	}
 	return arts, nil
-}
-
-func platform(name string) (ensembleio.Platform, error) {
-	switch name {
-	case "franklin":
-		return ensembleio.Franklin(), nil
-	case "franklin-patched":
-		return ensembleio.FranklinPatched(), nil
-	case "jaguar":
-		return ensembleio.Jaguar(), nil
-	}
-	return ensembleio.Platform{}, fmt.Errorf("unknown machine %q", name)
 }
 
 // staggerOffsets parses -stagger: empty means all zero, one value v

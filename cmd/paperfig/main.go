@@ -32,6 +32,7 @@ import (
 
 	"ensembleio"
 	"ensembleio/internal/cliutil"
+	"ensembleio/internal/cluster"
 	"ensembleio/internal/report"
 	"ensembleio/internal/runpool"
 )
@@ -70,18 +71,14 @@ type runSpec struct {
 	build func() *ensembleio.Run
 }
 
-// machineFor constructs the named platform.
+// machineFor constructs the named platform (cluster.ProfileByName);
+// the names are this file's own constants.
 func machineFor(name string) ensembleio.Platform {
-	switch name {
-	case "franklin":
-		return ensembleio.Franklin()
-	case "patched":
-		return ensembleio.FranklinPatched()
-	case "jaguar":
-		return ensembleio.Jaguar()
-	default:
-		panic("unknown machine " + name)
+	p, err := cluster.ProfileByName(name)
+	if err != nil {
+		panic(err)
 	}
+	return p
 }
 
 func cachedRun(s runSpec) *ensembleio.Run {
@@ -153,9 +150,9 @@ func specsFor(id string) []runSpec {
 	case "4":
 		return []runSpec{madSpec("franklin"), madSpec("jaguar")}
 	case "5b":
-		return []runSpec{madSpec("franklin"), madSpec("patched")}
+		return []runSpec{madSpec("franklin"), madSpec("franklin-patched")}
 	case "5c":
-		return []runSpec{madSpec("franklin"), madSpec("patched"), madSpec("jaguar")}
+		return []runSpec{madSpec("franklin"), madSpec("franklin-patched"), madSpec("jaguar")}
 	case "6":
 		return []runSpec{gcrmSpec(0), gcrmSpec(1), gcrmSpec(2), gcrmSpec(3)}
 	}
@@ -513,7 +510,7 @@ func fig5a(txt, csv io.Writer) (string, error) {
 
 func fig5b(txt, csv io.Writer) (string, error) {
 	before := ensembleio.Durations(madRun("franklin"), ensembleio.OpRead)
-	after := ensembleio.Durations(madRun("patched"), ensembleio.OpRead)
+	after := ensembleio.Durations(madRun("franklin-patched"), ensembleio.OpRead)
 	hb := ensembleio.NewHistogram(ensembleio.LogBins(0.5, 1000, 4))
 	hb.AddAll(before)
 	ha := ensembleio.NewHistogram(ensembleio.LogBins(0.5, 1000, 4))
@@ -535,7 +532,7 @@ func fig5b(txt, csv io.Writer) (string, error) {
 }
 
 func fig5c(txt, csv io.Writer) (string, error) {
-	bug, patched := madRun("franklin"), madRun("patched")
+	bug, patched := madRun("franklin"), madRun("franklin-patched")
 	fmt.Fprintf(txt, "patched Franklin run: %.0fs (before: %.0fs)\n\n", float64(patched.Wall), float64(bug.Wall))
 	fmt.Fprint(txt, ensembleio.TraceDiagram(patched, 110, 16))
 	rows := [][]string{

@@ -1,15 +1,32 @@
 // Command tracestat analyses a saved IPM-I/O trace: per-operation
 // moments, histograms (linear or log bins), detected modes, the trace
-// diagram, and the advisor's findings. It auto-detects the binary and
-// JSONL formats.
+// diagram, and the advisor's findings. It is the analysis half of the
+// two-step method: wlrun records a run's trace (-trace) and telemetry
+// snapshot (-telemetry), and tracestat reads them back. It
+// auto-detects the binary and JSONL trace formats.
 //
 // Usage:
 //
-//	tracestat [-op read|write] [-log] [-diagram] [-ranks N] FILE
+//	tracestat [-op read|write] [-log] [-diagram] [-ranks N] TRACE [SNAPSHOT]
 //	tracestat -validate-chrome FILE
 //
+// SNAPSHOT is the run's telemetry snapshot, the file wlrun -telemetry
+// writes. With it the diagnosis is exactly the live run's: the final
+// phase ends at the run's wall clock, and the per-OST server counters
+// localize a straggler OST. Without it the final phase ends at the
+// last event and straggler-OST localization stays silent.
+//
+// The reports follow the data, with no flag to pick them:
+//   - a per-phase table (duration, read median and p95, write median)
+//     whenever the trace carries phase marks;
+//   - the moments of the selected population, its histogram and modes;
+//   - size-normalized sec/MB histograms of data and metadata writes,
+//     with the median per-task data rate, whenever writes fall on both
+//     sides of the 64 KiB small-I/O threshold (the GCRM presentation of
+//     Figure 6).
+//
 // -validate-chrome schema-checks a Chrome trace-event export (the
-// format iorbench -traceformat chrome writes) instead of analysing an
+// format wlrun -traceformat chrome writes) instead of analysing an
 // IPM-I/O trace; CI's trace-smoke target runs it over exporter output.
 package main
 
@@ -46,8 +63,8 @@ func main() {
 		fmt.Println(cliutil.Version())
 		return
 	}
-	if flag.NArg() != 1 {
-		log.Fatal("usage: tracestat [flags] FILE")
+	if n := flag.NArg(); n < 1 || n > 2 || (*chrome && n != 1) {
+		log.Fatal("usage: tracestat [flags] TRACE [SNAPSHOT] | tracestat -validate-chrome FILE")
 	}
 	stopProf, err := cliutil.StartProfiles(*profOut)
 	if err != nil {
@@ -72,6 +89,14 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("%s: %d events, %d phase marks\n\n", flag.Arg(0), len(events), len(marks))
+	var snap *ensembleio.TelemetrySnapshot
+	end := analysis.TraceEnd(events)
+	if flag.NArg() == 2 {
+		if snap, err = loadSnapshot(flag.Arg(1)); err != nil {
+			log.Fatal(err)
+		}
+		end = sim.Time(snap.Counter("sim.virtual_seconds"))
+	}
 
 	var filter func(ipmio.Event) bool
 	if *opName != "" {
@@ -102,9 +127,14 @@ func main() {
 		})
 	}
 	report.Table(os.Stdout, rows)
+	if len(marks) > 0 {
+		fmt.Println()
+		report.Table(os.Stdout, phaseTable(analysis.Phases(events, marks, end)))
+	}
 
 	d := analysis.Durations(events, filter)
 	if d.Len() > 0 {
+		fmt.Println("\ndurations:", d.Moments())
 		fmt.Println()
 		var h *ensemble.Histogram
 		if *logBins {
@@ -125,19 +155,17 @@ func main() {
 		}
 	}
 
+	writeRates(events)
+
 	if *diagram {
 		n := *ranks
-		end := sim.Time(0)
 		for _, e := range events {
 			if e.Rank+1 > n {
 				n = e.Rank + 1
 			}
-			if e.Start+e.Dur > end {
-				end = e.Start + e.Dur
-			}
 		}
 		fmt.Println("\ntrace diagram (W=write R=read M=mixed .=idle):")
-		fmt.Print(analysis.TraceDiagram(events, n, 100, 24, end))
+		fmt.Print(analysis.TraceDiagram(events, n, 100, 24, analysis.TraceEnd(events)))
 	}
 
 	// Online pattern classification per op — the hint stream a pattern-
@@ -153,12 +181,71 @@ func main() {
 		}
 	}
 
-	if findings := analysis.Diagnose(events, analysis.DiagnoseConfig{}); len(findings) > 0 {
+	if findings := ensembleio.DiagnoseTrace(events, marks, snap); len(findings) > 0 {
 		fmt.Println("\nadvisor findings:")
 		for _, f := range findings {
 			fmt.Printf("  %s\n", f)
 		}
 	}
+}
+
+// smallIOBytes is the advisor's metadata-class write threshold.
+const smallIOBytes = 64 << 10
+
+// phaseTable renders one row per barrier-delimited phase: its duration
+// and the median and p95 read and median write call durations.
+func phaseTable(phases []analysis.Phase) [][]string {
+	rows := [][]string{{"phase", "duration (s)", "read med (s)", "read p95 (s)", "write med (s)"}}
+	for _, ph := range phases {
+		reads := analysis.Durations(ph.Events, analysis.IsOp(ipmio.OpRead))
+		writes := analysis.Durations(ph.Events, analysis.IsOp(ipmio.OpWrite))
+		row := []string{ph.Name, report.F(float64(ph.EndT-ph.StartT), 1), "-", "-", "-"}
+		if reads.Len() > 0 {
+			row[2], row[3] = report.F(reads.Quantile(0.5), 1), report.F(reads.Quantile(0.95), 1)
+		}
+		if writes.Len() > 0 {
+			row[4] = report.F(writes.Quantile(0.5), 1)
+		}
+		rows = append(rows, row)
+	}
+	return rows
+}
+
+// writeRates prints the size-normalized (sec/MB) histograms of data
+// and metadata writes and the median per-task data rate, when the
+// trace has writes on both sides of the small-I/O threshold.
+func writeRates(events []ipmio.Event) {
+	data := analysis.SecPerMB(events, func(e ipmio.Event) bool {
+		return e.Op == ipmio.OpWrite && e.Bytes > smallIOBytes
+	})
+	meta := analysis.SecPerMB(events, func(e ipmio.Event) bool {
+		return e.Op == ipmio.OpWrite && e.Bytes <= smallIOBytes
+	})
+	if data.Len() == 0 || meta.Len() == 0 {
+		return
+	}
+	h := ensemble.NewHistogram(ensemble.LogBins(1e-3, 1e3, 4))
+	h.AddAll(data)
+	fmt.Println()
+	report.Histogram(os.Stdout, "data writes, sec/MB (left = fast)", h)
+	fmt.Printf("median per-task rate: %.2f MB/s\n\n", 1/data.Quantile(0.5))
+	h = ensemble.NewHistogram(ensemble.LogBins(1e-3, 1e5, 4))
+	h.AddAll(meta)
+	report.Histogram(os.Stdout, "metadata writes, sec/MB", h)
+}
+
+// loadSnapshot reads a telemetry snapshot file.
+func loadSnapshot(path string) (*ensembleio.TelemetrySnapshot, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close() //lint:allow(errclose) file opened read-only
+	snap, err := ensembleio.LoadTelemetry(bufio.NewReader(f))
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return snap, nil
 }
 
 // validateChrome schema-checks a Chrome trace-event JSON file.

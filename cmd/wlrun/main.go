@@ -1,9 +1,13 @@
 // Command wlrun compiles and runs declarative workload specs
 // (internal/wldsl) on the simulated machine: specs in, artifacts out.
-// It is the generic front end to the same engine the dedicated
-// workload CLIs (iorbench, madbench, gcrmio) drive — any spec from
-// testdata/scenarios/workloads/, or one you write, runs with the
-// standard runtime knobs.
+// It is the one workload CLI. The paper's runs are the presets in
+// testdata/scenarios/presets/ (ior, ior-64, madbench, and the GCRM
+// rungs gcrm-baseline, -collective, -aligned, -metaagg, -twostage);
+// the corpus in testdata/scenarios/workloads/, or a spec you write,
+// runs the same way. The machine, seed and fault scenario are flags;
+// every workload parameter (tasks, transfer size, stripes, file per
+// process) is set by editing the spec. cmd/tracestat analyses the
+// trace and telemetry snapshot a run saves with -trace and -telemetry.
 //
 // Usage:
 //
@@ -52,19 +56,14 @@ import (
 	"ensembleio"
 	"ensembleio/internal/cascache"
 	"ensembleio/internal/cliutil"
+	"ensembleio/internal/cluster"
 	"ensembleio/internal/wldsl"
 )
-
-// specList accumulates repeated -spec flags.
-type specList []string
-
-func (s *specList) String() string     { return strings.Join(*s, ",") }
-func (s *specList) Set(v string) error { *s = append(*s, v); return nil }
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("wlrun: ")
-	var specPaths specList
+	var specPaths cliutil.StringList
 	flag.Var(&specPaths, "spec", "workload spec JSON (repeat to batch several specs)")
 	var (
 		machine  = flag.String("machine", "franklin", "platform profile: franklin, franklin-patched, jaguar")
@@ -165,7 +164,7 @@ func main() {
 	default:
 		log.Fatalf("unknown -traceformat %q (want binary, jsonl, chrome, or spans)", *format)
 	}
-	prof, err := platform(*machine)
+	prof, err := cluster.ProfileByName(*machine)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -240,7 +239,7 @@ func main() {
 			verified = ", verified"
 		}
 		fmt.Printf("cache: %d hit(s), %d miss(es), %d dup(s), %s served%s\n",
-			stats.Hits, stats.Misses, stats.DupHits, fmtBytes(stats.BytesServed), verified)
+			stats.Hits, stats.Misses, stats.DupHits, cliutil.FormatBytes(stats.BytesServed), verified)
 	}
 
 	if *outDir != "" {
@@ -337,18 +336,6 @@ func traceArtifact(format string) string {
 	}[format]
 }
 
-func platform(name string) (ensembleio.Platform, error) {
-	switch name {
-	case "franklin":
-		return ensembleio.Franklin(), nil
-	case "franklin-patched":
-		return ensembleio.FranklinPatched(), nil
-	case "jaguar":
-		return ensembleio.Jaguar(), nil
-	}
-	return ensembleio.Platform{}, fmt.Errorf("unknown machine %q", name)
-}
-
 func loadScenario(path string) (*ensembleio.Scenario, error) {
 	if path == "" {
 		return nil, nil
@@ -391,14 +378,4 @@ func writeServed(path string, res ensembleio.CampaignResult, name string) error 
 		}
 	}
 	return fmt.Errorf("%s: artifact %s missing from result", path, name)
-}
-
-func fmtBytes(n uint64) string {
-	switch {
-	case n >= 1<<20:
-		return fmt.Sprintf("%.1f MB", float64(n)/(1<<20))
-	case n >= 1<<10:
-		return fmt.Sprintf("%.1f KB", float64(n)/(1<<10))
-	}
-	return fmt.Sprintf("%d B", n)
 }

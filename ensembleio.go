@@ -27,6 +27,8 @@ package ensembleio
 
 import (
 	"io"
+	"strconv"
+	"strings"
 
 	"ensembleio/internal/sim"
 
@@ -37,6 +39,7 @@ import (
 	"ensembleio/internal/ensemble/campaign"
 	"ensembleio/internal/faults"
 	"ensembleio/internal/ipmio"
+	"ensembleio/internal/lustre"
 	"ensembleio/internal/runpool"
 	"ensembleio/internal/telemetry"
 	"ensembleio/internal/tenancy"
@@ -54,11 +57,7 @@ func Franklin() Platform { return cluster.Franklin() }
 
 // FranklinPatched returns Franklin with the Lustre strided read-ahead
 // patch of §IV-C installed.
-func FranklinPatched() Platform {
-	p := cluster.Franklin()
-	p.PatchStridedReadahead = true
-	return p
-}
+func FranklinPatched() Platform { return cluster.FranklinPatched() }
 
 // Jaguar returns the ORNL XT4-partition profile.
 func Jaguar() Platform { return cluster.Jaguar() }
@@ -391,6 +390,53 @@ func Diagnose(run *Run) []Finding {
 		cfg.OSTRates = append(cfg.OSTRates, analysis.OSTRate{MBps: o.MeanMBps(), MB: o.MB})
 	}
 	return analysis.Diagnose(run.Collector.Events, cfg)
+}
+
+// maxSnapshotOSTs bounds the OST index DiagnoseTrace accepts from a
+// snapshot counter name, so a hostile snapshot cannot size the rate
+// table.
+const maxSnapshotOSTs = 1 << 16
+
+// DiagnoseTrace diagnoses a saved trace exactly as Diagnose diagnoses
+// the live run. The phase marks come from the trace. The run's
+// telemetry snapshot, when given, supplies the wall clock
+// (sim.virtual_seconds) and the server-side per-OST rates (the
+// top-level lustre.ostNNN.mb and .seconds counters); without one the
+// final phase ends at the trace's last event and the straggler-OST
+// cross-check stays silent. Node-local signatures use the built-in
+// profiles' four cores per node.
+func DiagnoseTrace(events []Event, marks []PhaseMark, snap *TelemetrySnapshot) []Finding {
+	cfg := analysis.DiagnoseConfig{Marks: marks, Wall: analysis.TraceEnd(events)}
+	if snap != nil {
+		cfg.Wall = sim.Duration(snap.Counter("sim.virtual_seconds"))
+		var per []lustre.OSTStat
+		for _, c := range snap.Counters {
+			rest, ok := strings.CutPrefix(c.Name, "lustre.ost")
+			if !ok {
+				continue
+			}
+			idx, field, ok := strings.Cut(rest, ".")
+			i, err := strconv.Atoi(idx)
+			if !ok || err != nil || i < 0 || i >= maxSnapshotOSTs {
+				continue
+			}
+			for len(per) <= i {
+				per = append(per, lustre.OSTStat{})
+			}
+			switch field {
+			case "mb":
+				per[i].MB = c.Value
+			case "seconds":
+				per[i].Seconds = c.Value
+			}
+		}
+		// OSTs the run never touched are absent from the snapshot and
+		// stay at 0 MB, which the straggler cross-check ignores.
+		for _, o := range per {
+			cfg.OSTRates = append(cfg.OSTRates, analysis.OSTRate{MBps: o.MeanMBps(), MB: o.MB})
+		}
+	}
+	return analysis.Diagnose(events, cfg)
 }
 
 // Gap is one idle interval of a rank between consecutive events.

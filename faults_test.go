@@ -19,25 +19,42 @@ var faultCodes = []string{
 	"mds-brownout", "background-contention",
 }
 
-// stragglerRun: 256 tasks, file per process on a single stripe each,
-// with OST 5 serving at 1% speed. Roughly 1/48 of the files (and so of
-// the ranks) land on the degraded OST.
+// stragglerConfig: 256 tasks, file per process on a single stripe
+// each, with OST 5 serving at 1% speed. Roughly 1/48 of the files (and
+// so of the ranks) land on the degraded OST.
+func stragglerConfig() IORConfig {
+	return IORConfig{
+		Machine:        Franklin(),
+		Tasks:          256,
+		BlockBytes:     192e6,
+		TransferBytes:  32e6,
+		Reps:           3,
+		FilePerProcess: true,
+		StripeCount:    1,
+		Faults: &Scenario{Faults: []Fault{
+			&SlowOST{OST: 5, Factor: 0.01},
+		}},
+		Seed: 7,
+	}
+}
+
 func stragglerRun() *Run {
-	return cached("fault-straggler", func() *Run {
-		return RunIOR(IORConfig{
-			Machine:        Franklin(),
-			Tasks:          256,
-			BlockBytes:     192e6,
-			TransferBytes:  32e6,
-			Reps:           3,
-			FilePerProcess: true,
-			StripeCount:    1,
-			Faults: &Scenario{Faults: []Fault{
-				&SlowOST{OST: 5, Factor: 0.01},
-			}},
-			Seed: 7,
-		})
-	})
+	return cached("fault-straggler", func() *Run { return RunIOR(stragglerConfig()) })
+}
+
+// slowNodeConfig: a shared-file IOR with node 3's link at 1% speed.
+func slowNodeConfig() IORConfig {
+	return IORConfig{
+		Machine:       Franklin(),
+		Tasks:         256,
+		BlockBytes:    128e6,
+		TransferBytes: 32e6,
+		Reps:          2,
+		Faults: &Scenario{Faults: []Fault{
+			&SlowNodeLink{Node: 3, Factor: 0.01},
+		}},
+		Seed: 7,
+	}
 }
 
 func TestStragglerOSTDiagnosedAndLocalized(t *testing.T) {
@@ -57,19 +74,7 @@ func TestStragglerOSTDiagnosedAndLocalized(t *testing.T) {
 }
 
 func TestSlowNodeDiagnosed(t *testing.T) {
-	run := cached("fault-slow-node", func() *Run {
-		return RunIOR(IORConfig{
-			Machine:       Franklin(),
-			Tasks:         256,
-			BlockBytes:    128e6,
-			TransferBytes: 32e6,
-			Reps:          2,
-			Faults: &Scenario{Faults: []Fault{
-				&SlowNodeLink{Node: 3, Factor: 0.01},
-			}},
-			Seed: 7,
-		})
-	})
+	run := cached("fault-slow-node", func() *Run { return RunIOR(slowNodeConfig()) })
 	findings := Diagnose(run)
 	if !hasFinding(findings, "slow-node") {
 		t.Fatalf("advisor missed the degraded node link: %v", findings)

@@ -29,6 +29,15 @@ func TestPhasesAssignEvents(t *testing.T) {
 	if ph[1].StartT != 4 || ph[1].EndT != 10 {
 		t.Errorf("phase 1 bounds [%v,%v), want [4,10)", ph[1].StartT, ph[1].EndT)
 	}
+	// The latest end need not be the last-recorded or latest-starting
+	// event's.
+	events[0].Dur = 15
+	if got := TraceEnd(events); got != 16 {
+		t.Errorf("TraceEnd = %v, want 16", got)
+	}
+	if got := TraceEnd(nil); got != 0 {
+		t.Errorf("TraceEnd(nil) = %v, want 0", got)
+	}
 }
 
 func TestPhasesNoMarks(t *testing.T) {

@@ -149,6 +149,18 @@ func SecPerMB(events []ipmio.Event, filter func(ipmio.Event) bool) *ensemble.Dat
 	return d
 }
 
+// TraceEnd is the latest event end time in a trace, the run's wall
+// clock as far as the trace alone can tell.
+func TraceEnd(events []ipmio.Event) sim.Time {
+	end := sim.Time(0)
+	for _, e := range events {
+		if e.Start+e.Dur > end {
+			end = e.Start + e.Dur
+		}
+	}
+	return end
+}
+
 // IsOp returns a filter selecting one op type.
 func IsOp(op ipmio.Op) func(ipmio.Event) bool {
 	return func(e ipmio.Event) bool { return e.Op == op }

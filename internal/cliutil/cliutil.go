@@ -13,9 +13,17 @@ import (
 	"runtime"
 	"runtime/debug"
 	"runtime/pprof"
+	"strings"
 
 	"ensembleio/internal/ensemble/campaign"
 )
+
+// StringList is a flag.Value that accumulates every use of a
+// repeatable flag, such as -spec.
+type StringList []string
+
+func (s *StringList) String() string     { return strings.Join(*s, ",") }
+func (s *StringList) Set(v string) error { *s = append(*s, v); return nil }
 
 // CacheFlags registers the content-addressed run-cache flags the run
 // CLIs share: -cache DIR enables the cascache store (hits serve the
@@ -123,4 +131,16 @@ func StartProfiles(prefix string) (stop func() error, err error) {
 		}
 		return nil
 	}, nil
+}
+
+// FormatBytes renders a byte count in binary units (B, KB, MB) for the
+// cache summary lines of the batch CLIs.
+func FormatBytes(n uint64) string {
+	switch {
+	case n >= 1<<20:
+		return fmt.Sprintf("%.1f MB", float64(n)/(1<<20))
+	case n >= 1<<10:
+		return fmt.Sprintf("%.1f KB", float64(n)/(1<<10))
+	}
+	return fmt.Sprintf("%d B", n)
 }

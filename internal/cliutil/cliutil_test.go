@@ -3,6 +3,7 @@ package cliutil
 import (
 	"bytes"
 	"errors"
+	"flag"
 	"log"
 	"os"
 	"path/filepath"
@@ -71,5 +72,36 @@ func TestStartProfilesWritesFiles(t *testing.T) {
 		if st.Size() == 0 {
 			t.Fatalf("%s is empty", suffix)
 		}
+	}
+}
+
+func TestFormatBytes(t *testing.T) {
+	for _, c := range []struct {
+		n    uint64
+		want string
+	}{
+		{0, "0 B"},
+		{1023, "1023 B"},
+		{1024, "1.0 KB"},
+		{1536, "1.5 KB"},
+		{1<<20 - 1, "1024.0 KB"},
+		{1 << 20, "1.0 MB"},
+		{5 << 30, "5120.0 MB"},
+	} {
+		if got := FormatBytes(c.n); got != c.want {
+			t.Errorf("FormatBytes(%d) = %q, want %q", c.n, got, c.want)
+		}
+	}
+}
+
+func TestStringListAccumulates(t *testing.T) {
+	var specs StringList
+	fs := flag.NewFlagSet("t", flag.ContinueOnError)
+	fs.Var(&specs, "spec", "")
+	if err := fs.Parse([]string{"-spec", "a.json", "-spec", "b.json"}); err != nil {
+		t.Fatal(err)
+	}
+	if len(specs) != 2 || specs[0] != "a.json" || specs[1] != "b.json" || specs.String() != "a.json,b.json" {
+		t.Errorf("StringList = %q", specs)
 	}
 }

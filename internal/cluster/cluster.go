@@ -226,6 +226,28 @@ func Franklin() Profile {
 	}
 }
 
+// FranklinPatched returns Franklin with the Lustre strided read-ahead
+// patch of §IV-C installed.
+func FranklinPatched() Profile {
+	p := Franklin()
+	p.PatchStridedReadahead = true
+	return p
+}
+
+// ProfileByName returns the platform profile a CLI's -machine flag or
+// a campaign grid names: franklin, franklin-patched, or jaguar.
+func ProfileByName(name string) (Profile, error) {
+	switch name {
+	case "franklin":
+		return Franklin(), nil
+	case "franklin-patched":
+		return FranklinPatched(), nil
+	case "jaguar":
+		return Jaguar(), nil
+	}
+	return Profile{}, fmt.Errorf("unknown machine %q (want franklin, franklin-patched, or jaguar)", name)
+}
+
 // Jaguar returns the profile of the ORNL XT4 partition used in §IV:
 // 144 OSTs, roughly twice Franklin's aggregate bandwidth, a larger
 // usable cache, and a read-ahead implementation that does not exhibit

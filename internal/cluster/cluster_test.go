@@ -157,3 +157,31 @@ func TestJaguarDiffersFromFranklin(t *testing.T) {
 		t.Error("Jaguar should have more OSTs")
 	}
 }
+
+func TestProfileByName(t *testing.T) {
+	cases := []struct {
+		name    string
+		want    Profile
+		wantErr bool
+	}{
+		{name: "franklin", want: Franklin()},
+		{name: "franklin-patched", want: FranklinPatched()},
+		{name: "jaguar", want: Jaguar()},
+		{name: "patched", wantErr: true},
+		{name: "Franklin", wantErr: true},
+		{name: "", wantErr: true},
+	}
+	for _, c := range cases {
+		got, err := ProfileByName(c.name)
+		if (err != nil) != c.wantErr {
+			t.Errorf("ProfileByName(%q) err = %v, wantErr %v", c.name, err, c.wantErr)
+			continue
+		}
+		if err == nil && got != c.want {
+			t.Errorf("ProfileByName(%q) = %+v, want %+v", c.name, got, c.want)
+		}
+	}
+	if p := FranklinPatched(); !p.PatchStridedReadahead || p.Name != "franklin" {
+		t.Errorf("FranklinPatched = %+v, want Franklin with the strided read-ahead patch", p)
+	}
+}

@@ -80,7 +80,10 @@ func assertSame(t *testing.T, label string, want, got map[string][]byte) {
 // TestPortsMatchHandCoded pins the paper workloads' spec builders to
 // their corpus ports: the spec IORSpec, MADbenchSpec, or GCRMSpec
 // builds from a typed config has the corpus file's canonical bytes
-// once its name is set to match. (The test name predates the
+// once its name is set to match. The presets (presets/*.json, the
+// paper-scale runs wlrun takes with -spec) are the builders' output
+// itself: each file holds exactly the bytes Encode writes for its
+// config, name included. (The test name predates the
 // builders, from when those typed configs drove hand-coded rank
 // bodies.) RunIOR, RunMADbench, and RunGCRM interpret exactly these
 // specs, so the corpus goldens (TestWorkloadDSLGolden) pin the typed
@@ -102,42 +105,67 @@ func TestPortsMatchHandCoded(t *testing.T) {
 			Align: align, AggregateMetadata: metaAgg, Seed: seed,
 		}
 	}
+	iorPreset := workloads.IORConfig{Machine: cluster.Franklin(), Tasks: 1024, BlockBytes: 512e6, Reps: 5}
+	ior64Preset := iorPreset
+	ior64Preset.Tasks = 64
 	cases := []struct {
-		spec      string
+		spec      string // path under testdata/scenarios
 		telemetry bool
 		build     *Spec
 		// run, for the -telemetry cases, is the typed runner with
 		// telemetry on.
 		run func() *workloads.Run
 	}{
-		{"ior-shared.json", false, workloads.IORSpec(ior), nil},
-		{"ior-shared.json", true, workloads.IORSpec(ior), func() *workloads.Run {
+		{"workloads/ior-shared.json", false, workloads.IORSpec(ior), nil},
+		{"workloads/ior-shared.json", true, workloads.IORSpec(ior), func() *workloads.Run {
 			cfg := ior
 			cfg.Telemetry = true
 			return workloads.RunIOR(cfg)
 		}},
-		{"ior-fpp.json", false, workloads.IORSpec(iorFPP), nil},
-		{"madbench.json", false, workloads.MADbenchSpec(mad), nil},
-		{"gcrm-baseline.json", false, workloads.GCRMSpec(gcrm(640, 0, false, false, false)), nil},
-		{"gcrm-collective.json", true, workloads.GCRMSpec(gcrm(640, 80, false, false, false)), func() *workloads.Run {
+		{"workloads/ior-fpp.json", false, workloads.IORSpec(iorFPP), nil},
+		{"workloads/madbench.json", false, workloads.MADbenchSpec(mad), nil},
+		{"workloads/gcrm-baseline.json", false, workloads.GCRMSpec(gcrm(640, 0, false, false, false)), nil},
+		{"workloads/gcrm-collective.json", true, workloads.GCRMSpec(gcrm(640, 80, false, false, false)), func() *workloads.Run {
 			cfg := gcrm(640, 80, false, false, false)
 			cfg.Telemetry = true
 			return workloads.RunGCRM(cfg)
 		}},
-		{"gcrm-twostage.json", false, workloads.GCRMSpec(gcrm(128, 16, true, false, false)), nil},
-		{"gcrm-aligned.json", false, workloads.GCRMSpec(gcrm(640, 80, false, true, false)), nil},
-		{"gcrm-metaagg.json", false, workloads.GCRMSpec(gcrm(640, 80, false, true, true)), nil},
+		{"workloads/gcrm-twostage.json", false, workloads.GCRMSpec(gcrm(128, 16, true, false, false)), nil},
+		{"workloads/gcrm-aligned.json", false, workloads.GCRMSpec(gcrm(640, 80, false, true, false)), nil},
+		{"workloads/gcrm-metaagg.json", false, workloads.GCRMSpec(gcrm(640, 80, false, true, true)), nil},
+		{"presets/ior.json", false, workloads.IORSpec(iorPreset), nil},
+		{"presets/ior-64.json", false, workloads.IORSpec(ior64Preset), nil},
+		{"presets/madbench.json", false, workloads.MADbenchSpec(workloads.MADbenchConfig{Machine: cluster.Franklin(), Tasks: 256, Matrices: 8}), nil},
+		{"presets/gcrm-baseline.json", false, workloads.GCRMSpec(gcrm(10240, 0, false, false, false)), nil},
+		{"presets/gcrm-collective.json", false, workloads.GCRMSpec(gcrm(10240, 80, false, false, false)), nil},
+		{"presets/gcrm-aligned.json", false, workloads.GCRMSpec(gcrm(10240, 80, false, true, false)), nil},
+		{"presets/gcrm-metaagg.json", false, workloads.GCRMSpec(gcrm(10240, 80, false, true, true)), nil},
+		{"presets/gcrm-twostage.json", false, workloads.GCRMSpec(gcrm(10240, 80, true, false, false)), nil},
 	}
 	for _, tc := range cases {
-		name := strings.TrimSuffix(tc.spec, ".json")
+		dir, file := filepath.Split(tc.spec)
+		name := strings.TrimSuffix(file, ".json")
+		isPreset := dir == "presets/"
+		if isPreset {
+			name = "preset-" + name
+		}
 		if tc.telemetry {
 			name += "-telemetry"
 		}
 		t.Run(name, func(t *testing.T) {
-			port := loadSpec(t, tc.spec)
+			path := filepath.Join(corpusDir, "..", tc.spec)
+			port, err := Load(path)
+			if err != nil {
+				t.Fatal(err)
+			}
 			built := *tc.build
-			built.Name = port.Name
-			want, err := CanonicalBytes(port)
+			var want []byte
+			if isPreset {
+				want, err = os.ReadFile(path)
+			} else {
+				built.Name = port.Name
+				want, err = CanonicalBytes(port)
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
