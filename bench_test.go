@@ -229,7 +229,7 @@ var telemetryCounters = sync.OnceValue(func() (c struct{ events, spans float64 }
 	cfg.Telemetry = true
 	run := RunIOR(cfg)
 	c.events = run.Telemetry.Counter("sim.events_popped")
-	c.spans = float64(len(run.Spans))
+	c.spans = float64(run.Spans.Len())
 	runtime.GC()
 	return c
 })

@@ -11,10 +11,9 @@
 //	tracestat -validate-chrome FILE
 //
 // SNAPSHOT is the run's telemetry snapshot, the file wlrun -telemetry
-// writes. With it the diagnosis is exactly the live run's: the final
-// phase ends at the run's wall clock, and the per-OST server counters
-// localize a straggler OST. Without it the final phase ends at the
-// last event and straggler-OST localization stays silent.
+// writes. With it the diagnosis is exactly the live run's: the per-OST
+// server counters localize a straggler OST. Without it straggler-OST
+// localization stays silent.
 //
 // The reports follow the data, with no flag to pick them:
 //   - a per-phase table (duration, read median and p95, write median)

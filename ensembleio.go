@@ -384,7 +384,6 @@ func Diagnose(run *Run) []Finding {
 	cfg := analysis.DiagnoseConfig{
 		CoresPerNode: run.CoresPerNode,
 		Marks:        run.Collector.Marks,
-		Wall:         run.Wall,
 	}
 	for _, o := range run.FSStats.PerOST {
 		cfg.OSTRates = append(cfg.OSTRates, analysis.OSTRate{MBps: o.MeanMBps(), MB: o.MB})
@@ -399,16 +398,13 @@ const maxSnapshotOSTs = 1 << 16
 
 // DiagnoseTrace diagnoses a saved trace exactly as Diagnose diagnoses
 // the live run. The phase marks come from the trace. The run's
-// telemetry snapshot, when given, supplies the wall clock
-// (sim.virtual_seconds) and the server-side per-OST rates (the
-// top-level lustre.ostNNN.mb and .seconds counters); without one the
-// final phase ends at the trace's last event and the straggler-OST
-// cross-check stays silent. Node-local signatures use the built-in
-// profiles' four cores per node.
+// telemetry snapshot, when given, supplies the server-side per-OST
+// rates (the top-level lustre.ostNNN.mb and .seconds counters);
+// without one the straggler-OST cross-check stays silent. Node-local
+// signatures use the built-in profiles' four cores per node.
 func DiagnoseTrace(events []Event, marks []PhaseMark, snap *TelemetrySnapshot) []Finding {
-	cfg := analysis.DiagnoseConfig{Marks: marks, Wall: analysis.TraceEnd(events)}
+	cfg := analysis.DiagnoseConfig{Marks: marks}
 	if snap != nil {
-		cfg.Wall = sim.Duration(snap.Counter("sim.virtual_seconds"))
 		var per []lustre.OSTStat
 		for _, c := range snap.Counters {
 			rest, ok := strings.CutPrefix(c.Name, "lustre.ost")
@@ -539,9 +535,11 @@ func LoadTraceJSON(r io.Reader) ([]Event, []PhaseMark, error) {
 
 // Telemetry: the deterministic virtual-time observability layer. Set
 // a workload config's Telemetry field to populate Run.Telemetry (the
-// metric snapshot) and Run.Spans (phases, fault windows, per-rank I/O
-// calls). Everything serialized here is a pure function of the run —
-// byte-identical across repeats and worker counts.
+// metric snapshot) and Run.Spans (phases and fault windows, plus the
+// run's trace, which the span savers render as one per-rank io span
+// per I/O call; Spans.All iterates the lot). Everything serialized
+// here is a pure function of the run — byte-identical across repeats
+// and worker counts.
 type (
 	// TelemetrySnapshot is a run's counters/gauges/histograms.
 	TelemetrySnapshot = telemetry.Snapshot
@@ -570,9 +568,10 @@ func SaveTelemetrySnapshot(w io.Writer, snap *TelemetrySnapshot) error {
 	return tracefmt.WriteMetrics(w, snap)
 }
 
-// SaveSpanList writes a bare span list — e.g. a session's merged
-// stream — in the compact JSONL span format.
-func SaveSpanList(w io.Writer, spans []Span) error {
+// SaveSpanList writes a span stream that belongs to no single run —
+// e.g. a co-run session's merged stream (TenancyResult.Spans) — in the
+// compact JSONL span format.
+func SaveSpanList(w io.Writer, spans tracefmt.SpanView) error {
 	return tracefmt.WriteSpans(w, spans)
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"ensembleio/internal/ensemble"
 	"ensembleio/internal/ipmio"
-	"ensembleio/internal/sim"
 )
 
 // Severity ranks a finding.
@@ -61,8 +60,6 @@ type DiagnoseConfig struct {
 	// detectors (intermittent-stall, background-contention) stay
 	// silent without them.
 	Marks []ipmio.PhaseMark
-	// Wall bounds the final phase (0 = inferred from the last event).
-	Wall sim.Duration
 	// OSTRates is the server-side per-OST view from lustre.Stats;
 	// straggler-OST localization cross-checks the trace ensemble
 	// against it and stays silent without it.
@@ -108,7 +105,7 @@ func Diagnose(events []ipmio.Event, cfg DiagnoseConfig) []Finding {
 	// (nil phase statistics).
 	var phases []phaseStat
 	if len(cfg.Marks) >= 3 {
-		ph, phaseOf := phaseIndex(events, cfg.Marks, cfg.Wall)
+		ph, phaseOf := phaseIndex(events, cfg.Marks, 0) // no detector reads the final EndT
 		vals, off := phaseGroups(events, ph, phaseOf, cfg.SmallIOBytes)
 		phases = phaseStats(ph, vals, off)
 	}

@@ -1,6 +1,6 @@
 // Package telemetry is the run-scoped, deterministic observability
 // sink: counters, gauges and log-binned histograms over *virtual* time,
-// plus begin/end spans, all snapshotted into a run's output.
+// plus run-scoped spans, all snapshotted into a run's output.
 //
 // Two invariants govern the design:
 //
@@ -40,7 +40,6 @@ type Sink struct {
 	gauges   map[string]*Gauge
 	hists    map[string]*Hist
 	spans    []Span
-	open     []int // indices into spans with End unset, by SpanID
 }
 
 // New returns an empty, enabled sink.
@@ -51,9 +50,6 @@ func New() *Sink {
 		hists:    make(map[string]*Hist),
 	}
 }
-
-// Enabled reports whether the sink records anything.
-func (s *Sink) Enabled() bool { return s != nil }
 
 // Counter returns the named counter handle, registering it on first
 // use. Returns nil (a valid, no-op handle) on a nil sink.
@@ -141,22 +137,6 @@ func (g *Gauge) Set(v float64) {
 	g.set = true
 }
 
-// Value returns the last set value (0 if never set or nil handle).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
-}
-
-// Max returns the high-water mark (0 if never set or nil handle).
-func (g *Gauge) Max() float64 {
-	if g == nil {
-		return 0
-	}
-	return g.max
-}
-
 // histPerDecade is the fixed log-binning resolution: 4 bins per decade
 // of the observed value, enough to separate e.g. a 10 ms metadata op
 // from a 30 ms one without per-histogram configuration.
@@ -194,49 +174,17 @@ func (h *Hist) Observe(v float64) {
 	h.counts[int(math.Floor(math.Log10(v)*histPerDecade))]++
 }
 
-// Count returns the number of observations (0 on the nil handle).
-func (h *Hist) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.n
-}
-
 // Span is one closed interval of virtual time attributed to a
-// category ("phase", "fault", "io"), a name, and optionally a rank
-// (Rank < 0 for run-scoped spans such as phases and fault windows).
+// category ("tenant", "phase", "fault", "io"), a name, and optionally
+// a rank (Rank < 0 for run-scoped spans such as phases and fault
+// windows). The sink records only run-scoped spans; io spans are
+// rendered from the trace (tracefmt.SpanView).
 type Span struct {
 	Cat   string  `json:"cat"`
 	Name  string  `json:"name"`
 	Rank  int     `json:"rank"`
 	Start float64 `json:"start"`
 	End   float64 `json:"end"`
-}
-
-// SpanID identifies a span opened with Begin. The nil sink returns a
-// negative id, which End ignores.
-type SpanID int
-
-// Begin opens a span at virtual time t. Close it with End.
-func (s *Sink) Begin(cat, name string, rank int, t float64) SpanID {
-	if s == nil {
-		return -1
-	}
-	s.spans = append(s.spans, Span{Cat: cat, Name: name, Rank: rank, Start: t, End: t})
-	s.open = append(s.open, len(s.spans)-1)
-	return SpanID(len(s.open) - 1)
-}
-
-// End closes the span at virtual time t. Ending an already-ended span
-// extends it; ending an invalid id no-ops.
-func (s *Sink) End(id SpanID, t float64) {
-	if s == nil || id < 0 || int(id) >= len(s.open) {
-		return
-	}
-	sp := &s.spans[s.open[id]]
-	if t > sp.End {
-		sp.End = t
-	}
 }
 
 // Span records an already-closed interval.

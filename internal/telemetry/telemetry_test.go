@@ -8,27 +8,17 @@ import (
 
 func TestNilSinkNoOps(t *testing.T) {
 	var s *Sink
-	if s.Enabled() {
-		t.Fatal("nil sink reports enabled")
+	c, g, h := s.Counter("x"), s.Gauge("x"), s.Hist("x")
+	if c != nil || g != nil || h != nil {
+		t.Fatal("nil sink handed out a live handle")
 	}
-	c := s.Counter("x")
 	c.Inc()
 	c.Add(3)
 	if c.Value() != 0 {
 		t.Fatal("nil counter accumulated")
 	}
-	g := s.Gauge("x")
 	g.Set(5)
-	if g.Value() != 0 || g.Max() != 0 {
-		t.Fatal("nil gauge accumulated")
-	}
-	h := s.Hist("x")
 	h.Observe(1)
-	if h.Count() != 0 {
-		t.Fatal("nil hist accumulated")
-	}
-	id := s.Begin("cat", "n", 0, 0)
-	s.End(id, 1)
 	s.Span("cat", "n", 0, 0, 1)
 	if s.Spans() != nil {
 		t.Fatal("nil sink recorded spans")
@@ -53,22 +43,22 @@ func TestCounterGaugeHist(t *testing.T) {
 	g := s.Gauge("heap")
 	g.Set(10)
 	g.Set(3)
-	if g.Value() != 3 || g.Max() != 10 {
-		t.Fatalf("gauge value/max = %v/%v, want 3/10", g.Value(), g.Max())
-	}
 
 	h := s.Hist("dur")
 	for _, v := range []float64{0.5, 5, 50, 0, -1, math.NaN(), math.Inf(1)} {
 		h.Observe(v)
 	}
-	if h.Count() != 7 {
-		t.Fatalf("hist count = %d, want 7", h.Count())
-	}
 	snap := s.Snapshot()
+	if gs := snap.Gauges[0]; gs.Value != 3 || gs.Max != 10 {
+		t.Fatalf("gauge value/max = %v/%v, want 3/10", gs.Value, gs.Max)
+	}
 	if len(snap.Hists) != 1 {
 		t.Fatalf("hists = %d, want 1", len(snap.Hists))
 	}
 	hs := snap.Hists[0]
+	if hs.Count != 7 {
+		t.Fatalf("hist count = %d, want 7", hs.Count)
+	}
 	if hs.Under != 4 {
 		t.Fatalf("underflow = %d, want 4 (zero, negative, NaN, Inf)", hs.Under)
 	}
@@ -115,12 +105,8 @@ func TestHistBinEdgesCoverObservation(t *testing.T) {
 
 func TestSpans(t *testing.T) {
 	s := New()
-	id := s.Begin("phase", "write", -1, 1.0)
+	s.Span("phase", "write", -1, 1.0, 4.0)
 	s.Span("io", "pwrite", 3, 1.5, 2.5)
-	s.End(id, 4.0)
-	s.End(id, 3.0) // later End with earlier time must not shrink the span
-	s.End(SpanID(99), 10)
-	s.End(SpanID(-1), 10)
 	spans := s.Spans()
 	if len(spans) != 2 {
 		t.Fatalf("spans = %d, want 2", len(spans))

@@ -26,6 +26,7 @@ import (
 	"ensembleio/internal/ipmio"
 	"ensembleio/internal/lustre"
 	"ensembleio/internal/telemetry"
+	"ensembleio/internal/tracefmt"
 	"ensembleio/internal/workloads"
 )
 
@@ -78,10 +79,10 @@ type TenantResult struct {
 // Result is a finished co-run.
 type Result struct {
 	Tenants []TenantResult
-	// Telemetry/Spans are the merged session stream (nil unless
-	// Config.Telemetry).
+	// Telemetry/Spans are the merged session stream (nil and empty
+	// unless Config.Telemetry); the io spans render from the traces.
 	Telemetry *telemetry.Snapshot
-	Spans     []telemetry.Span
+	Spans     tracefmt.SpanView
 }
 
 // tenantSeed decorrelates the tenants' workload-body randomness while

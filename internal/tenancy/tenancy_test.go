@@ -151,7 +151,7 @@ func TestPerTenantAccounting(t *testing.T) {
 		}
 	}
 	var tagged int
-	for _, sp := range res.Spans {
+	for sp := range res.Spans.All() {
 		if sp.Cat == "tenant" {
 			tagged++
 		}

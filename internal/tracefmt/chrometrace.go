@@ -7,8 +7,6 @@ import (
 	"io"
 	"sort"
 	"strconv"
-
-	"ensembleio/internal/telemetry"
 )
 
 // ---- Chrome trace-event export ----
@@ -60,11 +58,11 @@ func runTID(cat string) int {
 	return len(runCats)
 }
 
-// WriteChromeTrace renders spans as a Chrome trace-event JSON object,
-// laid out with a one-space indent per level. Every span is validated
-// before anything is written.
-func WriteChromeTrace(w io.Writer, spans []telemetry.Span) error {
-	for _, sp := range spans {
+// WriteChromeTrace renders the view's spans as a Chrome trace-event
+// JSON object, laid out with a one-space indent per level. Every span
+// is validated before anything is written.
+func WriteChromeTrace(w io.Writer, spans SpanView) error {
+	for sp := range spans.All() {
 		if err := validateSpan(sp); err != nil {
 			return err
 		}
@@ -96,7 +94,7 @@ func WriteChromeTrace(w io.Writer, spans []telemetry.Span) error {
 			return err
 		}
 	}
-	for _, sp := range spans {
+	for sp := range spans.All() {
 		ev := chromeEvent{
 			Name: sp.Name, Cat: sp.Cat, Ph: "X",
 			TS: sp.Start * 1e6, Dur: (sp.End - sp.Start) * 1e6,

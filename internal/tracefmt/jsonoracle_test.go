@@ -121,10 +121,10 @@ func checkWritersMatch(t testing.TB, events []ipmio.Event, marks []ipmio.PhaseMa
 			func(w io.Writer) error { return WriteJSONL(w, events, marks) },
 			func(w io.Writer) error { return oracleWriteJSONL(w, events, marks) }},
 		{"WriteSpans",
-			func(w io.Writer) error { return WriteSpans(w, spans) },
+			func(w io.Writer) error { return WriteSpans(w, SpanView{Scoped: spans}) },
 			func(w io.Writer) error { return oracleWriteSpans(w, spans) }},
 		{"WriteChromeTrace",
-			func(w io.Writer) error { return WriteChromeTrace(w, spans) },
+			func(w io.Writer) error { return WriteChromeTrace(w, SpanView{Scoped: spans}) },
 			func(w io.Writer) error { return oracleWriteChromeTrace(w, spans) }},
 	}
 	for i, p := range pairs {
@@ -306,7 +306,7 @@ func TestWriteSpansRejectsInvalid(t *testing.T) {
 	for _, c := range cases {
 		spans := append(testSpans(), c.sp)
 		var buf bytes.Buffer
-		err := WriteSpans(&buf, spans)
+		err := WriteSpans(&buf, SpanView{Scoped: spans})
 		if err == nil {
 			t.Errorf("%s: span written, want error", c.name)
 			continue

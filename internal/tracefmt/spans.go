@@ -5,11 +5,63 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"iter"
 	"math"
 	"strconv"
 
+	"ensembleio/internal/ipmio"
 	"ensembleio/internal/telemetry"
 )
+
+// SpanView is a run's span stream as the writers see it: the
+// run-scoped spans (tenant, phase and fault windows) as recorded, then
+// one "io" span per call of each job's I/O track, rendered from the
+// trace when written. A track aliases its collector's Events, so once
+// a run is folded nothing may reorder, truncate or rewrite them.
+type SpanView struct {
+	Scoped []telemetry.Span
+	IO     []IOTrack
+}
+
+// IOTrack is one job's traced calls and the tag that prefixes their
+// span names: "" for a solo run, "<name>/" for a tenant.
+type IOTrack struct {
+	Tag    string
+	Events []ipmio.Event
+}
+
+// Len is the number of spans the view renders.
+func (v SpanView) Len() int {
+	n := len(v.Scoped)
+	for _, t := range v.IO {
+		n += len(t.Events)
+	}
+	return n
+}
+
+// All yields every span of the view in write order. An event becomes
+// the io span named tag+op over [Start, Start+Dur] on its rank.
+func (v SpanView) All() iter.Seq[telemetry.Span] {
+	return func(yield func(telemetry.Span) bool) {
+		for _, sp := range v.Scoped {
+			if !yield(sp) {
+				return
+			}
+		}
+		for _, t := range v.IO {
+			var names [256]string // tag+op, concatenated once per op and track
+			for i := range t.Events {
+				e := &t.Events[i]
+				if names[e.Op] == "" {
+					names[e.Op] = t.Tag + e.Op.String()
+				}
+				if !yield(telemetry.Span{Cat: "io", Name: names[e.Op], Rank: e.Rank, Start: float64(e.Start), End: float64(e.Start + e.Dur)}) {
+					return
+				}
+			}
+		}
+	}
+}
 
 // ---- Compact span JSONL ----
 //
@@ -17,14 +69,14 @@ import (
 // event decoder, the reader is hardened against hostile input: bounded
 // string lengths, finite times, End >= Start.
 
-// WriteSpans encodes spans as one JSON object per line, in order. A
-// span ReadSpans would reject is an error, so a written stream always
-// reads back.
-func WriteSpans(w io.Writer, spans []telemetry.Span) error {
+// WriteSpans encodes the view's spans as one JSON object per line, in
+// order. A span ReadSpans would reject is an error, so a written stream
+// always reads back.
+func WriteSpans(w io.Writer, spans SpanView) error {
 	bw := bufio.NewWriter(w)
 	var rec []byte
 	var err error
-	for _, sp := range spans {
+	for sp := range spans.All() {
 		if err := validateSpan(sp); err != nil {
 			return err
 		}

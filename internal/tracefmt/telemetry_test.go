@@ -44,7 +44,7 @@ func testSnapshot() *telemetry.Snapshot {
 func TestSpansRoundTrip(t *testing.T) {
 	spans := testSpans()
 	var buf bytes.Buffer
-	if err := WriteSpans(&buf, spans); err != nil {
+	if err := WriteSpans(&buf, SpanView{Scoped: spans}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadSpans(&buf)
@@ -129,7 +129,7 @@ func TestReadMetricsRejects(t *testing.T) {
 // a deliberate format change.
 func TestChromeTraceGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, testSpans()); err != nil {
+	if err := WriteChromeTrace(&buf, SpanView{Scoped: testSpans()}); err != nil {
 		t.Fatal(err)
 	}
 	golden := filepath.Join("testdata", "chrome_trace.golden.json")
@@ -172,14 +172,14 @@ func TestValidateChromeTraceRejects(t *testing.T) {
 
 func TestWriteChromeTraceRejectsBadSpan(t *testing.T) {
 	bad := []telemetry.Span{{Cat: "io", Name: "", Rank: 0, Start: 0, End: 1}}
-	if err := WriteChromeTrace(&bytes.Buffer{}, bad); err == nil {
+	if err := WriteChromeTrace(&bytes.Buffer{}, SpanView{Scoped: bad}); err == nil {
 		t.Fatal("unnamed span exported, want error")
 	}
 }
 
 func FuzzSpanDecode(f *testing.F) {
 	var seed bytes.Buffer
-	if err := WriteSpans(&seed, testSpans()); err != nil {
+	if err := WriteSpans(&seed, SpanView{Scoped: testSpans()}); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(seed.Bytes())
@@ -195,7 +195,7 @@ func FuzzSpanDecode(f *testing.F) {
 		}
 		// Accepted spans re-encode, and the encoding is a fixpoint.
 		var once bytes.Buffer
-		if err := WriteSpans(&once, spans); err != nil {
+		if err := WriteSpans(&once, SpanView{Scoped: spans}); err != nil {
 			t.Fatalf("re-encoding accepted spans: %v", err)
 		}
 		sp2, err := ReadSpans(bytes.NewReader(once.Bytes()))
@@ -203,14 +203,14 @@ func FuzzSpanDecode(f *testing.F) {
 			t.Fatalf("decoding own encoding: %v", err)
 		}
 		var twice bytes.Buffer
-		if err := WriteSpans(&twice, sp2); err != nil {
+		if err := WriteSpans(&twice, SpanView{Scoped: sp2}); err != nil {
 			t.Fatalf("second re-encode: %v", err)
 		}
 		if !bytes.Equal(once.Bytes(), twice.Bytes()) {
 			t.Fatalf("span encode∘decode is not a fixpoint")
 		}
 		// Everything ReadSpans accepts must also export cleanly.
-		if err := WriteChromeTrace(&bytes.Buffer{}, spans); err != nil {
+		if err := WriteChromeTrace(&bytes.Buffer{}, SpanView{Scoped: spans}); err != nil {
 			t.Fatalf("accepted spans fail chrome export: %v", err)
 		}
 	})

@@ -115,6 +115,8 @@ func GCRMSpec(cfg GCRMConfig) *Spec {
 		s.Name = "gcrm-metaagg"
 	case cfg.Align:
 		s.Name = "gcrm-aligned"
+	case cfg.Aggregators > 0 && cfg.TwoStage:
+		s.Name = "gcrm-twostage"
 	case cfg.Aggregators > 0:
 		s.Name = "gcrm-collective"
 	}

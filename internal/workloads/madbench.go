@@ -83,7 +83,7 @@ func MADbenchSpec(cfg MADbenchConfig) *Spec {
 		return &Offset{PerRank: int64(cfg.Matrices) * stride, PerPhase: stride}
 	}
 	return &Spec{
-		Name:  fmt.Sprintf("madbench-%d-%s", cfg.Tasks, cfg.Machine.Name),
+		Name:  fmt.Sprintf("madbench-%d", cfg.Tasks),
 		Tasks: cfg.Tasks,
 		Path:  cfg.Path,
 		Phases: []Phase{

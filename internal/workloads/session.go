@@ -11,6 +11,7 @@ import (
 	"ensembleio/internal/posixio"
 	"ensembleio/internal/sim"
 	"ensembleio/internal/telemetry"
+	"ensembleio/internal/tracefmt"
 )
 
 // Session is the one run path: a platform — engine, cluster, fabric,
@@ -242,14 +243,15 @@ func (s *Session) jobDone() {
 // section for each named job in attachment order — window,
 // fast-forward share, data-path totals, per-OST byte/stall/busy
 // counters — and the span stream in a fixed order: tenant windows,
-// phases, fault windows, I/O calls, each tenant's tagged "<name>/".
-// With one unnamed job this is exactly a solo run's stream: counters,
+// phases, fault windows, then each job's trace as an I/O track whose
+// io spans the writers render, each tenant's tagged "<name>/". With
+// one unnamed job this is exactly a solo run's stream: counters,
 // phases, fault windows, I/O calls. Every piece is a pure function of
 // the simulated run, so the snapshot is byte-stable across GOMAXPROCS.
-func (s *Session) Fold() (*telemetry.Snapshot, []telemetry.Span) {
+func (s *Session) Fold() (*telemetry.Snapshot, tracefmt.SpanView) {
 	tel := s.tel
-	if !tel.Enabled() {
-		return nil, nil
+	if tel == nil {
+		return nil, tracefmt.SpanView{}
 	}
 
 	// Session wall: the last job's finish.
@@ -320,14 +322,11 @@ func (s *Session) Fold() (*telemetry.Snapshot, []telemetry.Span) {
 	for _, w := range s.scenario.Windows(wall) {
 		tel.Span("fault", w.Label, -1, w.T0, w.T1)
 	}
+	spans := tracefmt.SpanView{Scoped: tel.Spans()}
 	for _, j := range s.jobs {
-		for i := range j.col.Events {
-			e := &j.col.Events[i]
-			tel.Span("io", j.tag+e.Op.String(), e.Rank, float64(e.Start), float64(e.Start+e.Dur))
-		}
+		spans.IO = append(spans.IO, tracefmt.IOTrack{Tag: j.tag, Events: j.col.Events})
 	}
-
-	return tel.Snapshot(), tel.Spans()
+	return tel.Snapshot(), spans
 }
 
 // foldCounters writes the platform-wide telemetry section: engine

@@ -16,6 +16,7 @@ import (
 	"ensembleio/internal/lustre"
 	"ensembleio/internal/sim"
 	"ensembleio/internal/telemetry"
+	"ensembleio/internal/tracefmt"
 )
 
 // Run is the artifact of one workload execution.
@@ -41,9 +42,9 @@ type Run struct {
 	// the workload config set Telemetry: true.
 	Telemetry *telemetry.Snapshot
 	// Spans are the run's virtual-time spans: workload phases, fault
-	// windows, and (in trace mode) per-rank I/O calls. Nil unless
-	// telemetry was enabled.
-	Spans []telemetry.Span
+	// windows, and (in trace mode) per-rank I/O calls rendered from
+	// Collector's events. Empty unless telemetry was enabled.
+	Spans tracefmt.SpanView
 }
 
 // AggregateMBps is the job-level rate the paper reports: total data

@@ -37,7 +37,7 @@ func TestTelemetryLocalizesInjectedFault(t *testing.T) {
 	// (a) Fault spans sit exactly on the injected windows: start_sec +
 	// k*period_sec, each stall_sec long, clipped to the run.
 	var faultSpans []ensembleio.Span
-	for _, sp := range run.Spans {
+	for sp := range run.Spans.All() {
 		if sp.Cat == "fault" {
 			faultSpans = append(faultSpans, sp)
 		}
@@ -81,7 +81,7 @@ func TestTelemetryLocalizesInjectedFault(t *testing.T) {
 
 	// Workload phases and per-rank IO made it into the span stream too.
 	var phases, io int
-	for _, sp := range run.Spans {
+	for sp := range run.Spans.All() {
 		switch sp.Cat {
 		case "phase":
 			phases++
@@ -102,7 +102,7 @@ func TestTelemetryLocalizesInjectedFault(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ValidateChromeTrace: %v", err)
 	}
-	if want := len(run.Spans) + 4; n != want { // 4 metadata events
+	if want := run.Spans.Len() + 4; n != want { // 4 metadata events
 		t.Errorf("chrome trace has %d events, want %d", n, want)
 	}
 }
@@ -118,8 +118,8 @@ func TestTelemetryDisabledByDefault(t *testing.T) {
 	if run.Telemetry != nil {
 		t.Error("telemetry snapshot present without the Telemetry flag")
 	}
-	if len(run.Spans) != 0 {
-		t.Errorf("%d spans recorded without the Telemetry flag", len(run.Spans))
+	if run.Spans.Len() != 0 {
+		t.Errorf("%d spans recorded without the Telemetry flag", run.Spans.Len())
 	}
 	if err := ensembleio.SaveTelemetry(&bytes.Buffer{}, run); err == nil {
 		t.Error("SaveTelemetry succeeded on a run without telemetry")
