@@ -196,6 +196,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='FuzzJSONWritersMatchEncodingJSON$$' -fuzztime=$(FUZZTIME) ./internal/tracefmt
 	$(GO) test -run='^$$' -fuzz='FuzzSpecDecode$$' -fuzztime=$(FUZZTIME) ./internal/wldsl
 	$(GO) test -run='^$$' -fuzz='FuzzScenarioKey$$' -fuzztime=$(FUZZTIME) ./internal/cascache
+	$(GO) test -run='^$$' -fuzz='FuzzStoreEntry$$' -fuzztime=$(FUZZTIME) ./internal/cascache
 	$(GO) test -run='^$$' -fuzz='FuzzScenarioParse$$' -fuzztime=$(FUZZTIME) ./internal/faults
 	$(GO) test -run='^$$' -fuzz='FuzzAnalysisMatchesReferences$$' -fuzztime=$(FUZZTIME) ./internal/analysis
 	$(GO) test -run='^$$' -fuzz='FuzzCampaignGrid$$' -fuzztime=$(FUZZTIME) ./internal/ensemble/campaign

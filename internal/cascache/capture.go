@@ -3,6 +3,7 @@ package cascache
 import (
 	"bytes"
 	"fmt"
+	"sync"
 
 	"ensembleio/internal/tracefmt"
 	"ensembleio/internal/workloads"
@@ -33,6 +34,10 @@ func (e Entry) Artifact(name string) ([]byte, bool) {
 	return nil, false
 }
 
+// scratchBufs holds CaptureRun's encode buffers; only their capacity
+// is reused.
+var scratchBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
 // CaptureRun encodes one fully-collected run into the canonical
 // artifact set (sorted by name) plus its Meta summary. The run must
 // have been executed under the capture contract — trace and profile
@@ -47,13 +52,17 @@ func CaptureRun(run *workloads.Run, seed int64) ([]Artifact, Meta, error) {
 		return nil, Meta{}, fmt.Errorf("cascache: capture of %q: %w", run.Name, err)
 	}
 
+	// Encode into a pooled scratch buffer and keep an exactly sized
+	// copy: the buffer's doubling growth is paid once, not per artifact.
+	buf := scratchBufs.Get().(*bytes.Buffer)
+	defer scratchBufs.Put(buf)
 	var arts []Artifact
 	add := func(name string, write func(*bytes.Buffer) error) error {
-		var buf bytes.Buffer
-		if err := write(&buf); err != nil {
+		buf.Reset()
+		if err := write(buf); err != nil {
 			return fmt.Errorf("cascache: capture of %q: %s: %w", run.Name, name, err)
 		}
-		arts = append(arts, Artifact{Name: name, Data: buf.Bytes()})
+		arts = append(arts, Artifact{Name: name, Data: bytes.Clone(buf.Bytes())})
 		return nil
 	}
 	// Alphabetical by artifact name, matching DiffArtifacts' positional

@@ -2,7 +2,11 @@ package cascache
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"ensembleio/internal/cluster"
@@ -95,6 +99,67 @@ func FuzzScenarioKey(f *testing.F) {
 		otherSc := fuzzScenario((faultIdx%3 + 1) % 3)
 		if kFault, _ := ScenarioKey(spec, prof, otherSc, runSeed); kFault == k1 {
 			t.Fatal("distinct fault scenarios collided")
+		}
+	})
+}
+
+// FuzzStoreEntry feeds arbitrary bytes to the entry decoder as a
+// key's entry file. Get must never panic; it either misses, counting
+// the file corrupt and evicting it, or serves artifacts whose SHA-256
+// match the manifest the file carries.
+func FuzzStoreEntry(f *testing.F) {
+	k := testKey(f, 1)
+	seedStore, err := Open(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := seedStore.Put(k, Meta{Workload: "w", Seed: 1}, testArtifacts()); err != nil {
+		f.Fatal(err)
+	}
+	packed, err := os.ReadFile(seedStore.entryPath(k))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(packed)
+	f.Add(packed[:len(packed)-1])
+	f.Add(packed[:headerLen])
+	f.Add([]byte{})
+	dir := f.TempDir() // each input is written over the last one's entry
+	f.Fuzz(func(t *testing.T, file []byte) {
+		s, err := Open(dir) // a fresh store: empty MRU layer, zeroed stats
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := s.entryPath(k)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ent, ok := s.Get(k)
+		if !ok {
+			if st := s.Stats(); st.Corrupt != 1 || st.Misses != 1 {
+				t.Fatalf("miss with stats %+v, want corrupt=1 miss=1", st)
+			}
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Fatalf("damaged entry not evicted (err=%v)", err)
+			}
+			return
+		}
+		l := parseEntry(t, file)
+		var m manifest
+		if err := json.Unmarshal(file[l.manifestOff:l.manifestOff+l.manifestLen], &m); err != nil {
+			t.Fatal(err)
+		}
+		if len(ent.Artifacts) != len(m.Artifacts) {
+			t.Fatalf("served %d artifacts, manifest lists %d", len(ent.Artifacts), len(m.Artifacts))
+		}
+		for i, a := range ent.Artifacts {
+			sum := sha256.Sum256(a.Data)
+			if a.Name != m.Artifacts[i].Name || hex.EncodeToString(sum[:]) != m.Artifacts[i].SHA256 {
+				t.Fatalf("artifact %d (%s) does not match its manifest record", i, a.Name)
+			}
 		}
 	})
 }

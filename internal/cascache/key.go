@@ -12,10 +12,10 @@
 //     JSON, the fault scenario's canonical bytes, and the seed —
 //     versioned with SchemaEpoch so a format change invalidates every
 //     old entry cleanly;
-//   - the on-disk store (store.go): one directory per key holding the
-//     artifact files plus a digest manifest, published by
-//     write-tempdir-then-rename so readers never observe a partial
-//     entry, with an append-only index file;
+//   - the on-disk store (store.go): one packed file per key holding a
+//     digest manifest and then the artifacts, staged into a temp file
+//     and published by a no-replace hard link so readers never observe
+//     a partial entry, with an append-only index file;
 //   - the in-process MRU layer (mru.go): a small map-free
 //     move-to-front slice, so a campaign's repeated scenarios are
 //     served without touching disk.
@@ -46,10 +46,13 @@ import (
 	"ensembleio/internal/workloads"
 )
 
-// SchemaEpoch versions the whole cache format: the key derivation
-// rules, the artifact set a capture produces, and the on-disk layout.
-// Bump it whenever any of those change — old entries then live under a
-// different epoch directory and can never be served to a new binary.
+// SchemaEpoch versions the key derivation rules and the artifact set a
+// capture produces. Bump it whenever either changes — old entries then
+// live under a different epoch directory and can never be served to a
+// new binary. The on-disk layout is versioned by the entry file's
+// magic and version instead, so a layout change moves no key: the
+// first layout's one-directory-per-key entries are never opened and
+// read as misses.
 const SchemaEpoch = 1
 
 // Key is a canonical scenario identity: the SHA-256 of the scenario's
@@ -58,7 +61,7 @@ const SchemaEpoch = 1
 type Key [sha256.Size]byte
 
 // Hex returns the key's full lowercase hex form (the on-disk entry
-// directory name).
+// file's name, before its .entry suffix).
 func (k Key) Hex() string { return hex.EncodeToString(k[:]) }
 
 // Short returns the key's first 8 hex digits — enough to disambiguate

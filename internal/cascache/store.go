@@ -3,11 +3,14 @@ package cascache
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
+	"net"
 	"os"
 	"path/filepath"
 	"sort"
@@ -52,12 +55,12 @@ type Stats struct {
 	BytesServed, BytesWritten            uint64
 }
 
-// Store is an on-disk content-addressed artifact store plus an
-// in-process MRU layer. Safe for concurrent use: campaign workers
-// publish and probe from the runpool. Which worker wins a racy publish
-// is scheduler-dependent, but harmless by construction — entries are
-// content-addressed, so every candidate body for a key is
-// byte-identical.
+// Store is an on-disk content-addressed artifact store, one packed
+// file per key, plus an in-process MRU layer. Safe for concurrent use:
+// campaign workers probe and stage entries on the runpool. Which
+// writer wins a racy publish is scheduler-dependent, but harmless by
+// construction — entries are content-addressed, so every candidate
+// body for a key is byte-identical.
 type Store struct {
 	root string // <dir>/v<SchemaEpoch>
 
@@ -113,14 +116,14 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-func (s *Store) entryDir(k Key) string {
+func (s *Store) entryPath(k Key) string {
 	h := k.Hex()
-	return filepath.Join(s.root, h[:2], h)
+	return filepath.Join(s.root, h[:2], h+entrySuffix)
 }
 
 // manifest is the per-entry integrity record: every artifact's size
-// and SHA-256, written last inside the temp dir so a published entry
-// always carries its own digests.
+// and SHA-256, in the order the artifacts follow it in the entry file,
+// so a published entry always carries its own digests.
 type manifest struct {
 	Epoch     int           `json:"epoch"`
 	Key       string        `json:"key"`
@@ -134,12 +137,41 @@ type manifestArt struct {
 	SHA256 string `json:"sha256"`
 }
 
-const manifestName = "manifest.json"
+// An entry is one file, <hex[:2]>/<hex>.entry: a fixed header (the
+// magic, the layout version and the manifest's length, both uint32
+// little-endian), the manifest JSON, then every artifact's bytes back
+// to back in manifest order. One file per entry keeps a publish to
+// one create and a read to one ReadFile; the magic versions the layout
+// without moving SchemaEpoch, and an older layout's entry directories
+// are never opened, so they read as misses.
+const (
+	entryMagic   = "EIOCACHE"
+	entryVersion = 1
+	headerLen    = len(entryMagic) + 8
+	entrySuffix  = ".entry"
+)
 
-// validArtifactName keeps artifact names safe as file names inside the
-// entry directory: no separators, no leading dot, bounded charset.
+// manifestLen checks an entry file's fixed header against the file's
+// size and returns the length of the manifest that follows it.
+func manifestLen(hdr []byte, size int64) (int, error) {
+	if len(hdr) < headerLen || string(hdr[:len(entryMagic)]) != entryMagic {
+		return 0, errors.New("bad magic")
+	}
+	if v := binary.LittleEndian.Uint32(hdr[len(entryMagic):]); v != entryVersion {
+		return 0, fmt.Errorf("layout version %d, want %d", v, entryVersion)
+	}
+	n := int64(binary.LittleEndian.Uint32(hdr[len(entryMagic)+4:]))
+	if n > size-int64(headerLen) {
+		return 0, fmt.Errorf("manifest of %d bytes overruns the file", n)
+	}
+	return int(n), nil
+}
+
+// validArtifactName keeps artifact names to a bounded, printable
+// charset with no separators and no leading dot, so a name is safe
+// wherever a CLI writes it out as a file name.
 func validArtifactName(name string) bool {
-	if name == "" || name == manifestName || name[0] == '.' || len(name) > 128 {
+	if name == "" || name[0] == '.' || len(name) > 128 {
 		return false
 	}
 	for i := 0; i < len(name); i++ {
@@ -156,7 +188,7 @@ func validArtifactName(name string) bool {
 
 // Get probes the MRU layer, then the disk. A disk hit re-checks every
 // artifact's size and SHA-256 against the entry's manifest; any
-// mismatch means the blob was corrupted after publication, so the
+// mismatch means the file was corrupted after publication, so the
 // entry is evicted from disk and reported as a miss — a poisoned store
 // can cost recomputation, never wrong bytes.
 //
@@ -181,7 +213,7 @@ func (s *Store) Get(k Key) (Entry, bool) {
 			// Present but unreadable or failing its digests: evict so a
 			// later Put can heal the slot.
 			s.corrupt.Add(1)
-			os.RemoveAll(s.entryDir(k))
+			os.Remove(s.entryPath(k))
 		}
 		s.misses.Add(1)
 		return Entry{}, false
@@ -194,59 +226,96 @@ func (s *Store) Get(k Key) (Entry, bool) {
 	return ent, true
 }
 
-// readEntry loads and verifies one on-disk entry. fs.ErrNotExist means
-// a clean miss; any other error means a damaged entry.
+// readEntry loads and verifies one on-disk entry with a single read.
+// The served artifacts are capacity-capped sub-slices of that one
+// buffer. fs.ErrNotExist means a clean miss; any other error means a
+// damaged entry.
 func (s *Store) readEntry(k Key) (Entry, uint64, error) {
-	dir := s.entryDir(k)
-	mb, err := os.ReadFile(filepath.Join(dir, manifestName))
+	buf, err := os.ReadFile(s.entryPath(k))
 	if err != nil {
 		return Entry{}, 0, err
 	}
+	mlen, err := manifestLen(buf, int64(len(buf)))
+	if err != nil {
+		return Entry{}, 0, fmt.Errorf("cascache: %s: %w", k.Short(), err)
+	}
 	var m manifest
-	if err := json.Unmarshal(mb, &m); err != nil {
+	if err := json.Unmarshal(buf[headerLen:headerLen+mlen], &m); err != nil {
 		return Entry{}, 0, fmt.Errorf("cascache: %s: manifest: %w", k.Short(), err)
 	}
 	if m.Epoch != SchemaEpoch || m.Key != k.Hex() {
 		return Entry{}, 0, fmt.Errorf("cascache: %s: manifest identity mismatch", k.Short())
 	}
 	ent := Entry{Key: k, Meta: m.Meta, Artifacts: make([]Artifact, 0, len(m.Artifacts))}
-	var total uint64
+	rest := buf[headerLen+mlen:]
 	for _, a := range m.Artifacts {
 		if !validArtifactName(a.Name) {
 			return Entry{}, 0, fmt.Errorf("cascache: %s: illegal artifact name %q", k.Short(), a.Name)
 		}
-		data, err := os.ReadFile(filepath.Join(dir, a.Name))
-		if err != nil {
-			return Entry{}, 0, fmt.Errorf("cascache: %s: %s: %w", k.Short(), a.Name, err)
+		if a.Bytes < 0 || a.Bytes > int64(len(rest)) {
+			return Entry{}, 0, fmt.Errorf("cascache: %s: %s: manifest says %d bytes, %d left in the file", k.Short(), a.Name, a.Bytes, len(rest))
 		}
-		if int64(len(data)) != a.Bytes {
-			return Entry{}, 0, fmt.Errorf("cascache: %s: %s: %d bytes, manifest says %d", k.Short(), a.Name, len(data), a.Bytes)
-		}
+		data := rest[:a.Bytes:a.Bytes]
+		rest = rest[a.Bytes:]
 		sum := sha256.Sum256(data)
 		if hex.EncodeToString(sum[:]) != a.SHA256 {
 			return Entry{}, 0, fmt.Errorf("cascache: %s: %s: digest mismatch", k.Short(), a.Name)
 		}
 		ent.Artifacts = append(ent.Artifacts, Artifact{Name: a.Name, Data: data})
-		total += uint64(len(data))
 	}
-	return ent, total, nil
+	if len(rest) != 0 {
+		return Entry{}, 0, fmt.Errorf("cascache: %s: %d bytes past the last artifact", k.Short(), len(rest))
+	}
+	return ent, uint64(len(buf) - headerLen - mlen), nil
 }
 
-// Put publishes an artifact set under its key: artifacts and manifest
-// are written into a fresh temp directory, fsync-free, then the whole
-// directory is renamed into place — readers observe either nothing or
-// the complete entry. If another writer published the key first the
-// candidate is discarded; content addressing makes the two bodies
-// byte-identical, so first-wins is not a race on content.
-func (s *Store) Put(k Key, meta Meta, artifacts []Artifact) error {
-	if len(artifacts) == 0 {
-		return errors.New("cascache: refusing to publish an empty artifact set")
+// Staged is an entry written, manifest and all, into the store's tmp
+// directory but not yet visible to Get. Store.Commit publishes it;
+// Discard drops it.
+type Staged struct {
+	key   Key
+	meta  Meta
+	arts  []Artifact
+	total uint64
+	tmp   string // "" once committed or discarded
+}
+
+// Discard removes a staged entry that will not be committed. It is a
+// no-op on an entry already committed or discarded.
+func (st *Staged) Discard() {
+	if st.tmp != "" {
+		os.Remove(st.tmp)
+		st.tmp = ""
 	}
-	m := manifest{Epoch: SchemaEpoch, Key: k.Hex(), Meta: meta}
+}
+
+// Put publishes an artifact set under its key: Stage, then Commit.
+// If another writer published the key first the candidate is
+// discarded; content addressing makes the two bodies byte-identical,
+// so first-wins is not a race on content.
+func (s *Store) Put(k Key, meta Meta, artifacts []Artifact) error {
+	st, err := s.Stage(k, meta, artifacts)
+	if err != nil {
+		return err
+	}
+	return s.Commit(st)
+}
+
+// Stage does the parallel half of a publish: it digests every
+// artifact, builds the manifest and writes the complete entry file
+// into <root>/tmp, fsync-free, straight from the header and the
+// artifacts' own slices (net.Buffers: nothing is concatenated). Stages
+// of distinct keys may run concurrently. The entry stays invisible to
+// Get until Commit.
+func (s *Store) Stage(k Key, meta Meta, artifacts []Artifact) (*Staged, error) {
+	if len(artifacts) == 0 {
+		return nil, errors.New("cascache: refusing to publish an empty artifact set")
+	}
+	m := manifest{Epoch: SchemaEpoch, Key: k.Hex(), Meta: meta, Artifacts: make([]manifestArt, 0, len(artifacts))}
 	var total uint64
 	for _, a := range artifacts {
 		if !validArtifactName(a.Name) {
-			return fmt.Errorf("cascache: illegal artifact name %q", a.Name)
+			return nil, fmt.Errorf("cascache: illegal artifact name %q", a.Name)
 		}
 		sum := sha256.Sum256(a.Data)
 		m.Artifacts = append(m.Artifacts, manifestArt{
@@ -254,43 +323,64 @@ func (s *Store) Put(k Key, meta Meta, artifacts []Artifact) error {
 		})
 		total += uint64(len(a.Data))
 	}
-
-	tmp, err := os.MkdirTemp(filepath.Join(s.root, "tmp"), k.Short()+"-")
+	mb, err := json.Marshal(m)
 	if err != nil {
-		return fmt.Errorf("cascache: %w", err)
+		return nil, fmt.Errorf("cascache: manifest: %w", err)
 	}
-	defer os.RemoveAll(tmp) // no-op after a successful rename
+	head := make([]byte, headerLen, headerLen+len(mb))
+	copy(head, entryMagic)
+	binary.LittleEndian.PutUint32(head[len(entryMagic):], entryVersion)
+	binary.LittleEndian.PutUint32(head[len(entryMagic)+4:], uint32(len(mb)))
+	bufs := make(net.Buffers, 0, 1+len(artifacts))
+	bufs = append(bufs, append(head, mb...))
 	for _, a := range artifacts {
-		if err := os.WriteFile(filepath.Join(tmp, a.Name), a.Data, 0o644); err != nil {
-			return fmt.Errorf("cascache: %w", err)
-		}
-	}
-	mb, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return fmt.Errorf("cascache: manifest: %w", err)
-	}
-	if err := os.WriteFile(filepath.Join(tmp, manifestName), append(mb, '\n'), 0o644); err != nil {
-		return fmt.Errorf("cascache: %w", err)
+		bufs = append(bufs, a.Data)
 	}
 
-	dst := s.entryDir(k)
-	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
-		return fmt.Errorf("cascache: %w", err)
+	f, err := os.CreateTemp(filepath.Join(s.root, "tmp"), k.Short()+"-*"+entrySuffix)
+	if err != nil {
+		return nil, fmt.Errorf("cascache: staging %s: %w", k.Short(), err)
 	}
-	if err := os.Rename(tmp, dst); err != nil {
-		if _, statErr := os.Stat(filepath.Join(dst, manifestName)); statErr == nil {
+	_, werr := bufs.WriteTo(f)
+	if cerr := f.Close(); werr == nil {
+		werr = cerr
+	}
+	if werr != nil {
+		os.Remove(f.Name())
+		return nil, fmt.Errorf("cascache: staging %s: %w", k.Short(), werr)
+	}
+	return &Staged{key: k, meta: meta, arts: artifacts, total: total, tmp: f.Name()}, nil
+}
+
+// Commit does the serial half of a publish: it hard-links the staged
+// file into its shard, which never replaces an existing entry, so
+// readers observe either nothing or the complete entry. Then it
+// appends the index line and fills the MRU layer. If the key was
+// already published, that is a lost race: Commit succeeds and appends
+// nothing. The staged temp file is removed whatever the outcome.
+func (s *Store) Commit(st *Staged) error {
+	if st.tmp == "" {
+		return fmt.Errorf("cascache: %s: staged entry already committed or discarded", st.key.Short())
+	}
+	defer st.Discard()
+	dst := s.entryPath(st.key)
+	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
+		return fmt.Errorf("cascache: publishing %s: %w", st.key.Short(), err)
+	}
+	if err := os.Link(st.tmp, dst); err != nil {
+		if errors.Is(err, fs.ErrExist) {
 			// Lost the publish race; the winner's bytes are ours.
 			return nil
 		}
-		return fmt.Errorf("cascache: publishing %s: %w", k.Short(), err)
+		return fmt.Errorf("cascache: publishing %s: %w", st.key.Short(), err)
 	}
 	s.puts.Add(1)
-	s.bytesWritten.Add(total)
-	if err := s.appendIndex(k, meta, total, len(artifacts)); err != nil {
+	s.bytesWritten.Add(st.total)
+	if err := s.appendIndex(st.key, st.meta, st.total, len(st.arts)); err != nil {
 		return err
 	}
 	s.mu.Lock()
-	s.mru.put(k, meta, artifacts, total)
+	s.mru.put(st.key, st.meta, st.arts, st.total)
 	s.mu.Unlock()
 	return nil
 }
@@ -356,10 +446,11 @@ func (s *Store) Index() ([]IndexEntry, error) {
 	return out, nil
 }
 
-// RebuildIndex rewrites the catalog from the entry manifests, in
-// lexical key order (deterministic), and returns the entry count. Use
-// it after manual pruning or a crash left the advisory index behind
-// the truth.
+// RebuildIndex rewrites the catalog from the entry files' manifests,
+// in lexical key order (deterministic), and returns the entry count.
+// It reads only each file's header and manifest, never the artifacts.
+// Use it after manual pruning or a crash left the advisory index
+// behind the truth.
 func (s *Store) RebuildIndex() (int, error) {
 	var entries []IndexEntry
 	shards, err := os.ReadDir(s.root)
@@ -370,17 +461,13 @@ func (s *Store) RebuildIndex() (int, error) {
 		if !shard.IsDir() || len(shard.Name()) != 2 {
 			continue
 		}
-		dirs, err := os.ReadDir(filepath.Join(s.root, shard.Name()))
+		files, err := os.ReadDir(filepath.Join(s.root, shard.Name()))
 		if err != nil {
 			return 0, fmt.Errorf("cascache: %w", err)
 		}
-		for _, d := range dirs {
-			mb, err := os.ReadFile(filepath.Join(s.root, shard.Name(), d.Name(), manifestName))
-			if err != nil {
-				continue
-			}
-			var m manifest
-			if err := json.Unmarshal(mb, &m); err != nil || m.Epoch != SchemaEpoch {
+		for _, f := range files {
+			m, ok := readManifest(filepath.Join(s.root, shard.Name(), f.Name()))
+			if !ok || m.Epoch != SchemaEpoch || m.Key+entrySuffix != f.Name() {
 				continue
 			}
 			var total uint64
@@ -411,6 +498,38 @@ func (s *Store) RebuildIndex() (int, error) {
 		return 0, fmt.Errorf("cascache: index: %w", err)
 	}
 	return len(entries), nil
+}
+
+// readManifest decodes an entry file's manifest, reading the header
+// and the manifest only. It reports false for anything that is not a
+// regular file in the current layout.
+func readManifest(path string) (manifest, bool) {
+	f, err := os.Open(path)
+	if err != nil {
+		return manifest{}, false
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil || !fi.Mode().IsRegular() {
+		return manifest{}, false
+	}
+	var hdr [headerLen]byte
+	if _, err := io.ReadFull(f, hdr[:]); err != nil {
+		return manifest{}, false
+	}
+	mlen, err := manifestLen(hdr[:], fi.Size())
+	if err != nil {
+		return manifest{}, false
+	}
+	mb := make([]byte, mlen)
+	if _, err := io.ReadFull(f, mb); err != nil {
+		return manifest{}, false
+	}
+	var m manifest
+	if json.Unmarshal(mb, &m) != nil {
+		return manifest{}, false
+	}
+	return m, true
 }
 
 // DiffArtifacts compares two artifact sets byte for byte and reports

@@ -1,6 +1,8 @@
 package cascache
 
 import (
+	"encoding/binary"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -17,7 +19,7 @@ func testArtifacts() []Artifact {
 	}
 }
 
-func testKey(t *testing.T, seed int64) Key {
+func testKey(t testing.TB, seed int64) Key {
 	t.Helper()
 	k, err := ScenarioKey(wldsl.Generate(seed), cluster.Franklin(), nil, seed)
 	if err != nil {
@@ -75,6 +77,39 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 }
 
+// entryLayout is a test-side parse of an entry file: the manifest's
+// byte range and each artifact's, found from the header alone.
+type entryLayout struct {
+	manifestOff, manifestLen int
+	arts                     map[string][2]int // name → [offset, length]
+}
+
+func parseEntry(t testing.TB, file []byte) entryLayout {
+	t.Helper()
+	if len(file) < 16 || string(file[:8]) != "EIOCACHE" || binary.LittleEndian.Uint32(file[8:]) != 1 {
+		t.Fatalf("entry file does not start with the layout-1 header: % x", file[:min(len(file), 16)])
+	}
+	l := entryLayout{manifestOff: 16, manifestLen: int(binary.LittleEndian.Uint32(file[12:])), arts: map[string][2]int{}}
+	var m struct {
+		Artifacts []struct {
+			Name  string `json:"name"`
+			Bytes int    `json:"bytes"`
+		} `json:"artifacts"`
+	}
+	if err := json.Unmarshal(file[16:16+l.manifestLen], &m); err != nil {
+		t.Fatal(err)
+	}
+	off := 16 + l.manifestLen
+	for _, a := range m.Artifacts {
+		l.arts[a.Name] = [2]int{off, a.Bytes}
+		off += a.Bytes
+	}
+	if off != len(file) {
+		t.Fatalf("artifacts end at %d of a %d-byte file", off, len(file))
+	}
+	return l
+}
+
 // TestStorePoisonedEntry is the satellite guarantee: a corrupted blob
 // is detected by the digest re-check on read, treated as a miss, and
 // never served — then the slot heals on the next Put.
@@ -89,13 +124,14 @@ func TestStorePoisonedEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Flip one byte of a published artifact on disk.
-	path := filepath.Join(s.entryDir(k), "trace.bin")
+	// Flip the last byte of trace.bin's region of the entry file.
+	path := s.entryPath(k)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[len(data)-1] ^= 0xff
+	r := parseEntry(t, data).arts["trace.bin"]
+	data[r[0]+r[1]-1] ^= 0xff
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -112,8 +148,8 @@ func TestStorePoisonedEntry(t *testing.T) {
 		t.Fatalf("stats %+v, want corrupt=1 miss=1 hit=0", st)
 	}
 	// The poisoned entry must have been evicted so publication heals it.
-	if _, err := os.Stat(s.entryDir(k)); !os.IsNotExist(err) {
-		t.Fatalf("poisoned entry dir still present (err=%v)", err)
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("poisoned entry file still present (err=%v)", err)
 	}
 	if err := fresh.Put(k, Meta{Seed: 2}, testArtifacts()); err != nil {
 		t.Fatalf("healing Put failed: %v", err)
@@ -127,38 +163,108 @@ func TestStorePoisonedEntry(t *testing.T) {
 	}
 }
 
-// Truncating an artifact (size mismatch, digest never reached) and
-// mangling the manifest itself must also read as misses.
+// Truncating the file (size mismatch, digest never reached), mangling
+// the manifest, and every other malformed header must also read as
+// misses and evict the entry.
 func TestStoreTruncatedAndBadManifest(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
+	damage := []struct {
+		name string
+		mut  func(file []byte, l entryLayout) []byte
+	}{
+		{"truncated", func(f []byte, _ entryLayout) []byte { return f[:len(f)-5] }},
+		{"trailing byte", func(f []byte, _ entryLayout) []byte { return append(f, 0) }},
+		{"mangled manifest", func(f []byte, l entryLayout) []byte {
+			copy(f[l.manifestOff:], "{not json")
+			return f
+		}},
+		{"manifest overruns the file", func(f []byte, _ entryLayout) []byte {
+			binary.LittleEndian.PutUint32(f[12:], uint32(len(f)))
+			return f
+		}},
+		{"bad magic", func(f []byte, _ entryLayout) []byte {
+			f[0] ^= 0xff
+			return f
+		}},
+		{"other layout version", func(f []byte, _ entryLayout) []byte {
+			binary.LittleEndian.PutUint32(f[8:], 2)
+			return f
+		}},
+		{"header only", func(f []byte, _ entryLayout) []byte { return f[:10] }},
+	}
+	for _, d := range damage {
+		t.Run(d.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			k := testKey(t, 3)
+			if err := s.Put(k, Meta{Seed: 3}, testArtifacts()); err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(s.entryPath(k))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(s.entryPath(k), d.mut(data, parseEntry(t, data)), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := fresh.Get(k); ok {
+				t.Fatal("damaged entry was served")
+			}
+			if st := fresh.Stats(); st.Corrupt != 1 || st.Misses != 1 {
+				t.Fatalf("stats %+v, want corrupt=1 miss=1", st)
+			}
+			if _, err := os.Stat(s.entryPath(k)); !os.IsNotExist(err) {
+				t.Fatalf("damaged entry file still present (err=%v)", err)
+			}
+		})
+	}
+}
+
+// An entry directory of the first layout (one file per artifact plus
+// manifest.json) is never opened: it reads as a clean miss, is left in
+// place, and the packed entry published next to it serves.
+func TestStoreOldLayoutIsAMiss(t *testing.T) {
+	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := testKey(t, 3)
-	if err := s.Put(k, Meta{Seed: 3}, testArtifacts()); err != nil {
+	k := testKey(t, 7)
+	old := filepath.Join(s.Dir(), k.Hex()[:2], k.Hex())
+	if err := os.MkdirAll(old, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Truncate(filepath.Join(s.entryDir(k), "trace.bin"), 2); err != nil {
+	for _, a := range testArtifacts() {
+		if err := os.WriteFile(filepath.Join(old, a.Name), a.Data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(old, "manifest.json"), []byte(`{"epoch":1}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	fresh, _ := Open(dir)
-	if _, ok := fresh.Get(k); ok {
-		t.Fatal("truncated entry was served")
+	if _, ok := s.Get(k); ok {
+		t.Fatal("old-layout entry was served")
 	}
-
-	if err := s.Put(k, Meta{Seed: 3}, testArtifacts()); err != nil {
+	if st := s.Stats(); st.Corrupt != 0 || st.Misses != 1 {
+		t.Fatalf("stats %+v, want a clean miss", st)
+	}
+	if err := s.Put(k, Meta{Seed: 7}, testArtifacts()); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(s.entryDir(k), manifestName), []byte("{not json"), 0o644); err != nil {
+	if n, err := s.RebuildIndex(); err != nil || n != 1 {
+		t.Fatalf("RebuildIndex = %d, %v; want the one packed entry", n, err)
+	}
+	fresh, err := Open(filepath.Dir(s.Dir()))
+	if err != nil {
 		t.Fatal(err)
 	}
-	fresh2, _ := Open(dir)
-	if _, ok := fresh2.Get(k); ok {
-		t.Fatal("entry with mangled manifest was served")
-	}
-	if st := fresh2.Stats(); st.Corrupt != 1 {
-		t.Fatalf("stats %+v, want corrupt=1", st)
+	if ent, ok := fresh.Get(k); !ok || DiffArtifacts(ent.Artifacts, testArtifacts()) != nil {
+		t.Fatal("packed entry next to an old-layout directory not served intact")
 	}
 }
 
@@ -177,6 +283,9 @@ func TestStoreDuplicatePutAndIndex(t *testing.T) {
 	}
 	if err := s.Put(k2, Meta{Workload: "b", Seed: 5}, testArtifacts()); err != nil {
 		t.Fatal(err)
+	}
+	if names := tmpEntries(t, s); len(names) != 0 {
+		t.Fatalf("temp files left behind: %v", names)
 	}
 	idx, err := s.Index()
 	if err != nil {
@@ -201,12 +310,70 @@ func TestStoreDuplicatePutAndIndex(t *testing.T) {
 	}
 }
 
+// tmpEntries lists what the store's staging directory holds.
+func tmpEntries(t *testing.T, s *Store) []string {
+	t.Helper()
+	ents, err := os.ReadDir(filepath.Join(s.Dir(), "tmp"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	return names
+}
+
+// TestStageCommit: a staged entry is invisible until Commit, a
+// discarded one leaves nothing behind, and no path leaves a temp file.
+func TestStageCommit(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	k1, k2 := testKey(t, 8), testKey(t, 9)
+	st1, err := s.Stage(k1, Meta{Seed: 8}, testArtifacts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st2, err := s.Stage(k2, Meta{Seed: 9}, testArtifacts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(tmpEntries(t, s)); n != 2 {
+		t.Fatalf("%d staged temp files, want 2", n)
+	}
+	if _, ok := s.Get(k1); ok {
+		t.Fatal("staged entry served before Commit")
+	}
+	if err := s.Commit(st1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Commit(st1); err == nil {
+		t.Fatal("second Commit of one staged entry succeeded")
+	}
+	st2.Discard()
+	st2.Discard()
+	if names := tmpEntries(t, s); len(names) != 0 {
+		t.Fatalf("temp files left behind: %v", names)
+	}
+	if _, ok := s.Get(k1); !ok {
+		t.Fatal("committed entry not served")
+	}
+	if _, ok := s.Get(k2); ok {
+		t.Fatal("discarded entry served")
+	}
+	if st := s.Stats(); st.Puts != 1 {
+		t.Fatalf("stats %+v, want one put", st)
+	}
+}
+
 func TestStoreRejectsBadArtifactNames(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, bad := range []string{"", ".", "..", ".hidden", "a/b", "a\\b", manifestName, "sp ace"} {
+	for _, bad := range []string{"", ".", "..", ".hidden", "a/b", "a\\b", "sp ace"} {
 		err := s.Put(testKey(t, 6), Meta{}, []Artifact{{Name: bad, Data: []byte("x")}})
 		if err == nil {
 			t.Errorf("Put accepted illegal artifact name %q", bad)

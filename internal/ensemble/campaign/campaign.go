@@ -95,11 +95,15 @@ type probe struct {
 	hit bool
 }
 
-// computed is one scheduled miss's outcome.
+// computed is one scheduled run's outcome. A successful miss run
+// against a store is also staged for publication: staged is the entry
+// waiting in the store's tmp directory, or stageErr why it is not.
 type computed struct {
-	arts []cascache.Artifact
-	meta cascache.Meta
-	err  error
+	arts     []cascache.Artifact
+	meta     cascache.Meta
+	err      error
+	staged   *cascache.Staged
+	stageErr error
 }
 
 // runOne executes one scenario under the capture contract — full
@@ -130,15 +134,19 @@ func runOne(e Entry) (c computed) {
 	return computed{arts: arts, meta: meta}
 }
 
-// Run executes the campaign. Keying, store probes and the runs of the
-// misses all go through runpool with opts.Workers; dedup, the hit/miss
-// split, result folding and every Put stay serial in submission order,
-// so the store's index.jsonl gains its lines in a deterministic order.
+// Run executes the campaign. Keying, store probes, the runs of the
+// misses and the staging of their store entries (digests, manifest,
+// the entry file written into the store's tmp directory) all go
+// through runpool with opts.Workers; dedup, the hit/miss split, result
+// folding and every Commit stay serial in submission order, so the
+// store's index.jsonl gains its lines in a deterministic order.
 // Results are indexed like entries; duplicates share the first
 // occurrence's artifact slices (no copy).
-// The error reports campaign-level failures only (keying, publishing,
-// a verify mismatch); a scenario whose run fails lands in its Result's
-// Err and is counted in Stats.Failed.
+// The error reports campaign-level failures only (keying, staging or
+// publishing, a verify mismatch: the first in submission order); a
+// scenario whose run fails lands in its Result's Err and is counted in
+// Stats.Failed. Every staged entry left uncommitted is discarded
+// before Run returns.
 func Run(entries []Entry, opts Options) ([]Result, Stats, error) {
 	results := make([]Result, len(entries))
 	stats := Stats{Scenarios: len(entries)}
@@ -171,7 +179,7 @@ func Run(entries []Entry, opts Options) ([]Result, Stats, error) {
 	stats.DupHits = len(entries) - len(uniques)
 
 	// Probe the store for every unique key on the pool: distinct keys
-	// never share an entry directory, so concurrent probes (and the
+	// never share an entry file, so concurrent probes (and the
 	// eviction of a corrupt entry) cannot touch each other's files.
 	// The hit/miss split is then settled serially in submission order;
 	// misses (and, in Verify mode, hits too) get scheduled. toRun holds
@@ -200,8 +208,19 @@ func Run(entries []Entry, opts Options) ([]Result, Stats, error) {
 	}
 
 	outs := runpool.MapProgress(opts.Workers, toRun, opts.Progress, func(_ int, i int) computed {
-		return runOne(entries[i])
+		c := runOne(entries[i])
+		if c.err == nil && opts.Store != nil && results[i].Source == SourceRun {
+			c.staged, c.stageErr = opts.Store.Stage(results[i].Key, c.meta, c.arts)
+		}
+		return c
 	})
+	defer func() {
+		for _, out := range outs {
+			if out.staged != nil {
+				out.staged.Discard()
+			}
+		}
+	}()
 	for j, out := range outs {
 		i := toRun[j]
 		if results[i].Source == SourceCache {
@@ -227,7 +246,11 @@ func Run(entries []Entry, opts Options) ([]Result, Stats, error) {
 			stats.BytesComputed += uint64(len(a.Data))
 		}
 		if opts.Store != nil {
-			if err := opts.Store.Put(results[i].Key, out.meta, out.arts); err != nil {
+			err := out.stageErr
+			if err == nil {
+				err = opts.Store.Commit(out.staged)
+			}
+			if err != nil {
 				return nil, stats, err
 			}
 		}

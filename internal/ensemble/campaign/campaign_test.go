@@ -1,6 +1,9 @@
 package campaign
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -198,6 +201,7 @@ func TestCampaignContainsPanickingScenario(t *testing.T) {
 	if st := store.Stats(); st.Puts != 2 {
 		t.Errorf("store puts %d, want 2 (the good entries only)", st.Puts)
 	}
+	assertNothingStaged(t, store)
 
 	// A second pass serves the good entries and retries the poison.
 	_, again, err := Run(entries, Options{Workers: 1, Store: store})
@@ -209,10 +213,40 @@ func TestCampaignContainsPanickingScenario(t *testing.T) {
 	}
 }
 
-// entryDir is where the store keeps key k's artifacts.
-func entryDir(s *cascache.Store, k cascache.Key) string {
+// entryFile is where the store keeps key k's packed entry.
+func entryFile(s *cascache.Store, k cascache.Key) string {
 	h := k.Hex()
-	return filepath.Join(s.Dir(), h[:2], h)
+	return filepath.Join(s.Dir(), h[:2], h+".entry")
+}
+
+// artifactRegion finds a named artifact's byte range in a packed entry
+// file from its header: an 8-byte magic, the uint32 layout version and
+// manifest length, the manifest JSON, then the artifacts in manifest
+// order.
+func artifactRegion(t *testing.T, file []byte, name string) (off, n int) {
+	t.Helper()
+	if len(file) < 16 || string(file[:8]) != "EIOCACHE" {
+		t.Fatal("not a packed entry file")
+	}
+	mlen := int(binary.LittleEndian.Uint32(file[12:]))
+	var m struct {
+		Artifacts []struct {
+			Name  string `json:"name"`
+			Bytes int    `json:"bytes"`
+		} `json:"artifacts"`
+	}
+	if err := json.Unmarshal(file[16:16+mlen], &m); err != nil {
+		t.Fatal(err)
+	}
+	off = 16 + mlen
+	for _, a := range m.Artifacts {
+		if a.Name == name {
+			return off, a.Bytes
+		}
+		off += a.Bytes
+	}
+	t.Fatalf("no artifact %q in the entry", name)
+	return 0, 0
 }
 
 // TestParallelProbesEvictCorruptEntries: with the store probed on the
@@ -230,17 +264,23 @@ func TestParallelProbesEvictCorruptEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Truncate an artifact of the first entry; flip a byte in one of
-	// the second's.
-	if err := os.Truncate(filepath.Join(entryDir(store, ref[0].Key), cascache.ArtTraceBin), 3); err != nil {
-		t.Fatal(err)
-	}
-	flip := filepath.Join(entryDir(store, ref[1].Key), cascache.ArtSpans)
-	b, err := os.ReadFile(flip)
+	// Truncate the first entry's file inside its trace.bin; flip a byte
+	// in the middle of the second's spans.jsonl.
+	first := entryFile(store, ref[0].Key)
+	b, err := os.ReadFile(first)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b[len(b)/2] ^= 0xff
+	off, _ := artifactRegion(t, b, cascache.ArtTraceBin)
+	if err := os.Truncate(first, int64(off+3)); err != nil {
+		t.Fatal(err)
+	}
+	flip := entryFile(store, ref[1].Key)
+	if b, err = os.ReadFile(flip); err != nil {
+		t.Fatal(err)
+	}
+	off, n := artifactRegion(t, b, cascache.ArtSpans)
+	b[off+n/2] ^= 0xff
 	if err := os.WriteFile(flip, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -310,4 +350,141 @@ func TestParallelProbesWorkerCountInvariant(t *testing.T) {
 			t.Errorf("workers %d: results differ from workers 1", w)
 		}
 	}
+}
+
+// assertNothingStaged fails unless the store's staging directory is
+// empty: every entry a campaign staged was committed or discarded.
+func assertNothingStaged(t *testing.T, s *cascache.Store) {
+	t.Helper()
+	left, err := os.ReadDir(filepath.Join(s.Dir(), "tmp"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 0 {
+		t.Fatalf("%d staged temp files left behind, first %s", len(left), left[0].Name())
+	}
+}
+
+// entryFiles counts the packed entry files under the store's shards.
+func entryFiles(t *testing.T, s *cascache.Store) int {
+	t.Helper()
+	n := 0
+	err := filepath.WalkDir(s.Dir(), func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && d.Name() == "tmp" {
+			return filepath.SkipDir
+		}
+		if strings.HasSuffix(d.Name(), ".entry") {
+			n++
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// TestColdCampaignPublishesInSubmissionOrder: entries are staged on
+// the pool but committed serially, so a cold campaign writes the same
+// index.jsonl byte for byte at any worker count, leaves exactly one
+// entry file per unique key, and no staged temp file.
+func TestColdCampaignPublishesInSubmissionOrder(t *testing.T) {
+	entries := testEntries(5, 2) // 10 entries, 5 unique
+	var ref []byte
+	for _, w := range []int{1, 2, 4} {
+		store, err := cascache.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, stats, err := Run(entries, Options{Workers: w, Store: store})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := entryFiles(t, store); n != stats.Unique || n != 5 {
+			t.Fatalf("workers %d: %d entry files for %d unique keys", w, n, stats.Unique)
+		}
+		assertNothingStaged(t, store)
+		idx, err := os.ReadFile(filepath.Join(store.Dir(), "index.jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref == nil {
+			ref = idx
+			continue
+		}
+		if !bytes.Equal(idx, ref) {
+			t.Errorf("workers %d: index.jsonl differs from workers 1:\n%s\nvs\n%s", w, idx, ref)
+		}
+	}
+}
+
+// TestCampaignPublishFailure: a failed Commit or Stage is the
+// campaign's error, reported for the first failing entry in submission
+// order, and no staged temp file survives it.
+func TestCampaignPublishFailure(t *testing.T) {
+	entries := testEntries(5, 1)
+	keys := make([]cascache.Key, len(entries))
+	for i, e := range entries {
+		k, err := cascache.ScenarioKey(e.Spec, e.Platform, e.Faults, e.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys[i] = k
+	}
+
+	t.Run("commit", func(t *testing.T) {
+		store, err := cascache.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A regular file where two entries' shard directories belong
+		// makes their Commit fail.
+		blocked := map[string]bool{}
+		for _, i := range []int{3, 1} {
+			shard := filepath.Join(store.Dir(), keys[i].Hex()[:2])
+			if err := os.WriteFile(shard, nil, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			blocked[keys[i].Hex()[:2]] = true
+		}
+		firstBlocked := -1
+		for i, k := range keys {
+			if blocked[k.Hex()[:2]] {
+				firstBlocked = i
+				break
+			}
+		}
+		_, _, err = Run(entries, Options{Workers: 2, Store: store})
+		if err == nil || !strings.Contains(err.Error(), "publishing "+keys[firstBlocked].Short()) {
+			t.Fatalf("err %v, want the publish failure of entry %d (%s)", err, firstBlocked, keys[firstBlocked].Short())
+		}
+		assertNothingStaged(t, store)
+		if st := store.Stats(); st.Puts != uint64(firstBlocked) {
+			t.Errorf("%d entries published, want the %d before the failure", st.Puts, firstBlocked)
+		}
+	})
+
+	t.Run("stage", func(t *testing.T) {
+		store, err := cascache.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		tmp := filepath.Join(store.Dir(), "tmp")
+		if err := os.Remove(tmp); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(tmp, nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = Run(entries, Options{Workers: 2, Store: store})
+		if err == nil || !strings.Contains(err.Error(), "staging "+keys[0].Short()) {
+			t.Fatalf("err %v, want the staging failure of entry 0 (%s)", err, keys[0].Short())
+		}
+		if st := store.Stats(); st.Puts != 0 || entryFiles(t, store) != 0 {
+			t.Errorf("store stats %+v: nothing may be published when staging fails", st)
+		}
+	})
 }
