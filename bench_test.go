@@ -388,10 +388,35 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 // seed: `benchjson -check` gates those units at ratio 1.0, so a change
 // in simulated behaviour fails bench-guard on any host.
 func BenchmarkSimulatorThroughputSingle(b *testing.B) {
-	c := flagshipCounters()
+	benchGCRMCounted(b, flagshipConfig, flagshipCounters())
+}
+
+// BenchmarkGCRMScale is the scale row: the GCRM baseline at 4x the
+// paper's task count (40,960 ranks on 10,240 nodes), seed 1, timed and
+// counted like BenchmarkSimulatorThroughputSingle. Its B/op is the
+// per-rank memory trend toward 102,400 ranks. It is recorded in
+// BENCH_ensembleio.json but not gated by bench-guard.
+func BenchmarkGCRMScale(b *testing.B) {
+	benchGCRMCounted(b, gcrmScaleConfig, gcrmScaleCounters())
+}
+
+var (
+	flagshipConfig  = GCRMConfig{Machine: Franklin(), Seed: 1}
+	gcrmScaleConfig = GCRMConfig{Machine: Franklin(), Seed: 1, Tasks: 40960}
+)
+
+// gcrmCounters are a GCRM run's exact work counters.
+type gcrmCounters struct {
+	events, heapHW, refreshes, recomputes, writeJobs float64
+}
+
+// benchGCRMCounted times telemetry-off runs of cfg and reports c, the
+// exact counters of the same run with telemetry on.
+func benchGCRMCounted(b *testing.B, cfg GCRMConfig, c gcrmCounters) {
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		run := RunGCRM(GCRMConfig{Machine: Franklin(), Seed: 1})
+		run := RunGCRM(cfg)
 		b.ReportMetric(float64(run.Wall), "sim_s")
 	}
 	b.ReportMetric(c.events, "events")
@@ -401,12 +426,11 @@ func BenchmarkSimulatorThroughputSingle(b *testing.B) {
 	b.ReportMetric(c.writeJobs, "write_jobs")
 }
 
-// flagshipCounters runs the flagship seed-1 GCRM once per process with
-// telemetry on and keeps its work counters.
-var flagshipCounters = sync.OnceValue(func() (c struct {
-	events, heapHW, refreshes, recomputes, writeJobs float64
-}) {
-	tel := RunGCRM(GCRMConfig{Machine: Franklin(), Seed: 1, Telemetry: true}).Telemetry
+// countGCRM runs cfg once with telemetry on and keeps its work
+// counters.
+func countGCRM(cfg GCRMConfig) (c gcrmCounters) {
+	cfg.Telemetry = true
+	tel := RunGCRM(cfg).Telemetry
 	for _, g := range tel.Gauges {
 		if g.Name == "sim.heap_high_water" {
 			c.heapHW = g.Value
@@ -418,7 +442,13 @@ var flagshipCounters = sync.OnceValue(func() (c struct {
 	c.writeJobs = tel.Counter("lustre.write_jobs")
 	runtime.GC()
 	return c
-})
+}
+
+// The counter runs happen once per process.
+var (
+	flagshipCounters  = sync.OnceValue(func() gcrmCounters { return countGCRM(flagshipConfig) })
+	gcrmScaleCounters = sync.OnceValue(func() gcrmCounters { return countGCRM(gcrmScaleConfig) })
+)
 
 // --- Content-addressed cache (cascache) hot paths ---
 

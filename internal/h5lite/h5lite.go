@@ -12,9 +12,10 @@
 //   - an optional aggregated-metadata mode that defers all metadata
 //     into one large write at file close (the Figure 6j optimization).
 //
-// Offsets are computed deterministically from the creation schema so
-// every rank independently agrees on the layout, as HDF5 collective
-// mode guarantees.
+// A Layout computes every offset once per job from the creation
+// schema, and every rank's File shares it, as HDF5 collective mode
+// has every rank agree on one layout. A File holds only its
+// descriptor, its I/O surface and its role.
 package h5lite
 
 import (
@@ -34,7 +35,7 @@ type IO interface {
 	Pread(p *sim.Proc, fd int, offset, n int64) (int64, error)
 }
 
-// FileOpts configures a file.
+// FileOpts configures a file's layout.
 type FileOpts struct {
 	// Alignment pads dataset bases and record strides to this many
 	// bytes (0 = packed layout, the GCRM baseline).
@@ -47,10 +48,11 @@ type FileOpts struct {
 	MetaOpBytes int64
 	// SuperblockBytes reserves the file header region (default 4096).
 	SuperblockBytes int64
-	// MetadataWriter marks the rank that issues metadata I/O (HDF5
-	// funnels metadata through one writer; GCRM used task 0).
-	MetadataWriter bool
 }
+
+// page is the file-system page size metadata blocks are padded to in
+// an aligned file.
+const page = 4096
 
 func (o *FileOpts) defaults() {
 	if o.MetaOpBytes == 0 {
@@ -61,102 +63,36 @@ func (o *FileOpts) defaults() {
 		// file-system pages at page offsets, which is what lets the
 		// metadata path dodge partial-page lock bouncing (the paper's
 		// "metadata operations benefited somewhat from alignment").
-		const page = 4096
-		o.MetaOpBytes = (o.MetaOpBytes + page - 1) / page * page
+		o.MetaOpBytes = roundUp(o.MetaOpBytes, page)
 	}
 	if o.SuperblockBytes == 0 {
 		o.SuperblockBytes = 4096
 	}
 }
 
-// File is an open h5lite file.
-type File struct {
-	io   IO
-	fd   int
-	opts FileOpts
-
-	cursor      int64 // next free byte for layout allocation
-	pendingMeta int64 // aggregated metadata bytes awaiting close
-	metaFlushed bool
-	datasets    []*Dataset
-	closed      bool
-}
-
-// Dataset is one named record array within the file.
-type Dataset struct {
-	f           *File
-	Name        string
-	RecordBytes int64
-	Stride      int64 // record allocation pitch (>= RecordBytes)
-	Base        int64 // file offset of record 0
-	NRecords    int
-	metaOps     int   // small writes per metadata flush
-	metaBase    int64 // reserved metadata region (immediate mode)
-	metaCursor  int64
-}
-
-// Create creates (or, for non-creating ranks, opens) the file and
-// writes the superblock if this rank is the metadata writer.
-func Create(p *sim.Proc, io IO, path string, opts FileOpts) (*File, error) {
-	opts.defaults()
-	fd, err := io.Open(p, path, posixio.OCreat|posixio.ORdwr)
-	if err != nil {
-		return nil, fmt.Errorf("h5lite: create %s: %w", path, err)
-	}
-	f := &File{io: io, fd: fd, opts: opts, cursor: opts.SuperblockBytes}
-	if opts.MetadataWriter {
-		if err := f.metaWrite(p, 0, opts.SuperblockBytes); err != nil {
-			return nil, err
-		}
-	}
-	return f, nil
-}
-
-func (f *File) align(x int64) int64 {
-	a := f.opts.Alignment
+func roundUp(x, a int64) int64 {
 	if a <= 0 {
 		return x
 	}
 	return (x + a - 1) / a * a
 }
 
-// CreateDataset declares a dataset of nRecords fixed-size records and
-// allocates its extent. metaOps is the number of small metadata writes
-// a FlushMetadata on this dataset costs (chunk index scale). Every
-// rank must create datasets in the same order with the same arguments.
-func (f *File) CreateDataset(name string, recordBytes int64, nRecords, metaOps int) *Dataset {
-	if f.closed {
-		panic("h5lite: CreateDataset on closed file")
-	}
-	stride := recordBytes
-	if f.opts.Alignment > 0 {
-		stride = f.align(recordBytes)
-	}
-	d := &Dataset{
-		f:           f,
-		Name:        name,
-		RecordBytes: recordBytes,
-		Stride:      stride,
-		Base:        f.align(f.cursor),
-		NRecords:    nRecords,
-		metaOps:     metaOps,
-	}
-	f.cursor = d.Base + int64(nRecords)*stride
-	if !f.opts.AggregateMetadata {
-		// Reserve an immediate metadata region after the data. In
-		// aligned mode the region starts on a page boundary so its
-		// page-sized ops stay page-aligned (note that a decimal-MB
-		// stripe boundary is not itself page-aligned).
-		d.metaBase = f.cursor
-		if f.opts.Alignment > 0 {
-			const page = 4096
-			d.metaBase = (d.metaBase + page - 1) / page * page
-		}
-		d.metaCursor = d.metaBase
-		f.cursor = d.metaBase + int64(metaOps)*f.opts.MetaOpBytes
-	}
-	f.datasets = append(f.datasets, d)
-	return d
+// DatasetSpec declares one dataset: NRecords fixed-size records of
+// RecordBytes each, and MetaOps small metadata writes per
+// FlushMetadata (chunk index scale).
+type DatasetSpec struct {
+	Name        string
+	RecordBytes int64
+	NRecords    int
+	MetaOps     int
+}
+
+// Dataset is one named record array's place in the file.
+type Dataset struct {
+	DatasetSpec
+	Stride   int64 // record allocation pitch (>= RecordBytes)
+	Base     int64 // file offset of record 0
+	MetaBase int64 // reserved metadata region (immediate mode only)
 }
 
 // RecordOffset returns the file offset of record idx.
@@ -164,28 +100,121 @@ func (d *Dataset) RecordOffset(idx int) int64 {
 	return d.Base + int64(idx)*d.Stride
 }
 
-// WriteRecord writes record idx. With alignment enabled the write is
-// padded to the full stride so it lands as whole-stripe RPCs.
-func (d *Dataset) WriteRecord(p *sim.Proc, idx int) error {
+// Layout is a file's options and dataset extents, computed once and
+// shared read-only by every rank's File.
+type Layout struct {
+	opts     FileOpts
+	datasets []Dataset
+	end      int64 // first byte past the last extent
+}
+
+// NewLayout allocates the datasets' extents in declaration order after
+// the superblock: each dataset's records, then (in immediate mode)
+// its metadata region.
+func NewLayout(opts FileOpts, specs []DatasetSpec) *Layout {
+	opts.defaults()
+	l := &Layout{opts: opts, datasets: make([]Dataset, len(specs))}
+	cursor := opts.SuperblockBytes
+	for i, s := range specs {
+		d := &l.datasets[i]
+		d.DatasetSpec = s
+		d.Stride = roundUp(s.RecordBytes, opts.Alignment)
+		d.Base = roundUp(cursor, opts.Alignment)
+		cursor = d.Base + int64(s.NRecords)*d.Stride
+		if !opts.AggregateMetadata {
+			// Reserve an immediate metadata region after the data. In
+			// aligned mode the region starts on a page boundary so its
+			// page-sized ops stay page-aligned (note that a decimal-MB
+			// stripe boundary is not itself page-aligned).
+			d.MetaBase = cursor
+			if opts.Alignment > 0 {
+				d.MetaBase = roundUp(d.MetaBase, page)
+			}
+			cursor = d.MetaBase + int64(s.MetaOps)*opts.MetaOpBytes
+		}
+	}
+	l.end = cursor
+	return l
+}
+
+// Dataset returns dataset i, in declaration order.
+func (l *Layout) Dataset(i int) *Dataset { return &l.datasets[i] }
+
+// MetaOpBytes returns the effective size of one metadata write.
+func (l *Layout) MetaOpBytes() int64 { return l.opts.MetaOpBytes }
+
+// File is one rank's open h5lite file.
+type File struct {
+	io         IO
+	fd         int
+	l          *Layout
+	metaWriter bool
+	closed     bool
+
+	// The metadata writer's flush state: bytes awaiting Close in
+	// aggregated mode, or each dataset's next metadata offset in
+	// immediate mode.
+	pendingMeta int64
+	metaCursor  []int64
+}
+
+// Create creates (or, for non-creating ranks, opens) the file with
+// layout l. The metadata writer (HDF5 funnels metadata through one
+// writer; GCRM used task 0) writes the superblock.
+func Create(p *sim.Proc, io IO, path string, l *Layout, metadataWriter bool) (*File, error) {
+	fd, err := io.Open(p, path, posixio.OCreat|posixio.ORdwr)
+	if err != nil {
+		return nil, fmt.Errorf("h5lite: create %s: %w", path, err)
+	}
+	f := &File{io: io, fd: fd, l: l, metaWriter: metadataWriter}
+	if metadataWriter {
+		if !l.opts.AggregateMetadata {
+			f.metaCursor = make([]int64, len(l.datasets))
+			for i := range l.datasets {
+				f.metaCursor[i] = l.datasets[i].MetaBase
+			}
+		}
+		if err := f.metaWrite(p, 0, l.opts.SuperblockBytes); err != nil {
+			return nil, err
+		}
+	}
+	return f, nil
+}
+
+// record checks idx against dataset ds's extent.
+func (f *File) record(ds, idx int) (*Dataset, error) {
+	d := f.l.Dataset(ds)
 	if idx < 0 || idx >= d.NRecords {
-		return fmt.Errorf("h5lite: record %d out of range [0,%d)", idx, d.NRecords)
+		return nil, fmt.Errorf("h5lite: record %d out of range [0,%d)", idx, d.NRecords)
+	}
+	return d, nil
+}
+
+// WriteRecord writes record idx of dataset ds. With alignment enabled
+// the write is padded to the full stride so it lands as whole-stripe
+// RPCs.
+func (f *File) WriteRecord(p *sim.Proc, ds, idx int) error {
+	d, err := f.record(ds, idx)
+	if err != nil {
+		return err
 	}
 	n := d.RecordBytes
-	if d.f.opts.Alignment > 0 {
+	if f.l.opts.Alignment > 0 {
 		n = d.Stride
 	}
-	_, err := d.f.io.Pwrite(p, d.f.fd, d.RecordOffset(idx), n)
+	_, err = f.io.Pwrite(p, f.fd, d.RecordOffset(idx), n)
 	return err
 }
 
-// ReadRecord reads record idx back (the analysis/visualization path
-// of the GCRM pipeline). It returns an error for out-of-range indices
-// or short reads.
-func (d *Dataset) ReadRecord(p *sim.Proc, idx int) error {
-	if idx < 0 || idx >= d.NRecords {
-		return fmt.Errorf("h5lite: record %d out of range [0,%d)", idx, d.NRecords)
+// ReadRecord reads record idx of dataset ds back (the
+// analysis/visualization path of the GCRM pipeline). It returns an
+// error for out-of-range indices or short reads.
+func (f *File) ReadRecord(p *sim.Proc, ds, idx int) error {
+	d, err := f.record(ds, idx)
+	if err != nil {
+		return err
 	}
-	n, err := d.f.io.Pread(p, d.f.fd, d.RecordOffset(idx), d.RecordBytes)
+	n, err := f.io.Pread(p, f.fd, d.RecordOffset(idx), d.RecordBytes)
 	if err != nil {
 		return err
 	}
@@ -195,25 +224,24 @@ func (d *Dataset) ReadRecord(p *sim.Proc, idx int) error {
 	return nil
 }
 
-// FlushMetadata emits the dataset's metadata. In immediate mode the
-// metadata-writing rank issues metaOps small serialized writes; in
+// FlushMetadata emits dataset ds's metadata. In immediate mode the
+// metadata-writing rank issues MetaOps small serialized writes; in
 // aggregated mode the bytes are buffered for Close. Non-metadata-
 // writer ranks return immediately.
-func (d *Dataset) FlushMetadata(p *sim.Proc) error {
-	f := d.f
-	if !f.opts.MetadataWriter {
+func (f *File) FlushMetadata(p *sim.Proc, ds int) error {
+	if !f.metaWriter {
 		return nil
 	}
-	total := int64(d.metaOps) * f.opts.MetaOpBytes
-	if f.opts.AggregateMetadata {
-		f.pendingMeta += total
+	d, opts := f.l.Dataset(ds), &f.l.opts
+	if opts.AggregateMetadata {
+		f.pendingMeta += int64(d.MetaOps) * opts.MetaOpBytes
 		return nil
 	}
-	for i := 0; i < d.metaOps; i++ {
-		if err := f.metaWrite(p, d.metaCursor, f.opts.MetaOpBytes); err != nil {
+	for i := 0; i < d.MetaOps; i++ {
+		if err := f.metaWrite(p, f.metaCursor[ds], opts.MetaOpBytes); err != nil {
 			return err
 		}
-		d.metaCursor += f.opts.MetaOpBytes
+		f.metaCursor[ds] += opts.MetaOpBytes
 	}
 	return nil
 }
@@ -230,31 +258,22 @@ func (f *File) Close(p *sim.Proc) error {
 		return errors.New("h5lite: double close")
 	}
 	f.closed = true
-	if f.opts.MetadataWriter && f.opts.AggregateMetadata && f.pendingMeta > 0 && !f.metaFlushed {
-		f.metaFlushed = true
+	if f.pendingMeta > 0 {
 		const chunk = 1e6 // 1 MB aggregated metadata writes
-		off := f.align(f.cursor)
+		align := f.l.opts.Alignment
+		off := roundUp(f.l.end, align)
 		remaining := f.pendingMeta
 		for remaining > 0 {
 			n := int64(chunk)
 			if remaining < n {
-				n = remaining
-				if f.opts.Alignment > 0 {
-					n = f.align(n) // pad the final chunk too
-				}
+				n = roundUp(remaining, align) // pad the final chunk too
 			}
 			if err := f.metaWrite(p, off, n); err != nil {
 				return err
 			}
 			off += n
 			remaining -= int64(chunk)
-			if remaining < 0 {
-				remaining = 0
-			}
 		}
 	}
 	return f.io.Close(p, f.fd)
 }
-
-// Datasets returns the declared datasets in creation order.
-func (f *File) Datasets() []*Dataset { return f.datasets }

@@ -59,6 +59,8 @@ type Rank struct {
 	P    *sim.Proc
 	Node *cluster.Node
 
+	// Point-to-point state, made on the rank's first Send or Recv:
+	// most ranks of a collective workload never message.
 	inbox   map[msgKey][]*message
 	waiting map[msgKey]*sim.WaitQueue
 }
@@ -84,20 +86,19 @@ func NewWorld(eng *sim.Engine, cl *cluster.Cluster, size int, cfg Config) *World
 	w := &World{Eng: eng, Cl: cl, cfg: cfg, size: size}
 	w.telBarriers = cl.Tel.Counter(cfg.TelPrefix + "mpi.barriers")
 	w.telBarrierWait = cl.Tel.Hist(cfg.TelPrefix + "mpi.barrier_wait_s")
-	for i := 0; i < size; i++ {
-		w.ranks = append(w.ranks, &Rank{
-			ID:      i,
-			W:       w,
-			Node:    cl.NodeForTask(cfg.NodeBase*cl.Prof.CoresPerNode + i),
-			inbox:   make(map[msgKey][]*message),
-			waiting: make(map[msgKey]*sim.WaitQueue),
-		})
-	}
+	w.ranks = make([]*Rank, size)
 	all := make([]int, size)
-	for i := range all {
+	for i := range w.ranks {
+		w.ranks[i] = &Rank{
+			ID:   i,
+			W:    w,
+			Node: cl.NodeForTask(cfg.NodeBase*cl.Prof.CoresPerNode + i),
+		}
 		all[i] = i
 	}
-	w.world = w.NewComm(all)
+	// The world communicator's comm rank is the world rank: it needs
+	// no index.
+	w.world = &Comm{w: w, ranks: all}
 	return w
 }
 
@@ -128,6 +129,9 @@ func (r *Rank) Send(to, tag int, n int64, payload interface{}) {
 	cost := sim.Duration(r.W.cfg.LatencySec + float64(n)/1e6/r.W.cfg.LinkMBps)
 	r.P.Sleep(cost)
 	dst := r.W.ranks[to]
+	if dst.inbox == nil {
+		dst.inbox = make(map[msgKey][]*message)
+	}
 	k := msgKey{from: r.ID, tag: tag}
 	dst.inbox[k] = append(dst.inbox[k], &message{bytes: n, payload: payload})
 	if q := dst.waiting[k]; q != nil {
@@ -142,6 +146,9 @@ func (r *Rank) Recv(from, tag int) (int64, interface{}) {
 	for len(r.inbox[k]) == 0 {
 		q := r.waiting[k]
 		if q == nil {
+			if r.waiting == nil {
+				r.waiting = make(map[msgKey]*sim.WaitQueue)
+			}
 			q = &sim.WaitQueue{}
 			r.waiting[k] = q
 		}
@@ -156,7 +163,7 @@ func (r *Rank) Recv(from, tag int) (int64, interface{}) {
 type Comm struct {
 	w     *World
 	ranks []int       // world rank ids, in comm-rank order
-	index map[int]int // world rank -> comm rank
+	index map[int]int // world rank -> comm rank; nil on the world comm
 
 	barGen   int
 	barCount int
@@ -180,11 +187,14 @@ func (c *Comm) Size() int { return len(c.ranks) }
 // CommRank returns r's rank within the communicator; it panics if r is
 // not a member.
 func (c *Comm) CommRank(r *Rank) int {
-	i, ok := c.index[r.ID]
-	if !ok {
-		panic(fmt.Sprintf("mpi: rank %d not in communicator", r.ID))
+	if c.index == nil { // the world comm: comm rank = world rank
+		if r.W == c.w && r.ID >= 0 && r.ID < len(c.ranks) {
+			return r.ID
+		}
+	} else if i, ok := c.index[r.ID]; ok {
+		return i
 	}
-	return i
+	panic(fmt.Sprintf("mpi: rank %d not in communicator", r.ID))
 }
 
 // Barrier blocks until all communicator members arrive. Release costs

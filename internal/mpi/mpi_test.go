@@ -168,6 +168,47 @@ func TestCommRankPanicsForNonMember(t *testing.T) {
 	eng.Run()
 }
 
+func TestWorldCommMembership(t *testing.T) {
+	_, w := testWorld(t, 4)
+	_, other := testWorld(t, 8)
+	if got := w.world.CommRank(w.Rank(3)); got != 3 {
+		t.Errorf("world comm rank of rank 3 = %d, want 3", got)
+	}
+	// Same ID, another world; an ID past this world's size.
+	for _, r := range []*Rank{other.Rank(2), other.Rank(6)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("rank %d of another world passed the world comm's membership check", r.ID)
+				}
+			}()
+			w.world.CommRank(r)
+		}()
+	}
+}
+
+func TestPointToPointStateIsLazy(t *testing.T) {
+	eng, w := testWorld(t, 4)
+	w.Launch(func(r *Rank) {
+		switch r.ID {
+		case 0:
+			r.Send(1, 9, 100, nil)
+		case 1:
+			r.Recv(0, 9)
+		}
+		r.Barrier()
+	})
+	eng.Run()
+	if w.Rank(1).inbox == nil {
+		t.Error("the receiving rank has no inbox")
+	}
+	for _, i := range []int{0, 2, 3} {
+		if r := w.Rank(i); r.inbox != nil || r.waiting != nil {
+			t.Errorf("rank %d never received but made its point-to-point maps", i)
+		}
+	}
+}
+
 func TestRankPlacement(t *testing.T) {
 	_, w := testWorld(t, 8)
 	if w.Rank(0).Node.ID != 0 || w.Rank(3).Node.ID != 0 || w.Rank(4).Node.ID != 1 {

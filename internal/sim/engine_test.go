@@ -137,6 +137,69 @@ func TestWaitQueueFIFO(t *testing.T) {
 	}
 }
 
+// TestWaitQueueReusesItsArray: a queue that fills and drains keeps one
+// backing array, and one that never drains (a busy semaphore) stays
+// FIFO and bounded while it slides live waiters down.
+func TestWaitQueueReusesItsArray(t *testing.T) {
+	e := NewEngine()
+	var q WaitQueue
+	const n = 64
+	var first *func()
+	for i := 0; i < n; i++ {
+		e.Spawn("w", func(p *Proc) {
+			for round := 0; round < 5; round++ {
+				q.Wait(p)
+			}
+		})
+	}
+	e.Spawn("waker", func(p *Proc) {
+		for round := 0; round < 5; round++ {
+			p.Sleep(1)
+			if q.Len() != n {
+				t.Errorf("round %d: %d waiters, want %d", round, q.Len(), n)
+			}
+			if round == 0 {
+				first = &q.waiters[:1][0]
+			} else if &q.waiters[:1][0] != first {
+				t.Errorf("round %d: backing array reallocated", round)
+			}
+			if round%2 == 0 {
+				q.WakeAll()
+			} else {
+				for q.WakeOne() {
+				}
+			}
+		}
+	})
+	e.Run()
+
+	// Three processes cycle through a one-permit semaphore 200 times
+	// each: its queue never empties, so only sliding keeps it small.
+	e = NewEngine()
+	sem := NewSemaphore(1)
+	var order []int
+	for i := 0; i < 3; i++ {
+		e.Spawn("s", func(p *Proc) {
+			for k := 0; k < 200; k++ {
+				sem.Acquire(p)
+				order = append(order, i)
+				p.Sleep(1)
+				sem.Release()
+				p.Sleep(0.5) // rejoin behind the waiter just woken
+			}
+		})
+	}
+	e.Run()
+	for k, who := range order {
+		if who != k%3 {
+			t.Fatalf("acquisition %d by %d, want %d (FIFO)", k, who, k%3)
+		}
+	}
+	if c := cap(sem.queue.waiters); c > 8 {
+		t.Errorf("semaphore queue grew to cap %d for at most 3 waiters", c)
+	}
+}
+
 func TestSemaphoreLimitsConcurrency(t *testing.T) {
 	e := NewEngine()
 	sem := NewSemaphore(2)

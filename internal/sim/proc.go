@@ -130,14 +130,24 @@ func (p *Proc) fireWake() {
 func (p *Proc) Park() { p.park() }
 
 // WaitQueue is a FIFO queue of parked processes. The zero value is
-// ready to use.
+// ready to use. Its backing array is reused: woken slots are cleared
+// and the array refilled, so a queue that repeatedly fills and drains
+// (a barrier, a semaphore) allocates only while it grows.
 type WaitQueue struct {
 	waiters []func()
+	head    int // waiters[:head] are woken and cleared
 }
 
 // Wait parks p until it is woken by WakeOne or WakeAll. Processes are
 // woken in FIFO order.
 func (q *WaitQueue) Wait(p *Proc) {
+	if n := len(q.waiters); n == cap(q.waiters) && q.head > 0 && 2*q.head >= n {
+		// At least half the full array is woken slots: slide the live
+		// waiters down instead of growing.
+		live := copy(q.waiters, q.waiters[q.head:])
+		clear(q.waiters[live:])
+		q.waiters, q.head = q.waiters[:live], 0
+	}
 	q.waiters = append(q.waiters, p.Block())
 	p.Park()
 }
@@ -145,26 +155,32 @@ func (q *WaitQueue) Wait(p *Proc) {
 // WakeOne wakes the oldest waiter, if any, and reports whether a
 // process was woken.
 func (q *WaitQueue) WakeOne() bool {
-	if len(q.waiters) == 0 {
+	if q.head == len(q.waiters) {
 		return false
 	}
-	w := q.waiters[0]
-	q.waiters = q.waiters[1:]
+	w := q.waiters[q.head]
+	q.waiters[q.head] = nil
+	q.head++
+	if q.head == len(q.waiters) {
+		q.waiters, q.head = q.waiters[:0], 0
+	}
 	w()
 	return true
 }
 
-// WakeAll wakes every waiter in FIFO order.
+// WakeAll wakes every waiter in FIFO order. A wake only schedules its
+// process's resume, so no waiter re-enters the queue while it drains.
 func (q *WaitQueue) WakeAll() {
-	ws := q.waiters
-	q.waiters = nil
-	for _, w := range ws {
+	ws := q.waiters[q.head:]
+	for i, w := range ws {
+		ws[i] = nil
 		w()
 	}
+	q.waiters, q.head = q.waiters[:0], 0
 }
 
 // Len reports the number of parked processes.
-func (q *WaitQueue) Len() int { return len(q.waiters) }
+func (q *WaitQueue) Len() int { return len(q.waiters) - q.head }
 
 // Semaphore is a counting semaphore for simulated processes. The zero
 // value has zero capacity; use NewSemaphore.

@@ -238,14 +238,7 @@ func (p *Program) ranksTouchingFile() int {
 // aggregatedMetaWrites estimates the 1 MB close-time writes of
 // aggregated-metadata mode (the whole run's metadata, all flushes).
 func (p *Program) aggregatedMetaWrites() int {
-	opts := h5lite.FileOpts{Alignment: p.spec.H5.AlignBytes}
-	// Mirror h5lite's option defaulting to get the effective per-op
-	// size (page-padded when aligned).
-	metaOp := int64(2048)
-	if opts.Alignment > 0 {
-		const page = 4096
-		metaOp = (metaOp + page - 1) / page * page
-	}
+	metaOp := p.h5Layout().MetaOpBytes() // page-padded when aligned
 	var pending int64
 	for _, cp := range p.phases {
 		for _, op := range cp.ops {
@@ -309,7 +302,8 @@ func (p *Program) Run(cfg RunConfig) *Run {
 // body prepares the program to run on job j and returns the per-rank
 // interpreter body. Pre-launch setup happens here, in a deterministic
 // order: the stage-one shipping groups on j's world, then the
-// compute-imbalance draws from j's seed's dedicated stream.
+// compute-imbalance draws from j's seed's dedicated stream, and the
+// one h5lite layout every writer shares.
 func (p *Program) body(j *Job) func(r *mpi.Rank, tr *ipmio.Tracer) {
 	// Stage-one shipping groups: aggregator g's group is the perWriter
 	// consecutive ranks starting at g*perWriter, created pre-launch in
@@ -326,9 +320,13 @@ func (p *Program) body(j *Job) func(r *mpi.Rank, tr *ipmio.Tracer) {
 	}
 
 	factors := p.drawImbalance(j.seed)
+	var layout *h5lite.Layout
+	if p.h5 {
+		layout = p.h5Layout()
+	}
 
 	return func(r *mpi.Rank, tr *ipmio.Tracer) {
-		ex := executor{p: p, j: j, r: r, tr: tr, fd: -1, factors: factors}
+		ex := executor{p: p, j: j, r: r, tr: tr, fd: -1, factors: factors, layout: layout}
 		ex.writer, ex.w = p.writerOf(r.ID)
 		if groups != nil {
 			ex.group = groups[r.ID/p.perWriter]
@@ -395,9 +393,9 @@ type executor struct {
 	w      int
 	group  *mpi.Comm
 
-	fd       int
-	file     *h5lite.File
-	datasets []*h5lite.Dataset
+	fd     int
+	layout *h5lite.Layout
+	file   *h5lite.File
 }
 
 // exec runs one compiled op for the rank. I/O errors panic: inside
@@ -473,11 +471,10 @@ func (ex *executor) exec(op *cop, rep int) {
 		if !ex.writer {
 			return
 		}
-		ds := ex.datasets[op.ds]
 		rpt := p.spec.Datasets[op.ds].RecordsPerTask
 		for tsk := ex.w * p.perWriter; tsk < (ex.w+1)*p.perWriter; tsk++ {
 			for rec := 0; rec < rpt; rec++ {
-				if err := ds.WriteRecord(r.P, tsk*rpt+rec); err != nil {
+				if err := ex.file.WriteRecord(r.P, op.ds, tsk*rpt+rec); err != nil {
 					panic(err)
 				}
 			}
@@ -486,7 +483,7 @@ func (ex *executor) exec(op *cop, rep int) {
 		if !ex.writer {
 			return
 		}
-		if err := ex.datasets[op.ds].FlushMetadata(r.P); err != nil {
+		if err := ex.file.FlushMetadata(r.P, op.ds); err != nil {
 			panic(err)
 		}
 	case kGather:
@@ -501,26 +498,37 @@ func (ex *executor) exec(op *cop, rep int) {
 	}
 }
 
-// h5Open creates the file and declares every dataset, on writer ranks
+// h5Open opens the file on the job's shared layout, on writer ranks
 // only (stage-one shippers never touch the file system).
 func (ex *executor) h5Open() {
-	p, r := ex.p, ex.r
+	r := ex.r
 	if !ex.writer {
 		return
 	}
-	f, err := h5lite.Create(r.P, ex.tr, p.path, h5lite.FileOpts{
-		Alignment:         p.spec.H5.AlignBytes,
-		AggregateMetadata: p.spec.H5.AggregateMetadata,
-		MetadataWriter:    r.ID == 0,
-	})
+	f, err := h5lite.Create(r.P, ex.tr, ex.p.path, ex.layout, r.ID == 0)
 	if err != nil {
 		panic(err)
 	}
 	ex.file = f
-	for _, d := range p.spec.Datasets {
-		ex.datasets = append(ex.datasets,
-			f.CreateDataset(d.Name, d.RecordBytes, p.spec.Tasks*d.RecordsPerTask, d.MetaOps))
+}
+
+// h5Layout is the file layout every writer of one job shares: each
+// spec dataset, in spec order, sized for every task's records.
+func (p *Program) h5Layout() *h5lite.Layout {
+	s := p.spec
+	specs := make([]h5lite.DatasetSpec, len(s.Datasets))
+	for i, d := range s.Datasets {
+		specs[i] = h5lite.DatasetSpec{
+			Name:        d.Name,
+			RecordBytes: d.RecordBytes,
+			NRecords:    s.Tasks * d.RecordsPerTask,
+			MetaOps:     d.MetaOps,
+		}
 	}
+	return h5lite.NewLayout(h5lite.FileOpts{
+		Alignment:         s.H5.AlignBytes,
+		AggregateMetadata: s.H5.AggregateMetadata,
+	}, specs)
 }
 
 // at evaluates the offset expression.
