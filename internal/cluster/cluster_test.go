@@ -129,9 +129,12 @@ func TestBackgroundLoadConsumesBandwidthAndStops(t *testing.T) {
 	// A foreground transfer that would take 1 s alone should take
 	// noticeably longer with a heavy background competitor.
 	var dur sim.Duration
-	eng.Spawn("fg", func(pr *sim.Proc) {
-		dur = c.Nodes[0].Port.Transfer(pr, 16000, flownet.StreamOpts{})
-		c.StopBackground()
+	eng.Spawn("fg", func(pr *sim.Task) {
+		c.Nodes[0].Port.Transfer(pr, 16000, flownet.StreamOpts{}, func() {
+			dur = pr.Now()
+			c.StopBackground()
+			pr.Exit()
+		})
 	})
 	eng.Run()
 	if dur < 1.05 {

@@ -266,17 +266,30 @@ func (f *BackgroundBursts) Apply(m *cluster.Machine, fs *lustre.FS) error {
 		burstBytes = 1e6
 	}
 	period := f.OnSec + f.OffSec
-	m.Eng.Spawn("bg-burst-tenant", func(p *sim.Proc) {
-		p.Sleep(sim.Duration(f.StartSec))
-		var offset int64
-		for k := 0; !m.BackgroundStopped(); k++ {
-			client.Write(p, file, offset, burstBytes)
-			offset += burstBytes
-			next := sim.Time(f.StartSec + float64(k+1)*period)
-			if now := p.Now(); next > now {
-				p.Sleep(next - now)
-			}
+	// The tenant is an event chain, not a process of the simulated
+	// system: it sleeps to StartSec, then writes one burst per period
+	// until the background stops, on a task of its own that never
+	// counts toward deadlock detection.
+	t := sim.NewTask(m.Eng, "bg-burst-tenant")
+	q := &lustre.Req{T: t}
+	var offset int64
+	k := 0
+	var burst, wrote func()
+	burst = func() {
+		if !m.BackgroundStopped() {
+			client.Write(q, file, offset, burstBytes, wrote)
 		}
-	})
+	}
+	wrote = func() {
+		offset += burstBytes
+		k++
+		next := sim.Time(f.StartSec + float64(k)*period)
+		if now := m.Eng.Now(); next > now {
+			t.Sleep(next-now, burst)
+			return
+		}
+		burst()
+	}
+	m.Eng.At(m.Eng.Now(), func() { t.Sleep(sim.Duration(f.StartSec), burst) })
 	return nil
 }

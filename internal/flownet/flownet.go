@@ -289,24 +289,15 @@ func (p *Port) Start(demandMB float64, opts StreamOpts) *Stream {
 	return s
 }
 
-// Transfer moves demandMB megabytes synchronously on behalf of proc and
-// returns the transfer duration.
-func (p *Port) Transfer(proc *sim.Proc, demandMB float64, opts StreamOpts) sim.Duration {
-	start := proc.Now()
-	wake := proc.Block()
-	if userDone := opts.Done; userDone != nil {
-		opts.Done = func() {
-			userDone()
-			wake()
-		}
-	} else {
-		// Common case: the wake is the whole completion action, and it
-		// is the process's pre-allocated wake function — no closure.
-		opts.Done = wake
+// Transfer moves demandMB megabytes on behalf of task t: it parks t
+// until the stream completes, then runs k. The stream's completion is
+// t's wake, so opts.Done must be nil.
+func (p *Port) Transfer(t *sim.Task, demandMB float64, opts StreamOpts, k func()) {
+	if opts.Done != nil {
+		panic("flownet: Transfer with a Done of its own")
 	}
+	opts.Done = t.Block(k)
 	p.Start(demandMB, opts)
-	proc.Park()
-	return proc.Now() - start
 }
 
 // markDirty notes that membership or caps changed. The first change of

@@ -16,13 +16,30 @@ func newFab(t *testing.T, agg float64) (*sim.Engine, *Fabric) {
 	return eng, New(eng, Config{AggregateMBps: agg, Quantum: q})
 }
 
+// transfer spawns a task that moves demandMB through port, then hands
+// the transfer's duration and end time to done (if non-nil) and exits.
+func transfer(eng *sim.Engine, port *Port, demandMB float64, opts StreamOpts, done func(d sim.Duration, end sim.Time)) {
+	eng.Spawn("w", func(p *sim.Task) {
+		start := p.Now()
+		port.Transfer(p, demandMB, opts, func() {
+			if done != nil {
+				done(p.Now()-start, p.Now())
+			}
+			p.Exit()
+		})
+	})
+}
+
+// into returns a transfer callback that stores the duration in *d.
+func into(d *sim.Duration) func(sim.Duration, sim.Time) {
+	return func(got sim.Duration, _ sim.Time) { *d = got }
+}
+
 func TestSingleStreamDuration(t *testing.T) {
 	eng, fab := newFab(t, 100)
 	port := fab.NewPort(0)
 	var dur sim.Duration
-	eng.Spawn("w", func(p *sim.Proc) {
-		dur = port.Transfer(p, 500, StreamOpts{}) // 500 MB at 100 MB/s
-	})
+	transfer(eng, port, 500, StreamOpts{}, into(&dur)) // 500 MB at 100 MB/s
 	eng.Run()
 	if math.Abs(float64(dur)-5.0) > 2*q {
 		t.Errorf("duration %v, want ~5s", dur)
@@ -34,10 +51,7 @@ func TestEqualSharing(t *testing.T) {
 	durs := make([]sim.Duration, 4)
 	for i := 0; i < 4; i++ {
 		port := fab.NewPort(0)
-		idx := i
-		eng.Spawn("w", func(p *sim.Proc) {
-			durs[idx] = port.Transfer(p, 100, StreamOpts{})
-		})
+		transfer(eng, port, 100, StreamOpts{}, into(&durs[i]))
 	}
 	eng.Run()
 	// 4 equal streams on 4 ports, 100 MB each at 25 MB/s -> 4 s.
@@ -53,8 +67,8 @@ func TestPortCapBinds(t *testing.T) {
 	slow := fab.NewPort(10) // local link 10 MB/s
 	fast := fab.NewPort(0)
 	var dSlow, dFast sim.Duration
-	eng.Spawn("s", func(p *sim.Proc) { dSlow = slow.Transfer(p, 100, StreamOpts{}) })
-	eng.Spawn("f", func(p *sim.Proc) { dFast = fast.Transfer(p, 100, StreamOpts{}) })
+	transfer(eng, slow, 100, StreamOpts{}, into(&dSlow))
+	transfer(eng, fast, 100, StreamOpts{}, into(&dFast))
 	eng.Run()
 	if math.Abs(float64(dSlow)-10.0) > 5*q {
 		t.Errorf("capped stream duration %v, want ~10s", dSlow)
@@ -69,9 +83,7 @@ func TestStreamRateCap(t *testing.T) {
 	eng, fab := newFab(t, 1000)
 	port := fab.NewPort(0)
 	var dur sim.Duration
-	eng.Spawn("w", func(p *sim.Proc) {
-		dur = port.Transfer(p, 50, StreamOpts{RateCap: 5})
-	})
+	transfer(eng, port, 50, StreamOpts{RateCap: 5}, into(&dur))
 	eng.Run()
 	if math.Abs(float64(dur)-10.0) > 5*q {
 		t.Errorf("rate-capped duration %v, want ~10s", dur)
@@ -83,10 +95,7 @@ func TestWithinPortFairness(t *testing.T) {
 	port := fab.NewPort(0)
 	durs := make([]sim.Duration, 4)
 	for i := 0; i < 4; i++ {
-		idx := i
-		eng.Spawn("w", func(p *sim.Proc) {
-			durs[idx] = port.Transfer(p, 100, StreamOpts{})
-		})
+		transfer(eng, port, 100, StreamOpts{}, into(&durs[i]))
 	}
 	eng.Run()
 	// 4 streams share one port at 40 MB/s -> 10 MB/s each -> 10 s.
@@ -102,8 +111,8 @@ func TestWeightedPorts(t *testing.T) {
 	heavy := fab.NewWeightedPort(0, 3)
 	light := fab.NewWeightedPort(0, 1)
 	var dHeavy, dLight sim.Duration
-	eng.Spawn("h", func(p *sim.Proc) { dHeavy = heavy.Transfer(p, 300, StreamOpts{}) })
-	eng.Spawn("l", func(p *sim.Proc) { dLight = light.Transfer(p, 100, StreamOpts{}) })
+	transfer(eng, heavy, 300, StreamOpts{}, into(&dHeavy))
+	transfer(eng, light, 100, StreamOpts{}, into(&dLight))
 	eng.Run()
 	// heavy gets 75 MB/s, light 25 MB/s -> both finish at 4 s.
 	if math.Abs(float64(dHeavy)-4.0) > 5*q {
@@ -119,12 +128,8 @@ func TestResidualRedistribution(t *testing.T) {
 	capped := fab.NewPort(0)
 	free := fab.NewPort(0)
 	var dFree sim.Duration
-	eng.Spawn("c", func(p *sim.Proc) {
-		capped.Transfer(p, 1000, StreamOpts{RateCap: 10})
-	})
-	eng.Spawn("f", func(p *sim.Proc) {
-		dFree = free.Transfer(p, 90, StreamOpts{})
-	})
+	transfer(eng, capped, 1000, StreamOpts{RateCap: 10}, nil)
+	transfer(eng, free, 90, StreamOpts{}, into(&dFree))
 	eng.Run()
 	// capped stream uses 10 MB/s; free one should get ~90 MB/s -> 1 s.
 	if math.Abs(float64(dFree)-1.0) > 5*q {
@@ -136,10 +141,22 @@ func TestSequentialTransfersAccumulate(t *testing.T) {
 	eng, fab := newFab(t, 50)
 	port := fab.NewPort(0)
 	var total sim.Duration
-	eng.Spawn("w", func(p *sim.Proc) {
-		for i := 0; i < 4; i++ {
-			total += port.Transfer(p, 25, StreamOpts{}) // 0.5s each
+	eng.Spawn("w", func(p *sim.Task) {
+		i := 0
+		var next func()
+		next = func() {
+			if i == 4 {
+				p.Exit()
+				return
+			}
+			i++
+			start := p.Now()
+			port.Transfer(p, 25, StreamOpts{}, func() { // 0.5s each
+				total += p.Now() - start
+				next()
+			})
 		}
+		next()
 	})
 	eng.Run()
 	if math.Abs(float64(total)-2.0) > 10*q {
@@ -151,9 +168,7 @@ func TestZeroDemandCompletesImmediately(t *testing.T) {
 	eng, fab := newFab(t, 10)
 	port := fab.NewPort(0)
 	var dur sim.Duration
-	eng.Spawn("w", func(p *sim.Proc) {
-		dur = port.Transfer(p, 0, StreamOpts{})
-	})
+	transfer(eng, port, 0, StreamOpts{}, into(&dur))
 	eng.Run()
 	if dur != 0 {
 		t.Errorf("zero-demand duration %v, want 0", dur)
@@ -165,12 +180,9 @@ func TestLateJoinerShares(t *testing.T) {
 	a := fab.NewPort(0)
 	b := fab.NewPort(0)
 	var dA sim.Duration
-	eng.Spawn("a", func(p *sim.Proc) {
-		dA = a.Transfer(p, 150, StreamOpts{})
-	})
-	eng.Spawn("b", func(p *sim.Proc) {
-		p.Sleep(1)
-		b.Transfer(p, 1000, StreamOpts{})
+	transfer(eng, a, 150, StreamOpts{}, into(&dA))
+	eng.Spawn("b", func(p *sim.Task) {
+		p.Sleep(1, func() { b.Transfer(p, 1000, StreamOpts{}, p.Exit) })
 	})
 	eng.Run()
 	// a runs alone at 100 MB/s for 1 s (100 MB), then shares at 50 MB/s
@@ -193,10 +205,7 @@ func TestConservationProperty(t *testing.T) {
 		for i := 0; i < np; i++ {
 			port := fab.NewPort(0)
 			for j := 0; j < pp; j++ {
-				eng.Spawn("w", func(p *sim.Proc) {
-					port.Transfer(p, 100, StreamOpts{})
-					last = p.Now()
-				})
+				transfer(eng, port, 100, StreamOpts{}, func(_ sim.Duration, end sim.Time) { last = end })
 			}
 		}
 		eng.Run()
@@ -212,12 +221,8 @@ func TestWithinPortWeights(t *testing.T) {
 	eng, fab := newFab(t, 100)
 	port := fab.NewPort(0)
 	var dHeavy, dLight sim.Duration
-	eng.Spawn("h", func(p *sim.Proc) {
-		dHeavy = port.Transfer(p, 75, StreamOpts{Weight: 3})
-	})
-	eng.Spawn("l", func(p *sim.Proc) {
-		dLight = port.Transfer(p, 25, StreamOpts{Weight: 1})
-	})
+	transfer(eng, port, 75, StreamOpts{Weight: 3}, into(&dHeavy))
+	transfer(eng, port, 25, StreamOpts{Weight: 1}, into(&dLight))
 	eng.Run()
 	// Weighted shares 75/25 MB/s: both finish at ~1 s.
 	if math.Abs(float64(dHeavy)-1) > 5*q || math.Abs(float64(dLight)-1) > 5*q {
@@ -234,12 +239,7 @@ func TestManyStreamsBatchMode(t *testing.T) {
 	for i := 0; i < 150; i++ {
 		port := fab.NewPort(0)
 		for j := 0; j < 4; j++ {
-			eng.Spawn("w", func(p *sim.Proc) {
-				port.Transfer(p, 10, StreamOpts{})
-				if p.Now() > last {
-					last = p.Now()
-				}
-			})
+			transfer(eng, port, 10, StreamOpts{}, func(_ sim.Duration, end sim.Time) { last = max(last, end) })
 		}
 	}
 	eng.Run()
@@ -256,16 +256,16 @@ func TestStreamRateObservable(t *testing.T) {
 	eng, fab := newFab(t, 100)
 	port := fab.NewPort(0)
 	var st *Stream
-	eng.Spawn("w", func(p *sim.Proc) {
-		wake := p.Block()
-		st = port.Start(100, StreamOpts{Done: wake})
-		p.Park()
+	eng.Spawn("w", func(p *sim.Task) {
+		st = port.Start(100, StreamOpts{Done: p.Block(p.Exit)})
 	})
-	eng.Spawn("check", func(p *sim.Proc) {
-		p.Sleep(0.5)
-		if r := st.Rate(); math.Abs(r-100) > 1 {
-			t.Errorf("mid-flight rate %v, want ~100", r)
-		}
+	eng.Spawn("check", func(p *sim.Task) {
+		p.Sleep(0.5, func() {
+			if r := st.Rate(); math.Abs(r-100) > 1 {
+				t.Errorf("mid-flight rate %v, want ~100", r)
+			}
+			p.Exit()
+		})
 	})
 	eng.Run()
 }

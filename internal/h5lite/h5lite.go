@@ -15,7 +15,12 @@
 // A Layout computes every offset once per job from the creation
 // schema, and every rank's File shares it, as HDF5 collective mode
 // has every rank agree on one layout. A File holds only its
-// descriptor, its I/O surface and its role.
+// descriptor, its I/O surface and its role; only the metadata writer
+// also keeps flush state.
+//
+// Every File call takes a posixio.Done completion and returns at once,
+// like the IO calls beneath it; the completion runs exactly once, with
+// the error if the call failed.
 package h5lite
 
 import (
@@ -23,16 +28,15 @@ import (
 	"fmt"
 
 	"ensembleio/internal/posixio"
-	"ensembleio/internal/sim"
 )
 
 // IO is the POSIX surface h5lite drives; *ipmio.Tracer and
-// *posixio.Task both satisfy it via thin adapters or directly.
+// *posixio.Task both satisfy it.
 type IO interface {
-	Open(p *sim.Proc, path string, flags int) (int, error)
-	Close(p *sim.Proc, fd int) error
-	Pwrite(p *sim.Proc, fd int, offset, n int64) (int64, error)
-	Pread(p *sim.Proc, fd int, offset, n int64) (int64, error)
+	Open(path string, flags int, k posixio.Done) int
+	Close(fd int, k posixio.Done)
+	Pwrite(fd int, offset, n int64, k posixio.Done)
+	Pread(fd int, offset, n int64, k posixio.Done)
 }
 
 // FileOpts configures a file's layout.
@@ -150,6 +154,22 @@ type File struct {
 	l          *Layout
 	metaWriter bool
 	closed     bool
+	c          *fileCall // see fileCall; nil until a call needs it
+}
+
+// fileCall is the slot of a File's outstanding multi-step call — one
+// whose completion has work left to do — with the metadata writer's
+// flush state. Only ranks that make such calls allocate one: the
+// metadata writer at Create, any rank at its first ReadRecord.
+type fileCall struct {
+	f     *File
+	state callState
+	k     posixio.Done // the caller's completion
+	step  posixio.Done // c.resume: what the IO completes into
+
+	ds, i          int   // FlushMetadata: dataset and ops issued
+	off, remaining int64 // Close: next aggregated chunk and bytes left
+	want           int64 // ReadRecord: the record size
 
 	// The metadata writer's flush state: bytes awaiting Close in
 	// aggregated mode, or each dataset's next metadata offset in
@@ -158,27 +178,93 @@ type File struct {
 	metaCursor  []int64
 }
 
-// Create creates (or, for non-creating ranks, opens) the file with
-// layout l. The metadata writer (HDF5 funnels metadata through one
-// writer; GCRM used task 0) writes the superblock.
-func Create(p *sim.Proc, io IO, path string, l *Layout, metadataWriter bool) (*File, error) {
-	fd, err := io.Open(p, path, posixio.OCreat|posixio.ORdwr)
-	if err != nil {
-		return nil, fmt.Errorf("h5lite: create %s: %w", path, err)
-	}
-	f := &File{io: io, fd: fd, l: l, metaWriter: metadataWriter}
+// callState is what a fileCall's pending IO completes into.
+type callState uint8
+
+const (
+	callCreate callState = iota
+	callLast             // the call's last IO: complete with its result
+	callFlush
+	callClose
+	callRead
+)
+
+// NewFile returns a rank's handle on a file with layout l, not yet open.
+// The metadata writer (HDF5 funnels metadata through one writer; GCRM
+// used task 0) writes the superblock at Create and every dataset's
+// metadata.
+func NewFile(io IO, l *Layout, metadataWriter bool) *File {
+	f := &File{io: io, l: l, metaWriter: metadataWriter}
 	if metadataWriter {
+		c := f.call()
 		if !l.opts.AggregateMetadata {
-			f.metaCursor = make([]int64, len(l.datasets))
+			c.metaCursor = make([]int64, len(l.datasets))
 			for i := range l.datasets {
-				f.metaCursor[i] = l.datasets[i].MetaBase
+				c.metaCursor[i] = l.datasets[i].MetaBase
 			}
 		}
-		if err := f.metaWrite(p, 0, l.opts.SuperblockBytes); err != nil {
-			return nil, err
-		}
 	}
-	return f, nil
+	return f
+}
+
+// call returns the file's call slot, allocating it on first use.
+func (f *File) call() *fileCall {
+	if f.c == nil {
+		f.c = &fileCall{f: f}
+		f.c.step = f.c.resume
+	}
+	return f.c
+}
+
+// begin starts a multi-step call that completes with k and returns the
+// completion for its first IO.
+func (c *fileCall) begin(s callState, k posixio.Done) posixio.Done {
+	c.state, c.k = s, k
+	return c.step
+}
+
+func (c *fileCall) finish(n int64, err error) {
+	k := c.k
+	c.k = nil
+	k(n, err)
+}
+
+// resume continues the outstanding call once its IO completes.
+func (c *fileCall) resume(n int64, err error) {
+	f := c.f
+	if err != nil {
+		c.finish(n, err)
+		return
+	}
+	switch c.state {
+	case callCreate:
+		f.fd = int(n)
+		c.state = callLast
+		f.io.Pwrite(f.fd, 0, f.l.opts.SuperblockBytes, c.step)
+	case callLast:
+		c.finish(n, nil)
+	case callFlush:
+		c.metaCursor[c.ds] += f.l.opts.MetaOpBytes
+		c.flushNext()
+	case callClose:
+		c.closeNext()
+	case callRead:
+		if n != c.want {
+			err = fmt.Errorf("h5lite: short read: %d of %d bytes", n, c.want)
+		}
+		c.finish(n, err)
+	}
+}
+
+// Create creates (or, for non-creating ranks, opens) the file at path.
+// The metadata writer then writes the superblock.
+func (f *File) Create(path string, k posixio.Done) {
+	const flags = posixio.OCreat | posixio.ORdwr
+	if f.metaWriter {
+		f.fd = f.io.Open(path, flags, f.c.begin(callCreate, k))
+		return
+	}
+	f.fd = f.io.Open(path, flags, k)
 }
 
 // record checks idx against dataset ds's extent.
@@ -193,87 +279,100 @@ func (f *File) record(ds, idx int) (*Dataset, error) {
 // WriteRecord writes record idx of dataset ds. With alignment enabled
 // the write is padded to the full stride so it lands as whole-stripe
 // RPCs.
-func (f *File) WriteRecord(p *sim.Proc, ds, idx int) error {
+func (f *File) WriteRecord(ds, idx int, k posixio.Done) {
 	d, err := f.record(ds, idx)
 	if err != nil {
-		return err
+		k(0, err)
+		return
 	}
 	n := d.RecordBytes
 	if f.l.opts.Alignment > 0 {
 		n = d.Stride
 	}
-	_, err = f.io.Pwrite(p, f.fd, d.RecordOffset(idx), n)
-	return err
+	f.io.Pwrite(f.fd, d.RecordOffset(idx), n, k)
 }
 
 // ReadRecord reads record idx of dataset ds back (the
-// analysis/visualization path of the GCRM pipeline). It returns an
-// error for out-of-range indices or short reads.
-func (f *File) ReadRecord(p *sim.Proc, ds, idx int) error {
+// analysis/visualization path of the GCRM pipeline). It fails for
+// out-of-range indices and short reads.
+func (f *File) ReadRecord(ds, idx int, k posixio.Done) {
 	d, err := f.record(ds, idx)
 	if err != nil {
-		return err
+		k(0, err)
+		return
 	}
-	n, err := f.io.Pread(p, f.fd, d.RecordOffset(idx), d.RecordBytes)
-	if err != nil {
-		return err
-	}
-	if n != d.RecordBytes {
-		return fmt.Errorf("h5lite: short read of record %d: %d of %d bytes", idx, n, d.RecordBytes)
-	}
-	return nil
+	c := f.call()
+	c.want = d.RecordBytes
+	f.io.Pread(f.fd, d.RecordOffset(idx), d.RecordBytes, c.begin(callRead, k))
 }
 
 // FlushMetadata emits dataset ds's metadata. In immediate mode the
 // metadata-writing rank issues MetaOps small serialized writes; in
 // aggregated mode the bytes are buffered for Close. Non-metadata-
-// writer ranks return immediately.
-func (f *File) FlushMetadata(p *sim.Proc, ds int) error {
+// writer ranks complete at once.
+func (f *File) FlushMetadata(ds int, k posixio.Done) {
 	if !f.metaWriter {
-		return nil
+		k(0, nil)
+		return
 	}
+	c := f.c
 	d, opts := f.l.Dataset(ds), &f.l.opts
 	if opts.AggregateMetadata {
-		f.pendingMeta += int64(d.MetaOps) * opts.MetaOpBytes
-		return nil
+		c.pendingMeta += int64(d.MetaOps) * opts.MetaOpBytes
+		k(0, nil)
+		return
 	}
-	for i := 0; i < d.MetaOps; i++ {
-		if err := f.metaWrite(p, f.metaCursor[ds], opts.MetaOpBytes); err != nil {
-			return err
-		}
-		f.metaCursor[ds] += opts.MetaOpBytes
-	}
-	return nil
+	c.begin(callFlush, k)
+	c.ds, c.i = ds, 0
+	c.flushNext()
 }
 
-func (f *File) metaWrite(p *sim.Proc, off, n int64) error {
-	_, err := f.io.Pwrite(p, f.fd, off, n)
-	return err
+// flushNext issues the flush's next metadata write, or completes it.
+func (c *fileCall) flushNext() {
+	f := c.f
+	if c.i == f.l.Dataset(c.ds).MetaOps {
+		c.finish(0, nil)
+		return
+	}
+	c.i++
+	f.io.Pwrite(f.fd, c.metaCursor[c.ds], f.l.opts.MetaOpBytes, c.step)
 }
 
 // Close flushes aggregated metadata (as large aligned writes at the
 // end of the file) and closes the descriptor.
-func (f *File) Close(p *sim.Proc) error {
+func (f *File) Close(k posixio.Done) {
 	if f.closed {
-		return errors.New("h5lite: double close")
+		k(0, errors.New("h5lite: double close"))
+		return
 	}
 	f.closed = true
-	if f.pendingMeta > 0 {
-		const chunk = 1e6 // 1 MB aggregated metadata writes
-		align := f.l.opts.Alignment
-		off := roundUp(f.l.end, align)
-		remaining := f.pendingMeta
-		for remaining > 0 {
-			n := int64(chunk)
-			if remaining < n {
-				n = roundUp(remaining, align) // pad the final chunk too
-			}
-			if err := f.metaWrite(p, off, n); err != nil {
-				return err
-			}
-			off += n
-			remaining -= int64(chunk)
-		}
+	if c := f.c; c != nil && c.pendingMeta > 0 {
+		c.begin(callClose, k)
+		c.off = roundUp(f.l.end, f.l.opts.Alignment)
+		c.remaining = c.pendingMeta
+		c.closeNext()
+		return
 	}
-	return f.io.Close(p, f.fd)
+	f.io.Close(f.fd, k)
+}
+
+// closeNext issues the next 1 MB aggregated metadata write, padding
+// the final chunk, then closes the descriptor.
+func (c *fileCall) closeNext() {
+	f := c.f
+	if c.remaining <= 0 {
+		k := c.k
+		c.k = nil
+		f.io.Close(f.fd, k)
+		return
+	}
+	const chunk = 1e6 // 1 MB aggregated metadata writes
+	n := int64(chunk)
+	if c.remaining < n {
+		n = roundUp(c.remaining, f.l.opts.Alignment) // pad the final chunk too
+	}
+	off := c.off
+	c.off += n
+	c.remaining -= int64(chunk)
+	f.io.Pwrite(f.fd, off, n, c.step)
 }

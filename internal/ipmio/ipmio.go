@@ -192,111 +192,106 @@ func (c *Collector) OpEvents(op Op) []Event {
 }
 
 // Tracer wraps one rank's posixio.Task, recording an event per call.
+// Like the task it wraps, it has at most one call outstanding; the
+// call's arguments wait in the tracer until the call completes.
 type Tracer struct {
 	Task *posixio.Task
 	C    *Collector
+
+	op     Op
+	fd     int
+	path   string
+	offset int64
+	start  sim.Time
+	k      posixio.Done
+	doneFn posixio.Done
 }
 
 // NewTracer wraps task, reporting to c.
 func NewTracer(task *posixio.Task, c *Collector) *Tracer {
-	return &Tracer{Task: task, C: c}
+	tr := &Tracer{Task: task, C: c}
+	tr.doneFn = tr.done
+	return tr
 }
 
-func (tr *Tracer) record(p *sim.Proc, op Op, fd int, offset, bytes int64, start sim.Time) {
+// begin records the arguments of a call issued now on fd, which names
+// path, and returns the completion to issue it with.
+func (tr *Tracer) begin(op Op, fd int, path string, offset int64, k posixio.Done) posixio.Done {
+	tr.op, tr.fd, tr.path, tr.offset, tr.k = op, fd, path, offset, k
+	tr.start = tr.Task.Now()
+	return tr.doneFn
+}
+
+// call begins a call on an open descriptor.
+func (tr *Tracer) call(op Op, fd int, offset int64, k posixio.Done) posixio.Done {
 	path, _ := tr.Task.Path(fd)
-	tr.C.Record(Event{
-		Rank:   tr.Task.Rank,
-		Op:     op,
-		FD:     fd,
-		File:   path,
-		Offset: offset,
-		Bytes:  bytes,
-		Start:  start,
-		Dur:    p.Now() - start,
-	})
+	return tr.begin(op, fd, path, offset, k)
+}
+
+// done records the completed call, unless it failed, and hands its
+// result on.
+func (tr *Tracer) done(n int64, err error) {
+	k := tr.k
+	tr.k = nil
+	if err == nil {
+		ev := Event{Rank: tr.Task.Rank, Op: tr.op, FD: tr.fd, File: tr.path, Offset: tr.offset, Start: tr.start, Dur: tr.Task.Now() - tr.start}
+		switch tr.op {
+		case OpOpen:
+			ev.FD = int(n)
+		case OpRead, OpWrite:
+			ev.Bytes = n
+		}
+		tr.C.Record(ev)
+	}
+	k(n, err)
 }
 
 // Open intercepts posixio.Task.Open.
-func (tr *Tracer) Open(p *sim.Proc, path string, flags int) (int, error) {
-	start := p.Now()
-	fd, err := tr.Task.Open(p, path, flags)
-	if err == nil {
-		tr.record(p, OpOpen, fd, 0, 0, start)
-	}
-	return fd, err
+func (tr *Tracer) Open(path string, flags int, k posixio.Done) int {
+	return tr.Task.Open(path, flags, tr.begin(OpOpen, 0, path, 0, k))
 }
 
 // Close intercepts posixio.Task.Close.
-func (tr *Tracer) Close(p *sim.Proc, fd int) error {
-	start := p.Now()
-	path, _ := tr.Task.Path(fd)
-	err := tr.Task.Close(p, fd)
-	if err == nil {
-		tr.C.Record(Event{Rank: tr.Task.Rank, Op: OpClose, FD: fd, File: path, Start: start, Dur: p.Now() - start})
-	}
-	return err
+func (tr *Tracer) Close(fd int, k posixio.Done) {
+	tr.Task.Close(fd, tr.call(OpClose, fd, 0, k))
 }
 
 // Read intercepts posixio.Task.Read.
-func (tr *Tracer) Read(p *sim.Proc, fd int, n int64) (int64, error) {
-	start := p.Now()
+func (tr *Tracer) Read(fd int, n int64, k posixio.Done) {
 	off, _ := tr.Task.Offset(fd)
-	got, err := tr.Task.Read(p, fd, n)
-	if err == nil {
-		tr.record(p, OpRead, fd, off, got, start)
-	}
-	return got, err
+	tr.Task.Read(fd, n, tr.call(OpRead, fd, off, k))
 }
 
 // Write intercepts posixio.Task.Write.
-func (tr *Tracer) Write(p *sim.Proc, fd int, n int64) (int64, error) {
-	start := p.Now()
+func (tr *Tracer) Write(fd int, n int64, k posixio.Done) {
 	off, _ := tr.Task.Offset(fd)
-	got, err := tr.Task.Write(p, fd, n)
-	if err == nil {
-		tr.record(p, OpWrite, fd, off, got, start)
-	}
-	return got, err
+	tr.Task.Write(fd, n, tr.call(OpWrite, fd, off, k))
 }
 
 // Pread intercepts posixio.Task.Pread.
-func (tr *Tracer) Pread(p *sim.Proc, fd int, offset, n int64) (int64, error) {
-	start := p.Now()
-	got, err := tr.Task.Pread(p, fd, offset, n)
-	if err == nil {
-		tr.record(p, OpRead, fd, offset, got, start)
-	}
-	return got, err
+func (tr *Tracer) Pread(fd int, offset, n int64, k posixio.Done) {
+	tr.Task.Pread(fd, offset, n, tr.call(OpRead, fd, offset, k))
 }
 
 // Pwrite intercepts posixio.Task.Pwrite.
-func (tr *Tracer) Pwrite(p *sim.Proc, fd int, offset, n int64) (int64, error) {
-	start := p.Now()
-	got, err := tr.Task.Pwrite(p, fd, offset, n)
-	if err == nil {
-		tr.record(p, OpWrite, fd, offset, got, start)
-	}
-	return got, err
+func (tr *Tracer) Pwrite(fd int, offset, n int64, k posixio.Done) {
+	tr.Task.Pwrite(fd, offset, n, tr.call(OpWrite, fd, offset, k))
 }
 
 // Seek intercepts posixio.Task.Seek (zero-duration, still traced: the
 // access pattern matters to diagnosis).
-func (tr *Tracer) Seek(p *sim.Proc, fd int, offset int64, whence int) (int64, error) {
-	start := p.Now()
+func (tr *Tracer) Seek(fd int, offset int64, whence int) (int64, error) {
+	start := tr.Task.Now()
 	pos, err := tr.Task.Seek(fd, offset, whence)
 	if err == nil {
-		tr.record(p, OpSeek, fd, pos, 0, start)
+		path, _ := tr.Task.Path(fd)
+		tr.C.Record(Event{Rank: tr.Task.Rank, Op: OpSeek, FD: fd, File: path, Offset: pos, Start: start})
 	}
 	return pos, err
 }
 
 // Fsync intercepts posixio.Task.Fsync.
-func (tr *Tracer) Fsync(p *sim.Proc, fd int) error {
-	start := p.Now()
+func (tr *Tracer) Fsync(fd int, k posixio.Done) {
 	off, _ := tr.Task.Offset(fd)
-	err := tr.Task.Fsync(p, fd)
-	if err == nil {
-		tr.record(p, OpFsync, fd, off, 0, start)
-	}
-	return err
+	tr.Task.Fsync(fd, tr.call(OpFsync, fd, off, k))
 }

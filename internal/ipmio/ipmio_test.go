@@ -11,7 +11,17 @@ import (
 	"ensembleio/internal/sim"
 )
 
-func tracedTask(mode Mode) (*sim.Engine, *Tracer, *Collector) {
+// call is one step of a test script: it issues at most one call on tr
+// with completion k (calling k itself if it issues none), given the
+// previous call's result.
+type call func(tr *Tracer, n int64, err error, k posixio.Done)
+
+// fd is the descriptor a script's first Open returns.
+const fd = 3
+
+// tracedTask returns an engine, a function that spawns one traced task
+// running a script of calls, and the task's collector.
+func tracedTask(mode Mode) (*sim.Engine, func(calls ...call), *Collector) {
 	eng := sim.NewEngine()
 	prof := cluster.Franklin()
 	prof.NoiseSigma = 0
@@ -21,20 +31,42 @@ func tracedTask(mode Mode) (*sim.Engine, *Tracer, *Collector) {
 	cl := cluster.New(eng, prof, 1, 21)
 	sys := posixio.NewSystem(lustre.NewFS(cl))
 	col := NewCollector(mode)
-	tr := NewTracer(sys.NewTask(0, cl.Nodes[0]), col)
-	return eng, tr, col
+	spawn := func(calls ...call) {
+		eng.Spawn("t", func(p *sim.Task) {
+			tr := NewTracer(sys.NewTask(0, cl.Nodes[0], p), col)
+			i := 0
+			var next posixio.Done
+			next = func(n int64, err error) {
+				if i == len(calls) {
+					p.Exit()
+					return
+				}
+				i++
+				calls[i-1](tr, n, err, next)
+			}
+			next(0, nil)
+		})
+	}
+	return eng, spawn, col
+}
+
+func open(flags int) call {
+	return func(tr *Tracer, _ int64, _ error, k posixio.Done) { tr.Open("/scratch/f", flags, k) }
+}
+
+func write(n int64) call {
+	return func(tr *Tracer, _ int64, _ error, k posixio.Done) { tr.Write(fd, n, k) }
 }
 
 func TestTraceRecordsEveryCall(t *testing.T) {
-	eng, tr, col := tracedTask(TraceMode)
-	eng.Spawn("t", func(p *sim.Proc) {
-		fd, _ := tr.Open(p, "/scratch/f", posixio.OCreat|posixio.ORdwr)
-		tr.Write(p, fd, 30e6)
-		tr.Seek(p, fd, 0, posixio.SeekSet)
-		tr.Read(p, fd, 10e6)
-		tr.Fsync(p, fd)
-		tr.Close(p, fd)
-	})
+	eng, spawn, col := tracedTask(TraceMode)
+	spawn(open(posixio.OCreat|posixio.ORdwr), write(30e6),
+		func(tr *Tracer, _ int64, _ error, k posixio.Done) {
+			tr.Seek(fd, 0, posixio.SeekSet)
+			tr.Read(fd, 10e6, k)
+		},
+		func(tr *Tracer, _ int64, _ error, k posixio.Done) { tr.Fsync(fd, k) },
+		func(tr *Tracer, _ int64, _ error, k posixio.Done) { tr.Close(fd, k) })
 	eng.Run()
 	wantOps := []Op{OpOpen, OpWrite, OpSeek, OpRead, OpFsync, OpClose}
 	if len(col.Events) != len(wantOps) {
@@ -45,6 +77,9 @@ func TestTraceRecordsEveryCall(t *testing.T) {
 			t.Errorf("event %d op %v, want %v", i, col.Events[i].Op, want)
 		}
 	}
+	if o := col.Events[0]; o.FD != fd || o.File != "/scratch/f" {
+		t.Errorf("open event wrong: %+v", o)
+	}
 	w := col.Events[1]
 	if w.Bytes != 30e6 || w.File != "/scratch/f" || w.Offset != 0 || w.Dur <= 0 {
 		t.Errorf("write event wrong: %+v", w)
@@ -52,6 +87,9 @@ func TestTraceRecordsEveryCall(t *testing.T) {
 	r := col.Events[3]
 	if r.Bytes != 10e6 || r.Offset != 0 {
 		t.Errorf("read event wrong: %+v", r)
+	}
+	if c := col.Events[5]; c.FD != fd || c.File != "/scratch/f" {
+		t.Errorf("close event wrong: %+v", c)
 	}
 	// Events are in start order and timestamps are consistent.
 	for i := 1; i < len(col.Events); i++ {
@@ -62,30 +100,30 @@ func TestTraceRecordsEveryCall(t *testing.T) {
 }
 
 func TestFailedCallsNotRecorded(t *testing.T) {
-	eng, tr, col := tracedTask(TraceMode)
-	eng.Spawn("t", func(p *sim.Proc) {
-		if _, err := tr.Open(p, "/scratch/missing", posixio.ORdonly); err == nil {
-			t.Error("expected open failure")
-		}
-		if _, err := tr.Read(p, 99, 10); err == nil {
-			t.Error("expected read failure")
-		}
-	})
+	eng, spawn, col := tracedTask(TraceMode)
+	var errs []error
+	note := func(tr *Tracer, _ int64, err error, k posixio.Done) {
+		errs = append(errs, err)
+		k(0, nil)
+	}
+	spawn(func(tr *Tracer, _ int64, _ error, k posixio.Done) { tr.Open("/scratch/missing", posixio.ORdonly, k) }, note,
+		func(tr *Tracer, _ int64, _ error, k posixio.Done) { tr.Read(99, 10, k) }, note)
 	eng.Run()
+	if len(errs) != 2 || errs[0] == nil || errs[1] == nil {
+		t.Errorf("errors %v, want an open and a read failure", errs)
+	}
 	if len(col.Events) != 0 {
 		t.Errorf("%d events recorded for failed calls, want 0", len(col.Events))
 	}
 }
 
 func TestProfileModeAgreesWithTraceMode(t *testing.T) {
-	eng, tr, col := tracedTask(TraceMode | ProfileMode)
-	eng.Spawn("t", func(p *sim.Proc) {
-		fd, _ := tr.Open(p, "/scratch/f", posixio.OCreat|posixio.ORdwr)
-		for i := 0; i < 20; i++ {
-			tr.Write(p, fd, 20e6)
-		}
-		tr.Close(p, fd)
-	})
+	eng, spawn, col := tracedTask(TraceMode | ProfileMode)
+	calls := []call{open(posixio.OCreat | posixio.ORdwr)}
+	for i := 0; i < 20; i++ {
+		calls = append(calls, write(20e6))
+	}
+	spawn(append(calls, func(tr *Tracer, _ int64, _ error, k posixio.Done) { tr.Close(fd, k) })...)
 	eng.Run()
 
 	writes := ensemble.NewDataset(nil)
@@ -107,11 +145,8 @@ func TestProfileModeAgreesWithTraceMode(t *testing.T) {
 }
 
 func TestProfileOnlyRetainsNoEvents(t *testing.T) {
-	eng, tr, col := tracedTask(ProfileMode)
-	eng.Spawn("t", func(p *sim.Proc) {
-		fd, _ := tr.Open(p, "/scratch/f", posixio.OCreat|posixio.OWronly)
-		tr.Write(p, fd, 20e6)
-	})
+	eng, spawn, col := tracedTask(ProfileMode)
+	spawn(open(posixio.OCreat|posixio.OWronly), write(20e6))
 	eng.Run()
 	if len(col.Events) != 0 {
 		t.Error("profile-only collector retained events")
@@ -132,14 +167,14 @@ func TestRateMBps(t *testing.T) {
 }
 
 func TestMarksAndOpEvents(t *testing.T) {
-	eng, tr, col := tracedTask(TraceMode)
-	eng.Spawn("t", func(p *sim.Proc) {
-		col.Mark("phase1", p.Now())
-		fd, _ := tr.Open(p, "/scratch/f", posixio.OCreat|posixio.OWronly)
-		tr.Write(p, fd, 20e6)
-		col.Mark("phase2", p.Now())
-		tr.Write(p, fd, 20e6)
-	})
+	eng, spawn, col := tracedTask(TraceMode)
+	mark := func(name string) call {
+		return func(tr *Tracer, _ int64, _ error, k posixio.Done) {
+			col.Mark(name, tr.Task.Now())
+			k(0, nil)
+		}
+	}
+	spawn(mark("phase1"), open(posixio.OCreat|posixio.OWronly), write(20e6), mark("phase2"), write(20e6))
 	eng.Run()
 	if len(col.Marks) != 2 || col.Marks[0].Name != "phase1" {
 		t.Errorf("marks wrong: %+v", col.Marks)

@@ -227,6 +227,10 @@ func intrinsicFact(fn *types.Func) (fact, string) {
 		if lint.SchedulerFuncs[name] {
 			return factSched, "runtime." + name + " depends on the Go scheduler"
 		}
+	case "iter":
+		if lint.CoroutineFuncs[name] {
+			return factGoroutine, "iter." + name + " runs its sequence as a coroutine on a goroutine of its own"
+		}
 	}
 	return 0, ""
 }

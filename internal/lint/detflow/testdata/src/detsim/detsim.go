@@ -58,6 +58,12 @@ func Fanout() {
 	helpers.Fan(func() {}) // want `call to .*helpers\.Fan launders a goroutine launch into simulator code`
 }
 
+// Pulled launders a coroutine: a process body pulled through package
+// iter runs on a goroutine of its own.
+func Pulled() int {
+	return helpers.Coroutine(func(yield func(int) bool) { yield(1) }) // want `call to .*helpers\.Coroutine launders a goroutine launch into simulator code`
+}
+
 // Memo launders a sync.Map-backed cache into the simulator: memo
 // caches on this side must be map-free.
 func Memo() int {

@@ -27,3 +27,8 @@ func Stamp() int64 {
 func Par() {
 	helpers.Fan(func() {})
 }
+
+// Pulled pulls through a coroutine. Legal here for the same reason.
+func Pulled() int {
+	return helpers.Coroutine(func(yield func(int) bool) { yield(1) })
+}

@@ -5,6 +5,7 @@
 package helpers
 
 import (
+	coro "iter"
 	"math/rand"
 	"sync"
 	"time"
@@ -79,6 +80,15 @@ func Fan(f func()) {
 	done := make(chan struct{})
 	go func() { f(); close(done) }()
 	<-done
+}
+
+// Coroutine pulls one value from seq. The pull runs seq as a coroutine
+// on a goroutine of its own: a goroutine launch behind package iter.
+func Coroutine(seq func(yield func(int) bool)) int {
+	next, stop := coro.Pull(seq)
+	defer stop()
+	v, _ := next()
+	return v
 }
 
 // Memoized caches f's result in a sync.Map — the scheduler-shaped

@@ -19,8 +19,10 @@ import (
 var SimPurity = &Analyzer{
 	Name: "simpurity",
 	Doc: `forbid wall-clock time, global math/rand, scheduler-sensitive
-runtime calls, sync.Pool, sync.Map, goroutine launches, and
-internal/runpool imports in simulator packages; use the sim.Engine
+runtime calls, sync.Pool, sync.Map, goroutine launches (coroutines
+from package iter included), and internal/runpool imports in
+simulator packages; park simulated processes as sim.Task
+continuations, use the sim.Engine
 virtual clock (sim.Time) and the engine's seeded *sim.RNG, recycle
 objects through engine-owned free lists, key caches on deterministic
 slices, and fan only whole
@@ -65,6 +67,12 @@ var SeededRandCtors = map[string]bool{
 var SchedulerFuncs = map[string]bool{
 	"GOMAXPROCS": true, "NumCPU": true, "NumGoroutine": true, "Gosched": true,
 }
+
+// CoroutineFuncs are the "iter" entry points that run a sequence as a
+// coroutine: each call starts a goroutine with a stack of its own.
+// Simulated processes are continuations on the event loop instead
+// (sim.Task), so one of these in simulator code is a goroutine launch.
+var CoroutineFuncs = map[string]bool{"Pull": true, "Pull2": true}
 
 func runSimPurity(pass *Pass) {
 	for _, file := range pass.Files {
@@ -113,6 +121,10 @@ func runSimPurity(pass *Pass) {
 			case "runtime":
 				if SchedulerFuncs[name] {
 					pass.Reportf(sel.Pos(), "scheduler-sensitive runtime.%s in simulator code; simulation results must not depend on GOMAXPROCS or goroutine scheduling", name)
+				}
+			case "iter":
+				if CoroutineFuncs[name] {
+					pass.Reportf(sel.Pos(), "coroutine iter.%s in simulator code launches a goroutine; a simulated process is a sim.Task, whose blocking calls take a continuation", name)
 				}
 			case "sync":
 				// sync.Pool recycles in whatever order the scheduler

@@ -3,6 +3,7 @@
 package simpurity
 
 import (
+	coro "iter"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -42,6 +43,20 @@ func goroutines() {
 	done := make(chan struct{})
 	go close(done) // want `goroutine launch in simulator code`
 	<-done
+}
+
+// Pulling a sequence runs it as a coroutine on a goroutine of its own.
+// The import alias does not hide it.
+func coroutines(seq func(yield func(int) bool), seq2 func(yield func(int, int) bool)) {
+	next, stop := coro.Pull(seq) // want `coroutine iter\.Pull in simulator code`
+	defer stop()
+	_, _ = next()
+	next2, stop2 := coro.Pull2(seq2) // want `coroutine iter\.Pull2 in simulator code`
+	defer stop2()
+	_, _, _ = next2()
+	// Ranging over a sequence is a plain call, not a coroutine.
+	for range seq {
+	}
 }
 
 func allowed() {

@@ -96,19 +96,20 @@ func (c *Client) newJob() *writeJob {
 // Node returns the compute node this client runs on.
 func (c *Client) Node() *cluster.Node { return c.node }
 
-// Write performs one POSIX-level write of length bytes at offset and
-// returns the call duration. Large contiguous regions are absorbed
-// into the page cache while room remains (write-back); the remainder
-// — and all fine-grained shared-file writes — move synchronously
-// through the flusher.
-func (c *Client) Write(p *sim.Proc, f *File, offset, length int64) sim.Duration {
-	start := p.Now()
+// Write performs one POSIX-level write of length bytes at offset for
+// the caller of q, and runs k when it is done. Large contiguous
+// regions are absorbed into the page cache while room remains
+// (write-back); the remainder — and all fine-grained shared-file
+// writes — move synchronously through the flusher.
+func (c *Client) Write(q *Req, f *File, offset, length int64, k func()) {
+	q.begin(k)
+	q.c, q.f, q.offset, q.length = c, f, offset, length
 	prof := c.fs.Cl.Prof
-	sizeMB := mb(length)
-	aligned := f.Layout.Aligned(offset, length)
+	q.sizeMB = mb(length)
+	q.aligned = f.Layout.Aligned(offset, length)
 
-	syncMB := sizeMB
-	if sizeMB >= prof.CacheBypassBelowMB {
+	q.syncMB = q.sizeMB
+	if q.sizeMB >= prof.CacheBypassBelowMB {
 		// Each task's write absorbs into cache up to its per-task
 		// dirty grant (the node budget split across cores), so
 		// co-located tasks burst into cache concurrently.
@@ -116,49 +117,54 @@ func (c *Client) Write(p *sim.Proc, f *File, offset, length int64) sim.Duration 
 		if prof.CoresPerNode > 0 {
 			grant /= float64(prof.CoresPerNode)
 		}
-		absorb := minf(grant, minf(c.node.DirtyRoomMB(), sizeMB))
+		absorb := minf(grant, minf(c.node.DirtyRoomMB(), q.sizeMB))
 		if absorb > 0 {
 			c.fs.stats.AbsorbedMB += absorb
 			c.node.DirtyMB += absorb
+			q.syncMB -= absorb
 			if prof.AbsorbMBps > 0 {
 				c.absorbing++
-				p.Sleep(sim.Duration(absorb / prof.AbsorbMBps))
-				c.absorbing--
+				q.T.Sleep(sim.Duration(absorb/prof.AbsorbMBps), q.park(reqWriteAbsorbed))
+				return
 			}
-			syncMB -= absorb
 		}
 	}
+	c.writeSync(q)
+}
 
-	if syncMB > 1e-12 {
-		job := c.newJob()
-		job.file = f
-		job.offset = offset
-		job.length = length
-		job.demandMB = syncMB * c.fs.Cl.ServiceNoise()
-		job.regionMB = sizeMB
-		job.aligned = aligned
-		job.partials = f.Layout.PartialRPCs(offset, length)
-		job.luckCap = c.fs.Cl.StreamLuck()
-		job.wake = p.Block()
-		c.fs.activeWriteJobs++
-		f.activeWriters++
-		c.fs.stats.WriteJobs++
-		c.fs.stats.WriteMB += syncMB
-		if tu := c.fs.tenantUsageFor(c.node.ID); tu != nil {
-			tu.WriteJobs++
-			tu.WriteMB += syncMB
-		}
-		if !math.IsInf(job.luckCap, 1) {
-			c.fs.stats.LuckCapped++
-		}
-		c.workGen++
-		c.bigQ = append(c.bigQ, job)
-		c.pump()
-		p.Park()
+// writeSync queues the part of q's write the page cache did not
+// absorb, parking the caller until its stream completes.
+func (c *Client) writeSync(q *Req) {
+	if q.syncMB <= 1e-12 {
+		q.f.extend(q.offset + q.length)
+		q.done()
+		return
 	}
-
-	f.extend(offset + length)
-	return p.Now() - start
+	f, syncMB := q.f, q.syncMB
+	job := c.newJob()
+	job.file = f
+	job.offset = q.offset
+	job.length = q.length
+	job.demandMB = syncMB * c.fs.Cl.ServiceNoise()
+	job.regionMB = q.sizeMB
+	job.aligned = q.aligned
+	job.partials = f.Layout.PartialRPCs(q.offset, q.length)
+	job.luckCap = c.fs.Cl.StreamLuck()
+	job.wake = q.T.Block(q.park(reqWriteDone))
+	c.fs.activeWriteJobs++
+	f.activeWriters++
+	c.fs.stats.WriteJobs++
+	c.fs.stats.WriteMB += syncMB
+	if tu := c.fs.tenantUsageFor(c.node.ID); tu != nil {
+		tu.WriteJobs++
+		tu.WriteMB += syncMB
+	}
+	if !math.IsInf(job.luckCap, 1) {
+		c.fs.stats.LuckCapped++
+	}
+	c.workGen++
+	c.bigQ = append(c.bigQ, job)
+	c.pump()
 }
 
 // pump schedules the dispatch pass. Dispatch is deferred to a fresh
@@ -345,16 +351,23 @@ func (c *Client) drainDone() {
 	}
 }
 
-// Fsync blocks until the node's cache holds no dirty data and no write
-// jobs remain queued or in flight for this client. Unlike the idle
-// drain, fsync forces immediate write-back.
-func (c *Client) Fsync(p *sim.Proc) sim.Duration {
-	start := p.Now()
-	for c.node.DirtyMB > 0 || len(c.bigQ) > 0 || c.activeBig > 0 || c.drain {
+// Fsync parks the caller of q until the node's cache holds no dirty
+// data and no write jobs remain queued or in flight for this client,
+// polling every 10 ms, then runs k. Unlike the idle drain, fsync
+// forces immediate write-back.
+func (c *Client) Fsync(q *Req, k func()) {
+	q.begin(k)
+	q.c = c
+	c.fsyncPoll(q)
+}
+
+func (c *Client) fsyncPoll(q *Req) {
+	if c.node.DirtyMB > 0 || len(c.bigQ) > 0 || c.activeBig > 0 || c.drain {
 		if !c.drain && c.activeBig == 0 && len(c.bigQ) == 0 {
 			c.startDrain()
 		}
-		p.Sleep(0.01)
+		q.T.Sleep(0.01, q.park(reqFsyncPoll))
+		return
 	}
-	return p.Now() - start
+	q.done()
 }

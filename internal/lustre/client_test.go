@@ -21,6 +21,42 @@ func quietProfile() cluster.Profile {
 	return p
 }
 
+// spawnCalls spawns a task that issues calls in order on its own Req,
+// each with the next as its completion, and exits after the last. The
+// returned slice receives each call's duration as the call completes.
+func spawnCalls(eng *sim.Engine, calls ...func(q *Req, k func())) []sim.Duration {
+	durs := make([]sim.Duration, len(calls))
+	eng.Spawn("t", func(p *sim.Task) {
+		q := &Req{T: p}
+		i := 0
+		var start sim.Time
+		var next func()
+		next = func() {
+			if i > 0 {
+				durs[i-1] = p.Now() - start
+			}
+			if i == len(calls) {
+				p.Exit()
+				return
+			}
+			i++
+			start = p.Now()
+			calls[i-1](q, next)
+		}
+		next()
+	})
+	return durs
+}
+
+// repeat returns n copies of call.
+func repeat(n int, call func(q *Req, k func())) []func(q *Req, k func()) {
+	calls := make([]func(q *Req, k func()), n)
+	for i := range calls {
+		calls[i] = call
+	}
+	return calls
+}
+
 func run4Writers(t *testing.T, prof cluster.Profile, sizeMB float64) []float64 {
 	t.Helper()
 	eng := sim.NewEngine()
@@ -28,15 +64,16 @@ func run4Writers(t *testing.T, prof cluster.Profile, sizeMB float64) []float64 {
 	fs := NewFS(cl)
 	f := fs.Create("/scratch/data")
 	c := fs.ClientFor(cl.Nodes[0])
-	durs := make([]float64, 4)
+	calls := make([][]sim.Duration, 4)
 	for i := 0; i < 4; i++ {
-		idx := i
-		eng.Spawn("task", func(p *sim.Proc) {
-			off := int64(idx) * int64(sizeMB*1e6)
-			durs[idx] = float64(c.Write(p, f, off, int64(sizeMB*1e6)))
-		})
+		off := int64(i) * int64(sizeMB*1e6)
+		calls[i] = spawnCalls(eng, func(q *Req, k func()) { c.Write(q, f, off, int64(sizeMB*1e6), k) })
 	}
 	eng.Run()
+	durs := make([]float64, 4)
+	for i, d := range calls {
+		durs[i] = float64(d[0])
+	}
 	return durs
 }
 
@@ -99,11 +136,11 @@ func TestCacheAbsorptionIsFastAndRaisesDirty(t *testing.T) {
 	fs := NewFS(cl)
 	f := fs.Create("/scratch/x")
 	c := fs.ClientFor(cl.Nodes[0])
-	var dur sim.Duration
-	eng.Spawn("w", func(p *sim.Proc) {
-		dur = c.Write(p, f, 0, 64e6) // 64 MB fits in the 256 MB dirty budget
+	durs := spawnCalls(eng, func(q *Req, k func()) {
+		c.Write(q, f, 0, 64e6, k) // 64 MB fits in the 256 MB dirty budget
 	})
 	eng.Run()
+	dur := durs[0]
 	wantAbsorb := 64.0 / prof.AbsorbMBps
 	if math.Abs(float64(dur)-wantAbsorb) > 0.02 {
 		t.Errorf("cached write took %v, want ~%.3fs (absorb only)", dur, wantAbsorb)
@@ -128,11 +165,11 @@ func TestSmallWritesBypassCacheAndSlots(t *testing.T) {
 	fs := NewFS(cl)
 	f := fs.Create("/scratch/x")
 	c := fs.ClientFor(cl.Nodes[0])
-	var dur sim.Duration
-	eng.Spawn("w", func(p *sim.Proc) {
-		dur = c.Write(p, f, 0, int64(2e6)) // 2 MB < CacheBypassBelowMB
+	durs := spawnCalls(eng, func(q *Req, k func()) {
+		c.Write(q, f, 0, int64(2e6), k) // 2 MB < CacheBypassBelowMB
 	})
 	eng.Run()
+	dur := durs[0]
 	if cl.Nodes[0].DirtyMB != 0 {
 		t.Errorf("small write dirtied the cache: %v MB", cl.Nodes[0].DirtyMB)
 	}
@@ -148,17 +185,26 @@ func TestFsyncDrainsDirty(t *testing.T) {
 	fs := NewFS(cl)
 	f := fs.Create("/scratch/x")
 	c := fs.ClientFor(cl.Nodes[0])
-	eng.Spawn("w", func(p *sim.Proc) {
-		c.Write(p, f, 0, 128e6)
-		if cl.Nodes[0].DirtyMB == 0 {
-			t.Error("expected dirty data before fsync")
-		}
-		c.Fsync(p)
-		if cl.Nodes[0].DirtyMB != 0 {
-			t.Errorf("dirty = %v MB after fsync, want 0", cl.Nodes[0].DirtyMB)
-		}
-	})
+	synced := false
+	spawnCalls(eng,
+		func(q *Req, k func()) { c.Write(q, f, 0, 128e6, k) },
+		func(q *Req, k func()) {
+			if cl.Nodes[0].DirtyMB == 0 {
+				t.Error("expected dirty data before fsync")
+			}
+			c.Fsync(q, k)
+		},
+		func(q *Req, k func()) {
+			if cl.Nodes[0].DirtyMB != 0 {
+				t.Errorf("dirty = %v MB after fsync, want 0", cl.Nodes[0].DirtyMB)
+			}
+			synced = true
+			k()
+		})
 	eng.Run()
+	if !synced {
+		t.Error("fsync never completed")
+	}
 }
 
 func TestUnalignedSharedWritesSlowerThanAligned(t *testing.T) {
@@ -175,26 +221,27 @@ func TestUnalignedSharedWritesSlowerThanAligned(t *testing.T) {
 		cl := cluster.New(eng, prof, 8, 99)
 		fs := NewFS(cl)
 		f := fs.Create("/scratch/shared")
-		total := 0.0
+		var durs [][]sim.Duration
 		for rank := 0; rank < 32; rank++ {
 			node := cl.NodeForTask(rank)
 			c := fs.ClientFor(node)
-			r := rank
-			eng.Spawn("t", func(p *sim.Proc) {
-				var off, size int64
-				if aligned {
-					size = 2e6 // two whole (decimal-MB) stripes
-					off = int64(r) * size
-				} else {
-					size = 1600000
-					off = int64(r) * size
-				}
-				for i := 0; i < 4; i++ {
-					total += float64(c.Write(p, f, off, size))
-				}
-			})
+			var off, size int64
+			if aligned {
+				size = 2e6 // two whole (decimal-MB) stripes
+				off = int64(rank) * size
+			} else {
+				size = 1600000
+				off = int64(rank) * size
+			}
+			durs = append(durs, spawnCalls(eng, repeat(4, func(q *Req, k func()) { c.Write(q, f, off, size, k) })...))
 		}
 		eng.Run()
+		total := 0.0
+		for _, ds := range durs {
+			for _, d := range ds {
+				total += float64(d)
+			}
+		}
 		return total
 	}
 	al, un := measure(true), measure(false)
@@ -209,20 +256,20 @@ func TestMDSOpsSerialize(t *testing.T) {
 	eng := sim.NewEngine()
 	cl := cluster.New(eng, prof, 2, 1)
 	fs := NewFS(cl)
-	var solo sim.Duration
-	eng.Spawn("a", func(p *sim.Proc) { solo = fs.MDSOp(p, 2048) })
+	soloDurs := spawnCalls(eng, func(q *Req, k func()) { fs.MDSOp(q, 2048, k) })
 	eng.Run()
+	solo := soloDurs[0]
 
 	eng2 := sim.NewEngine()
 	cl2 := cluster.New(eng2, prof, 2, 1)
 	fs2 := NewFS(cl2)
 	var maxEnd sim.Time
 	for i := 0; i < 8; i++ {
-		eng2.Spawn("m", func(p *sim.Proc) {
-			fs2.MDSOp(p, 2048)
-			if p.Now() > maxEnd {
-				maxEnd = p.Now()
-			}
+		spawnCalls(eng2, func(q *Req, k func()) {
+			fs2.MDSOp(q, 2048, func() {
+				maxEnd = max(maxEnd, q.T.Now())
+				k()
+			})
 		})
 	}
 	eng2.Run()
@@ -237,19 +284,19 @@ func TestMDSConcurrencyOverlapsIndependentClients(t *testing.T) {
 	cl := cluster.New(eng, prof, 2, 1)
 	fs := NewFS(cl)
 	var maxEnd sim.Time
-	var solo sim.Duration
-	eng.Spawn("solo", func(p *sim.Proc) { solo = fs.MDSOp(p, 0) })
+	soloDurs := spawnCalls(eng, func(q *Req, k func()) { fs.MDSOp(q, 0, k) })
 	eng.Run()
+	solo := soloDurs[0]
 
 	eng2 := sim.NewEngine()
 	cl2 := cluster.New(eng2, prof, 2, 1)
 	fs2 := NewFS(cl2)
 	for i := 0; i < 8; i++ {
-		eng2.Spawn("m", func(p *sim.Proc) {
-			fs2.MDSOp(p, 0)
-			if p.Now() > maxEnd {
-				maxEnd = p.Now()
-			}
+		spawnCalls(eng2, func(q *Req, k func()) {
+			fs2.MDSOp(q, 0, func() {
+				maxEnd = max(maxEnd, q.T.Now())
+				k()
+			})
 		})
 	}
 	eng2.Run()
@@ -324,13 +371,12 @@ func TestStatsCounters(t *testing.T) {
 	cl := cluster.New(eng, prof, 1, 1)
 	fs := NewFS(cl)
 	f := fs.Create("/scratch/x")
-	eng.Spawn("t", func(p *sim.Proc) {
-		c := fs.ClientFor(cl.Nodes[0])
-		c.Write(p, f, 0, 400e6)          // absorb + sync job
-		fs.SmallWrite(p, f, 400e6, 2048) // MDS path
-		rs := NewReadState()
-		c.Read(p, f, rs, 0, 100e6)
-	})
+	c := fs.ClientFor(cl.Nodes[0])
+	rs := NewReadState()
+	spawnCalls(eng,
+		func(q *Req, k func()) { c.Write(q, f, 0, 400e6, k) },          // absorb + sync job
+		func(q *Req, k func()) { fs.SmallWrite(q, f, 400e6, 2048, k) }, // MDS path
+		func(q *Req, k func()) { c.Read(q, f, rs, 0, 100e6, k) })
 	eng.Run()
 	s := fs.Stats()
 	if s.WriteJobs != 1 {

@@ -349,13 +349,15 @@ func (fs *FS) conflictDelay(f *File, partialRPCs int) sim.Duration {
 }
 
 // MDSOp performs one serialized metadata-path operation (file open,
-// close, attribute update). Operations queue behind each other
-// file-system-wide.
-func (fs *FS) MDSOp(p *sim.Proc, payloadBytes int64) sim.Duration {
-	return fs.mdsOp(p, payloadBytes, 0)
+// close, attribute update) for the caller of q and runs k when it is
+// done. Operations queue behind each other file-system-wide.
+func (fs *FS) MDSOp(q *Req, payloadBytes int64, k func()) {
+	q.begin(k)
+	q.extend = false
+	fs.mdsOp(q, payloadBytes, 0)
 }
 
-func (fs *FS) mdsOp(p *sim.Proc, payloadBytes int64, extraSlow sim.Duration) sim.Duration {
+func (fs *FS) mdsOp(q *Req, payloadBytes int64, extraSlow sim.Duration) {
 	fs.stats.MDSOps++
 	if d := fs.mdsDeg; d != nil && d.prob > 0 && fs.rng.Bernoulli(d.prob) {
 		// Brownout: the op holds its service slot through an elevated
@@ -363,27 +365,44 @@ func (fs *FS) mdsOp(p *sim.Proc, payloadBytes int64, extraSlow sim.Duration) sim
 		extraSlow += sim.Duration(fs.rng.Uniform(d.loSec, d.hiSec))
 		fs.stats.MDSSlowOps++
 	}
-	start := p.Now()
-	fs.mds.Acquire(p)
+	q.fs, q.length, q.extraSlow = fs, payloadBytes, extraSlow
+	fs.mdsAcquire(q)
+}
+
+// mdsAcquire takes a metadata service slot for q's op, or parks the
+// caller until a release lets it try again; holding the slot, the op
+// runs for its drawn latency.
+func (fs *FS) mdsAcquire(q *Req) {
+	if !fs.mds.Acquire(q.T, q.park(reqMDSAcquire)) {
+		return
+	}
 	prof := fs.Cl.Prof
 	lat := prof.MDSBaseLatency
-	if payloadBytes > 0 && prof.SmallIORateMBps > 0 {
-		lat += sim.Duration(mb(payloadBytes) / prof.SmallIORateMBps)
+	if q.length > 0 && prof.SmallIORateMBps > 0 {
+		lat += sim.Duration(mb(q.length) / prof.SmallIORateMBps)
 	}
 	lat *= sim.Duration(fs.Cl.RNG.Lognormal(0, 0.25))
-	p.Sleep(lat + extraSlow)
+	q.T.Sleep(lat+q.extraSlow, q.park(reqMDSDone))
+}
+
+func (fs *FS) mdsDone(q *Req) {
 	fs.mds.Release()
-	return p.Now() - start
+	if q.extend {
+		q.f.extend(q.offset + q.length)
+	}
+	q.done()
 }
 
 // SmallWrite writes payloadBytes at offset through the metadata/small-
-// I/O path (serialized), extending the file. Used for sub-threshold
-// writes such as HDF5 metadata. Beyond the base latency, the op can
-// hit a slow lock-revocation stall; page-aligned metadata blocks
-// (whole 4 kB pages at page offsets, as an alignment-tuned HDF5
-// emits) avoid the read-modify-write lock bounce and see the stall
-// probability and span damped by AlignedMetaRelief.
-func (fs *FS) SmallWrite(p *sim.Proc, f *File, offset, payloadBytes int64) sim.Duration {
+// I/O path (serialized) for the caller of q, extending the file, and
+// runs k when it is done. Used for sub-threshold writes such as HDF5
+// metadata. Beyond the base latency, the op can hit a slow
+// lock-revocation stall; page-aligned metadata blocks (whole 4 kB
+// pages at page offsets, as an alignment-tuned HDF5 emits) avoid the
+// read-modify-write lock bounce and see the stall probability and span
+// damped by AlignedMetaRelief.
+func (fs *FS) SmallWrite(q *Req, f *File, offset, payloadBytes int64, k func()) {
+	q.begin(k)
 	const page = 4096
 	prof := fs.Cl.Prof
 	slowProb := prof.MDSSlowProb
@@ -398,9 +417,8 @@ func (fs *FS) SmallWrite(p *sim.Proc, f *File, offset, payloadBytes int64) sim.D
 		fs.stats.MDSSlowOps++
 	}
 	fs.stats.SmallWrites++
-	d := fs.mdsOp(p, payloadBytes, extra)
-	f.extend(offset + payloadBytes)
-	return d
+	q.f, q.offset, q.extend = f, offset, true
+	fs.mdsOp(q, payloadBytes, extra)
 }
 
 func (f *File) extend(to int64) {

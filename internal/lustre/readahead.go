@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"ensembleio/internal/flownet"
-	"ensembleio/internal/sim"
 )
 
 // ReadState is the per-open-file read-ahead state machine kept by the
@@ -59,30 +58,30 @@ func (rs *ReadState) observe(offset, length int64) {
 	rs.lastEnd = offset + length
 }
 
-// Read performs one POSIX-level read and returns the call duration.
-// The rs state must belong to this (client, open file) pair.
+// Read performs one POSIX-level read for the caller of q and runs k
+// when it is done. The rs state must belong to this (client, open
+// file) pair.
 //
 // The read is served as ReadChunks successive segments so the strided
 // defect can strike mid-read: before each segment the client checks
 // whether writes are in flight on the node; if so — and the strided
 // window is armed and the patch is absent — this and every later
 // segment of the call degenerate to page-sized reads.
-func (c *Client) Read(p *sim.Proc, f *File, rs *ReadState, offset, length int64) sim.Duration {
+func (c *Client) Read(q *Req, f *File, rs *ReadState, offset, length int64, k func()) {
+	q.begin(k)
 	prof := c.fs.Cl.Prof
 	rs.observe(offset, length)
-	start := p.Now()
+	start := q.T.Now()
 
 	chunks := prof.ReadChunks
 	if chunks <= 0 {
 		chunks = 1
 	}
 	demand := mb(length) * c.fs.Cl.ServiceNoise()
-	per := demand / float64(chunks)
 	luck := c.fs.Cl.StreamLuck()
 	if !math.IsInf(luck, 1) {
 		c.fs.stats.LuckCapped++
 	}
-	normalCap := minf(prof.ReadCapMBps, luck)
 	c.fs.stats.ReadCalls++
 	c.fs.stats.ReadMB += demand
 	if tu := c.fs.tenantUsageFor(c.node.ID); tu != nil {
@@ -90,35 +89,57 @@ func (c *Client) Read(p *sim.Proc, f *File, rs *ReadState, offset, length int64)
 		tu.ReadMB += demand
 	}
 
-	pathological := false
-	for i := 0; i < chunks; i++ {
-		capMBps := normalCap
-		if !pathological &&
-			!prof.PatchStridedReadahead &&
-			rs.StridedActive() &&
-			c.WriteBusy() {
-			pathological = true
-			c.fs.stats.PathologicalReads++
-			c.fs.telPathology.Inc()
-		}
-		if pathological {
-			capMBps = prof.PathologyMBps / rs.severity
-			if capMBps < prof.PathologyFloorMBps {
-				capMBps = prof.PathologyFloorMBps
+	q.c, q.f, q.offset, q.length = c, f, offset, length
+	if q.rd == nil {
+		q.rd = &readCall{}
+	}
+	*q.rd = readCall{
+		rs:        rs,
+		start:     start,
+		chunks:    chunks,
+		per:       demand / float64(chunks),
+		normalCap: minf(prof.ReadCapMBps, luck),
+		demand:    demand,
+	}
+	c.readChunk(q)
+}
+
+// readChunk serves the next segment of q's read, or finishes the call
+// once every segment has moved.
+func (c *Client) readChunk(q *Req) {
+	prof := c.fs.Cl.Prof
+	rd := q.rd
+	rs := rd.rs
+	if rd.chunk == rd.chunks {
+		if rd.pathological {
+			if grow := prof.PathologySeverityGrow; grow > 1 {
+				rs.severity *= grow
 			}
 		}
-		// Degraded-OST ceilings are evaluated per chunk, so a stall
-		// window opening mid-call slows the remaining segments only —
-		// the within-call onset behind the flaky-OST signature.
-		capMBps = minf(capMBps, c.fs.ostCapMBps(f, offset, length, p.Now()))
-		c.node.Port.Transfer(p, per, flownet.StreamOpts{RateCap: capMBps})
+		c.fs.noteOSTService(c.node.ID, q.f, q.offset, q.length, rd.demand, q.T.Now()-rd.start)
+		rd.rs = nil
+		q.done()
+		return
 	}
-	if pathological {
-		if grow := prof.PathologySeverityGrow; grow > 1 {
-			rs.severity *= grow
+	rd.chunk++
+	capMBps := rd.normalCap
+	if !rd.pathological &&
+		!prof.PatchStridedReadahead &&
+		rs.StridedActive() &&
+		c.WriteBusy() {
+		rd.pathological = true
+		c.fs.stats.PathologicalReads++
+		c.fs.telPathology.Inc()
+	}
+	if rd.pathological {
+		capMBps = prof.PathologyMBps / rs.severity
+		if capMBps < prof.PathologyFloorMBps {
+			capMBps = prof.PathologyFloorMBps
 		}
 	}
-	dur := p.Now() - start
-	c.fs.noteOSTService(c.node.ID, f, offset, length, demand, dur)
-	return dur
+	// Degraded-OST ceilings are evaluated per chunk, so a stall
+	// window opening mid-call slows the remaining segments only —
+	// the within-call onset behind the flaky-OST signature.
+	capMBps = minf(capMBps, c.fs.ostCapMBps(q.f, q.offset, q.length, q.T.Now()))
+	c.node.Port.Transfer(q.T, rd.per, flownet.StreamOpts{RateCap: capMBps}, q.park(reqReadChunk))
 }

@@ -54,26 +54,40 @@ func readSeq(t *testing.T, prof cluster.Profile, n int, interleave bool) []float
 	f := fs.Create("/scratch/matrices")
 	f.Size = 1 << 62 // pretend the data exists
 	c := fs.ClientFor(cl.Nodes[0])
-	durs := make([]float64, n)
 	done := false
-	eng.Spawn("reader", func(p *sim.Proc) {
-		rs := NewReadState()
-		for i := 0; i < n; i++ {
-			durs[i] = float64(c.Read(p, f, rs, int64(i)*301e6, 300e6))
-		}
+	rs := NewReadState()
+	reads := make([]func(q *Req, k func()), n+1)
+	for i := 0; i < n; i++ {
+		reads[i] = func(q *Req, k func()) { c.Read(q, f, rs, int64(i)*301e6, 300e6, k) }
+	}
+	reads[n] = func(_ *Req, k func()) {
 		done = true
-	})
+		k()
+	}
+	rdurs := spawnCalls(eng, reads...)
 	if interleave {
-		eng.Spawn("writer", func(p *sim.Proc) {
+		eng.Spawn("writer", func(p *sim.Task) {
+			q := &Req{T: p}
 			off := int64(1 << 50)
-			for !done {
-				c.Write(p, f, off, 64e6)
-				off += 64e6
-				p.Sleep(0.2)
+			var write func()
+			write = func() {
+				if done {
+					p.Exit()
+					return
+				}
+				c.Write(q, f, off, 64e6, func() {
+					off += 64e6
+					p.Sleep(0.2, write)
+				})
 			}
+			write()
 		})
 	}
 	eng.Run()
+	durs := make([]float64, n)
+	for i := range durs {
+		durs[i] = float64(rdurs[i])
+	}
 	return durs
 }
 
@@ -155,14 +169,14 @@ func TestWriteBusyReflectsQueue(t *testing.T) {
 	if c.WriteBusy() {
 		t.Error("fresh client reports write-busy")
 	}
-	eng.Spawn("w", func(p *sim.Proc) {
-		c.Write(p, f, 0, 400e6)
-	})
-	eng.Spawn("check", func(p *sim.Proc) {
-		p.Sleep(0.5)
-		if !c.WriteBusy() {
-			t.Error("client not write-busy during a 400MB synchronous write")
-		}
+	spawnCalls(eng, func(q *Req, k func()) { c.Write(q, f, 0, 400e6, k) })
+	eng.Spawn("check", func(p *sim.Task) {
+		p.Sleep(0.5, func() {
+			if !c.WriteBusy() {
+				t.Error("client not write-busy during a 400MB synchronous write")
+			}
+			p.Exit()
+		})
 	})
 	eng.Run()
 	if c.WriteBusy() {

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"fmt"
 	"testing"
 
 	"ensembleio/internal/cluster"
@@ -17,13 +18,48 @@ func testWorld(t *testing.T, size int) (*sim.Engine, *World) {
 	return eng, NewWorld(eng, cl, size, Config{})
 }
 
+// script launches w with every rank running the steps body returns for
+// it, in order, then exiting. Each step issues one call with the
+// completion it is given, or calls it itself.
+func script(w *World, body func(r *Rank) []func(k func())) {
+	w.Launch(func(r *Rank) {
+		steps := body(r)
+		i := 0
+		var next func()
+		next = func() {
+			if i == len(steps) {
+				r.Exit()
+				return
+			}
+			i++
+			steps[i-1](next)
+		}
+		next()
+	})
+}
+
+// sleep is a step that sleeps d.
+func sleep(r *Rank, d sim.Duration) func(k func()) {
+	return func(k func()) { r.T.Sleep(d, k) }
+}
+
+// then is a step that runs f and continues at once.
+func then(f func()) func(k func()) {
+	return func(k func()) {
+		f()
+		k()
+	}
+}
+
 func TestBarrierSynchronizes(t *testing.T) {
 	eng, w := testWorld(t, 8)
 	var releases []sim.Time
-	w.Launch(func(r *Rank) {
-		r.P.Sleep(sim.Time(r.ID)) // staggered arrivals 0..7s
-		r.Barrier()
-		releases = append(releases, r.P.Now())
+	script(w, func(r *Rank) []func(k func()) {
+		return []func(k func()){
+			sleep(r, sim.Time(r.ID)), // staggered arrivals 0..7s
+			r.Barrier,
+			then(func() { releases = append(releases, r.T.Now()) }),
+		}
 	})
 	eng.Run()
 	if len(releases) != 8 {
@@ -39,12 +75,12 @@ func TestBarrierSynchronizes(t *testing.T) {
 func TestBarrierReusable(t *testing.T) {
 	eng, w := testWorld(t, 4)
 	count := 0
-	w.Launch(func(r *Rank) {
+	script(w, func(r *Rank) []func(k func()) {
+		var steps []func(k func())
 		for i := 0; i < 5; i++ {
-			r.P.Sleep(sim.Time(r.ID) * 0.1)
-			r.Barrier()
+			steps = append(steps, sleep(r, sim.Time(r.ID)*0.1), r.Barrier)
 		}
-		count++
+		return append(steps, then(func() { count++ }))
 	})
 	eng.Run()
 	if count != 4 {
@@ -55,17 +91,18 @@ func TestBarrierReusable(t *testing.T) {
 func TestSendRecvDeliversPayloadInOrder(t *testing.T) {
 	eng, w := testWorld(t, 2)
 	var got []int
-	w.Launch(func(r *Rank) {
-		if r.ID == 0 {
-			for i := 0; i < 3; i++ {
-				r.Send(1, 5, 1000, i)
-			}
-		} else {
-			for i := 0; i < 3; i++ {
-				_, pl := r.Recv(0, 5)
-				got = append(got, pl.(int))
+	script(w, func(r *Rank) []func(k func()) {
+		var steps []func(k func())
+		for i := 0; i < 3; i++ {
+			if r.ID == 0 {
+				steps = append(steps, func(k func()) { r.Send(1, 5, 1000, i, k) })
+			} else {
+				steps = append(steps,
+					func(k func()) { r.Recv(0, 5, k) },
+					then(func() { got = append(got, r.Result().(int)) }))
 			}
 		}
+		return steps
 	})
 	eng.Run()
 	if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
@@ -76,13 +113,13 @@ func TestSendRecvDeliversPayloadInOrder(t *testing.T) {
 func TestRecvBlocksUntilSend(t *testing.T) {
 	eng, w := testWorld(t, 2)
 	var recvAt sim.Time
-	w.Launch(func(r *Rank) {
+	script(w, func(r *Rank) []func(k func()) {
 		if r.ID == 0 {
-			r.P.Sleep(2)
-			r.Send(1, 1, 10, "x")
-		} else {
-			r.Recv(0, 1)
-			recvAt = r.P.Now()
+			return []func(k func()){sleep(r, 2), func(k func()) { r.Send(1, 1, 10, "x", k) }}
+		}
+		return []func(k func()){
+			func(k func()) { r.Recv(0, 1, k) },
+			then(func() { recvAt = r.T.Now() }),
 		}
 	})
 	eng.Run()
@@ -94,14 +131,14 @@ func TestRecvBlocksUntilSend(t *testing.T) {
 func TestSendCostScalesWithBytes(t *testing.T) {
 	eng, w := testWorld(t, 2)
 	var sendDur sim.Duration
-	w.Launch(func(r *Rank) {
+	script(w, func(r *Rank) []func(k func()) {
 		if r.ID == 0 {
-			start := r.P.Now()
-			r.Send(1, 2, 1600e6, nil) // 1600 MB over a 1600 MB/s link ~ 1s
-			sendDur = r.P.Now() - start
-		} else {
-			r.Recv(0, 2)
+			return []func(k func()){
+				func(k func()) { r.Send(1, 2, 1600e6, nil, k) }, // 1600 MB over a 1600 MB/s link ~ 1s
+				then(func() { sendDur = r.T.Now() }),
+			}
 		}
+		return []func(k func()){func(k func()) { r.Recv(0, 2, k) }}
 	})
 	eng.Run()
 	if sendDur < 0.9 || sendDur > 1.1 {
@@ -113,15 +150,19 @@ func TestGatherCollectsInCommOrder(t *testing.T) {
 	eng, w := testWorld(t, 8)
 	comm := w.NewComm([]int{4, 5, 6, 7}) // root is world rank 4
 	var got []interface{}
-	w.Launch(func(r *Rank) {
+	script(w, func(r *Rank) []func(k func()) {
 		if r.ID < 4 {
-			return
+			return nil
 		}
-		res := comm.Gather(r, 1000, r.ID*10)
-		if comm.CommRank(r) == 0 {
-			got = res
-		} else if res != nil {
-			t.Errorf("non-root got non-nil gather result")
+		return []func(k func()){
+			func(k func()) { comm.Gather(r, 1000, r.ID*10, k) },
+			then(func() {
+				if comm.CommRank(r) == 0 {
+					got = r.Result().([]interface{})
+				} else if r.Result() != nil {
+					t.Errorf("non-root got non-nil gather result")
+				}
+			}),
 		}
 	})
 	eng.Run()
@@ -135,16 +176,45 @@ func TestGatherCollectsInCommOrder(t *testing.T) {
 	}
 }
 
+// TestGatherRootReceivesEarlyContributions: contributions already
+// queued when the root arrives are taken at once, in comm-rank order,
+// and only the missing one parks the root.
+func TestGatherRootReceivesEarlyContributions(t *testing.T) {
+	eng, w := testWorld(t, 4)
+	comm := w.NewComm([]int{0, 1, 2, 3})
+	var got []interface{}
+	script(w, func(r *Rank) []func(k func()) {
+		switch r.ID {
+		case 0:
+			return []func(k func()){
+				sleep(r, 1), // ranks 1 and 3 have sent by now; rank 2 has not
+				func(k func()) { comm.Gather(r, 8, "r0", k) },
+				then(func() { got = r.Result().([]interface{}) }),
+			}
+		case 2:
+			return []func(k func()){sleep(r, 2), func(k func()) { comm.Gather(r, 8, "r2", k) }}
+		}
+		return []func(k func()){func(k func()) { comm.Gather(r, 8, fmt.Sprint("r", r.ID), k) }}
+	})
+	eng.Run()
+	if fmt.Sprint(got) != "[r0 r1 r2 r3]" {
+		t.Errorf("gathered %v, want [r0 r1 r2 r3]", got)
+	}
+}
+
 func TestSubCommBarrierIndependent(t *testing.T) {
 	eng, w := testWorld(t, 8)
 	evens := w.NewComm([]int{0, 2, 4, 6})
 	done := 0
-	w.Launch(func(r *Rank) {
-		if r.ID%2 == 0 {
-			evens.Barrier(r)
-			done++
-		}
+	script(w, func(r *Rank) []func(k func()) {
 		// Odd ranks never arrive; the even barrier must not hang.
+		if r.ID%2 != 0 {
+			return nil
+		}
+		return []func(k func()){
+			func(k func()) { evens.Barrier(r, k) },
+			then(func() { done++ }),
+		}
 	})
 	eng.Run()
 	if done != 4 {
@@ -155,15 +225,18 @@ func TestSubCommBarrierIndependent(t *testing.T) {
 func TestCommRankPanicsForNonMember(t *testing.T) {
 	eng, w := testWorld(t, 4)
 	comm := w.NewComm([]int{0, 1})
-	w.Launch(func(r *Rank) {
+	script(w, func(r *Rank) []func(k func()) {
 		if r.ID == 3 {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic for non-member CommRank")
-				}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Error("expected panic for non-member CommRank")
+					}
+				}()
+				comm.CommRank(r)
 			}()
-			comm.CommRank(r)
 		}
+		return nil
 	})
 	eng.Run()
 }
@@ -189,14 +262,15 @@ func TestWorldCommMembership(t *testing.T) {
 
 func TestPointToPointStateIsLazy(t *testing.T) {
 	eng, w := testWorld(t, 4)
-	w.Launch(func(r *Rank) {
+	script(w, func(r *Rank) []func(k func()) {
+		var steps []func(k func())
 		switch r.ID {
 		case 0:
-			r.Send(1, 9, 100, nil)
+			steps = append(steps, func(k func()) { r.Send(1, 9, 100, nil, k) })
 		case 1:
-			r.Recv(0, 9)
+			steps = append(steps, func(k func()) { r.Recv(0, 9, k) })
 		}
-		r.Barrier()
+		return append(steps, r.Barrier)
 	})
 	eng.Run()
 	if w.Rank(1).inbox == nil {
@@ -221,8 +295,11 @@ func TestAllreduce(t *testing.T) {
 	eng, w := testWorld(t, 8)
 	comm := w.NewComm([]int{0, 1, 2, 3, 4, 5, 6, 7})
 	results := make([]float64, 8)
-	w.Launch(func(r *Rank) {
-		results[r.ID] = comm.Allreduce(r, 8, float64(r.ID), OpSum)
+	script(w, func(r *Rank) []func(k func()) {
+		return []func(k func()){
+			func(k func()) { comm.Allreduce(r, 8, float64(r.ID), OpSum, k) },
+			then(func() { results[r.ID] = r.Result().(float64) }),
+		}
 	})
 	eng.Run()
 	for i, v := range results {
@@ -237,11 +314,15 @@ func TestReduceOnlyRootGetsResult(t *testing.T) {
 	comm := w.NewComm([]int{0, 1, 2, 3})
 	var rootVal float64
 	roots := 0
-	w.Launch(func(r *Rank) {
-		v, ok := comm.Reduce(r, 8, float64(r.ID+1), OpMax)
-		if ok {
-			roots++
-			rootVal = v
+	script(w, func(r *Rank) []func(k func()) {
+		return []func(k func()){
+			func(k func()) { comm.Reduce(r, 8, float64(r.ID+1), OpMax, k) },
+			then(func() {
+				if v, ok := r.Result().(float64); ok {
+					roots++
+					rootVal = v
+				}
+			}),
 		}
 	})
 	eng.Run()
@@ -257,14 +338,21 @@ func TestAllgatherOrder(t *testing.T) {
 	eng, w := testWorld(t, 4)
 	comm := w.NewComm([]int{3, 2, 1, 0}) // reversed comm order
 	var got []interface{}
-	w.Launch(func(r *Rank) {
-		res := comm.Allgather(r, 8, r.ID*100)
-		if r.ID == 0 {
-			got = res
+	script(w, func(r *Rank) []func(k func()) {
+		return []func(k func()){
+			func(k func()) { comm.Allgather(r, 8, r.ID*100, k) },
+			then(func() {
+				if r.ID == 0 {
+					got = r.Result().([]interface{})
+				}
+			}),
 		}
 	})
 	eng.Run()
 	want := []int{300, 200, 100, 0} // comm-rank order
+	if len(got) != len(want) {
+		t.Fatalf("allgather returned %d values, want %d", len(got), len(want))
+	}
 	for i, v := range got {
 		if v.(int) != want[i] {
 			t.Errorf("allgather[%d] = %v, want %d", i, v, want[i])
@@ -276,12 +364,15 @@ func TestScatterDistributes(t *testing.T) {
 	eng, w := testWorld(t, 4)
 	comm := w.NewComm([]int{0, 1, 2, 3})
 	results := make([]int, 4)
-	w.Launch(func(r *Rank) {
+	script(w, func(r *Rank) []func(k func()) {
 		var vals []interface{}
 		if r.ID == 0 {
 			vals = []interface{}{10, 11, 12, 13}
 		}
-		results[r.ID] = comm.Scatter(r, 8, vals).(int)
+		return []func(k func()){
+			func(k func()) { comm.Scatter(r, 8, vals, k) },
+			then(func() { results[r.ID] = r.Result().(int) }),
+		}
 	})
 	eng.Run()
 	for i, v := range results {
@@ -295,10 +386,14 @@ func TestCollectivesReusable(t *testing.T) {
 	eng, w := testWorld(t, 4)
 	comm := w.NewComm([]int{0, 1, 2, 3})
 	sums := make([]float64, 4)
-	w.Launch(func(r *Rank) {
+	script(w, func(r *Rank) []func(k func()) {
+		var steps []func(k func())
 		for round := 0; round < 5; round++ {
-			sums[r.ID] += comm.Allreduce(r, 8, 1, OpSum)
+			steps = append(steps,
+				func(k func()) { comm.Allreduce(r, 8, 1, OpSum, k) },
+				then(func() { sums[r.ID] += r.Result().(float64) }))
 		}
+		return steps
 	})
 	eng.Run()
 	for i, v := range sums {
@@ -318,13 +413,17 @@ func TestBcastReleasesAll(t *testing.T) {
 	eng, w := testWorld(t, 4)
 	comm := w.NewComm([]int{0, 1, 2, 3})
 	var done int
-	w.Launch(func(r *Rank) {
-		r.P.Sleep(sim.Time(r.ID)) // staggered arrival
-		comm.Bcast(r, 0, 1024)
-		if r.P.Now() < 3 {
-			t.Errorf("rank %d released at %v before last arrival", r.ID, r.P.Now())
+	script(w, func(r *Rank) []func(k func()) {
+		return []func(k func()){
+			sleep(r, sim.Time(r.ID)), // staggered arrival
+			func(k func()) { comm.Bcast(r, 0, 1024, k) },
+			then(func() {
+				if r.T.Now() < 3 {
+					t.Errorf("rank %d released at %v before last arrival", r.ID, r.T.Now())
+				}
+				done++
+			}),
 		}
-		done++
 	})
 	eng.Run()
 	if done != 4 {
@@ -336,11 +435,14 @@ func TestGatherVolumeCostsRootTime(t *testing.T) {
 	eng, w := testWorld(t, 4)
 	comm := w.NewComm([]int{0, 1, 2, 3})
 	var rootDur sim.Duration
-	w.Launch(func(r *Rank) {
-		start := r.P.Now()
-		comm.Gather(r, 1600e6, nil) // 1.6 GB per member
-		if comm.CommRank(r) == 0 {
-			rootDur = r.P.Now() - start
+	script(w, func(r *Rank) []func(k func()) {
+		return []func(k func()){
+			func(k func()) { comm.Gather(r, 1600e6, nil, k) }, // 1.6 GB per member
+			then(func() {
+				if comm.CommRank(r) == 0 {
+					rootDur = r.T.Now()
+				}
+			}),
 		}
 	})
 	eng.Run()

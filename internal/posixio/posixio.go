@@ -47,8 +47,17 @@ type System struct {
 // NewSystem mounts the POSIX layer over a lustre file system.
 func NewSystem(fs *lustre.FS) *System { return &System{FS: fs} }
 
+// Done is an I/O call's completion. It receives what the call
+// returns — the new descriptor for Open, the byte count for a read or
+// write, 0 otherwise — or the call's error. A call runs its Done
+// exactly once: from a later event if the call waited, or before the
+// call returns if there was nothing to wait for (an error, a read at
+// end of file).
+type Done func(n int64, err error)
+
 // Task is the per-rank I/O context: its node's client plus an fd
-// table. All calls must be made from the task's simulated process.
+// table, bound to the rank's simulated task. A task has at most one
+// call outstanding.
 type Task struct {
 	Rank int
 	sys  *System
@@ -58,6 +67,14 @@ type Task struct {
 	// fds[num-firstFD] and is nil once closed. Numbers are per-task,
 	// issued in order and never reused, so the table only grows.
 	fds []*fd
+
+	// The outstanding call: its file-system request slot, its result
+	// and completion, and the pre-bound function the file system
+	// completes it through.
+	req    lustre.Req
+	n      int64
+	k      Done
+	doneFn func()
 }
 
 // firstFD is the first descriptor number Open issues; 0-2 are
@@ -72,112 +89,141 @@ type fd struct {
 	read   *lustre.ReadState
 }
 
-// NewTask creates the I/O context for a rank placed on the given node.
-func (s *System) NewTask(rank int, node *cluster.Node) *Task {
-	return &Task{
+// NewTask creates the I/O context for a rank placed on the given node
+// and running as simulated task proc.
+func (s *System) NewTask(rank int, node *cluster.Node, proc *sim.Task) *Task {
+	t := &Task{
 		Rank: rank,
 		sys:  s,
 		node: node,
 		cl:   s.FS.ClientFor(node),
 	}
+	t.req.T = proc
+	t.doneFn = t.done
+	return t
 }
 
 // Node returns the task's compute node.
 func (t *Task) Node() *cluster.Node { return t.node }
 
+// Now returns the current virtual time.
+func (t *Task) Now() sim.Time { return t.req.T.Now() }
+
+// call records the outstanding call's result and completion and
+// returns the function that completes it.
+func (t *Task) call(n int64, k Done) func() {
+	t.n, t.k = n, k
+	return t.doneFn
+}
+
+func (t *Task) done() {
+	k := t.k
+	t.k = nil
+	k(t.n, nil)
+}
+
 // Open opens (and with OCreat, creates) path, charging one metadata
-// operation. It returns the new descriptor number.
-func (t *Task) Open(p *sim.Proc, path string, flags int) (int, error) {
+// operation. It returns the new descriptor number, which the call also
+// completes with, or -1 if the call fails.
+func (t *Task) Open(path string, flags int, k Done) int {
 	f := t.sys.FS.Lookup(path)
 	if f == nil {
 		if flags&OCreat == 0 {
-			return -1, fmt.Errorf("%w: %s", ErrNotExist, path)
+			k(-1, fmt.Errorf("%w: %s", ErrNotExist, path))
+			return -1
 		}
 		f = t.sys.FS.Create(path)
 	} else if flags&OTrunc != 0 {
 		f.Size = 0
 	}
-	t.sys.FS.MDSOp(p, 0)
 	t.fds = append(t.fds, &fd{file: f, path: path, flags: flags, read: lustre.NewReadState()})
-	return firstFD + len(t.fds) - 1, nil
+	num := firstFD + len(t.fds) - 1
+	t.sys.FS.MDSOp(&t.req, 0, t.call(int64(num), k))
+	return num
 }
 
 // Close releases the descriptor, charging one metadata operation.
-func (t *Task) Close(p *sim.Proc, num int) error {
+func (t *Task) Close(num int, k Done) {
 	if t.lookup(num) == nil {
-		return ErrBadFD
+		k(0, ErrBadFD)
+		return
 	}
 	t.fds[num-firstFD] = nil
-	t.sys.FS.MDSOp(p, 0)
-	return nil
+	t.sys.FS.MDSOp(&t.req, 0, t.call(0, k))
 }
 
 // Write writes n bytes at the current offset and advances it. Writes
 // at or below the profile's SmallIOBytes threshold travel the
 // serialized metadata/small-I/O path, as sub-page shared-file writes
 // do on the real system.
-func (t *Task) Write(p *sim.Proc, num int, n int64) (int64, error) {
+func (t *Task) Write(num int, n int64, k Done) {
 	d, err := t.writable(num)
 	if err != nil {
-		return 0, err
+		k(0, err)
+		return
 	}
-	t.writeAt(p, d, d.offset, n)
+	offset := d.offset
 	d.offset += n
-	return n, nil
+	t.writeAt(d, offset, n, k)
 }
 
 // Pwrite writes n bytes at an explicit offset without moving the fd
 // offset.
-func (t *Task) Pwrite(p *sim.Proc, num int, offset, n int64) (int64, error) {
+func (t *Task) Pwrite(num int, offset, n int64, k Done) {
 	d, err := t.writable(num)
 	if err != nil {
-		return 0, err
-	}
-	t.writeAt(p, d, offset, n)
-	return n, nil
-}
-
-func (t *Task) writeAt(p *sim.Proc, d *fd, offset, n int64) {
-	if n <= t.sys.FS.Cl.Prof.SmallIOBytes {
-		t.sys.FS.SmallWrite(p, d.file, offset, n)
+		k(0, err)
 		return
 	}
-	t.cl.Write(p, d.file, offset, n)
+	t.writeAt(d, offset, n, k)
 }
 
-// Read reads up to n bytes at the current offset, returning the number
-// actually read (short at EOF) and advancing the offset.
-func (t *Task) Read(p *sim.Proc, num int, n int64) (int64, error) {
+func (t *Task) writeAt(d *fd, offset, n int64, k Done) {
+	if n <= t.sys.FS.Cl.Prof.SmallIOBytes {
+		t.sys.FS.SmallWrite(&t.req, d.file, offset, n, t.call(n, k))
+		return
+	}
+	t.cl.Write(&t.req, d.file, offset, n, t.call(n, k))
+}
+
+// Read reads up to n bytes at the current offset, completing with the
+// number actually read (short at EOF), and advances the offset.
+func (t *Task) Read(num int, n int64, k Done) {
 	d, err := t.readable(num)
 	if err != nil {
-		return 0, err
+		k(0, err)
+		return
 	}
-	got := t.readAt(p, d, d.offset, n)
-	d.offset += got
-	return got, nil
+	offset := d.offset
+	d.offset += t.clamp(d, offset, n)
+	t.readAt(d, offset, n, k)
 }
 
 // Pread reads at an explicit offset without moving the fd offset.
-func (t *Task) Pread(p *sim.Proc, num int, offset, n int64) (int64, error) {
+func (t *Task) Pread(num int, offset, n int64, k Done) {
 	d, err := t.readable(num)
 	if err != nil {
-		return 0, err
+		k(0, err)
+		return
 	}
-	return t.readAt(p, d, offset, n), nil
+	t.readAt(d, offset, n, k)
 }
 
-func (t *Task) readAt(p *sim.Proc, d *fd, offset, n int64) int64 {
+// clamp is how many of n bytes at offset lie before end of file.
+func (t *Task) clamp(d *fd, offset, n int64) int64 {
 	if offset >= d.file.Size {
 		return 0
 	}
-	if offset+n > d.file.Size {
-		n = d.file.Size - offset
+	return max(min(n, d.file.Size-offset), 0)
+}
+
+func (t *Task) readAt(d *fd, offset, n int64, k Done) {
+	n = t.clamp(d, offset, n)
+	if n == 0 {
+		k(0, nil)
+		return
 	}
-	if n <= 0 {
-		return 0
-	}
-	t.cl.Read(p, d.file, d.read, offset, n)
-	return n
+	t.cl.Read(&t.req, d.file, d.read, offset, n, t.call(n, k))
 }
 
 // Seek repositions the descriptor offset and returns the new offset.
@@ -204,12 +250,12 @@ func (t *Task) Seek(num int, offset int64, whence int) (int64, error) {
 }
 
 // Fsync flushes the node's write-back cache and outstanding writes.
-func (t *Task) Fsync(p *sim.Proc, num int) error {
+func (t *Task) Fsync(num int, k Done) {
 	if t.lookup(num) == nil {
-		return ErrBadFD
+		k(0, ErrBadFD)
+		return
 	}
-	t.cl.Fsync(p)
-	return nil
+	t.cl.Fsync(&t.req, t.call(0, k))
 }
 
 // Path returns the path an open descriptor refers to — the fd-to-file

@@ -1,5 +1,5 @@
 // Package sim provides a deterministic discrete-event simulation engine
-// with a virtual clock and a lock-step process runtime.
+// with a virtual clock and a stackless process runtime.
 //
 // The engine executes events in (time, sequence) order on a single
 // goroutine. They wait in two lanes: a FIFO of events scheduled for
@@ -8,11 +8,13 @@
 // instant (a barrier exit wakes every rank at once), and those never
 // touch the heap.
 //
-// Simulated processes are coroutines (iter.Pull) that the
-// event loop resumes directly: at most one process executes at a time,
-// and control returns to the event loop whenever a process blocks on a
-// simulated operation. This makes simulations fully deterministic for a
-// given seed, regardless of GOMAXPROCS.
+// Simulated processes are Tasks: chains of continuations, not
+// execution contexts. A blocking call takes the function to run when
+// it completes and returns at once; the event loop later runs that
+// continuation as an event of its own. Every line of simulation code
+// therefore runs on the event loop's goroutine, one event at a time,
+// which makes simulations fully deterministic for a given seed,
+// regardless of GOMAXPROCS, and a parked process costs only its state.
 //
 // All times are in seconds of virtual time (type Time).
 package sim
@@ -32,26 +34,24 @@ type Duration = Time
 // Infinity is a time later than any event the engine will execute.
 const Infinity Time = math.MaxFloat64
 
-// event is one scheduled action. Exactly one of the three payload
-// variants is set: fn (a plain closure), afn+arg (a pre-allocated
-// function taking a uint64 argument carried in the event itself), or
-// proc (a direct process resume). The variants exist so the hot
-// schedulers — process wakes, sleeps, and the flownet refresh tick —
-// never allocate a closure per event.
+// event is one scheduled action. Exactly one of the two payload
+// variants is set: fn (a function, typically a task's pre-bound
+// continuation) or afn+arg (a pre-allocated function taking a uint64
+// argument carried in the event itself). The second variant exists so
+// the flownet refresh tick never allocates a closure per event.
 type event struct {
-	t    Time
-	seq  uint64
-	fn   func()
-	afn  func(uint64)
-	arg  uint64
-	proc *Proc
+	t   Time
+	seq uint64
+	fn  func()
+	afn func(uint64)
+	arg uint64
 }
 
 // eventHeap is a hand-rolled 4-ary min-heap ordered by (t, seq). It
 // holds only future events (t > now when scheduled); same-instant
 // events take the engine's FIFO lane instead. A 4-ary heap is half as
 // deep as a binary one, and sifting moves one event into a hole
-// rather than swapping pairs, so each level costs one 48-byte copy.
+// rather than swapping pairs, so each level costs one 40-byte copy.
 // A typed heap avoids the interface{} boxing (one allocation per
 // Push) and the dynamic dispatch of container/heap.
 type eventHeap struct {
@@ -140,8 +140,7 @@ type Engine struct {
 	nowHead int
 	seq     uint64
 	running bool
-	procs   int     // live (spawned, not finished) processes
-	spawned []*Proc // processes spawned since the last clean drain, stopped on abnormal exit
+	procs   int // live (spawned, not exited) tasks
 
 	// Scheduling statistics, kept unconditionally: one integer update
 	// per schedule/pop, cheap enough that there is nothing to disable.
@@ -180,12 +179,6 @@ func (e *Engine) At(t Time, fn func()) {
 // to carry its generation counter.
 func (e *Engine) AtArg(t Time, fn func(uint64), arg uint64) {
 	e.schedule(event{t: t, afn: fn, arg: arg})
-}
-
-// atResume schedules a direct resume of p at time t — the closure-free
-// path behind Spawn, Sleep, and Block wakes.
-func (e *Engine) atResume(t Time, p *Proc) {
-	e.schedule(event{t: t, proc: p})
 }
 
 func (e *Engine) schedule(ev event) {
@@ -230,27 +223,21 @@ func (e *Engine) next(limit Time) (event, bool) {
 func (e *Engine) After(d Duration, fn func()) { e.At(e.now+d, fn) }
 
 // Run executes events until the event queue is empty. It returns the
-// final virtual time. Run panics if any spawned process is still
-// blocked when the queue drains (a deadlock in the simulated system);
-// a panic inside a process body is re-raised here too.
+// final virtual time. Run panics if any spawned task has not exited
+// when the queue drains (a deadlock in the simulated system); a panic
+// inside a task's continuation propagates to Run's caller as is.
 func (e *Engine) Run() Time { return e.RunUntil(Infinity) }
 
 // RunUntil executes events with time <= limit and returns the time of
 // the last executed event (or the current time if none ran). Events
-// beyond the limit remain queued. If the run panics, every process
-// still parked is stopped first, so a failed run holds no coroutines.
+// beyond the limit remain queued. A failed run leaves nothing behind
+// to unwind: a parked task is only the state its continuation reads.
 func (e *Engine) RunUntil(limit Time) Time {
 	if e.running {
 		panic("sim: Run called re-entrantly")
 	}
 	e.running = true
-	ok := false
-	defer func() {
-		e.running = false
-		if !ok {
-			e.stopAll()
-		}
-	}()
+	defer func() { e.running = false }()
 	for {
 		ev, more := e.next(limit)
 		if !more {
@@ -258,34 +245,16 @@ func (e *Engine) RunUntil(limit Time) Time {
 		}
 		e.popped++
 		e.now = ev.t
-		switch {
-		case ev.proc != nil:
-			ev.proc.resume()
-		case ev.afn != nil:
+		if ev.afn != nil {
 			ev.afn(ev.arg)
-		default:
+		} else {
 			ev.fn()
 		}
 	}
-	if e.Pending() > 0 {
-		ok = true // stopped at limit
-		return e.now
-	}
-	if e.procs > 0 {
+	if e.Pending() == 0 && e.procs > 0 {
 		panic(fmt.Sprintf("sim: deadlock: %d process(es) blocked with no pending events at t=%v", e.procs, e.now))
 	}
-	e.spawned = nil // every process finished: nothing left to stop
-	ok = true
 	return e.now
-}
-
-// stopAll unwinds every unfinished process. Stopping a finished
-// process, or the one whose panic aborted the run, is a no-op.
-func (e *Engine) stopAll() {
-	for _, p := range e.spawned {
-		p.stop()
-	}
-	e.spawned = nil
 }
 
 // Pending reports the number of queued events in both lanes.

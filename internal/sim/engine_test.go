@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -69,12 +70,15 @@ func TestRunUntilLeavesLaterEvents(t *testing.T) {
 func TestProcSleep(t *testing.T) {
 	e := NewEngine()
 	var marks []Time
-	e.Spawn("sleeper", func(p *Proc) {
+	e.Spawn("sleeper", func(p *Task) {
 		marks = append(marks, p.Now())
-		p.Sleep(3)
-		marks = append(marks, p.Now())
-		p.Sleep(0)
-		marks = append(marks, p.Now())
+		p.Sleep(3, func() {
+			marks = append(marks, p.Now())
+			p.Sleep(0, func() {
+				marks = append(marks, p.Now())
+				p.Exit()
+			})
+		})
 	})
 	e.Run()
 	if len(marks) != 3 || marks[0] != 0 || marks[1] != 3 || marks[2] != 3 {
@@ -88,10 +92,11 @@ func TestProcsInterleaveDeterministically(t *testing.T) {
 		var order []string
 		for i, d := range []Duration{3, 1, 2} {
 			name := string(rune('a' + i))
-			dd := d
-			e.Spawn(name, func(p *Proc) {
-				p.Sleep(dd)
-				order = append(order, p.Name())
+			e.Spawn(name, func(p *Task) {
+				p.Sleep(d, func() {
+					order = append(order, p.Name())
+					p.Exit()
+				})
 			})
 		}
 		e.Run()
@@ -111,25 +116,45 @@ func TestProcsInterleaveDeterministically(t *testing.T) {
 	}
 }
 
+// loop runs body(0, next) .. body(n-1, next), each step handing the
+// next one on as its continuation, then runs done.
+func loop(n int, body func(i int, next func()), done func()) {
+	i := 0
+	var next func()
+	next = func() {
+		if i == n {
+			done()
+			return
+		}
+		i++
+		body(i-1, next)
+	}
+	next()
+}
+
 func TestWaitQueueFIFO(t *testing.T) {
 	e := NewEngine()
 	var q WaitQueue
 	var order []string
 	for _, name := range []string{"x", "y", "z"} {
-		n := name
-		e.Spawn(n, func(p *Proc) {
-			q.Wait(p)
-			order = append(order, n)
+		e.Spawn(name, func(p *Task) {
+			q.Wait(p, func() {
+				order = append(order, name)
+				p.Exit()
+			})
 		})
 	}
-	e.Spawn("waker", func(p *Proc) {
-		p.Sleep(1)
-		if q.Len() != 3 {
-			t.Errorf("queue len %d, want 3", q.Len())
-		}
-		q.WakeOne()
-		p.Sleep(1)
-		q.WakeAll()
+	e.Spawn("waker", func(p *Task) {
+		p.Sleep(1, func() {
+			if q.Len() != 3 {
+				t.Errorf("queue len %d, want 3", q.Len())
+			}
+			q.WakeOne()
+			p.Sleep(1, func() {
+				q.WakeAll()
+				p.Exit()
+			})
+		})
 	})
 	e.Run()
 	if len(order) != 3 || order[0] != "x" || order[1] != "y" || order[2] != "z" {
@@ -146,47 +171,54 @@ func TestWaitQueueReusesItsArray(t *testing.T) {
 	const n = 64
 	var first *func()
 	for i := 0; i < n; i++ {
-		e.Spawn("w", func(p *Proc) {
-			for round := 0; round < 5; round++ {
-				q.Wait(p)
-			}
+		e.Spawn("w", func(p *Task) {
+			loop(5, func(_ int, next func()) { q.Wait(p, next) }, p.Exit)
 		})
 	}
-	e.Spawn("waker", func(p *Proc) {
-		for round := 0; round < 5; round++ {
-			p.Sleep(1)
-			if q.Len() != n {
-				t.Errorf("round %d: %d waiters, want %d", round, q.Len(), n)
-			}
-			if round == 0 {
-				first = &q.waiters[:1][0]
-			} else if &q.waiters[:1][0] != first {
-				t.Errorf("round %d: backing array reallocated", round)
-			}
-			if round%2 == 0 {
-				q.WakeAll()
-			} else {
-				for q.WakeOne() {
+	e.Spawn("waker", func(p *Task) {
+		loop(5, func(round int, next func()) {
+			p.Sleep(1, func() {
+				if q.Len() != n {
+					t.Errorf("round %d: %d waiters, want %d", round, q.Len(), n)
 				}
-			}
-		}
+				if round == 0 {
+					first = &q.waiters[:1][0]
+				} else if &q.waiters[:1][0] != first {
+					t.Errorf("round %d: backing array reallocated", round)
+				}
+				if round%2 == 0 {
+					q.WakeAll()
+				} else {
+					for q.WakeOne() {
+					}
+				}
+				next()
+			})
+		}, p.Exit)
 	})
 	e.Run()
 
-	// Three processes cycle through a one-permit semaphore 200 times
-	// each: its queue never empties, so only sliding keeps it small.
+	// Three tasks cycle through a one-permit semaphore 200 times each:
+	// its queue never empties, so only sliding keeps it small.
 	e = NewEngine()
 	sem := NewSemaphore(1)
 	var order []int
 	for i := 0; i < 3; i++ {
-		e.Spawn("s", func(p *Proc) {
-			for k := 0; k < 200; k++ {
-				sem.Acquire(p)
-				order = append(order, i)
-				p.Sleep(1)
-				sem.Release()
-				p.Sleep(0.5) // rejoin behind the waiter just woken
-			}
+		e.Spawn("s", func(p *Task) {
+			loop(200, func(_ int, next func()) {
+				var acquire func()
+				acquire = func() {
+					if !sem.Acquire(p, acquire) {
+						return
+					}
+					order = append(order, i)
+					p.Sleep(1, func() {
+						sem.Release()
+						p.Sleep(0.5, next) // rejoin behind the waiter just woken
+					})
+				}
+				acquire()
+			}, p.Exit)
 		})
 	}
 	e.Run()
@@ -205,15 +237,23 @@ func TestSemaphoreLimitsConcurrency(t *testing.T) {
 	sem := NewSemaphore(2)
 	active, peak := 0, 0
 	for i := 0; i < 6; i++ {
-		e.Spawn("w", func(p *Proc) {
-			sem.Acquire(p)
-			active++
-			if active > peak {
-				peak = active
+		e.Spawn("w", func(p *Task) {
+			var acquire func()
+			acquire = func() {
+				if !sem.Acquire(p, acquire) {
+					return
+				}
+				active++
+				if active > peak {
+					peak = active
+				}
+				p.Sleep(1, func() {
+					active--
+					sem.Release()
+					p.Exit()
+				})
 			}
-			p.Sleep(1)
-			active--
-			sem.Release()
+			acquire()
 		})
 	}
 	e.Run()
@@ -225,30 +265,35 @@ func TestSemaphoreLimitsConcurrency(t *testing.T) {
 	}
 }
 
+// TestDeadlockPanics: a queue that drains with a task still parked is
+// a deadlock, and the message counts the parked tasks.
 func TestDeadlockPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected deadlock panic")
-		}
-	}()
 	e := NewEngine()
 	var q WaitQueue
-	e.Spawn("stuck", func(p *Proc) { q.Wait(p) })
-	e.Run()
+	for i := 0; i < 3; i++ {
+		e.Spawn("stuck", func(p *Task) { q.Wait(p, p.Exit) })
+	}
+	e.Spawn("done", func(p *Task) { p.Sleep(1, p.Exit) })
+	if msg := runPanic(e); !strings.Contains(msg, "deadlock: 3 process(es) blocked") {
+		t.Fatalf("recovered %q, want the deadlock panic counting 3 blocked tasks", msg)
+	}
 }
 
 func TestBlockWake(t *testing.T) {
 	e := NewEngine()
 	var wake func()
 	var resumedAt Time
-	e.Spawn("blocker", func(p *Proc) {
-		wake = p.Block()
-		p.Park()
-		resumedAt = p.Now()
+	e.Spawn("blocker", func(p *Task) {
+		wake = p.Block(func() {
+			resumedAt = p.Now()
+			p.Exit()
+		})
 	})
-	e.Spawn("waker", func(p *Proc) {
-		p.Sleep(4)
-		wake()
+	e.Spawn("waker", func(p *Task) {
+		p.Sleep(4, func() {
+			wake()
+			p.Exit()
+		})
 	})
 	e.Run()
 	if resumedAt != 4 {
@@ -258,7 +303,7 @@ func TestBlockWake(t *testing.T) {
 
 func TestRunReturnsFinalTime(t *testing.T) {
 	e := NewEngine()
-	e.Spawn("s", func(p *Proc) { p.Sleep(7.5) })
+	e.Spawn("s", func(p *Task) { p.Sleep(7.5, p.Exit) })
 	if end := e.Run(); end != 7.5 {
 		t.Errorf("Run returned %v, want 7.5", end)
 	}
@@ -270,13 +315,16 @@ func TestRunReturnsFinalTime(t *testing.T) {
 func TestNestedSpawn(t *testing.T) {
 	e := NewEngine()
 	var childAt Time
-	e.Spawn("parent", func(p *Proc) {
-		p.Sleep(2)
-		e.Spawn("child", func(c *Proc) {
-			c.Sleep(3)
-			childAt = c.Now()
+	e.Spawn("parent", func(p *Task) {
+		p.Sleep(2, func() {
+			e.Spawn("child", func(c *Task) {
+				c.Sleep(3, func() {
+					childAt = c.Now()
+					c.Exit()
+				})
+			})
+			p.Sleep(1, p.Exit)
 		})
-		p.Sleep(1)
 	})
 	e.Run()
 	if childAt != 5 {
@@ -285,26 +333,28 @@ func TestNestedSpawn(t *testing.T) {
 }
 
 func TestSemaphoreZeroCapacityDeadlocks(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected deadlock panic with zero-permit semaphore")
-		}
-	}()
 	e := NewEngine()
 	sem := NewSemaphore(0)
-	e.Spawn("w", func(p *Proc) { sem.Acquire(p) })
-	e.Run()
+	e.Spawn("w", func(p *Task) {
+		if sem.Acquire(p, p.Exit) {
+			t.Error("acquired a permit from a zero-capacity semaphore")
+		}
+	})
+	if msg := runPanic(e); !strings.Contains(msg, "deadlock: 1 process(es) blocked") {
+		t.Fatalf("recovered %q, want the deadlock panic with a zero-permit semaphore", msg)
+	}
 }
 
 func TestNegativeSleepPanics(t *testing.T) {
 	e := NewEngine()
-	e.Spawn("w", func(p *Proc) {
+	e.Spawn("w", func(p *Task) {
 		defer func() {
 			if recover() == nil {
 				t.Error("expected panic for negative sleep")
 			}
+			p.Exit()
 		}()
-		p.Sleep(-1)
+		p.Sleep(-1, p.Exit)
 	})
 	e.Run()
 }

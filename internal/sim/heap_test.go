@@ -86,7 +86,7 @@ func TestEventHeapPopClearsSlot(t *testing.T) {
 func TestEngineLanePopClearsSlot(t *testing.T) {
 	e := NewEngine()
 	cleared := func(ev event) bool {
-		return ev.fn == nil && ev.afn == nil && ev.proc == nil && ev.t == 0 && ev.seq == 0 && ev.arg == 0
+		return ev.fn == nil && ev.afn == nil && ev.t == 0 && ev.seq == 0 && ev.arg == 0
 	}
 	checks := 0
 	check := func() {
@@ -101,7 +101,12 @@ func TestEngineLanePopClearsSlot(t *testing.T) {
 		e.At(0, check)
 		e.AtArg(0, func(uint64) { check() }, uint64(i+1))
 	}
-	e.Spawn("p", func(p *Proc) { p.Sleep(0); check() })
+	e.Spawn("p", func(p *Task) {
+		p.Sleep(0, func() {
+			check()
+			p.Exit()
+		})
+	})
 	e.Run()
 	if checks != 65 {
 		t.Fatalf("ran %d checks, want 65", checks)
@@ -156,7 +161,7 @@ func BenchmarkEngineDeepHeap(b *testing.B) {
 }
 
 // BenchmarkEngineBarrierWake is the bulk-synchronous pattern the
-// same-instant lane serves: 10,240 processes loop over a short Sleep
+// same-instant lane serves: 10,240 tasks loop over a short Sleep
 // and a WaitQueue barrier, so every barrier exit wakes all of them at
 // one instant. BenchmarkEngineDeepHeap is the contrast: all its events
 // but the first lie in the future and take the heap.
@@ -168,16 +173,27 @@ func BenchmarkEngineBarrierWake(b *testing.B) {
 		var q WaitQueue
 		arrived := 0
 		for k := 0; k < procs; k++ {
-			e.Spawn("rank", func(p *Proc) {
-				for r := 0; r < rounds; r++ {
-					p.Sleep(1e-6)
+			e.Spawn("rank", func(p *Task) {
+				r := 0
+				var round, arrive func()
+				round = func() {
+					if r == rounds {
+						p.Exit()
+						return
+					}
+					r++
+					p.Sleep(1e-6, arrive)
+				}
+				arrive = func() {
 					if arrived++; arrived < procs {
-						q.Wait(p)
-						continue
+						q.Wait(p, round)
+						return
 					}
 					arrived = 0
 					q.WakeAll()
+					round()
 				}
+				round()
 			})
 		}
 		e.Run()

@@ -120,38 +120,44 @@ func (m *orderModel) act() {
 func (m *orderModel) spawn() {
 	idx := m.note(m.e.Now())
 	m.live++
-	m.e.Spawn("p", func(p *Proc) {
+	m.e.Spawn("p", func(p *Task) {
 		m.exec(idx)
-		for steps := 1 + m.rng.Intn(4); steps > 0; steps-- {
-			m.step(p)
-			m.act()
-		}
-		m.live--
+		m.steps(p, 1+m.rng.Intn(4))
 	})
 }
 
-// step is one blocking operation of a process body.
-func (m *orderModel) step(p *Proc) {
+// steps runs n blocking operations of a task body, each followed by a
+// burst of random actions, then exits.
+func (m *orderModel) steps(p *Task, n int) {
+	if n == 0 {
+		m.live--
+		p.Exit()
+		return
+	}
+	m.step(p, func() {
+		m.act()
+		m.steps(p, n-1)
+	})
+}
+
+// step is one blocking operation of a task body; k runs when it
+// completes.
+func (m *orderModel) step(p *Task, k func()) {
 	switch m.rng.Intn(4) {
 	case 0:
 		idx := m.note(m.e.Now())
-		p.Sleep(0)
-		m.exec(idx)
+		p.Sleep(0, func() { m.exec(idx); k() })
 	case 1:
 		d := Time(1+m.rng.Intn(3)) / 2
 		idx := m.note(m.e.Now() + d)
-		p.Sleep(d)
-		m.exec(idx)
+		p.Sleep(d, func() { m.exec(idx); k() })
 	case 2:
 		slot := new(uint64)
 		m.waiting = append(m.waiting, slot)
-		m.q.Wait(p)
-		m.exec(*slot)
+		m.q.Wait(p, func() { m.exec(*slot); k() })
 	default:
 		slot := new(uint64)
-		m.blocked = append(m.blocked, blockedProc{p.Block(), slot})
-		p.Park()
-		m.exec(*slot)
+		m.blocked = append(m.blocked, blockedProc{p.Block(func() { m.exec(*slot); k() }), slot})
 	}
 }
 

@@ -37,22 +37,17 @@ func runPanic(e *Engine) (msg string) {
 	return ""
 }
 
-// spawnParked spawns n processes that block forever on q, each
-// counting its unwinding in *unwound.
-func spawnParked(e *Engine, q *WaitQueue, n int, unwound *int) {
+// spawnParked spawns n tasks that park on q forever.
+func spawnParked(e *Engine, q *WaitQueue, n int) {
 	for i := 0; i < n; i++ {
-		e.Spawn(fmt.Sprintf("parked%d", i), func(p *Proc) {
-			defer func() { *unwound++ }()
-			q.Wait(p)
-		})
+		e.Spawn(fmt.Sprintf("parked%d", i), func(p *Task) { q.Wait(p, p.Exit) })
 	}
 }
 
 func TestFailureBodyPanicSurfacesAtRun(t *testing.T) {
 	e := NewEngine()
-	e.Spawn("rank3", func(p *Proc) {
-		p.Sleep(1)
-		panic("rank 3: bad offset")
+	e.Spawn("rank3", func(p *Task) {
+		p.Sleep(1, func() { panic("rank 3: bad offset") })
 	})
 	if msg := runPanic(e); msg != "rank 3: bad offset" {
 		t.Fatalf("recovered %q, want the body's own panic message", msg)
@@ -62,71 +57,71 @@ func TestFailureBodyPanicSurfacesAtRun(t *testing.T) {
 	}
 }
 
-// TestFailureDeadlockStopsParkedProcs: a deadlocked run must unwind
-// every parked process, so no coroutine (and no goroutine stack behind
-// it) outlives the failed run.
+// TestFailureDeadlockStopsParkedProcs: a deadlocked run holds no
+// goroutine at any point, parked tasks included, so nothing outlives
+// the failed run but the state its tasks left behind.
 func TestFailureDeadlockStopsParkedProcs(t *testing.T) {
 	before := settledGoroutines()
 	e := NewEngine()
 	var q WaitQueue
-	unwound := 0
-	spawnParked(e, &q, 8, &unwound)
-	during := 0
+	spawnParked(e, &q, 8)
+	during := -1
 	e.At(1, func() { during = runtime.NumGoroutine() })
 	msg := runPanic(e)
 	if !strings.Contains(msg, "deadlock: 8 process(es) blocked") {
 		t.Fatalf("recovered %q, want the deadlock panic", msg)
 	}
-	if during < before+8 {
-		t.Fatalf("%d goroutines while parked, want at least %d: the check is vacuous", during, before+8)
+	if q.Len() != 8 {
+		t.Fatalf("%d tasks parked, want 8: the check is vacuous", q.Len())
+	}
+	if during != before {
+		t.Errorf("%d goroutines with 8 tasks parked, want %d: a parked task must not own a goroutine", during, before)
 	}
 	if after := runtime.NumGoroutine(); after != before {
-		t.Errorf("%d goroutines after the deadlock, want %d (parked processes leaked)", after, before)
-	}
-	if unwound != 8 {
-		t.Errorf("%d parked bodies unwound, want 8", unwound)
+		t.Errorf("%d goroutines after the deadlock, want %d", after, before)
 	}
 }
 
-// TestFailureRankPanicStopsParkedProcs: one body's panic must not
-// leave its parked peers behind either.
+// TestFailureRankPanicStopsParkedProcs: one task's panic leaves its
+// parked peers as plain state, and the engine is not left running.
 func TestFailureRankPanicStopsParkedProcs(t *testing.T) {
 	before := settledGoroutines()
 	e := NewEngine()
 	var q WaitQueue
-	unwound := 0
-	spawnParked(e, &q, 8, &unwound)
-	e.Spawn("bad", func(p *Proc) {
-		p.Sleep(2)
-		panic(fmt.Errorf("bad rank at t=%v", p.Now()))
+	spawnParked(e, &q, 8)
+	e.Spawn("bad", func(p *Task) {
+		p.Sleep(2, func() { panic(fmt.Errorf("bad rank at t=%v", p.Now())) })
 	})
 	if msg := runPanic(e); msg != "bad rank at t=2" {
 		t.Fatalf("recovered %q, want the body's own panic message", msg)
 	}
 	if after := runtime.NumGoroutine(); after != before {
-		t.Errorf("%d goroutines after the rank panic, want %d (parked processes leaked)", after, before)
+		t.Errorf("%d goroutines after the rank panic, want %d", after, before)
 	}
-	if unwound != 8 {
-		t.Errorf("%d parked bodies unwound, want 8", unwound)
+	if e.running {
+		t.Error("engine still marked running after the panic")
+	}
+	if q.Len() != 8 {
+		t.Errorf("%d tasks parked after the panic, want 8", q.Len())
 	}
 }
 
 func TestFailureResumeFinishedPanics(t *testing.T) {
 	e := NewEngine()
-	p := e.Spawn("short", func(p *Proc) { p.Sleep(1) })
+	p := e.Spawn("short", func(p *Task) { p.Sleep(1, p.Exit) })
 	e.Run()
 	defer func() {
 		if r := recover(); !strings.Contains(fmt.Sprint(r), `resume of finished process "short"`) {
 			t.Errorf("recovered %v, want the finished-process panic", r)
 		}
 	}()
-	p.resume()
+	p.Sleep(1, p.Exit)
 }
 
 func TestFailureDoubleWakePanics(t *testing.T) {
 	e := NewEngine()
-	e.Spawn("w", func(p *Proc) {
-		wake := p.Block()
+	e.Spawn("w", func(p *Task) {
+		wake := p.Block(p.Exit)
 		wake()
 		wake()
 	})
@@ -137,9 +132,9 @@ func TestFailureDoubleWakePanics(t *testing.T) {
 
 func TestFailureBlockWithPendingWakePanics(t *testing.T) {
 	e := NewEngine()
-	e.Spawn("w", func(p *Proc) {
-		p.Block()
-		p.Block()
+	e.Spawn("w", func(p *Task) {
+		p.Block(p.Exit)
+		p.Block(p.Exit)
 	})
 	if msg := runPanic(e); !strings.Contains(msg, `Block on process "w" with a wake already pending`) {
 		t.Fatalf("recovered %q, want the pending-wake panic", msg)

@@ -300,10 +300,10 @@ func (p *Program) Run(cfg RunConfig) *Run {
 }
 
 // body prepares the program to run on job j and returns the per-rank
-// interpreter body. Pre-launch setup happens here, in a deterministic
-// order: the stage-one shipping groups on j's world, then the
-// compute-imbalance draws from j's seed's dedicated stream, and the
-// one h5lite layout every writer shares.
+// interpreter's first step. Pre-launch setup happens here, in a
+// deterministic order: the stage-one shipping groups on j's world,
+// then the compute-imbalance draws from j's seed's dedicated stream,
+// and the one h5lite layout every writer shares.
 func (p *Program) body(j *Job) func(r *mpi.Rank, tr *ipmio.Tracer) {
 	// Stage-one shipping groups: aggregator g's group is the perWriter
 	// consecutive ranks starting at g*perWriter, created pre-launch in
@@ -319,26 +319,20 @@ func (p *Program) body(j *Job) func(r *mpi.Rank, tr *ipmio.Tracer) {
 		}
 	}
 
-	factors := p.drawImbalance(j.seed)
-	var layout *h5lite.Layout
+	jr := &jobRun{p: p, j: j, factors: p.drawImbalance(j.seed)}
 	if p.h5 {
-		layout = p.h5Layout()
+		jr.layout = p.h5Layout()
 	}
 
 	return func(r *mpi.Rank, tr *ipmio.Tracer) {
-		ex := executor{p: p, j: j, r: r, tr: tr, fd: -1, factors: factors, layout: layout}
+		ex := &executor{jr: jr, r: r, tr: tr, fd: -1}
 		ex.writer, ex.w = p.writerOf(r.ID)
 		if groups != nil {
 			ex.group = groups[r.ID/p.perWriter]
 		}
-		for pi := range p.phases {
-			ph := &p.phases[pi]
-			for rep := 0; rep < ph.repeat; rep++ {
-				for oi := range ph.ops {
-					ex.exec(&ph.ops[oi], rep)
-				}
-			}
-		}
+		ex.stepFn = ex.step
+		ex.ioDoneFn = ex.ioDone
+		ex.run()
 	}
 }
 
@@ -381,135 +375,193 @@ func (p *Program) drawImbalance(seed int64) [][]float64 {
 	return factors
 }
 
-// executor is one rank's interpreter state.
-type executor struct {
+// jobRun is what every rank of one job's run shares: the program,
+// the job, the compute-imbalance draws and the h5lite layout.
+type jobRun struct {
 	p       *Program
 	j       *Job
-	r       *mpi.Rank
-	tr      *ipmio.Tracer
 	factors [][]float64
-
-	writer bool
-	w      int
-	group  *mpi.Comm
-
-	fd     int
-	layout *h5lite.Layout
-	file   *h5lite.File
+	layout  *h5lite.Layout
 }
 
-// exec runs one compiled op for the rank. I/O errors panic: inside
-// the simulation an I/O error is a workload bug, not an environmental
+// executor is one rank's interpreter: its program counter and the
+// state its ops share. It runs as a chain of continuations: run issues
+// ops until one parks the rank, and that op's completion re-enters
+// through step.
+type executor struct {
+	jr *jobRun
+	r  *mpi.Rank
+	tr *ipmio.Tracer
+
+	w     int // writer index (when writer)
+	group *mpi.Comm
+
+	fd   int
+	file *h5lite.File
+
+	// The program counter: phase, its repetition, op, and the op's
+	// next call (ops such as write with a count make several).
+	pi, rep, oi, i int
+
+	writer bool
+	// issuing is set while run issues a call, so a call that completes
+	// before it returns only sets completed, and run moves on without
+	// deepening the stack.
+	issuing, completed bool
+
+	stepFn   func()       // ex.step, bound once
+	ioDoneFn posixio.Done // ex.ioDone, bound once
+}
+
+// run issues the rank's calls in program order until one parks, or
+// the program ends and the rank finishes.
+func (ex *executor) run() {
+	phases := ex.jr.p.phases
+	for ex.pi < len(phases) {
+		ph := &phases[ex.pi]
+		if ex.oi < len(ph.ops) {
+			ex.issuing, ex.completed = true, false
+			issued := ex.exec(&ph.ops[ex.oi])
+			ex.issuing = false
+			switch {
+			case issued && !ex.completed:
+				return // parked: step resumes
+			case issued:
+				ex.i++
+			default:
+				ex.i = 0
+				ex.oi++
+			}
+			continue
+		}
+		ex.oi = 0
+		if ex.rep++; ex.rep == ph.repeat {
+			ex.rep = 0
+			ex.pi++
+		}
+	}
+	ex.jr.j.rankDone(ex.r)
+}
+
+// step is the completion of every call the executor issues.
+func (ex *executor) step() {
+	if ex.issuing {
+		ex.completed = true
+		return
+	}
+	ex.i++
+	ex.run()
+}
+
+// ioDone completes an I/O call. I/O errors panic: inside the
+// simulation an I/O error is a workload bug, not an environmental
 // condition.
-func (ex *executor) exec(op *cop, rep int) {
-	p, r, tr := ex.p, ex.r, ex.tr
+func (ex *executor) ioDone(_ int64, err error) {
+	if err != nil {
+		panic(err)
+	}
+	ex.step()
+}
+
+// exec issues call ex.i of op for the rank and reports whether it
+// issued one; false means the op has no calls left (or none at all).
+func (ex *executor) exec(op *cop) bool {
+	p, r, tr := ex.jr.p, ex.r, ex.tr
+	single := ex.i == 0 // for ops that make at most one call
 	switch op.kind {
 	case kOpen:
+		if !single {
+			return false
+		}
 		if p.h5 {
-			ex.h5Open()
-			return
+			// Stage-one shippers never touch the file system.
+			if !ex.writer {
+				return false
+			}
+			ex.file = h5lite.NewFile(tr, ex.jr.layout, r.ID == 0)
+			ex.file.Create(p.path, ex.ioDoneFn)
+			return true
 		}
 		path := p.path
 		if p.spec.FilePerProcess {
 			path = fmt.Sprintf("%s.%05d", p.path, r.ID)
 		}
-		fd, err := tr.Open(r.P, path, p.flags)
-		if err != nil {
-			panic(err)
-		}
-		ex.fd = fd
+		ex.fd = tr.Open(path, p.flags, ex.ioDoneFn)
 	case kClose:
+		if !single || p.h5 && !ex.writer {
+			return false
+		}
 		if p.h5 {
-			if ex.writer {
-				if err := ex.file.Close(r.P); err != nil {
-					panic(err)
-				}
-			}
-			return
+			ex.file.Close(ex.ioDoneFn)
+			return true
 		}
-		if err := tr.Close(r.P, ex.fd); err != nil {
-			panic(err)
-		}
+		tr.Close(ex.fd, ex.ioDoneFn)
 	case kBarrier:
-		r.Barrier()
+		if !single {
+			return false
+		}
+		r.Barrier(ex.stepFn)
 	case kMark:
 		// Phase boundaries are recorded once, from rank 0.
 		if r.ID == 0 {
-			ex.j.col.Mark(op.marks[rep], r.P.Now())
+			ex.jr.j.col.Mark(op.marks[ex.rep], r.T.Now())
 		}
+		return false
 	case kCompute:
-		r.P.Sleep(sim.Duration(op.seconds * ex.factors[op.compute][r.ID]))
+		if !single {
+			return false
+		}
+		r.T.Sleep(sim.Duration(op.seconds*ex.jr.factors[op.compute][r.ID]), ex.stepFn)
 	case kSeek:
-		if _, err := tr.Seek(r.P, ex.fd, op.off.at(r.ID, 0, rep), posixio.SeekSet); err != nil {
+		if _, err := tr.Seek(ex.fd, op.off.at(r.ID, 0, ex.rep), posixio.SeekSet); err != nil {
 			panic(err)
 		}
+		return false
 	case kRead:
-		for i := 0; i < op.count; i++ {
-			if _, err := tr.Read(r.P, ex.fd, op.bytes); err != nil {
-				panic(err)
-			}
+		if ex.i == op.count {
+			return false
 		}
+		tr.Read(ex.fd, op.bytes, ex.ioDoneFn)
 	case kWrite:
-		for i := 0; i < op.count; i++ {
-			if _, err := tr.Write(r.P, ex.fd, op.bytes); err != nil {
-				panic(err)
-			}
+		if ex.i == op.count {
+			return false
 		}
+		tr.Write(ex.fd, op.bytes, ex.ioDoneFn)
 	case kPread:
-		for i := 0; i < op.count; i++ {
-			if _, err := tr.Pread(r.P, ex.fd, op.off.at(r.ID, i, rep), op.bytes); err != nil {
-				panic(err)
-			}
+		if ex.i == op.count {
+			return false
 		}
+		tr.Pread(ex.fd, op.off.at(r.ID, ex.i, ex.rep), op.bytes, ex.ioDoneFn)
 	case kPwrite:
-		for i := 0; i < op.count; i++ {
-			if _, err := tr.Pwrite(r.P, ex.fd, op.off.at(r.ID, i, rep), op.bytes); err != nil {
-				panic(err)
-			}
+		if ex.i == op.count {
+			return false
 		}
+		tr.Pwrite(ex.fd, op.off.at(r.ID, ex.i, ex.rep), op.bytes, ex.ioDoneFn)
 	case kRecords:
-		if !ex.writer {
-			return
+		// The writer's records: each of its perWriter tasks' records
+		// of the dataset, task by task.
+		n := p.perWriter * p.spec.Datasets[op.ds].RecordsPerTask
+		if !ex.writer || ex.i == n {
+			return false
 		}
-		rpt := p.spec.Datasets[op.ds].RecordsPerTask
-		for tsk := ex.w * p.perWriter; tsk < (ex.w+1)*p.perWriter; tsk++ {
-			for rec := 0; rec < rpt; rec++ {
-				if err := ex.file.WriteRecord(r.P, op.ds, tsk*rpt+rec); err != nil {
-					panic(err)
-				}
-			}
-		}
+		ex.file.WriteRecord(op.ds, ex.w*n+ex.i, ex.ioDoneFn)
 	case kMeta:
-		if !ex.writer {
-			return
+		if !single || !ex.writer {
+			return false
 		}
-		if err := ex.file.FlushMetadata(r.P, op.ds); err != nil {
-			panic(err)
-		}
+		ex.file.FlushMetadata(op.ds, ex.ioDoneFn)
 	case kGather:
 		// Stage one of collective buffering: ship this rank's records
 		// for the variable to its aggregator. A no-op outside
 		// two-stage mode, so the same phase list serves every rung of
 		// the optimization ladder.
-		if ex.group != nil {
-			d := &p.spec.Datasets[op.ds]
-			ex.group.Gather(r, d.RecordBytes*int64(d.RecordsPerTask), r.ID)
+		if !single || ex.group == nil {
+			return false
 		}
+		d := &p.spec.Datasets[op.ds]
+		ex.group.Gather(r, d.RecordBytes*int64(d.RecordsPerTask), r.ID, ex.stepFn)
 	}
-}
-
-// h5Open opens the file on the job's shared layout, on writer ranks
-// only (stage-one shippers never touch the file system).
-func (ex *executor) h5Open() {
-	r := ex.r
-	if !ex.writer {
-		return
-	}
-	f, err := h5lite.Create(r.P, ex.tr, ex.p.path, ex.layout, r.ID == 0)
-	if err != nil {
-		panic(err)
-	}
-	ex.file = f
+	return true
 }
 
 // h5Layout is the file layout every writer of one job shares: each

@@ -199,8 +199,7 @@ func (s *Session) Run() {
 
 // spawn launches body on every rank at the job's start offset without
 // driving the engine. The makespan and the per-job fast-forward window
-// are tracked here; the session is notified when the last rank
-// completes.
+// are tracked here; each rank reports its finish through rankDone.
 func (j *Job) spawn(body func(r *mpi.Rank, tr *ipmio.Tracer)) {
 	eng := j.s.eng
 	run := func() {
@@ -208,17 +207,7 @@ func (j *Job) spawn(body func(r *mpi.Rank, tr *ipmio.Tracer)) {
 		j.ffStart = eng.FastForwardSeconds()
 		j.jumpsStart = eng.FastForwardJumps()
 		j.w.Launch(func(r *mpi.Rank) {
-			tr := ipmio.NewTracer(j.s.sys.NewTask(r.ID, r.Node), j.col)
-			body(r, tr)
-			j.finished++
-			if r.P.Now() > j.wall {
-				j.wall = r.P.Now()
-			}
-			if j.finished == j.w.Size() {
-				j.ffEnd = eng.FastForwardSeconds()
-				j.jumpsEnd = eng.FastForwardJumps()
-				j.s.jobDone()
-			}
+			body(r, ipmio.NewTracer(j.s.sys.NewTask(r.ID, r.Node, r.T), j.col))
 		})
 	}
 	if j.startAt > 0 {
@@ -226,6 +215,21 @@ func (j *Job) spawn(body func(r *mpi.Rank, tr *ipmio.Tracer)) {
 	} else {
 		run()
 	}
+}
+
+// rankDone records that rank r finished the job's body and ends its
+// task; the session is notified when the last rank completes.
+func (j *Job) rankDone(r *mpi.Rank) {
+	j.finished++
+	if now := r.T.Now(); now > j.wall {
+		j.wall = now
+	}
+	if j.finished == j.w.Size() {
+		j.ffEnd = j.s.eng.FastForwardSeconds()
+		j.jumpsEnd = j.s.eng.FastForwardJumps()
+		j.s.jobDone()
+	}
+	r.Exit()
 }
 
 // jobDone records one attached job's completion (its last rank
