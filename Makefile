@@ -200,6 +200,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='FuzzScenarioParse$$' -fuzztime=$(FUZZTIME) ./internal/faults
 	$(GO) test -run='^$$' -fuzz='FuzzAnalysisMatchesReferences$$' -fuzztime=$(FUZZTIME) ./internal/analysis
 	$(GO) test -run='^$$' -fuzz='FuzzCampaignGrid$$' -fuzztime=$(FUZZTIME) ./internal/ensemble/campaign
+	$(GO) test -run='^$$' -fuzz='FuzzSpecRun$$' -fuzztime=$(FUZZTIME) ./internal/ensemble/campaign
 	$(GO) test -run='^$$' -fuzz='FuzzRNGMatchesMathRand$$' -fuzztime=$(FUZZTIME) ./internal/sim
 
 ci: build lint lint-testdata race race-stress bench-check bench-smoke trace-smoke examples-smoke dsl-golden figs-check interference-golden cache-golden bench-guard fuzz-smoke

@@ -314,7 +314,7 @@ func BenchmarkTraceCodec_Binary(b *testing.B) {
 		if err := SaveTrace(&buf, run); err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := LoadTrace(bytes.NewReader(buf.Bytes())); err != nil {
+		if _, _, _, err := LoadTrace(bytes.NewReader(buf.Bytes())); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -14,14 +14,17 @@
 // best (minimum) ns/op of the new run must be within -slack times the
 // baseline's best, and the best allocs/op and B/op within -memslack
 // times theirs (memory metrics are skipped when either side was run
-// without -benchmem). The exact work-counter units (events, heap_hw,
-// refreshes, recomputes, write_jobs; the cache counters hits, misses,
-// puts; the capture's bytes) admit no slack: every value on
-// both sides must be the same number, and a counter the baseline has
-// must be in the run. Exit status 1 on regression —
-// the CI guard that the hot paths stay within noise of the baseline,
-// that allocation wins can't silently erode, and that the simulated
-// work did not change.
+// without -benchmem). Memory is gated from below too: a row whose best
+// allocs/op or B/op is under its baseline's best divided by -memslack
+// fails as STALE, since a baseline that high would let the win erode
+// unseen; the change that made the row leaner must re-record it. The
+// exact work-counter units (events, heap_hw, refreshes, recomputes,
+// write_jobs; the cache counters hits, misses, puts; the capture's
+// bytes) admit no slack: every value on both sides must be the same
+// number, and a counter the baseline has must be in the run. Exit
+// status 1 on regression — the CI guard that the hot paths stay within
+// noise of the baseline, that allocation wins can't silently erode,
+// and that the simulated work did not change.
 package main
 
 import (
@@ -166,7 +169,7 @@ func checkAgainst(run baseline, path string, slack, memSlack float64) error {
 	if len(failures) > 0 {
 		return fmt.Errorf("perf regression against %s:\n  %s", path, strings.Join(failures, "\n  "))
 	}
-	fmt.Printf("%d benchmark(s) within x%.2f ns/op, x%.2f allocs/op+B/op of baseline, work counters exact\n", compared, slack, memSlack)
+	fmt.Printf("%d benchmark(s) within x%.2f ns/op, x%.2f allocs/op+B/op of baseline (and above x%.2f), work counters exact\n", compared, slack, memSlack, 1/memSlack)
 	return nil
 }
 
@@ -178,8 +181,11 @@ func checkAgainst(run baseline, path string, slack, memSlack float64) error {
 // generous time slack means only gross regressions — an accidentally-
 // hot disabled path — trip the guard, while the tighter memory slack
 // catches eroding allocation wins (allocs/op is nearly deterministic).
-// The exactUnits work counters must match the baseline exactly, and
-// one the baseline has but the run lacks is a failure.
+// The memory metrics are also gated from below: a best under the
+// baseline best divided by memSlack is STALE, a baseline the row no
+// longer resembles, which must be re-recorded. The exactUnits work
+// counters must match the baseline exactly, and one the baseline has
+// but the run lacks is a failure.
 // Metrics absent on either side (e.g. a baseline recorded without
 // -benchmem) are skipped. Returns the ok report lines (one per passing
 // benchmark, with a column per compared metric), the failure lines,
@@ -233,11 +239,17 @@ func checkRun(run, base baseline, slack, memSlack float64) (oks, failures []stri
 			}
 			ratio := nv / bv
 			cols = append(cols, fmt.Sprintf("%.0f %s x%.2f", nv, g.metric, ratio))
-			if nv > g.slack*bv {
+			switch {
+			case nv > g.slack*bv:
 				failed = true
 				failures = append(failures,
 					fmt.Sprintf("%s: %.0f %s vs baseline %.0f (x%.2f > allowed x%.2f)",
 						short, nv, g.metric, bv, ratio, g.slack))
+			case g.metric != "ns/op" && nv*g.slack < bv:
+				failed = true
+				failures = append(failures,
+					fmt.Sprintf("STALE %s: %.0f %s vs baseline %.0f (x%.2f < x%.2f): re-record this row in the baseline",
+						short, nv, g.metric, bv, ratio, 1/g.slack))
 			}
 		}
 		for _, unit := range exactUnits {

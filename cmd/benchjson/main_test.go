@@ -71,6 +71,49 @@ func TestCheckRunFlagsTimeRegression(t *testing.T) {
 	}
 }
 
+// TestCheckRunFlagsStaleBaseline: memory is gated from below. A row
+// whose best B/op or allocs/op fell under its baseline best divided by
+// memslack (the telemetry rows once read x0.58 B/op) fails as STALE
+// and tells the author to re-record it; a leaner row inside the slack
+// passes, and a faster ns/op is never stale.
+func TestCheckRunFlagsStaleBaseline(t *testing.T) {
+	base := bl("BenchmarkTelemetryDisabled-2", map[string][]float64{
+		"ns/op": {1.47e7}, "allocs/op": {9000, 9100}, "B/op": {912000, 915000},
+	})
+	cases := []struct {
+		name      string
+		allocs, b float64
+		want      []string // the metrics that must fail as STALE
+	}{
+		{"bytes x0.58", 8900, 524280, []string{"B/op"}},
+		{"allocs x0.50", 4500, 900000, []string{"allocs/op"}},
+		{"both", 4500, 524280, []string{"allocs/op", "B/op"}},
+		{"inside the slack", 7300, 740000, nil},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			run := bl("BenchmarkTelemetryDisabled-2", map[string][]float64{
+				"ns/op": {5e6}, "allocs/op": {c.allocs}, "B/op": {c.b},
+			})
+			oks, failures, compared := checkRun(run, base, 3.0, 1.25)
+			if compared != 1 {
+				t.Fatalf("compared = %d, want 1", compared)
+			}
+			if len(failures) != len(c.want) {
+				t.Fatalf("failures %v, want STALE on %v", failures, c.want)
+			}
+			for i, f := range failures {
+				if !strings.HasPrefix(f, "STALE ") || !strings.Contains(f, " "+c.want[i]+" ") || !strings.Contains(f, "re-record") {
+					t.Errorf("failure %q should report a STALE %s baseline and ask to re-record it", f, c.want[i])
+				}
+			}
+			if c.want == nil && len(oks) != 1 {
+				t.Errorf("a row inside the slack should pass, got ok lines %v", oks)
+			}
+		})
+	}
+}
+
 // A baseline recorded without -benchmem must still gate on time and
 // skip the memory metrics rather than failing or crashing.
 func TestCheckRunSkipsMissingMemoryMetrics(t *testing.T) {

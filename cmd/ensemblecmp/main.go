@@ -204,9 +204,9 @@ func loadEvents(path string) []ipmio.Event {
 	}
 	var events []ipmio.Event
 	if first[0] == '{' {
-		events, _, err = tracefmt.ReadJSONL(br)
+		events, _, _, err = tracefmt.ReadJSONL(br)
 	} else {
-		events, _, err = tracefmt.ReadBinary(br)
+		events, _, _, err = tracefmt.ReadBinary(br)
 	}
 	if err != nil {
 		log.Fatalf("%s: %v", path, err)

@@ -375,9 +375,10 @@ func fig2(txt, csv io.Writer) (string, error) {
 			if e.Op != ensembleio.OpWrite {
 				continue
 			}
-			rep := counts[e.Rank] / k
-			counts[e.Rank]++
-			sums[[2]int{e.Rank, rep}] += float64(e.Dur)
+			rank := int(e.Rank)
+			rep := counts[rank] / k
+			counts[rank]++
+			sums[[2]int{rank, rep}] += float64(e.Dur)
 		}
 		// Fold per-task totals in sorted (rank, rep) order so the
 		// dataset — and every figure derived from it — is

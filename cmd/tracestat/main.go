@@ -159,9 +159,7 @@ func main() {
 	if *diagram {
 		n := *ranks
 		for _, e := range events {
-			if e.Rank+1 > n {
-				n = e.Rank + 1
-			}
+			n = max(n, int(e.Rank)+1)
 		}
 		fmt.Println("\ntrace diagram (W=write R=read M=mixed .=idle):")
 		fmt.Print(analysis.TraceDiagram(events, n, 100, 24, analysis.TraceEnd(events)))
@@ -269,8 +267,10 @@ func load(path string) ([]ipmio.Event, []ipmio.PhaseMark, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("empty trace: %w", err)
 	}
+	load := ensembleio.LoadTrace
 	if first[0] == '{' {
-		return ensembleio.LoadTraceJSON(br)
+		load = ensembleio.LoadTraceJSON
 	}
-	return ensembleio.LoadTrace(br)
+	events, marks, _, err := load(br)
+	return events, marks, err
 }

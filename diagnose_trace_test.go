@@ -19,7 +19,7 @@ func saveAndLoad(t *testing.T, run *Run) ([]Event, []PhaseMark, *TelemetrySnapsh
 	if err := SaveTelemetry(&tel, run); err != nil {
 		t.Fatal(err)
 	}
-	events, marks, err := LoadTrace(&trace)
+	events, marks, _, err := LoadTrace(&trace)
 	if err != nil {
 		t.Fatal(err)
 	}

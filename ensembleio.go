@@ -220,6 +220,9 @@ type (
 	Op = ipmio.Op
 	// PhaseMark labels a phase boundary.
 	PhaseMark = ipmio.PhaseMark
+	// Files is a trace's file table: Files.Name reads back the path an
+	// event's File id names.
+	Files = ipmio.Files
 	// Collector aggregates trace events and online profiles.
 	Collector = ipmio.Collector
 )
@@ -515,21 +518,23 @@ func SaturationPoint(points []WriterPoint, slack float64) (writers int, bestWall
 
 // SaveTrace writes a run's trace in the compact binary format.
 func SaveTrace(w io.Writer, run *Run) error {
-	return tracefmt.WriteBinary(w, run.Collector.Events, run.Collector.Marks)
+	return tracefmt.WriteBinary(w, run.Collector.Events, run.Collector.Marks, &run.Collector.Files)
 }
 
 // SaveTraceJSON writes a run's trace as JSON lines.
 func SaveTraceJSON(w io.Writer, run *Run) error {
-	return tracefmt.WriteJSONL(w, run.Collector.Events, run.Collector.Marks)
+	return tracefmt.WriteJSONL(w, run.Collector.Events, run.Collector.Marks, &run.Collector.Files)
 }
 
-// LoadTrace reads a binary trace.
-func LoadTrace(r io.Reader) ([]Event, []PhaseMark, error) {
+// LoadTrace reads a binary trace: its events, its phase marks, and the
+// file table the events' File ids index.
+func LoadTrace(r io.Reader) ([]Event, []PhaseMark, *Files, error) {
 	return tracefmt.ReadBinary(r)
 }
 
-// LoadTraceJSON reads a JSONL trace.
-func LoadTraceJSON(r io.Reader) ([]Event, []PhaseMark, error) {
+// LoadTraceJSON reads a JSONL trace, with the same results as
+// LoadTrace.
+func LoadTraceJSON(r io.Reader) ([]Event, []PhaseMark, *Files, error) {
 	return tracefmt.ReadJSONL(r)
 }
 

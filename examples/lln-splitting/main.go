@@ -46,9 +46,10 @@ func main() {
 			if e.Op != ensembleio.OpWrite {
 				continue
 			}
-			rep := counts[e.Rank] / k
-			counts[e.Rank]++
-			sums[[2]int{e.Rank, rep}] += float64(e.Dur)
+			rank := int(e.Rank)
+			rep := counts[rank] / k
+			counts[rank]++
+			sums[[2]int{rank, rep}] += float64(e.Dur)
 		}
 		// Fold totals in sorted (rank, rep) order so the ensemble is
 		// reproducible run to run.

@@ -202,9 +202,10 @@ func TestFig2DistributionsNarrowAndGaussianize(t *testing.T) {
 			if e.Op != OpWrite {
 				continue
 			}
-			rep := counts[e.Rank] / k
-			counts[e.Rank]++
-			sums[[2]int{e.Rank, rep}] += float64(e.Dur)
+			rank := int(e.Rank)
+			rep := counts[rank] / k
+			counts[rank]++
+			sums[[2]int{rank, rep}] += float64(e.Dur)
 		}
 		d := NewDataset(nil)
 		for _, v := range sums {

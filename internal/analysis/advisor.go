@@ -205,7 +205,7 @@ func diagnoseStridedReads(events []ipmio.Event) (Finding, bool) {
 		if e.Op != ipmio.OpRead || e.Bytes <= 0 {
 			continue
 		}
-		k := key{e.Rank, e.FD}
+		k := key{int(e.Rank), int(e.FD)}
 		prev, ok := last[k]
 		if ok {
 			stride := e.Offset - prev[0]
@@ -254,7 +254,7 @@ func diagnoseSerializedMetadata(events []ipmio.Event, cfg DiagnoseConfig) (Findi
 		if e.Bytes > 0 && e.Bytes <= cfg.SmallIOBytes {
 			small++
 			smallTime += float64(e.Dur)
-			ranks[e.Rank]++
+			ranks[int(e.Rank)]++
 		}
 	}
 	span := maxEnd - minStart
@@ -310,7 +310,7 @@ func diagnoseWriterOversubscription(events []ipmio.Event, cfg DiagnoseConfig) (F
 	writers := make(map[int]bool)
 	for _, e := range events {
 		if e.Op == ipmio.OpWrite && e.Bytes > cfg.SmallIOBytes {
-			writers[e.Rank] = true
+			writers[int(e.Rank)] = true
 		}
 	}
 	n := len(writers)

@@ -138,7 +138,7 @@ func multiModalWrites(n int) []ipmio.Event {
 		default:
 			d = g.Normal(32, 1.0)
 		}
-		out = append(out, ipmio.Event{Rank: i, Op: ipmio.OpWrite, Bytes: 512e6, Offset: int64(i) * 512e6, Start: 0, Dur: sim.Duration(d)})
+		out = append(out, ipmio.Event{Rank: int32(i), Op: ipmio.OpWrite, Bytes: 512e6, Offset: int64(i) * 512e6, Start: 0, Dur: sim.Duration(d)})
 	}
 	return out
 }
@@ -160,7 +160,7 @@ func TestDiagnoseReadTailAndStride(t *testing.T) {
 				d = 60 * float64(i-3) * g.Lognormal(0, 0.1)
 			}
 			events = append(events, ipmio.Event{
-				Rank: rank, FD: 3, Op: ipmio.OpRead, Bytes: 300e6,
+				Rank: int32(rank), FD: 3, Op: ipmio.OpRead, Bytes: 300e6,
 				Offset: int64(i) * 301e6, Start: sim.Time(i * 10), Dur: sim.Duration(d),
 			})
 		}
@@ -184,7 +184,7 @@ func TestDiagnoseSerializedMetadataAndMisalignmentAndOversubscription(t *testing
 	// 2000 data writers, all unaligned.
 	for rank := 0; rank < 2000; rank++ {
 		events = append(events, ipmio.Event{
-			Rank: rank, Op: ipmio.OpWrite, Bytes: 1600000,
+			Rank: int32(rank), Op: ipmio.OpWrite, Bytes: 1600000,
 			Offset: int64(rank) * 1600000, Start: 0, Dur: sim.Duration(g.Lognormal(0, 0.2) * 2),
 		})
 	}
@@ -208,7 +208,7 @@ func TestDiagnoseCleanTraceQuiet(t *testing.T) {
 	var events []ipmio.Event
 	for rank := 0; rank < 64; rank++ {
 		events = append(events, ipmio.Event{
-			Rank: rank, Op: ipmio.OpWrite, Bytes: 64e6,
+			Rank: int32(rank), Op: ipmio.OpWrite, Bytes: 64e6,
 			Offset: int64(rank) * 64e6, Start: 0, Dur: sim.Duration(g.Normal(4, 0.2)),
 		})
 	}

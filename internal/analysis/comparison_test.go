@@ -12,7 +12,7 @@ func syntheticEvents(seed int64, n int, mean float64) []ipmio.Event {
 	out := make([]ipmio.Event, n)
 	for i := range out {
 		out[i] = ipmio.Event{
-			Rank: i % 32, Op: ipmio.OpWrite, Bytes: 1e6,
+			Rank: int32(i % 32), Op: ipmio.OpWrite, Bytes: 1e6,
 			Start: sim.Time(i), Dur: sim.Duration(g.Lognormal(0, 0.3) * mean),
 		}
 	}

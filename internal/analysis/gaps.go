@@ -43,7 +43,8 @@ func (g Gap) Dur() sim.Duration { return g.End - g.Start }
 func Gaps(events []ipmio.Event, minGap sim.Duration) []Gap {
 	byRank := make(map[int][]ipmio.Event)
 	for _, e := range events {
-		byRank[e.Rank] = append(byRank[e.Rank], e)
+		r := int(e.Rank)
+		byRank[r] = append(byRank[r], e)
 	}
 	var out []Gap
 	for _, rank := range sortedRanks(byRank) {
@@ -97,11 +98,12 @@ func rankSlots(events []ipmio.Event, keep func(ipmio.Event) bool) (slot []int32,
 			slot[i] = -1
 			continue
 		}
-		if n == 0 || e.Rank < lo {
-			lo = e.Rank
+		r := int(e.Rank)
+		if n == 0 || r < lo {
+			lo = r
 		}
-		if n == 0 || e.Rank > hi {
-			hi = e.Rank
+		if n == 0 || r > hi {
+			hi = r
 		}
 		n++
 	}
@@ -112,7 +114,7 @@ func rankSlots(events []ipmio.Event, keep func(ipmio.Event) bool) (slot []int32,
 		table := make([]int32, span+1) // slot+1 of rank lo+j, 0 = absent
 		for i, e := range events {
 			if slot[i] >= 0 {
-				table[e.Rank-lo] = 1
+				table[int(e.Rank)-lo] = 1
 			}
 		}
 		for j, present := range table {
@@ -123,7 +125,7 @@ func rankSlots(events []ipmio.Event, keep func(ipmio.Event) bool) (slot []int32,
 		}
 		for i, e := range events {
 			if slot[i] >= 0 {
-				slot[i] = table[e.Rank-lo] - 1
+				slot[i] = table[int(e.Rank)-lo] - 1
 			}
 		}
 		return slot, ranks
@@ -131,7 +133,7 @@ func rankSlots(events []ipmio.Event, keep func(ipmio.Event) bool) (slot []int32,
 	m := make(map[int]int32)
 	for i, e := range events {
 		if slot[i] >= 0 {
-			m[e.Rank] = 0
+			m[int(e.Rank)] = 0
 		}
 	}
 	ranks = sortedRanks(m)
@@ -140,7 +142,7 @@ func rankSlots(events []ipmio.Event, keep func(ipmio.Event) bool) (slot []int32,
 	}
 	for i, e := range events {
 		if slot[i] >= 0 {
-			slot[i] = m[e.Rank]
+			slot[i] = m[int(e.Rank)]
 		}
 	}
 	return slot, ranks

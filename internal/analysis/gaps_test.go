@@ -9,7 +9,7 @@ import (
 )
 
 func ev(rank int, start, dur float64) ipmio.Event {
-	return ipmio.Event{Rank: rank, Op: ipmio.OpWrite, Bytes: 1e6,
+	return ipmio.Event{Rank: int32(rank), Op: ipmio.OpWrite, Bytes: 1e6,
 		Start: sim.Time(start), Dur: sim.Duration(dur)}
 }
 

@@ -108,7 +108,7 @@ func refRankMedians(events []ipmio.Event, smallIO int64) (ranks []int, med map[i
 	keep := dataOp(smallIO)
 	for _, e := range events {
 		if keep(e) {
-			byRank[e.Rank] = append(byRank[e.Rank], float64(e.Dur))
+			byRank[int(e.Rank)] = append(byRank[int(e.Rank)], float64(e.Dur))
 		}
 	}
 	med = make(map[int]float64, len(byRank))
@@ -136,12 +136,12 @@ func refRankActivities(events []ipmio.Event) []RankActivity {
 	var bounds []boundary
 	counts := make(map[int]int)
 	for _, e := range events {
-		counts[e.Rank]++
+		counts[int(e.Rank)]++
 		if e.Dur <= 0 {
 			continue
 		}
-		bounds = append(bounds, boundary{t: e.Start, rank: e.Rank, delta: +1})
-		bounds = append(bounds, boundary{t: e.Start + e.Dur, rank: e.Rank, delta: -1})
+		bounds = append(bounds, boundary{t: e.Start, rank: int(e.Rank), delta: +1})
+		bounds = append(bounds, boundary{t: e.Start + e.Dur, rank: int(e.Rank), delta: -1})
 	}
 	sort.Slice(bounds, func(i, j int) bool { return bounds[i].t < bounds[j].t })
 	depth := make(map[int]int)
@@ -212,9 +212,9 @@ func randomTrace(rng *sim.RNG, i int) ([]ipmio.Event, []ipmio.PhaseMark, sim.Tim
 	}
 	events := make([]ipmio.Event, n)
 	for k := range events {
-		e := ipmio.Event{Rank: rng.Intn(ranks), Op: ops[rng.Intn(len(ops))], Start: at()}
+		e := ipmio.Event{Rank: int32(rng.Intn(ranks)), Op: ops[rng.Intn(len(ops))], Start: at()}
 		if sparse {
-			e.Rank = []int{0, 3, 1 << 40, 1 << 50, 12, -5}[rng.Intn(6)]
+			e.Rank = []int32{0, 3, 1 << 30, math.MaxInt32, 12, -5}[rng.Intn(6)]
 		}
 		if rng.Intn(5) > 0 {
 			e.Dur = sim.Duration(rng.Exp(0.5))
@@ -442,9 +442,9 @@ func fuzzTrace(data []byte) ([]ipmio.Event, []ipmio.PhaseMark, sim.Time) {
 	for len(data) >= 4 && len(events) < 256 {
 		r, o, s, d := data[0], data[1], data[2], data[3]
 		data = data[4:]
-		e := ipmio.Event{Rank: int(r % 16), Op: ops[o%5], Bytes: sizes[o/5%5]}
+		e := ipmio.Event{Rank: int32(r % 16), Op: ops[o%5], Bytes: sizes[o/5%5]}
 		if r >= 200 {
-			e.Rank = []int{-3, -1 << 40, 1 << 40, 1 << 50, 7}[r%5]
+			e.Rank = []int32{-3, math.MinInt32, 1 << 30, math.MaxInt32, 7}[r%5]
 		}
 		e.Start = sim.Time(s%128) * 0.25
 		if s >= 128 {

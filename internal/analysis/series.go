@@ -118,7 +118,7 @@ func TraceDiagram(events []ipmio.Event, nRanks, width, height int, end sim.Time)
 		if ev.Dur <= 0 || (ev.Op != ipmio.OpRead && ev.Op != ipmio.OpWrite) {
 			continue
 		}
-		row := ev.Rank / ranksPerRow
+		row := int(ev.Rank) / ranksPerRow
 		if row >= height {
 			row = height - 1
 		}

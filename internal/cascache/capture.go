@@ -67,6 +67,7 @@ func CaptureRun(run *workloads.Run, seed int64) ([]Artifact, Meta, error) {
 	}
 	// Alphabetical by artifact name, matching DiffArtifacts' positional
 	// comparison and keeping manifests deterministic.
+	col := run.Collector
 	steps := []struct {
 		name  string
 		write func(*bytes.Buffer) error
@@ -75,8 +76,8 @@ func CaptureRun(run *workloads.Run, seed int64) ([]Artifact, Meta, error) {
 		{ArtProfile, func(b *bytes.Buffer) error { return tracefmt.WriteProfile(b, prof) }},
 		{ArtSpans, func(b *bytes.Buffer) error { return tracefmt.WriteSpans(b, run.Spans) }},
 		{ArtTelemetry, func(b *bytes.Buffer) error { return tracefmt.WriteMetrics(b, run.Telemetry) }},
-		{ArtTraceBin, func(b *bytes.Buffer) error { return tracefmt.WriteBinary(b, run.Collector.Events, run.Collector.Marks) }},
-		{ArtTraceJSON, func(b *bytes.Buffer) error { return tracefmt.WriteJSONL(b, run.Collector.Events, run.Collector.Marks) }},
+		{ArtTraceBin, func(b *bytes.Buffer) error { return tracefmt.WriteBinary(b, col.Events, col.Marks, &col.Files) }},
+		{ArtTraceJSON, func(b *bytes.Buffer) error { return tracefmt.WriteJSONL(b, col.Events, col.Marks, &col.Files) }},
 	}
 	for _, st := range steps {
 		if err := add(st.name, st.write); err != nil {

@@ -189,12 +189,12 @@ const (
 	callRead
 )
 
-// NewFile returns a rank's handle on a file with layout l, not yet open.
-// The metadata writer (HDF5 funnels metadata through one writer; GCRM
-// used task 0) writes the superblock at Create and every dataset's
-// metadata.
-func NewFile(io IO, l *Layout, metadataWriter bool) *File {
-	f := &File{io: io, l: l, metaWriter: metadataWriter}
+// Init makes f a rank's handle on a file with layout l, not yet open;
+// a rank's interpreter holds its handle as a field. The metadata
+// writer (HDF5 funnels metadata through one writer; GCRM used task 0)
+// writes the superblock at Create and every dataset's metadata.
+func (f *File) Init(io IO, l *Layout, metadataWriter bool) {
+	*f = File{io: io, l: l, metaWriter: metadataWriter}
 	if metadataWriter {
 		c := f.call()
 		if !l.opts.AggregateMetadata {
@@ -204,7 +204,6 @@ func NewFile(io IO, l *Layout, metadataWriter bool) *File {
 			}
 		}
 	}
-	return f
 }
 
 // call returns the file's call slot, allocating it on first use.

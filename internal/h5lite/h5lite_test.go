@@ -102,7 +102,8 @@ func expectErr(t *testing.T, what string, issue func(k posixio.Done)) step {
 // open lays out specs under opts and returns one rank's file on that
 // layout with the step that creates it.
 func open(t *testing.T, io IO, opts FileOpts, metaWriter bool, specs ...DatasetSpec) (*File, step) {
-	f := NewFile(io, NewLayout(opts, specs), metaWriter)
+	f := &File{}
+	f.Init(io, NewLayout(opts, specs), metaWriter)
 	return f, call(t, func(k posixio.Done) { f.Create("/scratch/g.h5", k) })
 }
 
@@ -254,7 +255,8 @@ func TestLayoutAgreementAcrossRanks(t *testing.T) {
 	l := NewLayout(FileOpts{Alignment: 1e6}, []DatasetSpec{{"a", 1600000, 100, 50}, {"b", 1600000, 100, 50}})
 	offset := func(metaWriter bool) int64 {
 		io := newRecIO()
-		f := NewFile(io, l, metaWriter)
+		f := &File{}
+		f.Init(io, l, metaWriter)
 		run(t, io, call(t, func(k posixio.Done) { f.Create("/x", k) }),
 			call(t, func(k posixio.Done) { f.WriteRecord(1, 5, k) }))
 		return io.writes[len(io.writes)-1].off

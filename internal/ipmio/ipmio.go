@@ -2,7 +2,9 @@
 // POSIX-level I/O call of a task (the stand-in for the GNU linker
 // -wrap interposition on libc), producing timestamped trace events —
 // the call, its arguments, and its duration — with an fd-to-file
-// lookup table, exactly as described in §II-B of the paper.
+// lookup table, exactly as described in §II-B of the paper. Paths
+// live once in the collector's file table; an event names its file
+// by id, so a record is 48 bytes and copies no string.
 //
 // Two collection modes are supported. Trace mode retains every event.
 // Profile mode folds events into online per-operation histograms
@@ -56,12 +58,14 @@ func ParseOp(s string) (Op, bool) {
 	return 0, false
 }
 
-// Event is one trace record.
+// Event is one trace record: 48 bytes, no pointers. File is an id in
+// the file table of the trace the event belongs to (Files.Name reads
+// the path back); 0 is "no file".
 type Event struct {
-	Rank   int
+	Rank   int32
+	FD     int32
+	File   uint32
 	Op     Op
-	FD     int
-	File   string
 	Offset int64 // offset at which the op began
 	Bytes  int64 // bytes moved (0 for open/close/seek/fsync)
 	Start  sim.Time
@@ -87,6 +91,50 @@ const (
 	PatternMode                  // classify access patterns online
 )
 
+// Files is a trace's file table: the paths its events' File ids name.
+// Id 0 names "" (no file); every other id names one distinct path,
+// numbered in the order the paths were first interned. The zero value
+// holds only id 0.
+type Files struct {
+	names []string // names[id-1]
+	ids   map[string]uint32
+}
+
+// Intern returns path's id, adding the path on first use. The empty
+// path is id 0.
+func (f *Files) Intern(path string) uint32 {
+	if path == "" {
+		return 0
+	}
+	if id, ok := f.ids[path]; ok {
+		return id
+	}
+	if f.ids == nil {
+		f.ids = make(map[string]uint32)
+	}
+	f.names = append(f.names, path)
+	id := uint32(len(f.names))
+	f.ids[path] = id
+	return id
+}
+
+// Name returns the path id names: "" for id 0, and for an id the
+// table does not hold. A nil table holds only id 0.
+func (f *Files) Name(id uint32) string {
+	if f == nil || id == 0 || int(id) > len(f.names) {
+		return ""
+	}
+	return f.names[id-1]
+}
+
+// Len is the number of ids the table holds, id 0 included.
+func (f *Files) Len() int {
+	if f == nil {
+		return 1
+	}
+	return len(f.names) + 1
+}
+
 // PhaseMark labels a point in time (typically a barrier) so analysis
 // can slice the run into synchronous phases.
 type PhaseMark struct {
@@ -99,6 +147,10 @@ type Collector struct {
 	mode   Mode
 	Events []Event
 	Marks  []PhaseMark
+	// Files is the table the events' File ids index. Tracers intern a
+	// path when they open it; Record takes events whose ids are
+	// already in it.
+	Files Files
 
 	durHist  [opCount]*ensemble.Histogram // seconds
 	rateHist [opCount]*ensemble.Histogram // seconds per MB (sized ops)
@@ -193,39 +245,62 @@ func (c *Collector) OpEvents(op Op) []Event {
 
 // Tracer wraps one rank's posixio.Task, recording an event per call.
 // Like the task it wraps, it has at most one call outstanding; the
-// call's arguments wait in the tracer until the call completes.
+// call's arguments wait in the tracer until the call completes. The
+// zero value is unusable until Init.
 type Tracer struct {
 	Task *posixio.Task
 	C    *Collector
 
+	// files is the fd-to-file lookup: the file id of each descriptor
+	// this tracer opened, by number from posixio.FirstFD. posixio
+	// issues numbers in order and never reuses them.
+	files []uint32
+
 	op     Op
-	fd     int
-	path   string
+	fd     int32
+	file   uint32
 	offset int64
 	start  sim.Time
 	k      posixio.Done
 	doneFn posixio.Done
 }
 
-// NewTracer wraps task, reporting to c.
-func NewTracer(task *posixio.Task, c *Collector) *Tracer {
-	tr := &Tracer{Task: task, C: c}
+// Init makes tr the tracer of task, reporting to c. A job keeps its
+// ranks' tracers in one slice and initializes each in place.
+func (tr *Tracer) Init(task *posixio.Task, c *Collector) {
+	*tr = Tracer{Task: task, C: c}
 	tr.doneFn = tr.done
-	return tr
 }
 
 // begin records the arguments of a call issued now on fd, which names
-// path, and returns the completion to issue it with.
-func (tr *Tracer) begin(op Op, fd int, path string, offset int64, k posixio.Done) posixio.Done {
-	tr.op, tr.fd, tr.path, tr.offset, tr.k = op, fd, path, offset, k
+// file, and returns the completion to issue it with.
+func (tr *Tracer) begin(op Op, fd int, file uint32, offset int64, k posixio.Done) posixio.Done {
+	tr.op, tr.fd, tr.file, tr.offset, tr.k = op, int32(fd), file, offset, k
 	tr.start = tr.Task.Now()
 	return tr.doneFn
 }
 
+// fileOf returns the file id of descriptor fd: 0 if this tracer did
+// not open it, in which case the call fails and records nothing.
+func (tr *Tracer) fileOf(fd int) uint32 {
+	if i := fd - posixio.FirstFD; i >= 0 && i < len(tr.files) {
+		return tr.files[i]
+	}
+	return 0
+}
+
+// setFile records that descriptor fd names file.
+func (tr *Tracer) setFile(fd int, file uint32) {
+	i := fd - posixio.FirstFD
+	for len(tr.files) <= i {
+		tr.files = append(tr.files, 0)
+	}
+	tr.files[i] = file
+}
+
 // call begins a call on an open descriptor.
 func (tr *Tracer) call(op Op, fd int, offset int64, k posixio.Done) posixio.Done {
-	path, _ := tr.Task.Path(fd)
-	return tr.begin(op, fd, path, offset, k)
+	return tr.begin(op, fd, tr.fileOf(fd), offset, k)
 }
 
 // done records the completed call, unless it failed, and hands its
@@ -234,10 +309,11 @@ func (tr *Tracer) done(n int64, err error) {
 	k := tr.k
 	tr.k = nil
 	if err == nil {
-		ev := Event{Rank: tr.Task.Rank, Op: tr.op, FD: tr.fd, File: tr.path, Offset: tr.offset, Start: tr.start, Dur: tr.Task.Now() - tr.start}
+		ev := Event{Rank: int32(tr.Task.Rank), Op: tr.op, FD: tr.fd, File: tr.file, Offset: tr.offset, Start: tr.start, Dur: tr.Task.Now() - tr.start}
 		switch tr.op {
 		case OpOpen:
-			ev.FD = int(n)
+			ev.FD = int32(n)
+			tr.setFile(int(n), tr.file)
 		case OpRead, OpWrite:
 			ev.Bytes = n
 		}
@@ -246,9 +322,10 @@ func (tr *Tracer) done(n int64, err error) {
 	k(n, err)
 }
 
-// Open intercepts posixio.Task.Open.
+// Open intercepts posixio.Task.Open. The path is interned here, once,
+// and the descriptor keeps its id from the open's completion on.
 func (tr *Tracer) Open(path string, flags int, k posixio.Done) int {
-	return tr.Task.Open(path, flags, tr.begin(OpOpen, 0, path, 0, k))
+	return tr.Task.Open(path, flags, tr.begin(OpOpen, 0, tr.C.Files.Intern(path), 0, k))
 }
 
 // Close intercepts posixio.Task.Close.
@@ -284,8 +361,7 @@ func (tr *Tracer) Seek(fd int, offset int64, whence int) (int64, error) {
 	start := tr.Task.Now()
 	pos, err := tr.Task.Seek(fd, offset, whence)
 	if err == nil {
-		path, _ := tr.Task.Path(fd)
-		tr.C.Record(Event{Rank: tr.Task.Rank, Op: OpSeek, FD: fd, File: path, Offset: pos, Start: start})
+		tr.C.Record(Event{Rank: int32(tr.Task.Rank), Op: OpSeek, FD: int32(fd), File: tr.fileOf(fd), Offset: pos, Start: start})
 	}
 	return pos, err
 }

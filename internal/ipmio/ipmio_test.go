@@ -33,7 +33,9 @@ func tracedTask(mode Mode) (*sim.Engine, func(calls ...call), *Collector) {
 	col := NewCollector(mode)
 	spawn := func(calls ...call) {
 		eng.Spawn("t", func(p *sim.Task) {
-			tr := NewTracer(sys.NewTask(0, cl.Nodes[0], p), col)
+			task, tr := &posixio.Task{}, &Tracer{}
+			sys.InitTask(task, 0, cl.Nodes[0], p)
+			tr.Init(task, col)
 			i := 0
 			var next posixio.Done
 			next = func(n int64, err error) {
@@ -77,18 +79,24 @@ func TestTraceRecordsEveryCall(t *testing.T) {
 			t.Errorf("event %d op %v, want %v", i, col.Events[i].Op, want)
 		}
 	}
-	if o := col.Events[0]; o.FD != fd || o.File != "/scratch/f" {
+	name := func(e Event) string { return col.Files.Name(e.File) }
+	if o := col.Events[0]; o.FD != fd || name(o) != "/scratch/f" {
 		t.Errorf("open event wrong: %+v", o)
 	}
 	w := col.Events[1]
-	if w.Bytes != 30e6 || w.File != "/scratch/f" || w.Offset != 0 || w.Dur <= 0 {
+	if w.Bytes != 30e6 || name(w) != "/scratch/f" || w.Offset != 0 || w.Dur <= 0 {
 		t.Errorf("write event wrong: %+v", w)
 	}
 	r := col.Events[3]
 	if r.Bytes != 10e6 || r.Offset != 0 {
 		t.Errorf("read event wrong: %+v", r)
 	}
-	if c := col.Events[5]; c.FD != fd || c.File != "/scratch/f" {
+	for i, e := range col.Events {
+		if name(e) != "/scratch/f" {
+			t.Errorf("event %d (%v) names %q, want /scratch/f", i, e.Op, name(e))
+		}
+	}
+	if c := col.Events[5]; c.FD != fd || name(c) != "/scratch/f" {
 		t.Errorf("close event wrong: %+v", c)
 	}
 	// Events are in start order and timestamps are consistent.
@@ -141,6 +149,41 @@ func TestProfileModeAgreesWithTraceMode(t *testing.T) {
 	// the paper's claim that the profile captures what tracing does.
 	if math.Abs(prof.Mean()-writes.Mean())/writes.Mean() > 0.15 {
 		t.Errorf("profile mean %v vs trace mean %v", prof.Mean(), writes.Mean())
+	}
+}
+
+// TestTracerNamesEachDescriptorsFile: the tracer's fd-to-file lookup
+// names every call by the file its descriptor opened, with two files
+// open at once and a failed open in between; a path opened twice
+// keeps one id.
+func TestTracerNamesEachDescriptorsFile(t *testing.T) {
+	eng, spawn, col := tracedTask(TraceMode)
+	openPath := func(path string, flags int) call {
+		return func(tr *Tracer, _ int64, _ error, k posixio.Done) { tr.Open(path, flags, k) }
+	}
+	on := func(fd int) call {
+		return func(tr *Tracer, _ int64, _ error, k posixio.Done) { tr.Write(fd, 1e6, k) }
+	}
+	closeFD := func(fd int) call {
+		return func(tr *Tracer, _ int64, _ error, k posixio.Done) { tr.Close(fd, k) }
+	}
+	skip := func(tr *Tracer, _ int64, _ error, k posixio.Done) { k(0, nil) }
+	rw := posixio.OCreat | posixio.ORdwr
+	spawn(openPath("/scratch/a", rw), openPath("/scratch/missing", posixio.ORdonly), skip,
+		openPath("/scratch/b", rw), on(fd+1), on(fd), closeFD(fd),
+		openPath("/scratch/a", rw), on(fd+2), closeFD(fd+1), closeFD(fd+2))
+	eng.Run()
+	want := []string{"/scratch/a", "/scratch/b", "/scratch/b", "/scratch/a", "/scratch/a", "/scratch/a", "/scratch/a", "/scratch/b", "/scratch/a"}
+	if len(col.Events) != len(want) {
+		t.Fatalf("%d events, want %d: %+v", len(col.Events), len(want), col.Events)
+	}
+	for i, e := range col.Events {
+		if got := col.Files.Name(e.File); got != want[i] {
+			t.Errorf("event %d (%v fd %d) names %q, want %q", i, e.Op, e.FD, got, want[i])
+		}
+	}
+	if col.Events[0].File != col.Events[5].File {
+		t.Errorf("/scratch/a opened twice has ids %d and %d, want one", col.Events[0].File, col.Events[5].File)
 	}
 }
 

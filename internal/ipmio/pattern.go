@@ -69,7 +69,7 @@ func (pd *PatternDetector) Observe(ev Event) {
 	if ev.Bytes <= 0 || (ev.Op != OpRead && ev.Op != OpWrite) {
 		return
 	}
-	k := streamKey{rank: ev.Rank, fd: ev.FD, op: ev.Op}
+	k := streamKey{rank: int(ev.Rank), fd: int(ev.FD), op: ev.Op}
 	st := pd.streams[k]
 	if st == nil {
 		st = &streamState{}

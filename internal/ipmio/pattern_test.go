@@ -7,7 +7,7 @@ import (
 
 func feed(pd *PatternDetector, rank, fd int, op Op, offsets []int64, size int64) {
 	for _, off := range offsets {
-		pd.Observe(Event{Rank: rank, Op: op, FD: fd, Offset: off, Bytes: size})
+		pd.Observe(Event{Rank: int32(rank), Op: op, FD: int32(fd), Offset: off, Bytes: size})
 	}
 }
 
@@ -140,7 +140,7 @@ func TestPatternSummaryConsistency(t *testing.T) {
 		pd := NewPatternDetector()
 		for i, r := range raw {
 			pd.Observe(Event{
-				Rank: i % 3, Op: OpRead, FD: 3,
+				Rank: int32(i % 3), Op: OpRead, FD: 3,
 				Offset: int64(r) * 4096, Bytes: 4096,
 			})
 		}

@@ -49,7 +49,7 @@ type World struct {
 	cfg  Config
 	size int
 
-	ranks []*Rank
+	ranks []Rank // one slice per world, not one object per rank
 	world *Comm
 
 	// Telemetry handles, cached from the cluster's sink at construction
@@ -131,10 +131,10 @@ func NewWorld(eng *sim.Engine, cl *cluster.Cluster, size int, cfg Config) *World
 	w := &World{Eng: eng, Cl: cl, cfg: cfg, size: size}
 	w.telBarriers = cl.Tel.Counter(cfg.TelPrefix + "mpi.barriers")
 	w.telBarrierWait = cl.Tel.Hist(cfg.TelPrefix + "mpi.barrier_wait_s")
-	w.ranks = make([]*Rank, size)
+	w.ranks = make([]Rank, size)
 	all := make([]int, size)
 	for i := range w.ranks {
-		w.ranks[i] = &Rank{
+		w.ranks[i] = Rank{
 			ID:   i,
 			W:    w,
 			Node: cl.NodeForTask(cfg.NodeBase*cl.Prof.CoresPerNode + i),
@@ -151,15 +151,18 @@ func NewWorld(eng *sim.Engine, cl *cluster.Cluster, size int, cfg Config) *World
 func (w *World) Size() int { return w.size }
 
 // Rank returns rank i (for inspection; its task is set by Launch).
-func (w *World) Rank(i int) *Rank { return w.ranks[i] }
+func (w *World) Rank(i int) *Rank { return &w.ranks[i] }
 
 // Launch spawns every rank's task: start runs as the rank's first
 // step, and the rank calls Exit once its body is done. The caller then
-// drives the engine (eng.Run).
+// drives the engine (eng.Run). The tasks are one slice, named "rank<i>"
+// only when a diagnostic asks.
 func (w *World) Launch(start func(r *Rank)) {
-	for _, r := range w.ranks {
-		r.T = w.Eng.Spawn(fmt.Sprintf("rank%d", r.ID), func(*sim.Task) { start(r) })
+	tasks := sim.NewTasks(w.Eng, "rank", len(w.ranks))
+	for i := range w.ranks {
+		w.ranks[i].T = &tasks[i]
 	}
+	w.Eng.SpawnAll(tasks, func(i uint64) { start(&w.ranks[i]) })
 }
 
 // Exit ends the rank's task.
@@ -273,7 +276,7 @@ func (r *Rank) Send(to, tag int, n int64, payload interface{}, k func()) {
 // receiver parked on it.
 func (r *Rank) deliver() {
 	x := r.x
-	dst := r.W.ranks[x.key.from]
+	dst := &r.W.ranks[x.key.from]
 	if dst.inbox == nil {
 		dst.inbox = make(map[msgKey][]*message)
 	}

@@ -64,7 +64,7 @@ type Task struct {
 	node *cluster.Node
 	cl   *lustre.Client
 	// fds is the dense descriptor table: descriptor num lives at
-	// fds[num-firstFD] and is nil once closed. Numbers are per-task,
+	// fds[num-FirstFD] and is nil once closed. Numbers are per-task,
 	// issued in order and never reused, so the table only grows.
 	fds []*fd
 
@@ -77,9 +77,9 @@ type Task struct {
 	doneFn func()
 }
 
-// firstFD is the first descriptor number Open issues; 0-2 are
+// FirstFD is the first descriptor number Open issues; 0-2 are
 // reserved, as in POSIX.
-const firstFD = 3
+const FirstFD = 3
 
 type fd struct {
 	file   *lustre.File
@@ -89,10 +89,11 @@ type fd struct {
 	read   *lustre.ReadState
 }
 
-// NewTask creates the I/O context for a rank placed on the given node
-// and running as simulated task proc.
-func (s *System) NewTask(rank int, node *cluster.Node, proc *sim.Task) *Task {
-	t := &Task{
+// InitTask makes t the I/O context of a rank placed on the given node
+// and running as simulated task proc. A job keeps its ranks' contexts
+// in one slice and initializes each in place.
+func (s *System) InitTask(t *Task, rank int, node *cluster.Node, proc *sim.Task) {
+	*t = Task{
 		Rank: rank,
 		sys:  s,
 		node: node,
@@ -100,7 +101,6 @@ func (s *System) NewTask(rank int, node *cluster.Node, proc *sim.Task) *Task {
 	}
 	t.req.T = proc
 	t.doneFn = t.done
-	return t
 }
 
 // Node returns the task's compute node.
@@ -137,7 +137,7 @@ func (t *Task) Open(path string, flags int, k Done) int {
 		f.Size = 0
 	}
 	t.fds = append(t.fds, &fd{file: f, path: path, flags: flags, read: lustre.NewReadState()})
-	num := firstFD + len(t.fds) - 1
+	num := FirstFD + len(t.fds) - 1
 	t.sys.FS.MDSOp(&t.req, 0, t.call(int64(num), k))
 	return num
 }
@@ -148,7 +148,7 @@ func (t *Task) Close(num int, k Done) {
 		k(0, ErrBadFD)
 		return
 	}
-	t.fds[num-firstFD] = nil
+	t.fds[num-FirstFD] = nil
 	t.sys.FS.MDSOp(&t.req, 0, t.call(0, k))
 }
 
@@ -280,7 +280,7 @@ func (t *Task) Offset(num int) (int64, bool) {
 // lookup returns the open descriptor num, or nil if num was never
 // issued or is closed.
 func (t *Task) lookup(num int) *fd {
-	if i := num - firstFD; i >= 0 && i < len(t.fds) {
+	if i := num - FirstFD; i >= 0 && i < len(t.fds) {
 		return t.fds[i]
 	}
 	return nil

@@ -29,7 +29,8 @@ type step func(task *Task, n int64, err error, k Done)
 // runs steps on it in order, then exits.
 func spawnScript(eng *sim.Engine, sys *System, rank int, node *cluster.Node, steps ...step) {
 	eng.Spawn("t", func(p *sim.Task) {
-		task := sys.NewTask(rank, node, p)
+		task := &Task{}
+		sys.InitTask(task, rank, node, p)
 		i := 0
 		var next Done
 		next = func(n int64, err error) {

@@ -22,6 +22,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Time is a point in virtual time, in seconds since the start of the
@@ -218,6 +219,20 @@ func (e *Engine) next(limit Time) (event, bool) {
 	}
 	return h.pop(), true
 }
+
+// reserve makes room for n more events in each lane, so scheduling
+// them grows neither by append. SpawnAll reserves for its tasks before
+// their first events: every task's first step enters the FIFO lane,
+// and a bulk-synchronous job later parks every rank on the heap at
+// once. n is a capacity floor, not a limit.
+func (e *Engine) reserve(n int) {
+	e.nowq = slices.Grow(e.nowq, n)
+	e.events.a = slices.Grow(e.events.a, n)
+}
+
+// LaneCaps reports the capacity of the same-instant lane and of the
+// heap, so a test can pin that a launch's reservation held.
+func (e *Engine) LaneCaps() (now, future int) { return cap(e.nowq), cap(e.events.a) }
 
 // After schedules fn to run d seconds from now. Negative d panics.
 func (e *Engine) After(d Duration, fn func()) { e.At(e.now+d, fn) }

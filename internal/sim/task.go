@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Task is a simulated process without a stack of its own. Its body is
 // a chain of continuations: every blocking call takes the function to
@@ -14,8 +17,12 @@ import "fmt"
 // (see Block). A spawned task is live from Spawn until Exit; a queue
 // that drains while tasks are live is a deadlock.
 type Task struct {
-	eng  *Engine
+	eng *Engine
+	// name is the task's name or, when num >= 0, the prefix num
+	// completes: a numbered name is formatted only when a diagnostic
+	// needs it.
 	name string
+	num  int32
 	done bool
 
 	// k is the continuation the pending wake schedules, nil while no
@@ -40,8 +47,37 @@ func (e *Engine) Spawn(name string, start func(t *Task)) *Task {
 // event chain that is not a process of the simulated system (a
 // background tenant), so it never counts toward deadlock detection.
 func NewTask(e *Engine, name string) *Task {
-	return &Task{eng: e, name: name}
+	return &Task{eng: e, name: name, num: -1}
 }
+
+// NewTasks returns n tasks that are not yet spawned, in one slice: a
+// job's ranks cost one allocation, not one each. Task i is named
+// prefix followed by i.
+func NewTasks(e *Engine, prefix string, n int) []Task {
+	ts := make([]Task, n)
+	for i := range ts {
+		ts[i] = Task{eng: e, name: prefix, num: int32(i)}
+	}
+	return ts
+}
+
+// SpawnAll spawns every task of ts, in order: start(i) runs as task
+// i's first step at the current virtual time, and each task is live
+// until it calls Exit. The index rides in the event, so one start
+// function serves the whole slice. Both lanes are first reserved for
+// the tasks' events plus laneSlack more (see reserve).
+func (e *Engine) SpawnAll(ts []Task, start func(i uint64)) {
+	e.reserve(len(ts) + laneSlack)
+	e.procs += len(ts)
+	for i := range ts {
+		e.AtArg(e.now, start, uint64(i))
+	}
+}
+
+// laneSlack is the room SpawnAll reserves beyond one event per task:
+// the platform's own events (flow-network ticks, injected faults)
+// that wait alongside a fully parked job.
+const laneSlack = 64
 
 // Exit marks a spawned task finished. A finished task may not sleep or
 // block again.
@@ -53,12 +89,17 @@ func (t *Task) Exit() {
 
 func (t *Task) live() {
 	if t.done {
-		panic(fmt.Sprintf("sim: resume of finished process %q", t.name))
+		panic(fmt.Sprintf("sim: resume of finished process %q", t.Name()))
 	}
 }
 
-// Name returns the task name given at Spawn.
-func (t *Task) Name() string { return t.name }
+// Name returns the task's name.
+func (t *Task) Name() string {
+	if t.num < 0 {
+		return t.name
+	}
+	return t.name + strconv.Itoa(int(t.num))
+}
 
 // Now returns the current virtual time.
 func (t *Task) Now() Time { return t.eng.now }
@@ -85,7 +126,7 @@ func (t *Task) Sleep(d Duration, k func()) {
 func (t *Task) Block(k func()) (wake func()) {
 	t.live()
 	if t.k != nil {
-		panic(fmt.Sprintf("sim: Block on process %q with a wake already pending", t.name))
+		panic(fmt.Sprintf("sim: Block on process %q with a wake already pending", t.Name()))
 	}
 	if k == nil {
 		panic("sim: Block with a nil continuation")
@@ -102,7 +143,7 @@ func (t *Task) Block(k func()) (wake func()) {
 func (t *Task) wake() {
 	k := t.k
 	if k == nil {
-		panic(fmt.Sprintf("sim: double wake of process %q", t.name))
+		panic(fmt.Sprintf("sim: double wake of process %q", t.Name()))
 	}
 	t.k = nil
 	t.eng.At(t.eng.now, k)

@@ -140,3 +140,43 @@ func TestFailureBlockWithPendingWakePanics(t *testing.T) {
 		t.Fatalf("recovered %q, want the pending-wake panic", msg)
 	}
 }
+
+// TestSpawnAllStartsInOrderNamedByIndex: SpawnAll runs every task's
+// first step at the current instant in slice order, counts each task
+// live until it exits (one that never does is a deadlock), and a task
+// from NewTasks is named its prefix and index in a diagnostic.
+func TestSpawnAllStartsInOrderNamedByIndex(t *testing.T) {
+	e := NewEngine()
+	e.At(2, func() {
+		ts := NewTasks(e, "rank", 4)
+		var order []uint64
+		e.SpawnAll(ts, func(i uint64) {
+			order = append(order, i)
+			if e.Now() != 2 {
+				t.Errorf("task %d started at %v, want 2", i, e.Now())
+			}
+			if i == 3 { // the last task parks forever
+				ts[i].Block(func() {})
+				if len(order) != 4 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
+					t.Errorf("start order %v, want 0 1 2 3", order)
+				}
+				return
+			}
+			ts[i].Exit()
+		})
+	})
+	if msg := runPanic(e); !strings.Contains(msg, "deadlock: 1 process(es) blocked") {
+		t.Fatalf("recovered %q, want a deadlock of the one task that never exits", msg)
+	}
+
+	e = NewEngine()
+	ts := NewTasks(e, "rank", 3)
+	e.SpawnAll(ts, func(i uint64) { ts[i].Exit() })
+	e.Run()
+	defer func() {
+		if r := recover(); !strings.Contains(fmt.Sprint(r), `resume of finished process "rank2"`) {
+			t.Errorf("recovered %v, want the finished-process panic naming rank2", r)
+		}
+	}()
+	ts[2].Sleep(1, func() {})
+}

@@ -107,7 +107,7 @@ func TestFaultCorpus(t *testing.T) {
 		for name, f := range faultCorpusCases() {
 			run := faultCorpusRun(f)
 			var bin bytes.Buffer
-			if err := tracefmt.WriteBinary(&bin, run.Collector.Events, run.Collector.Marks); err != nil {
+			if err := tracefmt.WriteBinary(&bin, run.Collector.Events, run.Collector.Marks, &run.Collector.Files); err != nil {
 				t.Fatal(err)
 			}
 			writeCorpusEntry(t, binDir, name, bin.Bytes())
@@ -117,7 +117,7 @@ func TestFaultCorpus(t *testing.T) {
 		// trace, whose stretched durations exercise float formatting.
 		run := faultCorpusRun(&ensembleio.SlowOST{OST: 3, Factor: 0.05})
 		var jl bytes.Buffer
-		if err := tracefmt.WriteJSONL(&jl, run.Collector.Events, run.Collector.Marks); err != nil {
+		if err := tracefmt.WriteJSONL(&jl, run.Collector.Events, run.Collector.Marks, &run.Collector.Files); err != nil {
 			t.Fatal(err)
 		}
 		writeCorpusEntry(t, jsonlDir, "fault-slow-ost", jl.Bytes())
@@ -126,7 +126,7 @@ func TestFaultCorpus(t *testing.T) {
 
 	for name := range faultCorpusCases() {
 		data := readCorpusEntry(t, filepath.Join(binDir, name))
-		events, marks, err := tracefmt.ReadBinary(bytes.NewReader(data))
+		events, marks, _, err := tracefmt.ReadBinary(bytes.NewReader(data))
 		if err != nil {
 			t.Errorf("%s: corpus trace no longer decodes: %v", name, err)
 			continue
@@ -136,7 +136,7 @@ func TestFaultCorpus(t *testing.T) {
 		}
 	}
 	data := readCorpusEntry(t, filepath.Join(jsonlDir, "fault-slow-ost"))
-	events, marks, err := tracefmt.ReadJSONL(bytes.NewReader(data))
+	events, marks, _, err := tracefmt.ReadJSONL(bytes.NewReader(data))
 	if err != nil {
 		t.Errorf("JSONL corpus trace no longer decodes: %v", err)
 	} else if len(events) == 0 || len(marks) == 0 {

@@ -16,27 +16,29 @@ import (
 
 // fuzzSeedEvents is a small trace exercising every field class:
 // negative offsets, zero durations, repeated and fresh paths, marks.
-func fuzzSeedEvents() ([]ipmio.Event, []ipmio.PhaseMark) {
+func fuzzSeedEvents() ([]ipmio.Event, []ipmio.PhaseMark, *ipmio.Files) {
+	files := &ipmio.Files{}
+	a, b := files.Intern("/scratch/a"), files.Intern("/scratch/b")
 	events := []ipmio.Event{
-		{Rank: 0, Op: ipmio.OpOpen, FD: 3, File: "/scratch/a", Start: 0.5, Dur: 0.01},
-		{Rank: 1, Op: ipmio.OpWrite, FD: 3, File: "/scratch/a", Offset: 1 << 20, Bytes: 4096, Start: 1.25, Dur: 2.5},
-		{Rank: 1, Op: ipmio.OpSeek, FD: 3, File: "/scratch/a", Offset: -512, Start: 4.0},
-		{Rank: 2, Op: ipmio.OpRead, FD: 4, File: "/scratch/b", Offset: 0, Bytes: 1 << 16, Start: 4.5, Dur: 0.125},
-		{Rank: 0, Op: ipmio.OpClose, FD: 3, File: "/scratch/a", Start: 9.75, Dur: 0.001},
+		{Rank: 0, Op: ipmio.OpOpen, FD: 3, File: a, Start: 0.5, Dur: 0.01},
+		{Rank: 1, Op: ipmio.OpWrite, FD: 3, File: a, Offset: 1 << 20, Bytes: 4096, Start: 1.25, Dur: 2.5},
+		{Rank: 1, Op: ipmio.OpSeek, FD: 3, File: a, Offset: -512, Start: 4.0},
+		{Rank: 2, Op: ipmio.OpRead, FD: 4, File: b, Offset: 0, Bytes: 1 << 16, Start: 4.5, Dur: 0.125},
+		{Rank: 0, Op: ipmio.OpClose, FD: 3, File: a, Start: 9.75, Dur: 0.001},
 	}
 	marks := []ipmio.PhaseMark{{Name: "phase-0", T: 0}, {Name: "phase-1", T: 5.5}}
-	return events, marks
+	return events, marks, files
 }
 
 func FuzzTraceDecode(f *testing.F) {
-	events, marks := fuzzSeedEvents()
+	events, marks, files := fuzzSeedEvents()
 	var full bytes.Buffer
-	if err := WriteBinary(&full, events, marks); err != nil {
+	if err := WriteBinary(&full, events, marks, files); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(full.Bytes())
 	var short bytes.Buffer
-	if err := WriteBinary(&short, events[:1], nil); err != nil {
+	if err := WriteBinary(&short, events[:1], nil, files); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(short.Bytes())
@@ -45,7 +47,7 @@ func FuzzTraceDecode(f *testing.F) {
 	f.Add(append(full.Bytes(), 0xff, 0xff, 0xff, 0x7f)) // trailing garbage
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		events, marks, err := ReadBinary(bytes.NewReader(data))
+		events, marks, files, err := ReadBinary(bytes.NewReader(data))
 		if err != nil {
 			return // rejecting bad input is fine; panicking is not
 		}
@@ -53,15 +55,15 @@ func FuzzTraceDecode(f *testing.F) {
 		// a canonical fixpoint: decode(encode(x)) encodes to the same
 		// bytes again.
 		var once bytes.Buffer
-		if err := WriteBinary(&once, events, marks); err != nil {
+		if err := WriteBinary(&once, events, marks, files); err != nil {
 			t.Fatalf("re-encoding accepted trace: %v", err)
 		}
-		ev2, mk2, err := ReadBinary(bytes.NewReader(once.Bytes()))
+		ev2, mk2, files2, err := ReadBinary(bytes.NewReader(once.Bytes()))
 		if err != nil {
 			t.Fatalf("decoding own encoding: %v", err)
 		}
 		var twice bytes.Buffer
-		if err := WriteBinary(&twice, ev2, mk2); err != nil {
+		if err := WriteBinary(&twice, ev2, mk2, files2); err != nil {
 			t.Fatalf("second re-encode: %v", err)
 		}
 		if !bytes.Equal(once.Bytes(), twice.Bytes()) {
@@ -71,9 +73,9 @@ func FuzzTraceDecode(f *testing.F) {
 }
 
 func FuzzTraceDecodeJSONL(f *testing.F) {
-	events, marks := fuzzSeedEvents()
+	events, marks, files := fuzzSeedEvents()
 	var jsonl bytes.Buffer
-	if err := WriteJSONL(&jsonl, events, marks); err != nil {
+	if err := WriteJSONL(&jsonl, events, marks, files); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(jsonl.Bytes())
@@ -83,12 +85,12 @@ func FuzzTraceDecodeJSONL(f *testing.F) {
 	f.Add([]byte("{"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		events, marks, err := ReadJSONL(bytes.NewReader(data))
+		events, marks, files, err := ReadJSONL(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
 		var buf bytes.Buffer
-		if err := WriteJSONL(&buf, events, marks); err != nil {
+		if err := WriteJSONL(&buf, events, marks, files); err != nil {
 			t.Fatalf("re-encoding accepted JSONL trace: %v", err)
 		}
 	})
@@ -147,7 +149,7 @@ func TestReadBinaryLengthBomb(t *testing.T) {
 	buf.WriteByte(kindMark)
 	// Uvarint for 2^40: far beyond maxStringLen.
 	buf.Write([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02})
-	if _, _, err := ReadBinary(bytes.NewReader(buf.Bytes())); err == nil {
+	if _, _, _, err := ReadBinary(bytes.NewReader(buf.Bytes())); err == nil {
 		t.Fatal("expected error for absurd string length, got nil")
 	}
 }

@@ -21,7 +21,7 @@ import (
 // WriteChromeTrace replaced live on here as the oracle: the appenders
 // must produce the same bytes, or fail with the same class of error.
 
-func oracleWriteJSONL(w io.Writer, events []ipmio.Event, marks []ipmio.PhaseMark) error {
+func oracleWriteJSONL(w io.Writer, events []ipmio.Event, marks []ipmio.PhaseMark, files *ipmio.Files) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	for _, m := range marks {
@@ -31,7 +31,7 @@ func oracleWriteJSONL(w io.Writer, events []ipmio.Event, marks []ipmio.PhaseMark
 	}
 	for _, e := range events {
 		rec := jsonRecord{
-			Rank: e.Rank, Op: e.Op.String(), FD: e.FD, File: e.File,
+			Rank: int(e.Rank), Op: e.Op.String(), FD: int(e.FD), File: files.Name(e.File),
 			Off: e.Offset, N: e.Bytes, T: float64(e.Start), D: float64(e.Dur),
 		}
 		if err := enc.Encode(rec); err != nil {
@@ -111,15 +111,15 @@ func errClass(err error) string {
 
 // checkWritersMatch runs each writer and its oracle on the same
 // records and reports whether every writer succeeded.
-func checkWritersMatch(t testing.TB, events []ipmio.Event, marks []ipmio.PhaseMark, spans []telemetry.Span) (ok [3]bool) {
+func checkWritersMatch(t testing.TB, events []ipmio.Event, marks []ipmio.PhaseMark, files *ipmio.Files, spans []telemetry.Span) (ok [3]bool) {
 	t.Helper()
 	pairs := []struct {
 		name      string
 		got, want func(io.Writer) error
 	}{
 		{"WriteJSONL",
-			func(w io.Writer) error { return WriteJSONL(w, events, marks) },
-			func(w io.Writer) error { return oracleWriteJSONL(w, events, marks) }},
+			func(w io.Writer) error { return WriteJSONL(w, events, marks, files) },
+			func(w io.Writer) error { return oracleWriteJSONL(w, events, marks, files) }},
 		{"WriteSpans",
 			func(w io.Writer) error { return WriteSpans(w, SpanView{Scoped: spans}) },
 			func(w io.Writer) error { return oracleWriteSpans(w, spans) }},
@@ -229,8 +229,9 @@ func (g *recordGen) string() string {
 	return string(b)
 }
 
-func (g *recordGen) records() ([]ipmio.Event, []ipmio.PhaseMark, []telemetry.Span) {
+func (g *recordGen) records() ([]ipmio.Event, []ipmio.PhaseMark, *ipmio.Files, []telemetry.Span) {
 	var events []ipmio.Event
+	files := &ipmio.Files{}
 	var marks []ipmio.PhaseMark
 	var spans []telemetry.Span
 	for n := g.byte() % 4; n > 0; n-- {
@@ -238,7 +239,7 @@ func (g *recordGen) records() ([]ipmio.Event, []ipmio.PhaseMark, []telemetry.Spa
 	}
 	for n := g.byte() % 8; n > 0; n-- {
 		events = append(events, ipmio.Event{
-			Rank: int(g.int()), Op: ipmio.Op(g.byte() % 9), FD: int(g.int()), File: g.string(),
+			Rank: int32(g.int()), Op: ipmio.Op(g.byte() % 9), FD: int32(g.int()), File: files.Intern(g.string()),
 			Offset: g.int(), Bytes: g.int(), Start: sim.Time(g.float()), Dur: sim.Duration(g.float()),
 		})
 	}
@@ -251,7 +252,7 @@ func (g *recordGen) records() ([]ipmio.Event, []ipmio.PhaseMark, []telemetry.Spa
 		}
 		spans = append(spans, sp)
 	}
-	return events, marks, spans
+	return events, marks, files, spans
 }
 
 // TestJSONWritersMatchEncodingJSON checks 2,000 seeded random record
@@ -265,8 +266,8 @@ func TestJSONWritersMatchEncodingJSON(t *testing.T) {
 		data := make([]byte, 512)
 		rng.Read(data)
 		g := recordGen{data: data}
-		events, marks, spans := g.records()
-		ok := checkWritersMatch(t, events, marks, spans)
+		events, marks, files, spans := g.records()
+		ok := checkWritersMatch(t, events, marks, files, spans)
 		for w := range ok {
 			if ok[w] {
 				succeeded[w]++
@@ -284,8 +285,8 @@ func TestJSONWritersMatchEncodingJSON(t *testing.T) {
 // TestJSONWritersMatchOnRealRecords covers the shapes the simulator
 // actually writes.
 func TestJSONWritersMatchOnRealRecords(t *testing.T) {
-	events, marks := fuzzSeedEvents()
-	if ok := checkWritersMatch(t, events, marks, testSpans()); ok != [3]bool{true, true, true} {
+	events, marks, files := fuzzSeedEvents()
+	if ok := checkWritersMatch(t, events, marks, files, testSpans()); ok != [3]bool{true, true, true} {
 		t.Fatalf("a writer failed on valid records: %v", ok)
 	}
 }
@@ -329,7 +330,7 @@ func FuzzJSONWritersMatchEncodingJSON(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := recordGen{data: data}
-		events, marks, spans := g.records()
-		checkWritersMatch(t, events, marks, spans)
+		events, marks, files, spans := g.records()
+		checkWritersMatch(t, events, marks, files, spans)
 	})
 }

@@ -15,14 +15,14 @@ func profiledCollector() *ipmio.Collector {
 	c := ipmio.NewCollector(ipmio.ProfileMode | ipmio.TraceMode)
 	for i := 0; i < 500; i++ {
 		c.Record(ipmio.Event{
-			Rank: i % 16, Op: ipmio.OpWrite, FD: 3,
+			Rank: int32(i % 16), Op: ipmio.OpWrite, FD: 3,
 			Offset: int64(i) * 1e6, Bytes: 1e6,
 			Start: sim.Time(i), Dur: sim.Duration(0.5 + float64(i%7)*0.3),
 		})
 	}
 	for i := 0; i < 100; i++ {
 		c.Record(ipmio.Event{
-			Rank: i % 16, Op: ipmio.OpRead, FD: 3,
+			Rank: int32(i % 16), Op: ipmio.OpRead, FD: 3,
 			Offset: int64(i) * 1e6, Bytes: 1e6,
 			Start: sim.Time(500 + i), Dur: 2.0,
 		})
@@ -91,7 +91,7 @@ func TestProfileMuchSmallerThanTrace(t *testing.T) {
 	if err := WriteProfile(&profBuf, p); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteBinary(&traceBuf, c.Events, c.Marks); err != nil {
+	if err := WriteBinary(&traceBuf, c.Events, c.Marks, &c.Files); err != nil {
 		t.Fatal(err)
 	}
 	if profBuf.Len() >= traceBuf.Len() {

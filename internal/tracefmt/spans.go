@@ -55,7 +55,7 @@ func (v SpanView) All() iter.Seq[telemetry.Span] {
 				if names[e.Op] == "" {
 					names[e.Op] = t.Tag + e.Op.String()
 				}
-				if !yield(telemetry.Span{Cat: "io", Name: names[e.Op], Rank: e.Rank, Start: float64(e.Start), End: float64(e.Start + e.Dur)}) {
+				if !yield(telemetry.Span{Cat: "io", Name: names[e.Op], Rank: int(e.Rank), Start: float64(e.Start), End: float64(e.Start + e.Dur)}) {
 					return
 				}
 			}

@@ -27,7 +27,7 @@ func flatSpans(scoped []telemetry.Span, jobs []ioJob) []telemetry.Span {
 	for _, j := range jobs {
 		for _, e := range j.events {
 			spans = append(spans, telemetry.Span{
-				Cat: "io", Name: j.tag + e.Op.String(), Rank: e.Rank,
+				Cat: "io", Name: j.tag + e.Op.String(), Rank: int(e.Rank),
 				Start: float64(e.Start), End: float64(e.Start + e.Dur),
 			})
 		}

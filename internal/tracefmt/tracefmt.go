@@ -35,9 +35,10 @@ type jsonRecord struct {
 }
 
 // WriteJSONL encodes events and phase marks as one JSON object per
-// line, in the order given. Each line carries the jsonRecord fields in
-// declaration order, empty optional fields left out.
-func WriteJSONL(w io.Writer, events []ipmio.Event, marks []ipmio.PhaseMark) error {
+// line, in the order given; files is the table the events' File ids
+// index. Each line carries the jsonRecord fields in declaration order,
+// empty optional fields left out.
+func WriteJSONL(w io.Writer, events []ipmio.Event, marks []ipmio.PhaseMark, files *ipmio.Files) error {
 	bw := bufio.NewWriter(w)
 	var rec []byte
 	var err error
@@ -64,9 +65,9 @@ func WriteJSONL(w io.Writer, events []ipmio.Event, marks []ipmio.PhaseMark) erro
 			rec = append(rec, `,"fd":`...)
 			rec = strconv.AppendInt(rec, int64(e.FD), 10)
 		}
-		if e.File != "" {
+		if f := files.Name(e.File); f != "" {
 			rec = append(rec, `,"f":`...)
-			rec = appendString(rec, e.File)
+			rec = appendString(rec, f)
 		}
 		if e.Offset != 0 {
 			rec = append(rec, `,"o":`...)
@@ -94,17 +95,19 @@ func WriteJSONL(w io.Writer, events []ipmio.Event, marks []ipmio.PhaseMark) erro
 	return bw.Flush()
 }
 
-// ReadJSONL decodes a JSONL trace.
-func ReadJSONL(r io.Reader) ([]ipmio.Event, []ipmio.PhaseMark, error) {
+// ReadJSONL decodes a JSONL trace: its events, its phase marks, and
+// the file table the events' File ids index.
+func ReadJSONL(r io.Reader) ([]ipmio.Event, []ipmio.PhaseMark, *ipmio.Files, error) {
 	var events []ipmio.Event
 	var marks []ipmio.PhaseMark
+	files := &ipmio.Files{}
 	dec := json.NewDecoder(r)
 	for {
 		var rec jsonRecord
 		if err := dec.Decode(&rec); err == io.EOF {
 			break
 		} else if err != nil {
-			return nil, nil, fmt.Errorf("tracefmt: bad JSONL record: %w", err)
+			return nil, nil, nil, fmt.Errorf("tracefmt: bad JSONL record: %w", err)
 		}
 		if rec.Type == "mark" {
 			marks = append(marks, ipmio.PhaseMark{Name: rec.Name, T: sim.Time(rec.T)})
@@ -112,14 +115,31 @@ func ReadJSONL(r io.Reader) ([]ipmio.Event, []ipmio.PhaseMark, error) {
 		}
 		op, ok := ipmio.ParseOp(rec.Op)
 		if !ok {
-			return nil, nil, fmt.Errorf("tracefmt: unknown op %q", rec.Op)
+			return nil, nil, nil, fmt.Errorf("tracefmt: unknown op %q", rec.Op)
+		}
+		rank, err := toInt32("rank", int64(rec.Rank))
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		fd, err := toInt32("fd", int64(rec.FD))
+		if err != nil {
+			return nil, nil, nil, err
 		}
 		events = append(events, ipmio.Event{
-			Rank: rec.Rank, Op: op, FD: rec.FD, File: rec.File,
+			Rank: rank, Op: op, FD: fd, File: files.Intern(rec.File),
 			Offset: rec.Off, Bytes: rec.N, Start: sim.Time(rec.T), Dur: sim.Duration(rec.D),
 		})
 	}
-	return events, marks, nil
+	return events, marks, files, nil
+}
+
+// toInt32 narrows a decoded rank or descriptor to the event's field,
+// rejecting one that does not fit.
+func toInt32(field string, v int64) (int32, error) {
+	if v < math.MinInt32 || v > math.MaxInt32 {
+		return 0, fmt.Errorf("tracefmt: %s %d out of range", field, v)
+	}
+	return int32(v), nil
 }
 
 // ---- Binary ----
@@ -137,11 +157,13 @@ const (
 	kindPath  = 2
 )
 
-// WriteBinary encodes a trace compactly. File paths are interned: the
-// first reference to a path emits a definition record, later events
-// carry only its id. A NaN or infinite event or mark time is an error,
-// as it is for WriteJSONL.
-func WriteBinary(w io.Writer, events []ipmio.Event, marks []ipmio.PhaseMark) error {
+// WriteBinary encodes a trace compactly; files is the table the
+// events' File ids index. File paths are interned: the first reference
+// to a path emits a definition record, later events carry only its id.
+// Ids are numbered in order of first reference, whatever the table's
+// numbering. A NaN or infinite event or mark time is an error, as it
+// is for WriteJSONL.
+func WriteBinary(w io.Writer, events []ipmio.Event, marks []ipmio.PhaseMark, files *ipmio.Files) error {
 	// The whole trace is encoded into one buffer and written with a
 	// single call: the initial size estimate (~40 bytes per event)
 	// covers typical traces, so the buffer grows at most a handful of
@@ -176,24 +198,31 @@ func WriteBinary(w io.Writer, events []ipmio.Event, marks []ipmio.PhaseMark) err
 		putF(float64(m.T))
 	}
 
-	paths := make(map[string]uint64)
+	// ids[f] is table id f's binary id plus one, 0 until first
+	// referenced. The table holds each path once, so distinct table ids
+	// are distinct paths; an id past its end names "", as id 0 does.
+	ids := make([]uint64, files.Len())
+	var next uint64
 	for i, e := range events {
 		if err := checkEventTimes(i, e); err != nil {
 			return err
 		}
-		id, ok := paths[e.File]
-		if !ok {
-			id = uint64(len(paths))
-			paths[e.File] = id
+		f := e.File
+		if int(f) >= len(ids) {
+			f = 0
+		}
+		if ids[f] == 0 {
+			next++
+			ids[f] = next
 			putUv(kindPath)
-			putUv(id)
-			putS(e.File)
+			putUv(next - 1)
+			putS(files.Name(f))
 		}
 		putUv(kindEvent)
 		putUv(uint64(e.Rank))
 		putUv(uint64(e.Op))
 		putUv(uint64(e.FD))
-		putUv(id)
+		putUv(ids[f] - 1)
 		putIv(e.Offset)
 		putIv(e.Bytes)
 		putF(float64(e.Start))
@@ -219,16 +248,17 @@ func checkEventTimes(i int, e ipmio.Event) error {
 	return checkTime("event", i, "duration", float64(e.Dur))
 }
 
-// ReadBinary decodes a binary trace. It rejects NaN and infinite event
-// and mark times, so every trace it returns is finite.
-func ReadBinary(r io.Reader) ([]ipmio.Event, []ipmio.PhaseMark, error) {
+// ReadBinary decodes a binary trace: its events, its phase marks, and
+// the file table the events' File ids index. It rejects NaN and
+// infinite event and mark times, so every trace it returns is finite.
+func ReadBinary(r io.Reader) ([]ipmio.Event, []ipmio.PhaseMark, *ipmio.Files, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(binMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, nil, fmt.Errorf("tracefmt: missing magic: %w", err)
+		return nil, nil, nil, fmt.Errorf("tracefmt: missing magic: %w", err)
 	}
 	if string(magic) != binMagic {
-		return nil, nil, fmt.Errorf("tracefmt: bad magic %q", magic)
+		return nil, nil, nil, fmt.Errorf("tracefmt: bad magic %q", magic)
 	}
 	getF := func() (float64, error) {
 		var b [8]byte
@@ -256,98 +286,123 @@ func ReadBinary(r io.Reader) ([]ipmio.Event, []ipmio.PhaseMark, error) {
 
 	var events []ipmio.Event
 	var marks []ipmio.PhaseMark
-	paths := make(map[uint64]string)
+	files := &ipmio.Files{}
+	ids := make(map[uint64]uint32) // binary path id -> table id
 	for {
 		kind, err := binary.ReadUvarint(br)
 		if err == io.EOF {
 			break
 		} else if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		switch kind {
 		case kindMark:
 			name, err := getS()
 			if err != nil {
-				return nil, nil, err
+				return nil, nil, nil, err
 			}
 			t, err := getF()
 			if err != nil {
-				return nil, nil, err
+				return nil, nil, nil, err
 			}
 			if err := checkTime("mark", len(marks), "time", t); err != nil {
-				return nil, nil, err
+				return nil, nil, nil, err
 			}
 			marks = append(marks, ipmio.PhaseMark{Name: name, T: sim.Time(t)})
 		case kindPath:
 			id, err := binary.ReadUvarint(br)
 			if err != nil {
-				return nil, nil, err
+				return nil, nil, nil, err
 			}
 			s, err := getS()
 			if err != nil {
-				return nil, nil, err
+				return nil, nil, nil, err
 			}
-			paths[id] = s
+			ids[id] = files.Intern(s)
 		case kindEvent:
 			var e ipmio.Event
 			rank, err := binary.ReadUvarint(br)
 			if err != nil {
-				return nil, nil, err
+				return nil, nil, nil, err
 			}
 			op, err := binary.ReadUvarint(br)
 			if err != nil {
-				return nil, nil, err
+				return nil, nil, nil, err
 			}
 			fd, err := binary.ReadUvarint(br)
 			if err != nil {
-				return nil, nil, err
+				return nil, nil, nil, err
 			}
 			pid, err := binary.ReadUvarint(br)
 			if err != nil {
-				return nil, nil, err
+				return nil, nil, nil, err
 			}
 			off, err := binary.ReadVarint(br)
 			if err != nil {
-				return nil, nil, err
+				return nil, nil, nil, err
 			}
 			n, err := binary.ReadVarint(br)
 			if err != nil {
-				return nil, nil, err
+				return nil, nil, nil, err
 			}
 			start, err := getF()
 			if err != nil {
-				return nil, nil, err
+				return nil, nil, nil, err
 			}
 			dur, err := getF()
 			if err != nil {
-				return nil, nil, err
+				return nil, nil, nil, err
 			}
-			e.Rank = int(rank)
+			if e.Rank, err = toInt32("rank", int64(rank)); err != nil {
+				return nil, nil, nil, err
+			}
+			if e.FD, err = toInt32("fd", int64(fd)); err != nil {
+				return nil, nil, nil, err
+			}
 			e.Op = ipmio.Op(op)
-			e.FD = int(fd)
-			e.File = paths[pid]
+			e.File = ids[pid]
 			e.Offset = off
 			e.Bytes = n
 			e.Start = sim.Time(start)
 			e.Dur = sim.Duration(dur)
 			if err := checkEventTimes(len(events), e); err != nil {
-				return nil, nil, err
+				return nil, nil, nil, err
 			}
 			events = append(events, e)
 		default:
-			return nil, nil, fmt.Errorf("tracefmt: unknown record kind %d", kind)
+			return nil, nil, nil, fmt.Errorf("tracefmt: unknown record kind %d", kind)
 		}
 	}
-	return events, marks, nil
+	return events, marks, files, nil
 }
 
-// Merge combines per-rank (or per-run) event slices into one stream
-// ordered by start time (stable for equal timestamps).
-func Merge(traces ...[]ipmio.Event) []ipmio.Event {
+// Trace is one run's events and the file table their File ids index.
+type Trace struct {
+	Events []ipmio.Event
+	Files  *ipmio.Files
+}
+
+// Merge combines per-rank (or per-run) traces into one event stream
+// ordered by start time (stable for equal timestamps), and the one
+// file table it indexes: each input's ids are remapped, so a path
+// several inputs name has one id.
+func Merge(traces ...Trace) ([]ipmio.Event, *ipmio.Files) {
 	var out []ipmio.Event
+	files := &ipmio.Files{}
 	for _, tr := range traces {
-		out = append(out, tr...)
+		remap := make([]uint32, tr.Files.Len())
+		for id := range remap {
+			remap[id] = files.Intern(tr.Files.Name(uint32(id)))
+		}
+		for _, e := range tr.Events {
+			if int(e.File) < len(remap) {
+				e.File = remap[e.File]
+			} else {
+				e.File = 0
+			}
+			out = append(out, e)
+		}
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Start < out[j].Start })
-	return out
+	return out, files
 }

@@ -24,20 +24,29 @@ const genSeedSalt = 0x9e3d5c1
 // wrote, so a generated workload can never fault on missing data.
 func Generate(seed int64) *workloads.Spec {
 	rng := sim.NewRNG(seed ^ genSeedSalt)
-	switch rng.Intn(6) {
-	case 0:
-		return genShared(seed, rng)
-	case 1:
-		return genFPP(seed, rng)
-	case 2:
-		return genCheckpoint(seed, rng)
-	case 3:
-		return genMixed(seed, rng)
-	case 4:
-		return genH5(seed, rng)
-	default:
-		return genAdversarial(seed, rng)
+	return families[rng.Intn(len(families))](seed, rng)
+}
+
+// families are Generate's scenario families, in the order its first
+// draw picks them.
+var families = [...]func(seed int64, rng *sim.RNG) *workloads.Spec{
+	genShared, genFPP, genCheckpoint, genMixed, genH5, genAdversarial,
+}
+
+// Families is the number of generator families GenerateFamily draws
+// from.
+const Families = len(families)
+
+// GenerateFamily returns a seeded spec from one family directly:
+// family f modulo Families, in Generate's order (shared, file per
+// process, checkpoint, mixed, h5, adversarial). Like Generate, the
+// same arguments always yield the same valid spec.
+func GenerateFamily(f int, seed int64) *workloads.Spec {
+	f %= Families
+	if f < 0 {
+		f += Families
 	}
+	return families[f](seed, sim.NewRNG(seed^genSeedSalt))
 }
 
 // GenerateAdversarial returns a seeded spec from the adversarial
@@ -47,7 +56,7 @@ func Generate(seed int64) *workloads.Spec {
 // stress-testing interference attribution — a flood of small strided
 // writes from a wide communicator is the canonical noisy neighbor.
 func GenerateAdversarial(seed int64) *workloads.Spec {
-	return genAdversarial(seed, sim.NewRNG(seed^genSeedSalt))
+	return GenerateFamily(Families-1, seed)
 }
 
 // geometry shared by the posix families.

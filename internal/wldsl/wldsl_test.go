@@ -33,10 +33,10 @@ func serialize(t *testing.T, run *workloads.Run) map[string][]byte {
 	t.Helper()
 	out := make(map[string][]byte)
 	var bin, jsonl bytes.Buffer
-	if err := tracefmt.WriteBinary(&bin, run.Collector.Events, run.Collector.Marks); err != nil {
+	if err := tracefmt.WriteBinary(&bin, run.Collector.Events, run.Collector.Marks, &run.Collector.Files); err != nil {
 		t.Fatalf("WriteBinary: %v", err)
 	}
-	if err := tracefmt.WriteJSONL(&jsonl, run.Collector.Events, run.Collector.Marks); err != nil {
+	if err := tracefmt.WriteJSONL(&jsonl, run.Collector.Events, run.Collector.Marks, &run.Collector.Files); err != nil {
 		t.Fatalf("WriteJSONL: %v", err)
 	}
 	out["trace.bin"] = bin.Bytes()

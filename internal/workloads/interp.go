@@ -324,8 +324,10 @@ func (p *Program) body(j *Job) func(r *mpi.Rank, tr *ipmio.Tracer) {
 		jr.layout = p.h5Layout()
 	}
 
+	exs := make([]executor, p.ranks) // one slice per job, not one object per rank
 	return func(r *mpi.Rank, tr *ipmio.Tracer) {
-		ex := &executor{jr: jr, r: r, tr: tr, fd: -1}
+		ex := &exs[r.ID]
+		*ex = executor{jr: jr, r: r, tr: tr, fd: -1}
 		ex.writer, ex.w = p.writerOf(r.ID)
 		if groups != nil {
 			ex.group = groups[r.ID/p.perWriter]
@@ -397,7 +399,7 @@ type executor struct {
 	group *mpi.Comm
 
 	fd   int
-	file *h5lite.File
+	file h5lite.File // used by h5 programs' writers
 
 	// The program counter: phase, its repetition, op, and the op's
 	// next call (ops such as write with a count make several).
@@ -478,7 +480,7 @@ func (ex *executor) exec(op *cop) bool {
 			if !ex.writer {
 				return false
 			}
-			ex.file = h5lite.NewFile(tr, ex.jr.layout, r.ID == 0)
+			ex.file.Init(tr, ex.jr.layout, r.ID == 0)
 			ex.file.Create(p.path, ex.ioDoneFn)
 			return true
 		}

@@ -199,15 +199,21 @@ func (s *Session) Run() {
 
 // spawn launches body on every rank at the job's start offset without
 // driving the engine. The makespan and the per-job fast-forward window
-// are tracked here; each rank reports its finish through rankDone.
+// are tracked here; each rank reports its finish through rankDone. The
+// ranks' I/O contexts and tracers are one slice each per job.
 func (j *Job) spawn(body func(r *mpi.Rank, tr *ipmio.Tracer)) {
 	eng := j.s.eng
 	run := func() {
 		j.started = eng.Now()
 		j.ffStart = eng.FastForwardSeconds()
 		j.jumpsStart = eng.FastForwardJumps()
+		tasks := make([]posixio.Task, j.w.Size())
+		tracers := make([]ipmio.Tracer, j.w.Size())
 		j.w.Launch(func(r *mpi.Rank) {
-			body(r, ipmio.NewTracer(j.s.sys.NewTask(r.ID, r.Node, r.T), j.col))
+			task, tr := &tasks[r.ID], &tracers[r.ID]
+			j.s.sys.InitTask(task, r.ID, r.Node, r.T)
+			tr.Init(task, j.col)
+			body(r, tr)
 		})
 	}
 	if j.startAt > 0 {

@@ -153,7 +153,7 @@ func TestGCRMAggregatorsWriteAllRecords(t *testing.T) {
 	cfg := GCRMConfig{Machine: quiet(), Tasks: 32, Aggregators: 4, Seed: 1, MetaOpsPerVar: 2}
 	r := RunGCRM(cfg)
 	var data int
-	writers := map[int]bool{}
+	writers := map[int32]bool{}
 	offsets := map[int64]bool{}
 	for _, e := range r.Collector.OpEvents(ipmio.OpWrite) {
 		if e.Bytes > 64<<10 {
@@ -177,7 +177,7 @@ func TestGCRMTwoStageGatherDeliversSameRecords(t *testing.T) {
 	cfg := GCRMConfig{Machine: quiet(), Tasks: 32, Aggregators: 4, TwoStage: true, Seed: 1, MetaOpsPerVar: 2}
 	r := RunGCRM(cfg)
 	var data int
-	writers := map[int]bool{}
+	writers := map[int32]bool{}
 	for _, e := range r.Collector.OpEvents(ipmio.OpWrite) {
 		if e.Bytes > 64<<10 {
 			data++
@@ -301,7 +301,7 @@ func TestIORFilePerProcess(t *testing.T) {
 	})
 	files := map[string]bool{}
 	for _, e := range r.Collector.OpEvents(ipmio.OpWrite) {
-		files[e.File] = true
+		files[r.Collector.Files.Name(e.File)] = true
 		if e.Offset != 0 {
 			t.Errorf("FPP write at offset %d, want 0 (own file)", e.Offset)
 		}
