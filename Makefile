@@ -80,19 +80,23 @@ bench-smoke:
 # trace-smoke: the end-to-end record-then-analyse workflow — wlrun
 # runs the 64-task IOR preset under a flaky-OST fault scenario and
 # exports a Chrome trace, a span stream, a binary trace and a metrics
-# snapshot; the Chrome trace must pass the schema validator (i.e. load
-# in Perfetto), ensembletop must digest the snapshot into its hot-spot
-# tables, and tracestat must diagnose the saved trace and snapshot as
+# snapshot; tracestat then drives every report it picks from its
+# inputs: the Chrome trace must pass the schema validator (i.e. load
+# in Perfetto), the snapshot and spans must digest into the hot-spot
+# tables, the saved trace compared with itself must be statistically
+# indistinguishable, and the saved trace and snapshot must diagnose as
 # an intermittent stall (TestDiagnoseTraceMatchesDiagnose pins the
 # same run).
 SMOKE_RUN = $(GO) run ./cmd/wlrun -spec testdata/scenarios/presets/ior-64.json -faults testdata/scenarios/flaky-ost.json
 trace-smoke:
 	@mkdir -p out
 	$(SMOKE_RUN) -trace out/smoke.trace.json -traceformat chrome -telemetry out/smoke.telemetry.json
-	$(GO) run ./cmd/tracestat -validate-chrome out/smoke.trace.json
+	$(GO) run ./cmd/tracestat out/smoke.trace.json
 	$(SMOKE_RUN) -trace out/smoke.spans.jsonl -traceformat spans
-	$(GO) run ./cmd/ensembletop -top 5 -spans out/smoke.spans.jsonl out/smoke.telemetry.json
+	$(GO) run ./cmd/tracestat -top 5 -spans out/smoke.spans.jsonl out/smoke.telemetry.json
 	$(SMOKE_RUN) -trace out/smoke.trace.bin
+	$(GO) run ./cmd/tracestat out/smoke.trace.bin out/smoke.trace.bin > out/smoke.compare.txt
+	grep -q 'statistically indistinguishable' out/smoke.compare.txt
 	$(GO) run ./cmd/tracestat out/smoke.trace.bin out/smoke.telemetry.json > out/smoke.tracestat.txt
 	grep -q 'intermittent-stall' out/smoke.tracestat.txt
 	@echo "trace-smoke: exports valid, saved trace diagnosed as intermittent-stall"
@@ -109,7 +113,7 @@ examples-smoke:
 # pass over the same grid at another worker count (-j 1, -cache-verify
 # recomputing every hit) must emit byte-identical artifacts. Then the checked-in
 # campaign grid runs cold and warm through ensemblecampaign — same
-# diff — and ensembletop digests the cache counters into the
+# diff — and tracestat digests the cache counters into the
 # effectiveness line.
 cache-golden:
 	@rm -rf out/cache && mkdir -p out/cache/cold out/cache/warm out/cache/camp-cold out/cache/camp-warm
@@ -128,7 +132,7 @@ cache-golden:
 	$(GO) run ./cmd/ensemblecampaign -campaign testdata/scenarios/campaigns/whatif-sweep.json \
 		-j 1 -cache out/cache/campstore -cache-verify -out out/cache/camp-warm > /dev/null
 	diff -r out/cache/camp-cold out/cache/camp-warm
-	$(GO) run ./cmd/ensembletop out/cache/camp.telemetry.json > out/cache/top.txt
+	$(GO) run ./cmd/tracestat out/cache/camp.telemetry.json > out/cache/top.txt
 	grep -q '^cache: served' out/cache/top.txt
 	@echo "cache-golden: cache-served artifacts byte-identical across worker counts"
 

@@ -21,7 +21,7 @@
 // (the scenario-key prefix makes names collision-free by
 // construction). -telemetry writes the cache-effectiveness counter
 // family (cascache.*) as a standard telemetry snapshot — feed it to
-// ensembletop. -cache-verify recomputes every hit and fails on any
+// tracestat. -cache-verify recomputes every hit and fails on any
 // byte difference.
 //
 // A scenario whose run fails (a simulation panic included) costs only

@@ -27,6 +27,10 @@
 // name, and start offset. A hit serves the full artifact set
 // byte-identically; -cache-verify recomputes on every hit and fails on
 // any difference.
+//
+// The merged snapshot (-telemetry) and span stream (-spans) read back
+// with tracestat: tracestat -tenant NAME -spans FILE SNAPSHOT narrows
+// the hot-spot tables and span breakdown to one tenant.
 package main
 
 import (

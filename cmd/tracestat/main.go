@@ -1,276 +1,213 @@
-// Command tracestat analyses a saved IPM-I/O trace: per-operation
-// moments, histograms (linear or log bins), detected modes, the trace
-// diagram, and the advisor's findings. It is the analysis half of the
-// two-step method: wlrun records a run's trace (-trace) and telemetry
-// snapshot (-telemetry), and tracestat reads them back. It
-// auto-detects the binary and JSONL trace formats.
+// Command tracestat reads saved runs as ensembles. It is the reader
+// half of the two-step method: wlrun records a run's trace (-trace)
+// and telemetry snapshot (-telemetry), and tracestat reads them back.
+// It detects each input's kind and picks its report from the kinds:
 //
-// Usage:
+//	tracestat [-op OP] [-log] [-diagram] TRACE [SNAPSHOT]
+//	tracestat TRACE TRACE
+//	tracestat PROFILE PROFILE
+//	tracestat [-top N] [-tenant NAME] [-spans FILE] [SNAPSHOT ...]
+//	tracestat CHROME
 //
-//	tracestat [-op read|write] [-log] [-diagram] [-ranks N] TRACE [SNAPSHOT]
-//	tracestat -validate-chrome FILE
+// One trace gets the analysis: per-op and per-phase tables, moments,
+// histogram and modes, sec/MB write rates, access patterns, the trace
+// diagram and the advisor's findings; with the run's snapshot the
+// per-OST server counters localize a straggler OST. Two traces get the
+// reproducibility check (per-op KS and Wasserstein distances, mode
+// alignment, a verdict), two profiles a comparison of per-op means and
+// p95s. Snapshots fold into hot-spot tables. A Chrome trace-event
+// export (wlrun -traceformat chrome) gets a schema check.
 //
-// SNAPSHOT is the run's telemetry snapshot, the file wlrun -telemetry
-// writes. With it the diagnosis is exactly the live run's: the per-OST
-// server counters localize a straggler OST. Without it straggler-OST
-// localization stays silent.
-//
-// The reports follow the data, with no flag to pick them:
-//   - a per-phase table (duration, read median and p95, write median)
-//     whenever the trace carries phase marks;
-//   - the moments of the selected population, its histogram and modes;
-//   - size-normalized sec/MB histograms of data and metadata writes,
-//     with the median per-task data rate, whenever writes fall on both
-//     sides of the 64 KiB small-I/O threshold (the GCRM presentation of
-//     Figure 6).
-//
-// -validate-chrome schema-checks a Chrome trace-event export (the
-// format wlrun -traceformat chrome writes) instead of analysing an
-// IPM-I/O trace; CI's trace-smoke target runs it over exporter output.
+// A binary trace starts with the IPMB1 magic. Every other kind is told
+// by the keys of its first JSON value: r or type for a JSONL trace,
+// durations or rates for a profile, counters, gauges or hists (or none)
+// for a snapshot, traceEvents or displayTimeUnit for a Chrome export.
+// Any other mix of inputs is a usage error. The exit status is 1 on an
+// error and on a DIFFER verdict.
 package main
 
 import (
 	"bufio"
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
+	"slices"
+	"strings"
 
-	"ensembleio"
-	"ensembleio/internal/analysis"
 	"ensembleio/internal/cliutil"
-	"ensembleio/internal/ensemble"
 	"ensembleio/internal/ipmio"
-	"ensembleio/internal/report"
-	"ensembleio/internal/sim"
+	"ensembleio/internal/tracefmt"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("tracestat: ")
-	var (
-		opName  = flag.String("op", "", "restrict to one op: open, close, read, write, seek, fsync")
-		logBins = flag.Bool("log", false, "log-binned histogram (for heavy-tailed traces)")
-		diagram = flag.Bool("diagram", false, "render the trace diagram")
-		ranks   = flag.Int("ranks", 0, "rank count for the diagram (default: max rank + 1)")
-		chrome  = flag.Bool("validate-chrome", false, "validate FILE as Chrome trace-event JSON and exit")
-		profOut = flag.String("prof", "", "write wall-clock CPU/heap profiles to PREFIX.cpu.pprof / PREFIX.heap.pprof")
-		version = flag.Bool("version", false, "print build version and exit")
-	)
-	flag.Parse()
-	if *version {
-		fmt.Println(cliutil.Version())
-		return
+	os.Exit(run(os.Args[1:], os.Stdout))
+}
+
+// options are the report flags.
+type options struct {
+	op            string
+	log, diagram  bool
+	top           int
+	spans, tenant string
+}
+
+// run parses args, writes the report the inputs select to stdout,
+// and returns the exit status.
+func run(args []string, stdout io.Writer) int {
+	fs := flag.NewFlagSet("tracestat", flag.ContinueOnError)
+	var o options
+	fs.StringVar(&o.op, "op", "", "restrict the analysis to one op: open, close, read, write, seek, fsync")
+	fs.BoolVar(&o.log, "log", false, "log-binned histogram (for heavy-tailed traces)")
+	fs.BoolVar(&o.diagram, "diagram", false, "render the trace diagram")
+	fs.IntVar(&o.top, "top", 10, "rows per snapshot table")
+	fs.StringVar(&o.spans, "spans", "", "also summarize this span JSONL file by category")
+	fs.StringVar(&o.tenant, "tenant", "", "filter a multi-tenant session to one tenant (tenant.NAME.* counters, NAME/ spans)")
+	profOut := fs.String("prof", "", "write wall-clock CPU/heap profiles to PREFIX.cpu.pprof / PREFIX.heap.pprof")
+	version := fs.Bool("version", false, "print build version and exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
-	if n := flag.NArg(); n < 1 || n > 2 || (*chrome && n != 1) {
-		log.Fatal("usage: tracestat [flags] TRACE [SNAPSHOT] | tracestat -validate-chrome FILE")
+	if *version {
+		fmt.Fprintln(stdout, cliutil.Version())
+		return 0
 	}
 	stopProf, err := cliutil.StartProfiles(*profOut)
 	if err != nil {
-		log.Fatal(err)
+		log.Print(err)
+		return 1
 	}
 	defer func() {
 		if err := stopProf(); err != nil {
 			log.Print(err)
 		}
 	}()
-	if *chrome {
-		n, err := validateChrome(flag.Arg(0))
+
+	paths := fs.Args()
+	kinds, got := make([]kind, len(paths)), make([]string, len(paths))
+	for i, p := range paths {
+		if kinds[i], err = readFile(p, sniff); err != nil {
+			log.Print(err)
+			return 1
+		}
+		got[i] = fmt.Sprintf("%s (%s)", p, kinds[i])
+	}
+	same := true
+	switch n := len(paths); {
+	case n == 0 && o.spans != "" || n > 0 && slices.IndexFunc(kinds, func(k kind) bool { return k != snapshot }) < 0:
+		err = top(stdout, paths, o)
+	case slices.Equal(kinds, []kind{chrome}):
+		var events int
+		if events, err = readFile(paths[0], tracefmt.ValidateChromeTrace); err == nil {
+			fmt.Fprintf(stdout, "%s: valid Chrome trace, %d events\n", paths[0], events)
+		}
+	case n == 2 && kinds[0].isTrace() && kinds[1].isTrace():
+		same, err = compareTraces(stdout, paths, kinds)
+	case slices.Equal(kinds, []kind{profile, profile}):
+		same, err = compareProfiles(stdout, paths)
+	case n > 0 && kinds[0].isTrace() && (n == 1 || slices.Equal(kinds[1:], []kind{snapshot})):
+		err = analyse(stdout, paths, kinds[0], o)
+	default:
+		err = fmt.Errorf("usage: tracestat [flags] TRACE [SNAPSHOT] | TRACE TRACE | PROFILE PROFILE | SNAPSHOT... | CHROME; got [%s]",
+			strings.Join(got, ", "))
+	}
+	if err != nil {
+		log.Print(err)
+		return 1
+	}
+	if !same {
+		return 1
+	}
+	return 0
+}
+
+// kind is an input file's detected artifact kind.
+type kind string
+
+const (
+	unknown     kind = "unknown"
+	binaryTrace kind = "binary trace"
+	jsonlTrace  kind = "JSONL trace"
+	profile     kind = "profile"
+	snapshot    kind = "snapshot"
+	chrome      kind = "Chrome trace"
+)
+
+func (k kind) isTrace() bool { return k == binaryTrace || k == jsonlTrace }
+
+// jsonKinds maps a key of a file's first JSON value to its kind.
+var jsonKinds = map[string]kind{
+	"r": jsonlTrace, "type": jsonlTrace,
+	"durations": profile, "rates": profile,
+	"counters": snapshot, "gauges": snapshot, "hists": snapshot,
+	"traceEvents": chrome, "displayTimeUnit": chrome,
+}
+
+// sniff detects an input's kind: the binary trace magic, or else the
+// first known key of its first JSON value (an empty object is an
+// empty snapshot). It reads no further than that key.
+func sniff(r io.Reader) (kind, error) {
+	br := bufio.NewReader(r)
+	if magic, _ := br.Peek(len(tracefmt.BinaryMagic)); string(magic) == tracefmt.BinaryMagic {
+		return binaryTrace, nil
+	}
+	dec := json.NewDecoder(br)
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		return unknown, nil
+	}
+	keys := 0
+	for ; dec.More(); keys++ {
+		key, err := dec.Token()
 		if err != nil {
-			log.Fatal(err)
+			return unknown, nil
 		}
-		fmt.Printf("%s: valid Chrome trace, %d events\n", flag.Arg(0), n)
-		return
+		if k, ok := jsonKinds[key.(string)]; ok {
+			return k, nil
+		}
+		if err := dec.Decode(new(json.RawMessage)); err != nil {
+			return unknown, nil
+		}
 	}
+	if keys == 0 {
+		return snapshot, nil
+	}
+	return unknown, nil
+}
 
-	events, marks, err := load(flag.Arg(0))
+// readFile opens path and decodes it with read, naming the file in a
+// decode error.
+func readFile[T any](path string, read func(io.Reader) (T, error)) (T, error) {
+	f, err := os.Open(path)
 	if err != nil {
-		log.Fatal(err)
+		var zero T
+		return zero, err
 	}
-	fmt.Printf("%s: %d events, %d phase marks\n\n", flag.Arg(0), len(events), len(marks))
-	var snap *ensembleio.TelemetrySnapshot
-	end := analysis.TraceEnd(events)
-	if flag.NArg() == 2 {
-		if snap, err = loadSnapshot(flag.Arg(1)); err != nil {
-			log.Fatal(err)
-		}
-		end = sim.Time(snap.Counter("sim.virtual_seconds"))
+	defer f.Close() //lint:allow(errclose) file opened read-only
+	v, err := read(bufio.NewReader(f))
+	if err != nil {
+		return v, fmt.Errorf("%s: %w", path, err)
 	}
-
-	var filter func(ipmio.Event) bool
-	if *opName != "" {
-		op, ok := ipmio.ParseOp(*opName)
-		if !ok {
-			log.Fatalf("unknown op %q", *opName)
-		}
-		filter = analysis.IsOp(op)
-	}
-
-	// Per-op summary table.
-	rows := [][]string{{"op", "n", "bytes (MB)", "med (s)", "p95 (s)", "max (s)"}}
-	for op := ensembleio.OpOpen; op <= ensembleio.OpFsync; op++ {
-		d := ensemble.NewDataset(nil)
-		var bytes int64
-		for _, e := range events {
-			if e.Op == op {
-				d.Add(float64(e.Dur))
-				bytes += e.Bytes
-			}
-		}
-		if d.Len() == 0 {
-			continue
-		}
-		rows = append(rows, []string{
-			op.String(), fmt.Sprint(d.Len()), report.F(float64(bytes)/1e6, 0),
-			report.F(d.Quantile(0.5), 3), report.F(d.Quantile(0.95), 3), report.F(d.Max(), 3),
-		})
-	}
-	report.Table(os.Stdout, rows)
-	if len(marks) > 0 {
-		fmt.Println()
-		report.Table(os.Stdout, phaseTable(analysis.Phases(events, marks, end)))
-	}
-
-	d := analysis.Durations(events, filter)
-	if d.Len() > 0 {
-		fmt.Println("\ndurations:", d.Moments())
-		fmt.Println()
-		var h *ensemble.Histogram
-		if *logBins {
-			lo := d.Min()
-			if lo <= 0 {
-				lo = 1e-6
-			}
-			h = ensemble.NewHistogram(ensemble.LogBins(lo, d.Max()*1.01, 4))
-		} else {
-			h = ensemble.NewHistogram(ensemble.LinearBins(0, d.Max()*1.01, 60))
-		}
-		h.AddAll(d)
-		report.Histogram(os.Stdout, "durations (s)", h)
-		modes := h.Modes(ensemble.ModeOpts{SmoothRadius: 2, MinProminence: 0.1, MinMass: 0.04})
-		if len(modes) > 0 {
-			fmt.Println()
-			report.Table(os.Stdout, report.ModeTable(modes, "s"))
-		}
-	}
-
-	writeRates(events)
-
-	if *diagram {
-		n := *ranks
-		for _, e := range events {
-			n = max(n, int(e.Rank)+1)
-		}
-		fmt.Println("\ntrace diagram (W=write R=read M=mixed .=idle):")
-		fmt.Print(analysis.TraceDiagram(events, n, 100, 24, analysis.TraceEnd(events)))
-	}
-
-	// Online pattern classification per op — the hint stream a pattern-
-	// aware file system would consume.
-	pd := ipmio.NewPatternDetector()
-	for _, e := range events {
-		pd.Observe(e)
-	}
-	fmt.Println("\naccess patterns:")
-	for _, op := range []ipmio.Op{ipmio.OpRead, ipmio.OpWrite} {
-		if s := pd.Summarize(op); s.Streams > 0 {
-			fmt.Printf("  %-5s %s\n", op, s)
-		}
-	}
-
-	if findings := ensembleio.DiagnoseTrace(events, marks, snap); len(findings) > 0 {
-		fmt.Println("\nadvisor findings:")
-		for _, f := range findings {
-			fmt.Printf("  %s\n", f)
-		}
-	}
+	return v, nil
 }
 
-// smallIOBytes is the advisor's metadata-class write threshold.
-const smallIOBytes = 64 << 10
-
-// phaseTable renders one row per barrier-delimited phase: its duration
-// and the median and p95 read and median write call durations.
-func phaseTable(phases []analysis.Phase) [][]string {
-	rows := [][]string{{"phase", "duration (s)", "read med (s)", "read p95 (s)", "write med (s)"}}
-	for _, ph := range phases {
-		reads := analysis.Durations(ph.Events, analysis.IsOp(ipmio.OpRead))
-		writes := analysis.Durations(ph.Events, analysis.IsOp(ipmio.OpWrite))
-		row := []string{ph.Name, report.F(float64(ph.EndT-ph.StartT), 1), "-", "-", "-"}
-		if reads.Len() > 0 {
-			row[2], row[3] = report.F(reads.Quantile(0.5), 1), report.F(reads.Quantile(0.95), 1)
-		}
-		if writes.Len() > 0 {
-			row[4] = report.F(writes.Quantile(0.5), 1)
-		}
-		rows = append(rows, row)
+// loadTrace reads a binary or JSONL trace's events and phase marks.
+func loadTrace(path string, k kind) ([]ipmio.Event, []ipmio.PhaseMark, error) {
+	read := tracefmt.ReadBinary
+	if k == jsonlTrace {
+		read = tracefmt.ReadJSONL
 	}
-	return rows
-}
-
-// writeRates prints the size-normalized (sec/MB) histograms of data
-// and metadata writes and the median per-task data rate, when the
-// trace has writes on both sides of the small-I/O threshold.
-func writeRates(events []ipmio.Event) {
-	data := analysis.SecPerMB(events, func(e ipmio.Event) bool {
-		return e.Op == ipmio.OpWrite && e.Bytes > smallIOBytes
+	var marks []ipmio.PhaseMark
+	events, err := readFile(path, func(r io.Reader) (events []ipmio.Event, err error) {
+		events, marks, _, err = read(r)
+		return events, err
 	})
-	meta := analysis.SecPerMB(events, func(e ipmio.Event) bool {
-		return e.Op == ipmio.OpWrite && e.Bytes <= smallIOBytes
-	})
-	if data.Len() == 0 || meta.Len() == 0 {
-		return
-	}
-	h := ensemble.NewHistogram(ensemble.LogBins(1e-3, 1e3, 4))
-	h.AddAll(data)
-	fmt.Println()
-	report.Histogram(os.Stdout, "data writes, sec/MB (left = fast)", h)
-	fmt.Printf("median per-task rate: %.2f MB/s\n\n", 1/data.Quantile(0.5))
-	h = ensemble.NewHistogram(ensemble.LogBins(1e-3, 1e5, 4))
-	h.AddAll(meta)
-	report.Histogram(os.Stdout, "metadata writes, sec/MB", h)
-}
-
-// loadSnapshot reads a telemetry snapshot file.
-func loadSnapshot(path string) (*ensembleio.TelemetrySnapshot, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close() //lint:allow(errclose) file opened read-only
-	snap, err := ensembleio.LoadTelemetry(bufio.NewReader(f))
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return snap, nil
-}
-
-// validateChrome schema-checks a Chrome trace-event JSON file.
-func validateChrome(path string) (int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close() //lint:allow(errclose) file opened read-only
-	return ensembleio.ValidateChromeTrace(bufio.NewReader(f))
-}
-
-// load auto-detects the trace format by its first byte ('{' = JSONL).
-func load(path string) ([]ipmio.Event, []ipmio.PhaseMark, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close() //lint:allow(errclose) file opened read-only
-	br := bufio.NewReader(f)
-	first, err := br.Peek(1)
-	if err != nil {
-		return nil, nil, fmt.Errorf("empty trace: %w", err)
-	}
-	load := ensembleio.LoadTrace
-	if first[0] == '{' {
-		load = ensembleio.LoadTraceJSON
-	}
-	events, marks, _, err := load(br)
 	return events, marks, err
 }

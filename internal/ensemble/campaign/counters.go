@@ -3,9 +3,9 @@ package campaign
 import "ensembleio/internal/telemetry"
 
 // CounterPrefix names the cache-effectiveness counter family. The
-// counters ride the standard telemetry snapshot format, so
-// ensembletop renders them with the same machinery as a run's engine
-// counters (and its per-OST table knows to skip the family).
+// counters ride the standard telemetry snapshot format, so tracestat
+// renders them with the same machinery as a run's engine counters
+// (and its per-OST table knows to skip the family).
 const CounterPrefix = "cascache."
 
 // Snapshot exports the campaign stats as a telemetry counter

@@ -83,7 +83,6 @@ const FirstFD = 3
 
 type fd struct {
 	file   *lustre.File
-	path   string
 	offset int64
 	flags  int
 	read   *lustre.ReadState
@@ -136,7 +135,7 @@ func (t *Task) Open(path string, flags int, k Done) int {
 	} else if flags&OTrunc != 0 {
 		f.Size = 0
 	}
-	t.fds = append(t.fds, &fd{file: f, path: path, flags: flags, read: lustre.NewReadState()})
+	t.fds = append(t.fds, &fd{file: f, flags: flags, read: lustre.NewReadState()})
 	num := FirstFD + len(t.fds) - 1
 	t.sys.FS.MDSOp(&t.req, 0, t.call(int64(num), k))
 	return num
@@ -256,16 +255,6 @@ func (t *Task) Fsync(num int, k Done) {
 		return
 	}
 	t.cl.Fsync(&t.req, t.call(0, k))
-}
-
-// Path returns the path an open descriptor refers to — the fd-to-file
-// lookup table IPM-I/O uses to associate events with files.
-func (t *Task) Path(num int) (string, bool) {
-	d := t.lookup(num)
-	if d == nil {
-		return "", false
-	}
-	return d.path, true
 }
 
 // Offset returns the descriptor's current offset.

@@ -178,15 +178,12 @@ func TestBadFDErrors(t *testing.T) {
 						t.Errorf("%s(%d): err=%v, want ErrBadFD", name, num, err)
 					}
 				}
-				if _, ok := task.Path(num); ok {
-					t.Errorf("Path(%d) succeeded", num)
-				}
 				if _, ok := task.Offset(num); ok {
 					t.Errorf("Offset(%d) succeeded", num)
 				}
 			}
-			if got, ok := task.Path(open); !ok || got != "/scratch/open" {
-				t.Errorf("open fd %d lost: Path = %q,%v", open, got, ok)
+			if _, err := task.Seek(open, 0, SeekSet); err != nil {
+				t.Errorf("open fd %d lost: Seek: %v", open, err)
 			}
 			k(0, nil)
 		})
@@ -275,17 +272,21 @@ func TestSmallWriteUsesMetadataPath(t *testing.T) {
 	eng.Run()
 }
 
+// TestPathLookup: a descriptor resolves to the file opened at its
+// path, and a number never issued resolves to nothing.
 func TestPathLookup(t *testing.T) {
 	eng, cl, sys := testSystem()
 	var fd int
 	open, opened := openStep(t, "/scratch/look", OCreat|OWronly, &fd)
 	spawnScript(eng, sys, 0, cl.Nodes[0], open, opened,
+		func(task *Task, _ int64, _ error, k Done) { task.Write(fd, 5e6, k) },
+		want(t, "write", 5e6),
 		func(task *Task, _ int64, _ error, k Done) {
-			if got, ok := task.Path(fd); !ok || got != "/scratch/look" {
-				t.Errorf("Path(%d) = %q,%v", fd, got, ok)
+			if f := sys.FS.Lookup("/scratch/look"); f == nil || f.Size != 5e6 {
+				t.Errorf("write through fd %d did not reach /scratch/look: %+v", fd, f)
 			}
-			if _, ok := task.Path(99); ok {
-				t.Error("Path of bad fd should fail")
+			if _, err := inline(t, func(k Done) { task.Write(99, 10, k) }); !errors.Is(err, ErrBadFD) {
+				t.Errorf("write to fd 99: err=%v, want ErrBadFD", err)
 			}
 			k(0, nil)
 		})

@@ -289,7 +289,7 @@ func (e *Engine) HeapHighWater() int { return e.maxHeap }
 // jump: a stretch with no membership change that the simulator crossed
 // with a single wake-up instead of ticking quanta through it. The
 // fluid layers call it; workloads fold the totals into telemetry so
-// the fast-forward win is observable per run (cmd/ensembletop prints
+// the fast-forward win is observable per run (cmd/tracestat prints
 // the ratio against total virtual seconds).
 func (e *Engine) NoteFastForward(d float64) {
 	e.ffSeconds += d

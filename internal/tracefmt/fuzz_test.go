@@ -42,7 +42,7 @@ func FuzzTraceDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(short.Bytes())
-	f.Add([]byte(binMagic))                             // header only
+	f.Add([]byte(BinaryMagic))                          // header only
 	f.Add(full.Bytes()[:len(full.Bytes())-3])           // truncated tail
 	f.Add(append(full.Bytes(), 0xff, 0xff, 0xff, 0x7f)) // trailing garbage
 
@@ -145,7 +145,7 @@ func FuzzProfileJSON(f *testing.F) {
 // claiming a multi-gigabyte path must be rejected, not allocated.
 func TestReadBinaryLengthBomb(t *testing.T) {
 	var buf bytes.Buffer
-	buf.WriteString(binMagic)
+	buf.WriteString(BinaryMagic)
 	buf.WriteByte(kindMark)
 	// Uvarint for 2^40: far beyond maxStringLen.
 	buf.Write([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02})

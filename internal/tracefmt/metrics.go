@@ -15,7 +15,7 @@ import (
 // written here is byte-deterministic for a given run. The reader
 // validates what the simulator guarantees on output — finite values,
 // non-negative counts, ordered bin edges — so downstream consumers
-// (cmd/ensembletop) can trust loaded snapshots.
+// (cmd/tracestat) can trust loaded snapshots.
 
 // WriteMetrics encodes a telemetry snapshot as indented JSON.
 func WriteMetrics(w io.Writer, snap *telemetry.Snapshot) error {

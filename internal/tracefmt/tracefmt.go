@@ -144,7 +144,9 @@ func toInt32(field string, v int64) (int32, error) {
 
 // ---- Binary ----
 
-const binMagic = "IPMB1\n"
+// BinaryMagic opens every binary trace; readers sniff it to tell a
+// binary trace from the JSON artifacts.
+const BinaryMagic = "IPMB1\n"
 
 // maxStringLen bounds decoded path and mark names: well past any real
 // file path, small enough that a corrupt length field cannot force a
@@ -168,8 +170,8 @@ func WriteBinary(w io.Writer, events []ipmio.Event, marks []ipmio.PhaseMark, fil
 	// single call: the initial size estimate (~40 bytes per event)
 	// covers typical traces, so the buffer grows at most a handful of
 	// times per run instead of flushing thousands of small writes.
-	buf := make([]byte, 0, len(binMagic)+40*len(events)+48*len(marks)+64)
-	buf = append(buf, binMagic...)
+	buf := make([]byte, 0, len(BinaryMagic)+40*len(events)+48*len(marks)+64)
+	buf = append(buf, BinaryMagic...)
 	var vb [binary.MaxVarintLen64]byte
 	putUv := func(v uint64) {
 		n := binary.PutUvarint(vb[:], v)
@@ -253,11 +255,11 @@ func checkEventTimes(i int, e ipmio.Event) error {
 // infinite event and mark times, so every trace it returns is finite.
 func ReadBinary(r io.Reader) ([]ipmio.Event, []ipmio.PhaseMark, *ipmio.Files, error) {
 	br := bufio.NewReader(r)
-	magic := make([]byte, len(binMagic))
+	magic := make([]byte, len(BinaryMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, nil, nil, fmt.Errorf("tracefmt: missing magic: %w", err)
 	}
-	if string(magic) != binMagic {
+	if string(magic) != BinaryMagic {
 		return nil, nil, nil, fmt.Errorf("tracefmt: bad magic %q", magic)
 	}
 	getF := func() (float64, error) {

@@ -354,7 +354,7 @@ func (s *Session) foldCounters(wall float64) {
 	// Fast-forward accounting: virtual seconds the fabric crossed in
 	// single analytic jumps. The jumps are a pure function of the
 	// simulated schedule, so these counters are safe to serialize and
-	// ensembletop can print the ratio against sim.virtual_seconds.
+	// tracestat can print the ratio against sim.virtual_seconds.
 	tel.Counter("sim.virtual_seconds").Add(wall)
 	if ff := eng.FastForwardSeconds(); ff > 0 {
 		tel.Counter("sim.ff_seconds").Add(ff)
